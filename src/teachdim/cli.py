@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import graphs as G
 from .checks import check_graph
-from .concepts import format_concept, read_class
+from .concepts import format_concept, read_class, version_space_mask
 from .connected import (
     build_con_class,
     con_superset_teacher,
@@ -25,7 +25,7 @@ from .connected import (
 )
 from .dimensions import rtd, sauer_bound, sauer_rtd_implication, td_of, vcd
 from .errors import BudgetExceededError, TeacherPreconditionError
-from .families import FamilySpec
+from .families import FAMILY_NAMES, FamilySpec
 from .graphs import read_graph
 from .stars import build_star_class, star_subset_teacher, star_special_teacher
 from .teaching import format_teacher, plan_to_teacher
@@ -206,21 +206,19 @@ def cmd_teach(args) -> int:
               file=sys.stderr)
         return 2
     sample = teacher.sample_for(idx)
-    vs = [i for i in range(len(cc))
-          if (cc.concepts[i] & sample.pos) == sample.pos
-          and (cc.concepts[i] & sample.neg) == 0]
+    vs = version_space_mask(cc, sample)
     print(f"graph: n={g.n} m={g.m}; teacher: {args.teacher}")
     print(f"concept: {g.vertex_names(cc.concepts[idx])} (index {idx})")
     toks = [f"{g.vertex_name(x)}{'+' if lab else '-'}" for x, lab in sample.pairs()]
     print(f"teaching set: {' '.join(toks) if toks else '(empty)'}")
     print("version space:")
     depths = teacher.preference.depths
-    for i in vs:
+    for i in G.bits(vs):
         rel = "target" if i == idx else (
             "less preferred" if teacher.preference.is_preferred(idx, i)
             else "NOT less preferred")
         print(f"  {g.vertex_names(cc.concepts[i])}\tlevel={depths[i]}\t{rel}")
-    ok = all(teacher.preference.is_preferred(idx, i) for i in vs if i != idx)
+    ok = not vs & ~teacher.preference.below[idx] & ~(1 << idx)
     print("maximality: " + (
         "the concept is the unique most preferred element of its version space"
         if ok else "VIOLATED"))
@@ -288,9 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p, needs_kind=True, kind_required=True):
-        p.add_argument("--family", choices=list(
-            ("complete", "path", "cycle", "fig1-left", "fig1-right", "fig2",
-             "random", "file")), default=None)
+        p.add_argument("--family", choices=FAMILY_NAMES, default=None)
         p.add_argument("--n", help="size or inclusive range A..B")
         p.add_argument("--p", type=float, help="edge probability (random family)")
         p.add_argument("--seed", type=int, help="PRNG seed (random family)")

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ClassFormatError
 from .graphs import bits, mask_of, set_of
 
@@ -125,10 +123,6 @@ class ConceptClass:
         if lo == len(self.concepts) or self.concepts[lo] != mask:
             raise KeyError(f"concept {mask:#x} not in class")
         return lo
-
-    @cached_property
-    def concepts_array(self) -> np.ndarray:
-        return np.asarray(self.concepts, dtype=np.uint32)
 
     @cached_property
     def instance_columns(self) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from .graphs import (
     Graph,
     Tree,
     _bfs_tree_edges,
+    _component_mask,
     bits,
     closed_neighborhood_mask,
     connected_set_masks,
@@ -75,14 +76,7 @@ def maximal_opponents(g: Graph, x) -> OpponentSet:
     remaining = outside
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & outside & ~comp
-            comp |= frontier
+        comp = _component_mask(g, start, outside)
         # the boundary of a maximal opponent sits inside X's boundary
         if open_neighborhood_mask(g, comp) & ~open_x:
             raise RuntimeError("opponent boundary escapes the boundary of X")

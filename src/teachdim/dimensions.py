@@ -1,35 +1,32 @@
 """Exact dimension computations: VCD, teaching dimensions, recursive
 peeling, and Sauer-Shelah certificates.
 
-Minimum teaching sets are minimum hitting sets of the pairwise
-difference masks.  For domains up to 14 instances the search runs
-bit-parallel over the whole 2^d candidate space: ``_hit(d, diff)`` is a
-big integer whose bit D says whether candidate set D intersects diff,
-and a teaching set exists at size k iff the AND of the relevant hit
-masks meets the popcount-k stratum.
+Every search refines one partition.  ``cc.instance_columns[x]`` is the
+bitmask of concept indices whose concept contains instance x; splitting
+each block of a partition of concept indices by the columns of the
+instances in D partitions the concepts by their trace on D.  Hence:
+
+* D teaches concept c against the active concepts A exactly when c's
+  block in the partition of A by trace on D is {c} (Goldman & Kearns);
+* D is shattered exactly when the partition of the class by trace on D
+  has 2^|D| blocks, i.e. every instance of D split every block.
+
+Peeling (Zilles, Lange, Holte & Zinkevich) removes, level by level, the
+active concepts with the smallest teaching sets: a level is everything
+that has a unique trace at the first size k where anything does.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
-
-import numpy as np
 
 from .concepts import ConceptClass
 from .errors import BudgetExceededError
-from .graphs import bits
+from .graphs import set_of
 
 #: Teaching-set searches refuse to look past this size.
 TD_SIZE_CAP = 12
-
-#: Domain size up to which the bit-parallel hitting-set search is used.
-_BITPARALLEL_MAX_DOMAIN = 14
-
-#: Domain size up to which the numpy peeling engine builds its tables.
-_NUMPY_MAX_DOMAIN = 10
 
 
 # ---------------------------------------------------------------------------
@@ -40,123 +37,129 @@ def vcd(cc: ConceptClass) -> tuple[int, frozenset[int]]:
     """Exact VC-dimension with the lexicographically smallest maximum
     shattered set as witness.
 
-    Ascends by set size; the log2 |C| bound prunes the search, and no
-    size can be skipped because shattering is closed under subsets.
+    Depth-first over instance sets in lexicographic order, extending a
+    shattered set only by an instance that splits every block of its
+    partition.  Shattering is closed under subsets, so a failed
+    extension prunes every set containing it, and the walk visits each
+    shattered set once (at most |C| of them, by Pajor's lemma).
     """
     m = len(cc)
     if m == 0:
         raise ValueError("VC-dimension of an empty class is undefined")
-    limit = min(cc.domain_size, m.bit_length() - 1)
-    concepts = cc.concepts
-    use_np = m > 256
-    arr = cc.concepts_array if use_np else None
-    best_k = 0
-    best_witness: frozenset[int] = frozenset()
-    for k in range(1, limit + 1):
-        found = None
-        target = 1 << k
-        for combo in itertools.combinations(range(cc.domain_size), k):
-            smask = 0
-            for i in combo:
-                smask |= 1 << i
-            if use_np:
-                ok = np.unique(arr & np.uint32(smask)).size == target
-            else:
-                traces = set()
-                for c in concepts:
-                    traces.add(c & smask)
-                    if len(traces) == target:
-                        break
-                ok = len(traces) == target
-            if ok:
-                found = combo
+    d = cc.domain_size
+    cols = cc.instance_columns
+    limit = min(d, m.bit_length() - 1)
+    best: list[int] = []
+
+    def walk(blocks: list[int], start: int, chosen: list[int]) -> bool:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = chosen
+            if len(best) == limit:
+                return True
+        for x in range(start, d):
+            if len(chosen) + d - x <= len(best):
                 break
-        if found is None:
-            break
-        best_k = k
-        best_witness = frozenset(found)
-    return best_k, best_witness
+            col = cols[x]
+            parts = []
+            for b in blocks:
+                inner = b & col
+                if not inner or inner == b:
+                    break
+                parts += (inner, b ^ inner)
+            else:
+                if walk(parts, x + 1, chosen + [x]):
+                    return True
+        return False
+
+    walk([cc.all_indices_mask], 0, [])
+    return len(best), frozenset(best)
 
 
 # ---------------------------------------------------------------------------
-# Bit-parallel hitting-set machinery
+# Teaching sets
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _all_mask(d: int) -> int:
-    return (1 << (1 << d)) - 1
+def _unique_traces(cc: ConceptClass, active: int, targets: int,
+                   k: int) -> dict[int, int]:
+    """{i: D} for every target i that some k-instance set D teaches
+    against the active concepts, D the smallest-valued such mask.
+
+    Walks the k-sets in increasing mask order by choosing the largest
+    instance first (colex order, which is integer order), splitting each
+    block of the partition of ``active`` by the chosen instance's column
+    and dropping blocks that hold no unfound target.  Stops once every
+    target has a set.
+
+    Precondition: k >= 1 and no target has a teaching set of fewer than
+    k instances against ``active``.  Only then may an instance that
+    splits no block be skipped: a k-set through it that isolated a
+    target would isolate it without that instance too.
+    """
+    cols = cc.instance_columns
+    found: dict[int, int] = {}
+    left = targets
+
+    def walk(blocks: list[int], top: int, depth: int, dmask: int) -> bool:
+        nonlocal left
+        for x in range(depth - 1, top):
+            col = cols[x]
+            parts = []
+            split = False
+            for b in blocks:
+                inner = b & col
+                if inner and inner != b:
+                    split = True
+                    if inner & left:
+                        parts.append(inner)
+                    inner ^= b
+                    if inner & left:
+                        parts.append(inner)
+                elif b & left:
+                    parts.append(b)
+            if not split:
+                continue
+            if depth > 1:
+                if parts and walk(parts, x, depth - 1, dmask | 1 << x):
+                    return True
+                continue
+            for b in parts:
+                if b & (b - 1) == 0:
+                    found[b.bit_length() - 1] = dmask | 1 << x
+                    left ^= b
+            if not left:
+                return True
+        return False
+
+    walk([active], cc.domain_size, k, 0)
+    return found
 
 
-@lru_cache(maxsize=1 << 16)
-def _hit(d: int, diff: int) -> int:
-    """Big-int over the 2^d candidate sets D: bit D set iff D & diff != 0."""
-    full = (1 << d) - 1
-    miss = 1  # indicator of all D disjoint from diff, i.e. D subseteq ~diff
-    for b in bits(full & ~diff):
-        miss |= miss << (1 << b)
-    return _all_mask(d) ^ miss
-
-
-@lru_cache(maxsize=None)
-def _popcount_strata(d: int) -> tuple[int, ...]:
-    strata = [0] * (d + 1)
-    for D in range(1 << d):
-        strata[D.bit_count()] |= 1 << D
-    return tuple(strata)
-
-
-def _feasible_mask(cc: ConceptClass, i: int, active: int) -> int:
-    d = cc.domain_size
-    ci = cc.concepts[i]
-    feasible = _all_mask(d)
-    seen = set()
-    for j in bits(active):
-        if j == i:
-            continue
-        diff = ci ^ cc.concepts[j]
-        if diff in seen:
-            continue
-        seen.add(diff)
-        feasible &= _hit(d, diff)
-        if not feasible:
-            break
-    return feasible
-
-
-def _td_from_feasible(d: int, feasible: int, size_cap: int):
-    for k, stratum in enumerate(_popcount_strata(d)):
-        if k > size_cap:
-            break
-        hitk = feasible & stratum
-        if hitk:
-            D = (hitk & -hitk).bit_length() - 1
-            return k, frozenset(bits(D))
+def _teaching_sets(cc: ConceptClass, active: int, targets: int,
+                   size_cap: int):
+    """Yield (k, {i: D}) for increasing k: the targets whose smallest
+    teaching sets against the active concepts have k instances, each
+    with its smallest-valued such mask D.  ``targets`` must be a nonempty
+    subset of ``active``.  Raises BudgetExceededError when targets are
+    left past ``size_cap``."""
+    if active & (active - 1) == 0:
+        # a lone concept needs no examples
+        yield 0, {active.bit_length() - 1: 0}
+        return
+    for k in range(1, min(size_cap, cc.domain_size) + 1):
+        found = _unique_traces(cc, active, targets, k)
+        if found:
+            yield k, found
+            for i in found:
+                targets ^= 1 << i
+            if not targets:
+                return
     raise BudgetExceededError("teaching-set search (size cap)", size_cap)
 
 
-def _td_of_active(cc: ConceptClass, i: int, active: int,
-                  size_cap: int = TD_SIZE_CAP) -> tuple[int, frozenset[int]]:
-    """TD of concept i against the subclass given by the active index mask."""
-    d = cc.domain_size
-    if active & ~(1 << i) == 0:
-        return 0, frozenset()
-    if d <= _BITPARALLEL_MAX_DOMAIN:
-        return _td_from_feasible(d, _feasible_mask(cc, i, active), size_cap)
-    # wide-domain fallback: plain combination search over distinguishing bits
-    ci = cc.concepts[i]
-    diffs = sorted({ci ^ cc.concepts[j] for j in bits(active) if j != i})
-    candidates = 0
-    for diff in diffs:
-        candidates |= diff
-    cand_bits = list(bits(candidates))
-    for k in range(min(size_cap, len(cand_bits)) + 1):
-        for combo in itertools.combinations(cand_bits, k):
-            dmask = 0
-            for b in combo:
-                dmask |= 1 << b
-            if all(diff & dmask for diff in diffs):
-                return k, frozenset(combo)
-    raise BudgetExceededError("teaching-set search (size cap)", size_cap)
+#: The pass td_of reads rows from: (class, size cap, rows found so far,
+#: the suspended _teaching_sets generator over the whole class).
+_td_pass = None
 
 
 def td_of(cc: ConceptClass, i: int, *,
@@ -165,16 +168,34 @@ def td_of(cc: ConceptClass, i: int, *,
 
     Returns (size, witness); the witness is the smallest-valued feasible
     instance mask at that size.  A singleton class needs no examples.
+    Rows come from one pass over all concepts, kept for the last class
+    and cap, since callers read every row of one class.
     """
+    global _td_pass
     if not 0 <= i < len(cc):
         raise ValueError(f"concept index {i} out of range")
-    return _td_of_active(cc, i, cc.all_indices_mask, size_cap)
+    if _td_pass is None or _td_pass[0] is not cc or _td_pass[1] != size_cap:
+        everyone = cc.all_indices_mask
+        _td_pass = (cc, size_cap, {}, _teaching_sets(cc, everyone, everyone, size_cap))
+    _, _, rows, levels = _td_pass
+    if i not in rows:
+        try:
+            for k, found in levels:
+                rows.update((j, (k, set_of(D))) for j, D in found.items())
+                if i in rows:
+                    break
+        except BaseException:
+            # a pass that stopped early (size cap, interrupt) answers nothing more
+            _td_pass = None
+            raise
+    return rows[i]
 
 
 def td_min(cc: ConceptClass) -> int:
     if len(cc) == 0:
         raise ValueError("empty class")
-    return min(td_of(cc, i)[0] for i in range(len(cc)))
+    everyone = cc.all_indices_mask
+    return next(_teaching_sets(cc, everyone, everyone, TD_SIZE_CAP))[0]
 
 
 def td_max(cc: ConceptClass) -> int:
@@ -210,30 +231,28 @@ class RtdCertificate:
         if self.rtd != max(value for _, value in self.levels):
             raise ValueError("rtd does not match level values")
 
-    def level_of(self, i: int) -> int:
-        for k, (level, _) in enumerate(self.levels):
-            if i in level:
-                return k
-        raise KeyError(i)
-
 
 def rtd(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> RtdCertificate:
-    """The peeling recursion, literally: compute every remaining concept's
-    teaching dimension against the remaining class, remove all minimizers
-    as one level, recurse; the dimension is the largest level value."""
+    """The peeling recursion: remove every active concept with the
+    smallest teaching set against the active class as one level, recurse;
+    the dimension is the largest level value.  Refuses only when a
+    level's value exceeds ``size_cap``."""
     if len(cc) == 0:
         raise ValueError("empty class")
     active = cc.all_indices_mask
     levels = []
     while active:
-        tds = {i: _td_of_active(cc, i, active, size_cap)[0] for i in bits(active)}
-        low = min(tds.values())
-        argmin = frozenset(i for i, v in tds.items() if v == low)
-        levels.append((argmin, low))
-        for i in argmin:
-            active &= ~(1 << i)
+        low, found = next(_teaching_sets(cc, active, active, size_cap))
+        levels.append((frozenset(found), low))
+        for i in found:
+            active ^= 1 << i
     value = max(v for _, v in levels)
     return RtdCertificate(len(cc), tuple(levels), value)
+
+
+def rtd_value(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> int:
+    """Value of the peeling recursion, as used by the exhaustive sweeps."""
+    return rtd(cc, size_cap=size_cap).rtd
 
 
 def rtd_subclass_lower_bound(cc: ConceptClass, subclass) -> int:
@@ -244,89 +263,6 @@ def rtd_subclass_lower_bound(cc: ConceptClass, subclass) -> int:
         raise ValueError("subclass must be nonempty")
     sub = ConceptClass.from_masks(cc.domain_size, (cc.concepts[i] for i in idxs))
     return td_min(sub)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized value-only peeling (bulk sweeps)
-# ---------------------------------------------------------------------------
-
-_np_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _numpy_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, strata): hit[diff] is the 2^d-bit candidate mask as uint64
-    words; strata[k] the popcount-k stratum in the same layout."""
-    cached = _np_tables.get(d)
-    if cached is not None:
-        return cached
-    nd = 1 << d
-    words = max(1, nd // 64)
-    Ds = np.arange(nd, dtype=np.uint32)
-    hit_bits = (Ds[None, :] & Ds[:, None]) != 0  # hit_bits[diff, D]
-    weights = (np.uint64(1) << np.arange(64, dtype=np.uint64))
-    if nd < 64:
-        w = weights[:nd]
-        hit = (hit_bits * w[None, :]).sum(axis=1, dtype=np.uint64)[:, None]
-    else:
-        hb = hit_bits.reshape(nd, words, 64)
-        hit = (hb * weights[None, None, :]).sum(axis=2, dtype=np.uint64)
-    hit[0, :] = ~np.uint64(0)  # diff 0 only pairs a concept with itself
-    pc = np.array([D.bit_count() for D in range(nd)])
-    strata = np.zeros((d + 1, words), dtype=np.uint64)
-    for D in range(nd):
-        k = pc[D]
-        if nd < 64:
-            strata[k, 0] |= np.uint64(1) << np.uint64(D)
-        else:
-            strata[k, D // 64] |= np.uint64(1) << np.uint64(D % 64)
-    _np_tables[d] = (hit, strata)
-    return hit, strata
-
-
-def rtd_value(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> int:
-    """Value of the peeling recursion without certificate bookkeeping.
-
-    Same recursion as rtd(), vectorized across concepts per level; used
-    by the exhaustive sweeps.  Falls back to rtd() on wide domains.
-    """
-    m = len(cc)
-    if m == 0:
-        raise ValueError("empty class")
-    if m == 1:
-        return 0
-    d = cc.domain_size
-    if d > _NUMPY_MAX_DOMAIN:
-        return rtd(cc, size_cap=size_cap).rtd
-    hit, strata = _numpy_tables(d)
-    words = hit.shape[1]
-    concepts = cc.concepts_array
-    active = np.arange(m)
-    best = 0
-    row_budget = max(1, (1 << 22) // max(1, m * words))
-    while active.size:
-        cs = concepts[active]
-        ma = active.size
-        feas = np.empty((ma, words), dtype=np.uint64)
-        for r0 in range(0, ma, row_budget):
-            r1 = min(ma, r0 + row_budget)
-            diffs = cs[r0:r1, None] ^ cs[None, :]
-            feas[r0:r1] = np.bitwise_and.reduce(hit[diffs], axis=1)
-        tds = np.full(ma, -1, dtype=np.int32)
-        remaining = ma
-        for k in range(d + 1):
-            if not remaining:
-                break
-            hitk = ((feas & strata[k][None, :]) != 0).any(axis=1)
-            sel = (tds < 0) & hitk
-            tds[sel] = k
-            remaining -= int(sel.sum())
-        if remaining or int(tds.max()) > size_cap:
-            raise BudgetExceededError("teaching-set search (size cap)", size_cap)
-        low = int(tds.min())
-        if low > best:
-            best = low
-        active = active[tds != low]
-    return best
 
 
 # ---------------------------------------------------------------------------

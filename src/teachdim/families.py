@@ -34,10 +34,6 @@ def cycle_graph(n: int) -> Graph:
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n - 1)] + [(0, n - 1)])
 
 
-def empty_graph(n: int) -> Graph:
-    return graph_from_edges(n, [])
-
-
 def fig1_left() -> Graph:
     """Four-cycle on a, b, c, d in circular order."""
     return graph_from_edges(

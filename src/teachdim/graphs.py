@@ -342,9 +342,6 @@ class Tree:
     def leaf_count(self) -> int:
         return len(self.leaves())
 
-    def as_graph(self) -> Graph:
-        return graph_from_edges(self.n, sorted(self.edges))
-
     def is_subgraph_of(self, g: Graph) -> bool:
         if self.n != g.n:
             return False

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .concepts import ConceptClass, Sample, sample_of, version_space_mask
-from .dimensions import RtdCertificate, _td_of_active
+from .dimensions import TD_SIZE_CAP, RtdCertificate, _teaching_sets
 from .errors import PreferenceCycleError
-from .graphs import bits
+from .graphs import bits, mask_of, set_of
 
 
 @dataclass(frozen=True)
@@ -250,28 +250,20 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
     """
     if cert.size != len(cc):
         raise ValueError("certificate does not match class size")
-    level_of = [0] * len(cc)
-    for k, (level, _) in enumerate(cert.levels):
-        for i in level:
-            level_of[i] = k
-    pairs = [
-        (i, j)
-        for i in range(len(cc))
-        for j in range(len(cc))
-        if level_of[i] > level_of[j]
-    ]
-    pref = PreferenceRelation.from_pairs(len(cc), pairs)
-
-    active = cc.all_indices_mask
+    below = [0] * len(cc)
     sets: list[frozenset[int]] = [frozenset()] * len(cc)
+    peeled = 0
     for level, value in cert.levels:
-        for i in level:
-            size, witness = _td_of_active(cc, i, active)
-            assert size == value, "certificate level value out of sync"
-            sets[i] = witness
-        for i in level:
-            active &= ~(1 << i)
-    return PBTeacher(cc, tuple(sets), pref)
+        level_mask = mask_of(level)
+        active = cc.all_indices_mask & ~peeled
+        size, found = next(_teaching_sets(cc, active, level_mask, TD_SIZE_CAP))
+        assert size == value and len(found) == len(level), \
+            "certificate level value out of sync"
+        for i, witness in found.items():
+            sets[i] = set_of(witness)
+            below[i] = peeled
+        peeled |= level_mask
+    return PBTeacher(cc, tuple(sets), PreferenceRelation(len(cc), tuple(below)))
 
 
 def format_teacher(teacher: PBTeacher) -> str:

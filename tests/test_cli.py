@@ -1,7 +1,13 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import teachdim
 from teachdim.checks import check_graph
 from teachdim.cli import main
 from teachdim.families import FamilySpec, cycle_graph, fig2, path_graph
@@ -72,6 +78,14 @@ class TestTriples:
         _, serial, _ = run_cli(capsys, *base)
         _, parallel, _ = run_cli(capsys, *base, "--parallel")
         assert serial == parallel
+
+    def test_cycles_past_the_size_cap(self, capsys):
+        # C_13 onwards hold a concept whose teaching set exceeds the cap,
+        # but no peeling level does
+        code, out, _ = run_cli(capsys, "triples", "--family", "cycle",
+                               "--n", "3..16", "--kind", "con")
+        assert code == 0
+        assert "C_16\t16\t16\t2\t3\t3\tparam<RTD" in out
 
     def test_seed_echoed_in_header(self, capsys):
         _, out, _ = run_cli(capsys, "triples", "--family", "random",
@@ -169,6 +183,17 @@ class TestDimsCommand:
         assert code == 0
         assert "vcd: 3" in out and "rtd: 3" in out
 
+    def test_wide_class_file(self, capsys, tmp_path):
+        # all two-element subsets of 40 instances: wider than 32 bits
+        rows = ["".join("1" if x in pair else "0" for x in range(40))
+                for pair in itertools.combinations(range(40), 2)]
+        path = tmp_path / "pairs.txt"
+        path.write_text(f"{len(rows)} 40\n" + "\n".join(rows) + "\n")
+        code, out, _ = run_cli(capsys, "dims", "--class-file", str(path))
+        assert code == 0
+        assert "concepts: 780 over domain 40" in out
+        assert "vcd: 2 witness [0, 1]" in out and "rtd: 2" in out
+
     def test_graph_file_input(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         write_graph(cycle_graph(4), path)
@@ -208,3 +233,11 @@ class TestChecksDirect:
         results = check_graph(g, "con", include_empty=True)
         assert not any(r.failed for r in results)
         assert any(r.name == "con-components-vcd" for r in results)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = Path(teachdim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, teachdim.cli; "
+            "sys.exit('numpy' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

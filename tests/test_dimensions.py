@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from teachdim.concepts import ConceptClass, powerset_class
+from teachdim.concepts import ConceptClass, is_shattered, powerset_class
 from teachdim.connected import build_con_class
 from teachdim.dimensions import (
     RtdCertificate,
-    _td_of_active,
     rtd,
     rtd_subclass_lower_bound,
     rtd_value,
@@ -19,21 +18,89 @@ from teachdim.dimensions import (
     vcd,
 )
 from teachdim.errors import BudgetExceededError
-from teachdim.families import cycle_graph, fig2, path_graph, random_graph
+from teachdim.families import (
+    complete_graph,
+    cycle_graph,
+    fig2,
+    path_graph,
+    random_graph,
+)
 from teachdim.graphs import bits
 from teachdim.stars import build_star_class
 
 
-def brute_td(cc, i):
-    """Plain search over all instance subsets by increasing size."""
+def brute_td(cc, i, active=None):
+    """Plain search over all instance subsets by increasing size, against
+    the concepts in the ``active`` index mask (default: the whole class)."""
     ci = cc.concepts[i]
-    others = [c for j, c in enumerate(cc.concepts) if j != i]
+    others = [c for j, c in enumerate(cc.concepts)
+              if j != i and (active is None or active >> j & 1)]
     for k in range(cc.domain_size + 1):
         for combo in itertools.combinations(range(cc.domain_size), k):
             dm = sum(1 << x for x in combo)
             if all((ci ^ c) & dm for c in others):
                 return k
     raise AssertionError("no teaching set found")
+
+
+def brute_td_witness(cc, i):
+    """(size, smallest-valued mask) of a minimum teaching set, scanning
+    every mask of each size."""
+    ci = cc.concepts[i]
+    others = [c for j, c in enumerate(cc.concepts) if j != i]
+    for k in range(cc.domain_size + 1):
+        feasible = [sum(1 << x for x in combo)
+                    for combo in itertools.combinations(range(cc.domain_size), k)]
+        feasible = [dm for dm in feasible if all((ci ^ c) & dm for c in others)]
+        if feasible:
+            return k, min(feasible)
+    raise AssertionError("no teaching set found")
+
+
+def brute_peeling(cc):
+    """Peeling levels as (index set, value), from brute_td of every
+    active concept at every level."""
+    active = cc.all_indices_mask
+    levels = []
+    while active:
+        tds = {i: brute_td(cc, i, active) for i in bits(active)}
+        low = min(tds.values())
+        level = frozenset(i for i, v in tds.items() if v == low)
+        levels.append((level, low))
+        for i in level:
+            active &= ~(1 << i)
+    return levels
+
+
+def brute_vcd(cc):
+    """Largest shattered size and the first shattered set of that size in
+    itertools.combinations (lexicographic) order."""
+    best = (0, frozenset())
+    for k in range(1, cc.domain_size + 1):
+        hit = next((c for c in itertools.combinations(range(cc.domain_size), k)
+                    if is_shattered(cc, c)), None)
+        if hit is None:
+            break
+        best = (k, frozenset(hit))
+    return best
+
+
+def engine_corpus():
+    """Powersets, cycle stars, path connected sets, random classes and
+    random star classes."""
+    rng = random.Random(31)
+    classes = [powerset_class(d) for d in range(5)]
+    classes += [build_star_class(cycle_graph(n)) for n in range(3, 8)]
+    classes += [build_con_class(path_graph(n), True) for n in range(2, 7)]
+    for trial in range(30):
+        d = rng.randint(1, 6)
+        size = rng.randint(1, min(25, 1 << d))
+        classes.append(ConceptClass.from_masks(
+            d, rng.sample(range(1 << d), size)))
+    for i in range(10):
+        g = random_graph(8, 0.5, seed=3, index=i)
+        classes.append(build_star_class(g))
+    return classes
 
 
 class TestVcd:
@@ -54,8 +121,6 @@ class TestVcd:
     def test_witness_is_lexicographically_smallest(self):
         cc = build_star_class(cycle_graph(4))
         value, witness = vcd(cc)
-        from teachdim.concepts import is_shattered
-
         smaller = [c for c in itertools.combinations(range(4), value)
                    if is_shattered(cc, c)]
         assert witness == frozenset(smaller[0])
@@ -63,6 +128,23 @@ class TestVcd:
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
             vcd(ConceptClass(3, ()))
+
+    def test_matches_brute_force(self):
+        rng = random.Random(17)
+        classes = [ConceptClass.from_masks(4, [5])]
+        for _ in range(40):
+            d = rng.randint(1, 7)
+            size = rng.randint(1, min(60, 1 << d))
+            classes.append(ConceptClass.from_masks(
+                d, rng.sample(range(1 << d), size)))
+        # more than 256 concepts
+        classes.append(build_star_class(complete_graph(9)))
+        classes.append(build_con_class(random_graph(10, 0.4, 5), True))
+        classes.append(ConceptClass.from_masks(
+            10, rng.sample(range(1 << 10), 300)))
+        assert sum(len(cc) > 256 for cc in classes) == 3
+        for cc in classes:
+            assert vcd(cc) == brute_vcd(cc)
 
 
 class TestTeachingDimension:
@@ -111,6 +193,29 @@ class TestTeachingDimension:
         cc = ConceptClass.from_masks(16, [0, 1, 1 << 15])
         assert td_of(cc, 0)[0] == 2
 
+    def test_witness_is_smallest_mask(self):
+        rng = random.Random(23)
+        classes = engine_corpus()
+        for _ in range(10):
+            d = rng.randint(15, 17)
+            classes.append(ConceptClass.from_masks(
+                d, rng.sample(range(1 << d), rng.randint(2, 8))))
+        for cc in classes:
+            for i in range(len(cc)):
+                size, mask = brute_td_witness(cc, i)
+                assert td_of(cc, i) == (size, frozenset(bits(mask)))
+
+    def test_refusal_only_past_the_cap(self):
+        # the whole vertex set of C_13 needs all 13 vertices
+        cc = build_con_class(cycle_graph(13), False)
+        full = cc.index_of(range(13))
+        single = cc.index_of({0})
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                td_of(cc, full)
+            assert td_of(cc, single)[0] == brute_td(cc, single) == 3
+        assert td_of(cc, full, size_cap=13) == (13, frozenset(range(13)))
+
 
 class TestRtd:
     def test_powerset(self):
@@ -133,12 +238,11 @@ class TestRtd:
         active = cc.all_indices_mask
         for level, value in cert.levels:
             for i in sorted(level):
-                recomputed, _ = _td_of_active(cc, i, active)
-                assert recomputed == value
+                assert brute_td(cc, i, active) == value
             # minimality: every survivor teaches no easier at this point
             for i in bits(active):
                 if i not in level:
-                    assert _td_of_active(cc, i, active)[0] > value
+                    assert brute_td(cc, i, active) > value
             seen |= level
             for i in level:
                 active &= ~(1 << i)
@@ -150,21 +254,21 @@ class TestRtd:
         with pytest.raises(ValueError, match="rtd"):
             RtdCertificate(2, ((frozenset({0, 1}), 1),), 2)
 
-    def test_fast_engine_agrees(self):
-        rng = random.Random(31)
-        classes = [powerset_class(d) for d in range(5)]
-        classes += [build_star_class(cycle_graph(n)) for n in range(3, 8)]
-        classes += [build_con_class(path_graph(n), True) for n in range(2, 7)]
-        for trial in range(30):
-            d = rng.randint(1, 6)
-            size = rng.randint(1, min(25, 1 << d))
-            classes.append(ConceptClass.from_masks(
-                d, rng.sample(range(1 << d), size)))
-        for i in range(10):
-            g = random_graph(8, 0.5, seed=3, index=i)
-            classes.append(build_star_class(g))
-        for cc in classes:
-            assert rtd_value(cc) == rtd(cc).rtd
+    def test_levels_match_brute_force_peeling(self):
+        for cc in engine_corpus():
+            cert = rtd(cc)
+            assert list(cert.levels) == brute_peeling(cc)
+            assert rtd_value(cc) == cert.rtd
+
+    def test_level_minimum_within_cap_is_not_refused(self):
+        # concepts above the cap must not block earlier levels
+        cert = rtd(build_con_class(cycle_graph(13), False))
+        assert [value for _, value in cert.levels] == [3, 3, 3, 3, 3, 2]
+        assert rtd_value(build_con_class(path_graph(12), True)) == 2
+
+    def test_refuses_when_level_minimum_exceeds_cap(self):
+        with pytest.raises(BudgetExceededError):
+            rtd(powerset_class(4), size_cap=3)
 
     def test_subclass_lower_bound(self):
         cc = build_star_class(fig2())

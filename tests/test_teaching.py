@@ -173,6 +173,23 @@ class TestPlanToTeacher:
                 if level_of[i] > level_of[j]:
                     assert teacher.preference.is_preferred(i, j)
 
+    @pytest.mark.parametrize("cc", [
+        powerset_class(3),
+        build_star_class(cycle_graph(5)),
+        build_con_class(fig2(), True),
+        build_con_class(path_graph(6), False),
+    ], ids=("powerset3", "star-c5", "con-fig2", "con-p6"))
+    def test_preference_is_closure_of_level_pairs(self, cc):
+        cert = rtd(cc)
+        level_of = {i: k for k, (lv, _) in enumerate(cert.levels) for i in lv}
+        pairs = [(i, j) for i in range(len(cc)) for j in range(len(cc))
+                 if level_of[i] > level_of[j]]
+        want = PreferenceRelation.from_pairs(len(cc), pairs)
+        got = plan_to_teacher(cert, cc).preference
+        assert got.below == want.below
+        assert got.depths == want.depths
+        assert got.pair_count() == want.pair_count()
+
     def test_size_mismatch_rejected(self):
         cert = rtd(powerset_class(2))
         with pytest.raises(ValueError):
