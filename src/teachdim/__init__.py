@@ -25,6 +25,7 @@ from .connected import (
 )
 from .dimensions import (
     RtdCertificate,
+    check_chain,
     rtd,
     rtd_subclass_lower_bound,
     rtd_value,

@@ -17,6 +17,7 @@ from .connected import (
     maximal_opponents,
 )
 from .dimensions import (
+    check_chain,
     rtd,
     rtd_subclass_lower_bound,
     sauer_bound,
@@ -25,6 +26,7 @@ from .dimensions import (
 )
 from .errors import TeacherPreconditionError
 from .graphs import (
+    DEFAULT_ENUM_BUDGET,
     Graph,
     bits,
     components,
@@ -38,7 +40,6 @@ from .graphs import (
     MAX_SPANNING_TREE_VERTICES,
 )
 from .stars import (
-    _check_chain,
     build_star_class,
     star_subset_teacher,
     star_special_teacher,
@@ -68,7 +69,7 @@ def _result(name, ok, detail=""):
 
 def _chain_result(name, lo, mid, hi):
     try:
-        strict = _check_chain(lo, mid, hi, name)
+        strict = check_chain(lo, mid, hi, name)
     except RuntimeError as exc:
         return CheckResult(name, "fail", str(exc))
     return CheckResult(name, "pass", f"({lo},{mid},{hi}) strict at {strict}")
@@ -135,9 +136,10 @@ def _teacher_result(name, cc, teacher, order_bound=None, exclude_empty=False):
     return CheckResult(name, "pass")
 
 
-def check_star_graph(g: Graph) -> list[CheckResult]:
+def check_star_graph(g: Graph, *,
+                     budget: int = DEFAULT_ENUM_BUDGET) -> list[CheckResult]:
     out = []
-    cc = build_star_class(g)
+    cc = build_star_class(g, budget=budget)
     delta = g.max_degree()
     rt = rtd(cc)
     v, witness = vcd(cc)
@@ -159,10 +161,10 @@ def check_star_graph(g: Graph) -> list[CheckResult]:
     out.append(_eq6_check(cc, rt.rtd))
 
     out.append(_teacher_result("star-subset-teacher", cc,
-                               star_subset_teacher(g), delta + 1))
+                               star_subset_teacher(g, budget=budget), delta + 1))
     try:
         out.append(_teacher_result("star-special-teacher", cc,
-                                   star_special_teacher(g), delta))
+                                   star_special_teacher(g, budget=budget), delta))
     except TeacherPreconditionError as exc:
         out.append(CheckResult("star-special-teacher", "na", str(exc)))
 
@@ -175,19 +177,20 @@ def check_star_graph(g: Graph) -> list[CheckResult]:
     return out
 
 
-def check_con_graph(g: Graph, include_empty: bool = False) -> list[CheckResult]:
+def check_con_graph(g: Graph, include_empty: bool = False, *,
+                    budget: int = DEFAULT_ENUM_BUDGET) -> list[CheckResult]:
     out = []
-    ell = max_leaf_number(g)
-    cc = build_con_class(g, include_empty)
+    ell = max_leaf_number(g, budget=budget)
+    cc = build_con_class(g, include_empty, budget=budget)
     rt = rtd(cc)
     v, _ = vcd(cc)
     out.append(_chain_result(
         f"con-chain(empty={'yes' if include_empty else 'no'})", ell, rt.rtd, v))
 
-    cc_full = build_con_class(g, True)
+    cc_full = build_con_class(g, True, budget=budget)
     v_full, _ = vcd(cc_full)
     if include_empty:
-        cc_other = build_con_class(g, False)
+        cc_other = build_con_class(g, False, budget=budget)
     else:
         cc_other = cc_full
     other = (rtd(cc_other).rtd, vcd(cc_other)[0])
@@ -213,7 +216,7 @@ def check_con_graph(g: Graph, include_empty: bool = False) -> list[CheckResult]:
 
     opp_ok = True
     detail = ""
-    for xmask in connected_set_masks(g):
+    for xmask in connected_set_masks(g, budget=budget):
         xcomp = next(c for c in comps if next(bits(xmask)) in c)
         xopen = open_neighborhood_mask(g, xmask)
         for y in maximal_opponents(g, xmask).opponents:
@@ -228,7 +231,7 @@ def check_con_graph(g: Graph, include_empty: bool = False) -> list[CheckResult]:
     out.append(_result("con-opponent-boundaries", opp_ok, detail))
 
     if g.n and is_connected(g, g.full_mask):
-        wit = leaf_tree_condition(g)
+        wit = leaf_tree_condition(g, enum_budget=budget)
         expected = v_full == ell + 1
         out.append(_result(
             "con-leaf-tree-vs-vcd", (wit is not None) == expected,
@@ -238,7 +241,7 @@ def check_con_graph(g: Graph, include_empty: bool = False) -> list[CheckResult]:
         comp_vals = []
         for comp in comps:
             sub, _ = spanned_subgraph(g, comp)
-            sub_cc = build_con_class(sub, True)
+            sub_cc = build_con_class(sub, True, budget=budget)
             comp_vals.append((rtd(sub_cc).rtd, vcd(sub_cc)[0]))
         max_r = max(r for r, _ in comp_vals)
         max_v = max(w for _, w in comp_vals)
@@ -251,7 +254,7 @@ def check_con_graph(g: Graph, include_empty: bool = False) -> list[CheckResult]:
 
     if v_full == ell:
         claim_ok = True
-        for xmask in connected_set_masks(g):
+        for xmask in connected_set_masks(g, budget=budget):
             if open_neighborhood_mask(g, xmask).bit_count() != ell:
                 continue
             xopen = open_neighborhood_mask(g, xmask)
@@ -265,15 +268,15 @@ def check_con_graph(g: Graph, include_empty: bool = False) -> list[CheckResult]:
     out.append(_eq6_check(cc, rt.rtd))
 
     out.append(_teacher_result("con-superset-teacher", cc_full,
-                               con_superset_teacher(g), ell + 1,
+                               con_superset_teacher(g, budget=budget), ell + 1,
                                exclude_empty=True))
     if g.n and is_connected(g, g.full_mask) and g.m == g.n - 1:
         leaf_count = (sum(1 for x in range(g.n) if g.degree(x) == 1)
                       if g.n > 1 else 1)
         out.append(_teacher_result("con-tree-teacher", cc_full,
-                                   con_tree_teacher(g), leaf_count))
+                                   con_tree_teacher(g, budget=budget), leaf_count))
     try:
-        tm = con_vcd_matching_teacher(g)
+        tm = con_vcd_matching_teacher(g, budget=budget)
         out.append(_teacher_result("con-vcd-matching-teacher", cc_full, tm,
                                    ell, exclude_empty=True))
     except TeacherPreconditionError as exc:
@@ -288,9 +291,12 @@ def check_con_graph(g: Graph, include_empty: bool = False) -> list[CheckResult]:
     return out
 
 
-def check_graph(g: Graph, kind: str, include_empty: bool = False):
+def check_graph(g: Graph, kind: str, include_empty: bool = False, *,
+                budget: int = DEFAULT_ENUM_BUDGET):
+    """Run every check of one kind; ``budget`` caps each enumeration and
+    raises BudgetExceededError when hit."""
     if kind == "star":
-        return check_star_graph(g)
+        return check_star_graph(g, budget=budget)
     if kind == "con":
-        return check_con_graph(g, include_empty)
+        return check_con_graph(g, include_empty, budget=budget)
     raise ValueError(f"unknown kind {kind!r}")

@@ -4,6 +4,12 @@ explanations and per-graph verification runs.
 Identical inputs (including seeds) produce byte-identical output; every
 table header echoes the parameters that generated it.  The env var
 TEACHDIM_BUDGET overrides the default enumeration budgets.
+
+Exit codes: 0 success; 1 a check or a teacher's maximality failed (also
+teach/dims given more than one graph, or dims without --kind); 2 bad
+flags, an unknown concept or an unavailable teacher; 3 a budget or size
+cap was exceeded; 141 stdout was closed before all output was written
+(as a shell reports a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -31,13 +37,17 @@ from .stars import build_star_class, star_subset_teacher, star_special_teacher
 from .teaching import format_teacher, plan_to_teacher
 
 
-def _star_plan_teacher(g):
-    cc = build_star_class(g)
+#: Exit code for a closed stdout: 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
+
+
+def _star_plan_teacher(g, *, budget):
+    cc = build_star_class(g, budget=budget)
     return plan_to_teacher(rtd(cc), cc)
 
 
-def _con_plan_teacher(g):
-    cc = build_con_class(g, include_empty=True)
+def _con_plan_teacher(g, *, budget):
+    cc = build_con_class(g, include_empty=True, budget=budget)
     return plan_to_teacher(rtd(cc), cc)
 
 
@@ -122,14 +132,16 @@ def cmd_triples(args) -> int:
 
 
 def _verify_one(item):
-    name, g, kind, include_empty = item
-    results = check_graph(g, kind, include_empty)
+    name, g, kind, include_empty, budget = item
+    results = check_graph(g, kind, include_empty, budget=budget)
     return name, [(r.name, r.status, r.detail) for r in results]
 
 
 def cmd_verify(args) -> int:
     spec = _family_spec(args)
-    items = [(name, g, args.kind, args.include_empty) for name, g in spec.graphs()]
+    budget = _budget(args)
+    items = [(name, g, args.kind, args.include_empty, budget)
+             for name, g in spec.graphs()]
     if args.parallel and len(items) > 1:
         with ProcessPoolExecutor() as pool:
             reports = list(pool.map(_verify_one, items))
@@ -193,7 +205,7 @@ def cmd_teach(args) -> int:
     g = _load_graph_for(args)
     builder, kind = TEACHERS[args.teacher]
     try:
-        teacher = builder(g)
+        teacher = builder(g, budget=_budget(args))
     except (TeacherPreconditionError, ValueError) as exc:
         print(f"teacher {args.teacher} unavailable: {exc}", file=sys.stderr)
         return 2
@@ -342,10 +354,18 @@ def main(argv=None) -> int:
     if args.family is None and getattr(args, "graph_file", None):
         args.family = "file"
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader went away; send what is still buffered to devnull so
+        # the interpreter's final flush does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

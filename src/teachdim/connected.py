@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 
 from .concepts import ConceptClass, Sample, version_space_mask
-from .dimensions import rtd_value, vcd
+from .dimensions import check_chain, rtd_value, vcd
 from .errors import BudgetExceededError, PreferenceCycleError, TeacherPreconditionError
 from .graphs import (
     DEFAULT_ENUM_BUDGET,
@@ -25,7 +25,6 @@ from .graphs import (
     open_neighborhood_mask,
     set_of,
 )
-from .stars import _check_chain
 from .teaching import (
     PBTeacher,
     PreferenceRelation,
@@ -335,5 +334,5 @@ def con_triple(g: Graph, include_empty: bool = False, *,
     ell = max_leaf_number(g, budget=budget)
     r = rtd_value(cc)
     v, _ = vcd(cc)
-    _check_chain(ell, r, v, "connected-set")
+    check_chain(ell, r, v, "connected-set")
     return ell, r, v

@@ -212,11 +212,15 @@ def td_max(cc: ConceptClass) -> int:
 class RtdCertificate:
     """Record of the peeling recursion: levels partition the class, each
     level lists the concepts that were easiest to teach at that point
-    together with their teaching-set size; rtd is the maximum."""
+    together with their teaching-set size; rtd is the maximum.
+    witnesses[i] is the instance mask that teaches concept i against the
+    concepts still active at its level: the smallest-valued such mask of
+    the level's size."""
 
     size: int
     levels: tuple[tuple[frozenset[int], int], ...]
     rtd: int
+    witnesses: tuple[int, ...]
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -230,6 +234,14 @@ class RtdCertificate:
             raise ValueError("certificate levels do not partition the class")
         if self.rtd != max(value for _, value in self.levels):
             raise ValueError("rtd does not match level values")
+        if len(self.witnesses) != self.size:
+            raise ValueError("one witness per concept required")
+        for level, value in self.levels:
+            for i in level:
+                w = self.witnesses[i]
+                if w < 0 or w.bit_count() != value:
+                    raise ValueError(f"witness of concept {i} does not have "
+                                     f"its level's size {value}")
 
 
 def rtd(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> RtdCertificate:
@@ -241,13 +253,15 @@ def rtd(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> RtdCertificate:
         raise ValueError("empty class")
     active = cc.all_indices_mask
     levels = []
+    witnesses = [0] * len(cc)
     while active:
         low, found = next(_teaching_sets(cc, active, active, size_cap))
         levels.append((frozenset(found), low))
-        for i in found:
+        for i, witness in found.items():
+            witnesses[i] = witness
             active ^= 1 << i
     value = max(v for _, v in levels)
-    return RtdCertificate(len(cc), tuple(levels), value)
+    return RtdCertificate(len(cc), tuple(levels), value, tuple(witnesses))
 
 
 def rtd_value(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> int:
@@ -258,11 +272,25 @@ def rtd_value(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> int:
 def rtd_subclass_lower_bound(cc: ConceptClass, subclass) -> int:
     """TD_min of the subclass viewed as a class over the same domain;
     every such value lower-bounds the full class's peeling dimension."""
-    idxs = sorted(set(subclass))
-    if not idxs:
+    sub = 0
+    for i in subclass:
+        if not 0 <= i < len(cc):
+            raise ValueError(f"concept index {i} out of range")
+        sub |= 1 << i
+    if not sub:
         raise ValueError("subclass must be nonempty")
-    sub = ConceptClass.from_masks(cc.domain_size, (cc.concepts[i] for i in idxs))
-    return td_min(sub)
+    return next(_teaching_sets(cc, sub, sub, TD_SIZE_CAP))[0]
+
+
+def check_chain(lo: int, mid: int, hi: int, kind: str) -> int:
+    """Validate lo <= mid <= hi <= lo+1 with exactly one strict step and
+    return the position of the strict step (0, 1 or 2)."""
+    if not (lo <= mid <= hi <= lo + 1):
+        raise RuntimeError(f"{kind} chain violated: {lo} <= {mid} <= {hi} <= {lo}+1")
+    strict = [lo < mid, mid < hi, hi < lo + 1]
+    if sum(strict) != 1:
+        raise RuntimeError(f"{kind} chain must have exactly one strict step")
+    return strict.index(True)
 
 
 # ---------------------------------------------------------------------------

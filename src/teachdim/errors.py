@@ -13,6 +13,10 @@ class BudgetExceededError(RuntimeError):
         self.what = what
         self.limit = limit
 
+    def __reduce__(self):
+        # rebuilt from (what, limit), so it survives a worker process
+        return type(self), (self.what, self.limit)
+
 
 class GraphFormatError(ValueError):
     """Malformed graph text input."""

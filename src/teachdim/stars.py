@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .concepts import ConceptClass
-from .dimensions import rtd_value, vcd
+from .dimensions import check_chain, rtd_value, vcd
 from .errors import BudgetExceededError, TeacherPreconditionError
 from .graphs import (
     DEFAULT_ENUM_BUDGET,
@@ -192,16 +192,6 @@ def star_triple(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, in
     delta = g.max_degree()
     r = rtd_value(cc)
     v, _ = vcd(cc)
-    _check_chain(delta, r, v, "star")
+    check_chain(delta, r, v, "star")
     return delta, r, v
 
-
-def _check_chain(lo: int, mid: int, hi: int, kind: str) -> int:
-    """Validate lo <= mid <= hi <= lo+1 with exactly one strict step and
-    return the position of the strict step (0, 1 or 2)."""
-    if not (lo <= mid <= hi <= lo + 1):
-        raise RuntimeError(f"{kind} chain violated: {lo} <= {mid} <= {hi} <= {lo}+1")
-    strict = [lo < mid, mid < hi, hi < lo + 1]
-    if sum(strict) != 1:
-        raise RuntimeError(f"{kind} chain must have exactly one strict step")
-    return strict.index(True)

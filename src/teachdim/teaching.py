@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .concepts import ConceptClass, Sample, sample_of, version_space_mask
-from .dimensions import TD_SIZE_CAP, RtdCertificate, _teaching_sets
+from .dimensions import RtdCertificate
 from .errors import PreferenceCycleError
 from .graphs import bits, mask_of, set_of
 
@@ -34,13 +34,21 @@ class PreferenceRelation:
                 raise ValueError("below mask out of range")
             if mask >> i & 1:
                 raise PreferenceCycleError(f"concept {i} below itself")
-        # transitivity (and with irreflexivity, antisymmetry) must hold
-        for i in range(self.size):
-            closure = self.below[i]
-            for j in bits(self.below[i]):
-                closure |= self.below[j]
-            if closure != self.below[i]:
-                raise ValueError("below masks are not transitively closed")
+        # transitivity (and with irreflexivity, antisymmetry) must hold:
+        # below[j] lies inside below[i] for every j in below[i].  Checked
+        # once per distinct mask against each group of concepts sharing a
+        # below mask that meets it: at most |mask| steps, and one per
+        # earlier level for a plan teacher's masks.
+        members: dict[int, int] = {}
+        for i, mask in enumerate(self.below):
+            members[mask] = members.get(mask, 0) | 1 << i
+        for mask in members:
+            rest = mask
+            while rest:
+                other = self.below[(rest & -rest).bit_length() - 1]
+                if other & ~mask:
+                    raise ValueError("below masks are not transitively closed")
+                rest &= ~members[other]
 
     @classmethod
     def empty(cls, size: int) -> "PreferenceRelation":
@@ -245,24 +253,26 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
     Later-peeled concepts are preferred over earlier-peeled ones: a
     concept's teaching set only separates it from its own and later
     levels, so everything it leaves alive in the version space must rank
-    strictly below it.  Teaching sets are recomputed minimum witnesses
-    against the concept's residual class.
+    strictly below it.  Teaching sets are the certificate's witnesses,
+    each checked to teach its concept against its residual class.
     """
     if cert.size != len(cc):
         raise ValueError("certificate does not match class size")
     below = [0] * len(cc)
     sets: list[frozenset[int]] = [frozenset()] * len(cc)
     peeled = 0
-    for level, value in cert.levels:
-        level_mask = mask_of(level)
+    for level, _ in cert.levels:
         active = cc.all_indices_mask & ~peeled
-        size, found = next(_teaching_sets(cc, active, level_mask, TD_SIZE_CAP))
-        assert size == value and len(found) == len(level), \
-            "certificate level value out of sync"
-        for i, witness in found.items():
+        for i in level:
+            witness = cert.witnesses[i]
+            c = cc.concepts[i]
+            sample = Sample(c & witness, witness & ~c)
+            if version_space_mask(cc, sample) & active != 1 << i:
+                raise ValueError(f"certificate witness does not teach concept {i} "
+                                 "against its residual class")
             sets[i] = set_of(witness)
             below[i] = peeled
-        peeled |= level_mask
+        peeled |= mask_of(level)
     return PBTeacher(cc, tuple(sets), PreferenceRelation(len(cc), tuple(below)))
 
 

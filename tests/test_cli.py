@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import teachdim
 from teachdim.checks import check_graph
-from teachdim.cli import main
+from teachdim.cli import EXIT_BROKEN_PIPE, main
+from teachdim.errors import BudgetExceededError
 from teachdim.families import FamilySpec, cycle_graph, fig2, path_graph
 from teachdim.graphs import write_graph
 
@@ -114,12 +116,30 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(
             cli_mod, "check_graph",
-            lambda g, kind, include_empty=False: [
+            lambda g, kind, include_empty=False, budget=None: [
                 CheckResult("forced", "fail", "injected")])
         code, out, _ = run_cli(capsys, "verify", "--family", "fig2",
                                "--kind", "con")
         assert code == 1
         assert "FAIL\tfig2\tforced" in out
+
+    def test_budget_flag(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "fig2",
+                                 "--kind", "con", "--budget", "5")
+        assert code == 3
+        assert "budget exceeded" in err and "PASS" not in out
+
+    def test_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("TEACHDIM_BUDGET", "5")
+        code, _, err = run_cli(capsys, "verify", "--family", "fig2",
+                               "--kind", "star")
+        assert code == 3
+        assert "budget exceeded" in err
+
+    def test_budget_error_crosses_process_boundary(self):
+        exc = pickle.loads(pickle.dumps(BudgetExceededError("enumeration", 5)))
+        assert (exc.what, exc.limit, str(exc)) == (
+            "enumeration", 5, "enumeration: budget of 5 exceeded")
 
     def test_verify_star_json(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "cycle",
@@ -155,6 +175,21 @@ class TestTeachCommand:
                                "--concept", "0,2")
         assert code == 2
         assert "not a concept" in err
+
+    @pytest.mark.parametrize("teacher", ["con-plan", "con-superset"])
+    def test_budget_flag(self, capsys, teacher):
+        code, out, err = run_cli(capsys, "teach", "--family", "fig2",
+                                 "--teacher", teacher, "--concept", "b,d",
+                                 "--budget", "5")
+        assert code == 3
+        assert "budget exceeded" in err and out == ""
+
+    def test_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("TEACHDIM_BUDGET", "5")
+        code, _, err = run_cli(capsys, "teach", "--family", "fig2",
+                               "--teacher", "star-plan", "--concept", "b,d")
+        assert code == 3
+        assert "budget exceeded" in err
 
     def test_explain_dump(self, capsys):
         code, out, _ = run_cli(capsys, "teach", "--family", "path", "--n", "2",
@@ -241,3 +276,17 @@ def test_cli_import_leaves_numpy_unloaded():
     code = ("import sys, teachdim.cli; "
             "sys.exit('numpy' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_closed_stdout_exits_cleanly():
+    src = Path(teachdim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "teachdim.cli", "dims", "--family", "cycle",
+         "--n", "5", "--kind", "star"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()  # the reader is gone before anything is written
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err

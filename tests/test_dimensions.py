@@ -250,9 +250,32 @@ class TestRtd:
 
     def test_certificate_validation(self):
         with pytest.raises(ValueError, match="partition"):
-            RtdCertificate(3, ((frozenset({0, 1}), 1),), 1)
+            RtdCertificate(3, ((frozenset({0, 1}), 1),), 1, (0b1, 0b1, 0b1))
         with pytest.raises(ValueError, match="rtd"):
-            RtdCertificate(2, ((frozenset({0, 1}), 1),), 2)
+            RtdCertificate(2, ((frozenset({0, 1}), 1),), 2, (0b1, 0b1))
+
+    def test_certificate_witness_validation(self):
+        levels = ((frozenset({0}), 1), (frozenset({1}), 0))
+        RtdCertificate(2, levels, 1, (0b10, 0))
+        with pytest.raises(ValueError, match="one witness per concept"):
+            RtdCertificate(2, levels, 1, (0b10,))
+        with pytest.raises(ValueError, match="size 1"):
+            RtdCertificate(2, levels, 1, (0b11, 0))
+        with pytest.raises(ValueError, match="size 0"):
+            RtdCertificate(2, levels, 1, (0b10, 0b1))
+
+    def test_witnesses_teach_against_their_level(self):
+        for cc in engine_corpus():
+            cert = rtd(cc)
+            active = cc.all_indices_mask
+            for level, value in cert.levels:
+                for i in level:
+                    w = cert.witnesses[i]
+                    assert w.bit_count() == value
+                    assert all((cc.concepts[i] ^ cc.concepts[j]) & w
+                               for j in bits(active) if j != i)
+                for i in level:
+                    active &= ~(1 << i)
 
     def test_levels_match_brute_force_peeling(self):
         for cc in engine_corpus():
@@ -278,6 +301,21 @@ class TestRtd:
             size = rng.randint(1, len(cc))
             sub = rng.sample(range(len(cc)), size)
             assert rtd_subclass_lower_bound(cc, sub) <= value
+
+    def test_subclass_lower_bound_matches_td_min_of_the_subclass(self):
+        rng = random.Random(11)
+        for cc in engine_corpus():
+            for _ in range(5):
+                sub = rng.sample(range(len(cc)), rng.randint(1, len(cc)))
+                own = ConceptClass.from_masks(
+                    cc.domain_size, (cc.concepts[i] for i in sub))
+                assert rtd_subclass_lower_bound(cc, sub) == td_min(own)
+
+    def test_subclass_indices_checked(self):
+        cc = powerset_class(2)
+        for bad in ([-1], [0, 4], []):
+            with pytest.raises(ValueError):
+                rtd_subclass_lower_bound(cc, bad)
 
     def test_max_subclass_bound_attained_on_small_classes(self):
         for cc in (powerset_class(3),

@@ -1,12 +1,16 @@
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teachdim.concepts import ConceptClass, powerset_class
 from teachdim.connected import build_con_class, con_superset_teacher
-from teachdim.dimensions import rtd
+from teachdim.dimensions import TD_SIZE_CAP, _teaching_sets, rtd
 from teachdim.errors import PreferenceCycleError
-from teachdim.families import cycle_graph, fig2, path_graph
+from teachdim.families import cycle_graph, fig2, path_graph, random_graph
+from teachdim.graphs import bits, mask_of, set_of
 from teachdim.stars import build_star_class
 from teachdim.teaching import (
     PBTeacher,
@@ -79,6 +83,32 @@ class TestPreferenceRelation:
                         if pref.is_preferred(j, k):
                             assert pref.is_preferred(i, k)
                     assert not pref.is_preferred(j, i)
+
+    @staticmethod
+    def brute_closed(below):
+        return all(below[j] & ~below[i] == 0
+                   for i in range(len(below)) for j in bits(below[i]))
+
+    @given(st.integers(1, 7), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_closure_check_matches_definition(self, size, data):
+        if data.draw(st.booleans()):
+            # closed: the closure of acyclic pairs, sometimes with one bit dropped
+            pairs = data.draw(st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+                .filter(lambda p: p[0] < p[1]), max_size=15))
+            below = list(PreferenceRelation.from_pairs(size, pairs).below)
+            if any(below) and data.draw(st.booleans()):
+                i = data.draw(st.sampled_from([i for i in range(size) if below[i]]))
+                below[i] &= ~(1 << data.draw(st.sampled_from(list(bits(below[i])))))
+        else:
+            below = [data.draw(st.integers(0, (1 << size) - 1)) & ~(1 << i)
+                     for i in range(size)]
+        if self.brute_closed(below):
+            assert PreferenceRelation(size, tuple(below)).below == tuple(below)
+        else:
+            with pytest.raises(ValueError, match="transitively closed"):
+                PreferenceRelation(size, tuple(below))
 
 
 class TestLexRefine:
@@ -194,6 +224,66 @@ class TestPlanToTeacher:
         cert = rtd(powerset_class(2))
         with pytest.raises(ValueError):
             plan_to_teacher(cert, powerset_class(3))
+
+    @staticmethod
+    def recomputed_plan(cert, cc):
+        """Teaching sets and below masks from a fresh teaching-set search
+        per level against the residual class."""
+        sets = [None] * len(cc)
+        below = [0] * len(cc)
+        peeled = 0
+        for level, value in cert.levels:
+            active = cc.all_indices_mask & ~peeled
+            size, found = next(_teaching_sets(cc, active, mask_of(level), TD_SIZE_CAP))
+            assert size == value and set(found) == level
+            for i, witness in found.items():
+                sets[i] = set_of(witness)
+                below[i] = peeled
+            peeled |= mask_of(level)
+        return tuple(sets), tuple(below)
+
+    def test_matches_recomputed_teaching_sets(self):
+        rng = random.Random(4)
+        classes = [powerset_class(3), build_star_class(cycle_graph(6)),
+                   build_con_class(fig2(), True),
+                   build_con_class(random_graph(8, 0.4, 5), False),
+                   build_star_class(random_graph(8, 0.5, 2))]
+        for _ in range(40):
+            d = rng.randint(1, 8)
+            classes.append(ConceptClass.from_masks(
+                d, rng.sample(range(1 << d), rng.randint(1, min(40, 1 << d)))))
+        for cc in classes:
+            cert = rtd(cc)
+            teacher = plan_to_teacher(cert, cc)
+            sets, below = self.recomputed_plan(cert, cc)
+            assert teacher.teaching_sets == sets
+            assert teacher.preference.below == below
+
+    def test_tampered_witness_rejected(self):
+        cc = build_con_class(fig2(), True)
+        cert = rtd(cc)
+        # the first concept with a same-size mask that leaves another
+        # concept of its residual class consistent with its sample
+        active = cc.all_indices_mask
+        tamper = None
+        for level, value in cert.levels:
+            for i in sorted(level):
+                tamper = tamper or next(
+                    ((i, w) for w in range(1 << cc.domain_size)
+                     if w.bit_count() == value and not all(
+                         (cc.concepts[i] ^ cc.concepts[j]) & w
+                         for j in bits(active) if j != i)), None)
+            active &= ~mask_of(level)
+        i, bad = tamper
+        witnesses = list(cert.witnesses)
+        witnesses[i] = bad
+        with pytest.raises(ValueError, match=f"concept {i} "):
+            plan_to_teacher(dataclasses.replace(cert, witnesses=tuple(witnesses)), cc)
+        # same size, but one instance outside the domain
+        w = cert.witnesses[i]
+        witnesses[i] = w & (w - 1) | 1 << cc.domain_size
+        with pytest.raises(ValueError):
+            plan_to_teacher(dataclasses.replace(cert, witnesses=tuple(witnesses)), cc)
 
 
 def test_format_teacher_lines():
