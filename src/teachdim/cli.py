@@ -5,11 +5,13 @@ Identical inputs (including seeds) produce byte-identical output; every
 table header echoes the parameters that generated it.  The env var
 TEACHDIM_BUDGET overrides the default enumeration budgets.
 
-Exit codes: 0 success; 1 a check or a teacher's maximality failed (also
-teach/dims given more than one graph, or dims without --kind); 2 bad
-flags, an unknown concept or an unavailable teacher; 3 a budget or size
-cap was exceeded; 141 stdout was closed before all output was written
-(as a shell reports a process ended by SIGPIPE).
+Exit codes: 0 success; 1 a check or a teacher's maximality failed; 2
+bad input, reported in one line on stderr: bad flags or sizes, an
+unreadable graph or class file, an unknown vertex or concept, more than
+one graph for teach/dims, dims without --kind, or an unavailable
+teacher; 3 a budget or size cap was exceeded; 141 stdout was closed
+before all output was written (as a shell reports a process ended by
+SIGPIPE).
 """
 
 from __future__ import annotations
@@ -41,6 +43,20 @@ from .teaching import format_teacher, plan_to_teacher
 EXIT_BROKEN_PIPE = 141
 
 
+class InputError(Exception):
+    """Input the command cannot answer for; ``main`` prints the message
+    as one line on stderr and exits 2."""
+
+
+def _read(load, path):
+    """Load a graph or class file; a missing or malformed file is an
+    InputError."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def _star_plan_teacher(g, *, budget):
     cc = build_star_class(g, budget=budget)
     return plan_to_teacher(rtd(cc), cc)
@@ -63,17 +79,21 @@ TEACHERS = {
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    n = int(text)
-    return n, n
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise InputError(f"--n wants a size or a range A..B, not {text!r}") from None
 
 
-def _family_spec(args) -> FamilySpec:
+def _family_graphs(args):
+    """The named graphs the family flags select."""
     lo, hi = _parse_range(args.n) if args.n else (0, 0)
-    return FamilySpec(args.family, lo, hi, p=args.p, seed=args.seed,
-                      path=args.graph_file)
+    try:
+        return FamilySpec(args.family, lo, hi, p=args.p, seed=args.seed,
+                          path=args.graph_file).graphs()
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _budget(args) -> int:
@@ -81,7 +101,10 @@ def _budget(args) -> int:
         return args.budget
     env = os.environ.get("TEACHDIM_BUDGET")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise InputError(f"TEACHDIM_BUDGET is not an integer: {env!r}") from None
     return G.DEFAULT_ENUM_BUDGET
 
 
@@ -108,10 +131,9 @@ def _triple_row(item):
 
 
 def cmd_triples(args) -> int:
-    spec = _family_spec(args)
     budget = _budget(args)
     items = [(name, g, args.kind, args.include_empty, budget)
-             for name, g in spec.graphs()]
+             for name, g in _family_graphs(args)]
     if args.parallel and len(items) > 1:
         with ProcessPoolExecutor() as pool:
             rows = list(pool.map(_triple_row, items))
@@ -138,10 +160,9 @@ def _verify_one(item):
 
 
 def cmd_verify(args) -> int:
-    spec = _family_spec(args)
     budget = _budget(args)
     items = [(name, g, args.kind, args.include_empty, budget)
-             for name, g in spec.graphs()]
+             for name, g in _family_graphs(args)]
     if args.parallel and len(items) > 1:
         with ProcessPoolExecutor() as pool:
             reports = list(pool.map(_verify_one, items))
@@ -179,25 +200,25 @@ def cmd_verify(args) -> int:
 
 def _load_graph_for(args):
     if args.graph_file:
-        return read_graph(args.graph_file)
-    spec = _family_spec(args)
-    graphs = spec.graphs()
+        return _read(read_graph, args.graph_file)
+    graphs = _family_graphs(args)
     if len(graphs) != 1:
-        raise SystemExit("teach/dims need exactly one graph; narrow --n")
+        raise InputError("teach/dims need exactly one graph; narrow --n")
     return graphs[0][1]
 
 
 def _parse_concept(g, text: str) -> frozenset[int]:
+    """Comma-separated vertex names or indices; a name wins over an equal index."""
     names = {g.vertex_name(v): v for v in range(g.n)}
+    names.update((str(v), v) for v in range(g.n) if str(v) not in names)
     out = set()
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if tok in names:
-            out.add(names[tok])
-        else:
-            out.add(int(tok))
+        if tok not in names:
+            raise InputError(f"{tok!r} is not a vertex of the graph")
+        out.add(names[tok])
     return frozenset(out)
 
 
@@ -207,16 +228,14 @@ def cmd_teach(args) -> int:
     try:
         teacher = builder(g, budget=_budget(args))
     except (TeacherPreconditionError, ValueError) as exc:
-        print(f"teacher {args.teacher} unavailable: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"teacher {args.teacher} unavailable: {exc}") from exc
     cc = teacher.concept_class
     concept = _parse_concept(g, args.concept)
     try:
         idx = cc.index_of(concept)
     except KeyError:
-        print(f"{sorted(concept)} is not a concept of the {kind} class",
-              file=sys.stderr)
-        return 2
+        raise InputError(
+            f"{sorted(concept)} is not a concept of the {kind} class") from None
     sample = teacher.sample_for(idx)
     vs = version_space_mask(cc, sample)
     print(f"graph: n={g.n} m={g.m}; teacher: {args.teacher}")
@@ -242,11 +261,11 @@ def cmd_teach(args) -> int:
 
 def cmd_dims(args) -> int:
     if args.class_file:
-        cc = read_class(args.class_file)
+        cc = _read(read_class, args.class_file)
         source = f"class file {args.class_file}"
     else:
         if args.kind is None:
-            raise SystemExit("dims needs --kind when loading a graph")
+            raise InputError("dims needs --kind when loading a graph")
         g = _load_graph_for(args)
         budget = _budget(args)
         if args.kind == "star":
@@ -297,34 +316,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "concept classes (stars and connected sets).")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_kind=True, kind_required=True):
+    def add_graph_flags(p):
         p.add_argument("--family", choices=FAMILY_NAMES, default=None)
         p.add_argument("--n", help="size or inclusive range A..B")
         p.add_argument("--p", type=float, help="edge probability (random family)")
         p.add_argument("--seed", type=int, help="PRNG seed (random family)")
         p.add_argument("--graph-file", help="graph in text format")
-        if needs_kind:
-            p.add_argument("--kind", choices=("star", "con"),
-                           required=kind_required)
-            p.add_argument("--include-empty", choices=("true", "false"),
-                           default="false",
-                           help="empty-set policy for connected-set classes")
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget override")
+
+    def add_class_flags(p, kind_required=True):
+        p.add_argument("--kind", choices=("star", "con"), required=kind_required)
+        p.add_argument("--include-empty", choices=("true", "false"),
+                       default="false",
+                       help="empty-set policy for connected-set classes")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+
+    for name, func, help_text in (
+            ("triples", cmd_triples, "parameter/RTD/VCD table"),
+            ("verify", cmd_verify, "run per-graph property checks")):
+        p = sub.add_parser(name, help=help_text)
+        add_graph_flags(p)
+        add_class_flags(p)
         p.add_argument("--parallel", action="store_true",
                        help="process graphs in worker processes")
-
-    p_triples = sub.add_parser("triples", help="parameter/RTD/VCD table")
-    add_common(p_triples)
-    p_triples.set_defaults(func=cmd_triples)
-
-    p_verify = sub.add_parser("verify", help="run per-graph property checks")
-    add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+        p.set_defaults(func=func)
 
     p_teach = sub.add_parser("teach", help="explain one teaching set")
-    add_common(p_teach, needs_kind=False)
+    add_graph_flags(p_teach)
     p_teach.add_argument("--teacher", choices=sorted(TEACHERS), required=True)
     p_teach.add_argument("--concept", required=True,
                          help="comma-separated vertex names or indices")
@@ -333,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_teach.set_defaults(func=cmd_teach)
 
     p_dims = sub.add_parser("dims", help="dimension report for one class")
-    add_common(p_dims, kind_required=False)
+    add_graph_flags(p_dims)
+    add_class_flags(p_dims, kind_required=False)
     p_dims.add_argument("--class-file", help="concept class in text format")
     p_dims.set_defaults(func=cmd_dims)
     return ap
@@ -347,15 +367,14 @@ def main(argv=None) -> int:
         ap.error("--family, --graph-file or --class-file is required")
     if hasattr(args, "include_empty"):
         args.include_empty = args.include_empty == "true"
-    else:
-        args.include_empty = False
-    if not hasattr(args, "kind"):
-        args.kind = None
     if args.family is None and getattr(args, "graph_file", None):
         args.family = "file"
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except InputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

@@ -108,9 +108,6 @@ class ConceptClass:
     def concept_set(self, i: int) -> frozenset[int]:
         return set_of(self.concepts[i])
 
-    def concept_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(set_of(c) for c in self.concepts)
-
     def index_of(self, concept) -> int:
         mask = concept if isinstance(concept, int) else mask_of(concept)
         lo, hi = 0, len(self.concepts)

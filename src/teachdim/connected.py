@@ -304,19 +304,15 @@ def _matching_preference(g: Graph, cc: ConceptClass, boundary, ell
     base = superset_preferences(cc)
     keys = [boundary[c].bit_count() for c in cc.concepts]
     try:
-        return lex_refine(base, keys, prefer_larger=True)
+        return lex_refine(base, keys)
     except PreferenceCycleError:
         pass
-    pairs = []
-    for i in range(len(cc)):
-        for j in bits(base.below[i]):
-            pairs.append((i, j))
+    direct = list(base.below)
     for i in full_boundary:
         vs = version_space_mask(cc, Sample(0, boundary[cc.concepts[i]]))
-        for j in bits(vs & ~(1 << i)):
-            pairs.append((i, j))
+        direct[i] |= vs & ~(1 << i)
     try:
-        return PreferenceRelation.from_pairs(len(cc), pairs)
+        return PreferenceRelation.from_direct(direct)
     except PreferenceCycleError as exc:
         raise TeacherPreconditionError(
             f"required preference pairs are cyclic: {exc}"

@@ -93,10 +93,6 @@ class Graph:
     def max_degree(self) -> int:
         return max((row.bit_count() for row in self.adj), default=0)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return set_of(self.adj[v])
-
     def closed_mask(self, v: int) -> int:
         return self.adj[v] | (1 << v)
 

@@ -140,9 +140,12 @@ def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTe
         for grp in part.groups
     ]
 
+    special = 0
+    # group -> member count -> the group's special concepts with that count
+    by_count: list[dict[int, int]] = [{} for _ in group_masks]
     special_scopes: list[tuple[int, ...]] = []
     sets: list[frozenset[int]] = []
-    for c in cc.concepts:
+    for i, c in enumerate(cc.concepts):
         scopes = tuple(
             gi for gi, (members, closed, fringe) in enumerate(group_masks)
             if c & fringe == fringe
@@ -153,32 +156,27 @@ def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTe
             if c & ~closed or not c & members:
                 raise RuntimeError("special concept is not fringe plus members")
             sets.append(set_of(fringe | (members & ~c)))
+            special |= 1 << i
+            for gi in scopes:
+                k = (c & group_masks[gi][0]).bit_count()
+                by_count[gi][k] = by_count[gi].get(k, 0) | 1 << i
         else:
             sets.append(set_of(c))
 
-    pairs: list[tuple[int, int]] = []
-    m = len(cc)
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            i_special = bool(special_scopes[i])
-            j_special = bool(special_scopes[j])
-            if not i_special and j_special:
-                pairs.append((i, j))
-            elif i_special and j_special:
-                ci, cj = cc.concepts[i], cc.concepts[j]
-                for gi in special_scopes[i]:
-                    if gi in special_scopes[j]:
-                        members = group_masks[gi][0]
-                        if (ci & members).bit_count() > (cj & members).bit_count():
-                            pairs.append((i, j))
-                            break
-            elif not i_special and not j_special:
-                ci, cj = cc.concepts[i], cc.concepts[j]
-                if ci != cj and ci & cj == ci:
-                    pairs.append((i, j))  # smaller set preferred
-    pref = PreferenceRelation.from_pairs(m, pairs)
+    supersets = subset_preferences(cc).below
+    direct = []
+    for i, scopes in enumerate(special_scopes):
+        if not scopes:
+            direct.append(special | supersets[i])
+            continue
+        mask = 0
+        for gi in scopes:
+            k = (cc.concepts[i] & group_masks[gi][0]).bit_count()
+            for count, concepts in by_count[gi].items():
+                if count < k:
+                    mask |= concepts
+        direct.append(mask)
+    pref = PreferenceRelation.from_direct(direct)
     return PBTeacher(cc, tuple(sets), pref)
 
 

@@ -55,19 +55,16 @@ class PreferenceRelation:
         return cls(size, (0,) * size)
 
     @classmethod
-    def from_pairs(cls, size: int, pairs) -> "PreferenceRelation":
-        """Build from (preferred, less_preferred) index pairs and close
-        transitively; raises PreferenceCycleError on any cycle."""
-        direct = [0] * size
-        for hi, lo in pairs:
-            if not (0 <= hi < size and 0 <= lo < size):
-                raise ValueError("pair index out of range")
-            if hi == lo:
-                raise PreferenceCycleError(f"concept {hi} preferred over itself")
-            direct[hi] |= 1 << lo
-        order = _topological_order(size, direct)
+    def from_direct(cls, direct) -> "PreferenceRelation":
+        """Close one direct "below" mask per concept transitively; raises
+        PreferenceCycleError on any cycle, a self-loop included."""
+        direct = list(direct)
+        size = len(direct)
+        for mask in direct:
+            if mask < 0 or mask >> size:
+                raise ValueError("below mask out of range")
         below = [0] * size
-        for i in reversed(order):
+        for i in reversed(_topological_order(size, direct)):
             mask = direct[i]
             for j in bits(direct[i]):
                 mask |= below[j]
@@ -78,36 +75,21 @@ class PreferenceRelation:
         """True iff j is strictly less preferred than i."""
         return bool(self.below[i] >> j & 1)
 
-    def incomparable(self, i: int, j: int) -> bool:
-        return i != j and not self.is_preferred(i, j) and not self.is_preferred(j, i)
-
     def pair_count(self) -> int:
         return sum(mask.bit_count() for mask in self.below)
 
-    def maximal_in(self, index_mask: int) -> tuple[int, ...]:
-        """Indices in the mask not less preferred than any other member."""
-        idxs = list(bits(index_mask))
-        out = []
-        for i in idxs:
-            if not any(self.below[k] >> i & 1 for k in idxs if k != i):
-                out.append(i)
-        return tuple(out)
-
     @cached_property
     def depths(self) -> tuple[int, ...]:
-        """Longest chain strictly below each concept (preference level)."""
-        memo: dict[int, int] = {}
+        """Longest chain strictly below each concept (preference level).
 
-        def depth(i: int) -> int:
-            if i in memo:
-                return memo[i]
-            d = 0
-            for j in bits(self.below[i]):
-                d = max(d, depth(j) + 1)
-            memo[i] = d
-            return d
-
-        return tuple(depth(i) for i in range(self.size))
+        Filled in order of increasing |below[i]|: in a closed irreflexive
+        relation, j in below[i] implies below[j] is a proper subset of
+        below[i], so every depth[j] it needs is already known.
+        """
+        depth = [0] * self.size
+        for i in sorted(range(self.size), key=lambda i: self.below[i].bit_count()):
+            depth[i] = max((depth[j] + 1 for j in bits(self.below[i])), default=0)
+        return tuple(depth)
 
 
 def _topological_order(size: int, direct: list[int]) -> list[int]:
@@ -140,48 +122,53 @@ def _topological_order(size: int, direct: list[int]) -> list[int]:
 
 def subset_preferences(cc: ConceptClass) -> PreferenceRelation:
     """Strictly smaller concepts are preferred over their proper supersets."""
-    m = len(cc)
-    below = [0] * m
-    for i, ci in enumerate(cc.concepts):
-        for j, cj in enumerate(cc.concepts):
-            if i != j and ci & cj == ci:  # ci proper subset of cj
-                below[i] |= 1 << j
-    return PreferenceRelation(m, tuple(below))
+    cols = cc.instance_columns
+    below = []
+    for i, c in enumerate(cc.concepts):
+        supersets = cc.all_indices_mask
+        for x in bits(c):
+            supersets &= cols[x]
+        below.append(supersets & ~(1 << i))
+    return PreferenceRelation(len(cc), tuple(below))
 
 
 def superset_preferences(cc: ConceptClass) -> PreferenceRelation:
     """Strictly larger concepts are preferred over their proper subsets."""
-    m = len(cc)
-    below = [0] * m
-    for i, ci in enumerate(cc.concepts):
-        for j, cj in enumerate(cc.concepts):
-            if i != j and cj & ci == cj:  # cj proper subset of ci
-                below[i] |= 1 << j
-    return PreferenceRelation(m, tuple(below))
+    cols = cc.instance_columns
+    domain = (1 << cc.domain_size) - 1
+    below = []
+    for i, c in enumerate(cc.concepts):
+        subsets = cc.all_indices_mask
+        for x in bits(domain & ~c):
+            subsets &= ~cols[x]
+        below.append(subsets & ~(1 << i))
+    return PreferenceRelation(len(cc), tuple(below))
 
 
-def lex_refine(pref: PreferenceRelation, keys, *,
-               prefer_larger: bool = True) -> PreferenceRelation:
+def lex_refine(pref: PreferenceRelation, keys) -> PreferenceRelation:
     """Refine a preference by an integer key on incomparable pairs.
 
-    Adds (i preferred over j) for every pref-incomparable pair whose keys
-    differ, then recloses; raises PreferenceCycleError if the combination
-    is no longer a strict partial order.
+    Adds (i preferred over j) for every pref-incomparable pair with
+    keys[i] > keys[j], then recloses; raises PreferenceCycleError if the
+    combination is no longer a strict partial order.
     """
     keys = list(keys)
     if len(keys) != pref.size:
         raise ValueError("one key per concept required")
-    pairs = []
-    for i in range(pref.size):
-        for j in bits(pref.below[i]):
-            pairs.append((i, j))
-    for i in range(pref.size):
-        for j in range(i + 1, pref.size):
-            if not pref.incomparable(i, j) or keys[i] == keys[j]:
-                continue
-            hi, lo = (i, j) if (keys[i] > keys[j]) == prefer_larger else (j, i)
-            pairs.append((hi, lo))
-    return PreferenceRelation.from_pairs(pref.size, pairs)
+    above = [0] * pref.size
+    for i, mask in enumerate(pref.below):
+        for j in bits(mask):
+            above[j] |= 1 << i
+    by_key: dict[int, int] = {}
+    for i, key in enumerate(keys):
+        by_key[key] = by_key.get(key, 0) | 1 << i
+    lower: dict[int, int] = {}
+    seen = 0
+    for key in sorted(by_key):
+        lower[key] = seen
+        seen |= by_key[key]
+    return PreferenceRelation.from_direct(
+        pref.below[i] | (lower[keys[i]] & ~above[i]) for i in range(pref.size))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Shared test machinery: exhaustive graph/tree enumeration and the
-vectorized all-graphs max-leaf sweep used by the acceptance suite."""
+"""Shared test machinery: exhaustive graph/tree enumeration, the
+vectorized all-graphs max-leaf sweep used by the acceptance suite, and
+the pair-list preference closure that mask-built preferences are
+checked against."""
 
 from __future__ import annotations
 
@@ -8,7 +10,30 @@ import itertools
 
 import numpy as np
 
-from teachdim.graphs import graph_from_edges
+from teachdim.errors import PreferenceCycleError
+from teachdim.graphs import bits, graph_from_edges
+
+
+def pair_closure(size: int, pairs) -> tuple[int, ...]:
+    """Below masks of the transitive closure of (preferred, less
+    preferred) index pairs, by iterating to a fixpoint; raises
+    PreferenceCycleError when some concept ends up below itself."""
+    below = [0] * size
+    for hi, lo in pairs:
+        below[hi] |= 1 << lo
+    changed = True
+    while changed:
+        changed = False
+        for i in range(size):
+            mask = below[i]
+            for j in bits(below[i]):
+                mask |= below[j]
+            if mask != below[i]:
+                below[i] = mask
+                changed = True
+    if any(below[i] >> i & 1 for i in range(size)):
+        raise PreferenceCycleError("pairs contain a cycle")
+    return tuple(below)
 
 
 def all_graphs(n: int):

@@ -250,6 +250,72 @@ class TestDimsCommand:
         assert code == 3
 
 
+class TestBadInput:
+    """Input the CLI cannot answer for ends in one line on stderr and exit
+    2, never in a traceback or in the exit code of a failed check."""
+
+    @staticmethod
+    def assert_refused(capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("teach", "--family", "fig2", "--teacher", "con-plan", "--concept", "zz"),
+        ("teach", "--family", "cycle", "--n", "4", "--teacher", "star-subset",
+         "--concept", "-1"),
+        ("teach", "--family", "cycle", "--n", "3..4", "--teacher", "con-plan",
+         "--concept", "0"),
+        ("dims", "--family", "cycle", "--n", "3..4", "--kind", "star"),
+        ("dims", "--family", "cycle", "--n", "4"),
+        ("triples", "--family", "cycle", "--n", "2", "--kind", "con"),
+        ("triples", "--family", "cycle", "--n", "x", "--kind", "con"),
+        ("triples", "--family", "cycle", "--n", "3..", "--kind", "con"),
+        ("verify", "--family", "random", "--n", "5", "--kind", "con"),
+    ], ids=("unknown-vertex", "negative-index", "teach-two-graphs",
+            "dims-two-graphs", "dims-without-kind", "cycle-too-small",
+            "size-not-a-number", "open-range", "random-without-p"))
+    def test_bad_flags(self, capsys, argv):
+        self.assert_refused(capsys, *argv)
+
+    @pytest.mark.parametrize("content", [None, "3 2\n0 1\nx y\n"],
+                             ids=("missing", "malformed"))
+    def test_bad_graph_file(self, capsys, tmp_path, content):
+        path = tmp_path / "graph.txt"
+        if content is not None:
+            path.write_text(content)
+        self.assert_refused(capsys, "dims", "--graph-file", str(path), "--kind", "con")
+        self.assert_refused(capsys, "triples", "--graph-file", str(path),
+                            "--kind", "star")
+        self.assert_refused(capsys, "teach", "--graph-file", str(path),
+                            "--teacher", "con-plan", "--concept", "0")
+
+    @pytest.mark.parametrize("content", [None, "3 2\n01\n10\n"],
+                             ids=("missing", "malformed"))
+    def test_bad_class_file(self, capsys, tmp_path, content):
+        path = tmp_path / "class.txt"
+        if content is not None:
+            path.write_text(content)
+        self.assert_refused(capsys, "dims", "--class-file", str(path))
+
+    def test_bad_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("TEACHDIM_BUDGET", "lots")
+        self.assert_refused(capsys, "dims", "--family", "fig2", "--kind", "con")
+
+    @pytest.mark.parametrize("argv", [
+        ("teach", "--family", "fig2", "--teacher", "con-plan", "--concept", "b",
+         "--format", "json"),
+        ("teach", "--family", "fig2", "--teacher", "con-plan", "--concept", "b",
+         "--parallel"),
+        ("dims", "--family", "fig2", "--kind", "con", "--parallel"),
+    ], ids=("teach-format", "teach-parallel", "dims-parallel"))
+    def test_flags_a_command_does_not_read_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestChecksDirect:
     def test_star_checks_pass_on_path(self):
         results = check_graph(path_graph(4), "star")

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import connected_graphs, labeled_trees
+from helpers import connected_graphs, labeled_trees, pair_closure
 from teachdim.concepts import Sample, version_space
 from teachdim.connected import (
     build_con_class,
@@ -12,15 +12,21 @@ from teachdim.connected import (
     maximal_opponents,
 )
 from teachdim.dimensions import vcd
-from teachdim.errors import BudgetExceededError, TeacherPreconditionError
-from teachdim.families import complete_graph, cycle_graph, fig2, path_graph
+from teachdim.errors import (
+    BudgetExceededError,
+    PreferenceCycleError,
+    TeacherPreconditionError,
+)
+from teachdim.families import complete_graph, cycle_graph, fig2, path_graph, random_graph
 from teachdim.graphs import (
+    bits,
     graph_from_edges,
     max_leaf_number,
     open_neighborhood,
+    open_neighborhood_mask,
     set_of,
 )
-from teachdim.teaching import verify_pb_teacher
+from teachdim.teaching import lex_refine, superset_preferences, verify_pb_teacher
 
 
 def names(g, s):
@@ -217,6 +223,35 @@ class TestMatchingTeacher:
         vs1 = {cc.concepts[i] for i in version_space(cc, s1)}
         vs4 = {cc.concepts[i] for i in version_space(cc, s4)}
         assert 1 << 4 in vs1 and 1 << 1 in vs4
+
+    def test_fallback_preference_matches_pair_rules(self):
+        """When the boundary-size refinement cycles, the preference is the
+        closure of larger-sets-first plus each full-boundary set over its
+        version space."""
+        fallbacks = 0
+        for g in [path_graph(3)] + [random_graph(n, 0.4, s)
+                                    for n in (5, 6, 7) for s in range(4)]:
+            try:
+                teacher = con_vcd_matching_teacher(g)
+            except TeacherPreconditionError:
+                continue
+            cc = teacher.concept_class
+            boundary = [open_neighborhood_mask(g, c) if c else 0 for c in cc.concepts]
+            base = superset_preferences(cc)
+            try:
+                lex_refine(base, [b.bit_count() for b in boundary])
+                continue
+            except PreferenceCycleError:
+                pass
+            ell = max_leaf_number(g)
+            pairs = [(i, j) for i in range(len(cc)) for j in bits(base.below[i])]
+            for i, c in enumerate(cc.concepts):
+                if c and boundary[i].bit_count() == ell:
+                    vs = version_space(cc, Sample(0, boundary[i]))
+                    pairs.extend((i, j) for j in vs if j != i)
+            assert teacher.preference.below == pair_closure(len(cc), pairs)
+            fallbacks += 1
+        assert fallbacks >= 8
 
 
 class TestConTriple:

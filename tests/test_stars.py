@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from helpers import connected_graphs
+from helpers import connected_graphs, pair_closure
 from teachdim.concepts import is_shattered
 from teachdim.dimensions import rtd_subclass_lower_bound, vcd
 from teachdim.errors import BudgetExceededError, TeacherPreconditionError
@@ -13,7 +13,7 @@ from teachdim.families import (
     path_graph,
     random_graph,
 )
-from teachdim.graphs import graph_from_edges
+from teachdim.graphs import graph_from_edges, mask_of
 from teachdim.stars import (
     build_star_class,
     star_special_teacher,
@@ -142,6 +142,44 @@ class TestStarTeachers:
             ok, cx = verify_pb_teacher(teacher.concept_class, teacher)
             assert ok, cx
             assert teacher.order <= g.max_degree()
+
+    @staticmethod
+    def special_pairs(g, cc):
+        """Non-special over special concepts; within a shared group, more
+        members over fewer; among non-special ones, smaller sets first."""
+        groups = [(mask_of(grp.members), mask_of(grp.fringe))
+                  for grp in vmax_partition(g).groups]
+        scopes = [{gi for gi, (_, fringe) in enumerate(groups) if c & fringe == fringe}
+                  for c in cc.concepts]
+        pairs = []
+        for i, ci in enumerate(cc.concepts):
+            for j, cj in enumerate(cc.concepts):
+                if i == j:
+                    continue
+                if not scopes[i] and scopes[j]:
+                    pairs.append((i, j))
+                elif not scopes[i] and not scopes[j] and ci & cj == ci:
+                    pairs.append((i, j))
+                elif any((ci & groups[gi][0]).bit_count()
+                         > (cj & groups[gi][0]).bit_count()
+                         for gi in scopes[i] & scopes[j]):
+                    pairs.append((i, j))
+        return pairs
+
+    def test_special_teacher_preference_matches_pair_rules(self):
+        graphs = [complete_graph(5), path_graph(5), cycle_graph(7)]
+        graphs += [random_graph(n, 0.5, seed) for n in (5, 6, 7) for seed in range(4)]
+        built = 0
+        for g in graphs:
+            try:
+                teacher = star_special_teacher(g)
+            except TeacherPreconditionError:
+                continue
+            cc = teacher.concept_class
+            assert teacher.preference.below == pair_closure(
+                len(cc), self.special_pairs(g, cc))
+            built += 1
+        assert built >= 10
 
 
 class TestTriples:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import pair_closure
 from teachdim.concepts import ConceptClass, powerset_class
 from teachdim.connected import build_con_class, con_superset_teacher
 from teachdim.dimensions import TD_SIZE_CAP, _teaching_sets, rtd
@@ -32,7 +33,8 @@ class TestPreferenceRelation:
         empty = cc.index_of(frozenset())
         for j in range(1, 4):
             assert pref.is_preferred(empty, j)
-        assert pref.incomparable(cc.index_of({0}), cc.index_of({1}))
+        a, b = cc.index_of({0}), cc.index_of({1})
+        assert not pref.is_preferred(a, b) and not pref.is_preferred(b, a)
 
     def test_antichain_has_empty_relation(self):
         cc = ConceptClass.from_masks(3, [0b011, 0b101, 0b110])
@@ -53,29 +55,32 @@ class TestPreferenceRelation:
 
     def test_cycle_rejected(self):
         with pytest.raises(PreferenceCycleError):
-            PreferenceRelation.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
+            PreferenceRelation.from_direct([0b010, 0b100, 0b001])
         with pytest.raises(PreferenceCycleError):
-            PreferenceRelation.from_pairs(2, [(0, 0)])
-
-    def test_maximal_in(self):
-        cc = powerset_class(2)
-        pref = superset_preferences(cc)
-        assert pref.maximal_in(0b1111) == (3,)
-        assert pref.maximal_in(0b0110) == (1, 2)
+            PreferenceRelation.from_direct([0b01, 0b00])  # a self-loop
+        with pytest.raises(ValueError, match="out of range"):
+            PreferenceRelation.from_direct([0b100, 0b00])
 
     def test_depths(self):
         # most preferred concept has the longest chain strictly below it
         cc = ConceptClass.from_masks(2, [0b00, 0b01, 0b11])
         assert subset_preferences(cc).depths == (2, 1, 0)
 
+    def test_depths_of_a_long_chain(self):
+        # deeper than the interpreter's recursion limit
+        cc = ConceptClass(1100, tuple((1 << k) - 1 for k in range(1101)))
+        assert subset_preferences(cc).depths == tuple(range(1100, -1, -1))
+
+    @staticmethod
+    def acyclic_direct(size, data):
+        """Direct masks whose edges all run from a lower to a higher index."""
+        return [data.draw(st.integers(0, (1 << size) - 1)) >> (i + 1) << (i + 1)
+                for i in range(size)]
+
     @given(st.integers(2, 7), st.data())
     @settings(max_examples=50, deadline=None)
-    def test_from_pairs_closure_is_transitive(self, size, data):
-        pairs = data.draw(st.lists(
-            st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
-            .filter(lambda p: p[0] < p[1]),
-            max_size=12))
-        pref = PreferenceRelation.from_pairs(size, pairs)  # i<j: acyclic
+    def test_from_direct_closure_is_transitive(self, size, data):
+        pref = PreferenceRelation.from_direct(self.acyclic_direct(size, data))
         for i in range(size):
             for j in range(size):
                 if pref.is_preferred(i, j):
@@ -93,11 +98,10 @@ class TestPreferenceRelation:
     @settings(max_examples=200, deadline=None)
     def test_closure_check_matches_definition(self, size, data):
         if data.draw(st.booleans()):
-            # closed: the closure of acyclic pairs, sometimes with one bit dropped
-            pairs = data.draw(st.lists(
-                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
-                .filter(lambda p: p[0] < p[1]), max_size=15))
-            below = list(PreferenceRelation.from_pairs(size, pairs).below)
+            # closed: the closure of an acyclic relation, sometimes with one
+            # bit dropped
+            direct = self.acyclic_direct(size, data)
+            below = list(PreferenceRelation.from_direct(direct).below)
             if any(below) and data.draw(st.booleans()):
                 i = data.draw(st.sampled_from([i for i in range(size) if below[i]]))
                 below[i] &= ~(1 << data.draw(st.sampled_from(list(bits(below[i])))))
@@ -116,8 +120,6 @@ class TestLexRefine:
         cc = ConceptClass.from_masks(2, [0b01, 0b10])
         pref = lex_refine(subset_preferences(cc), [5, 7])
         assert pref.is_preferred(1, 0)
-        pref2 = lex_refine(subset_preferences(cc), [5, 7], prefer_larger=False)
-        assert pref2.is_preferred(0, 1)
 
     def test_keeps_existing_pairs(self):
         cc = powerset_class(2)
@@ -127,7 +129,7 @@ class TestLexRefine:
     def test_equal_keys_stay_incomparable(self):
         cc = ConceptClass.from_masks(2, [0b01, 0b10])
         pref = lex_refine(subset_preferences(cc), [4, 4])
-        assert pref.incomparable(0, 1)
+        assert not pref.is_preferred(0, 1) and not pref.is_preferred(1, 0)
 
     def test_cycle_with_base_detected(self):
         # {0} below {0,1} by superset preference, but the keys pull the
@@ -140,6 +142,64 @@ class TestLexRefine:
         cc = powerset_class(1)
         with pytest.raises(ValueError):
             lex_refine(subset_preferences(cc), [1])
+
+
+class TestMasksMatchPairDefinitions:
+    """The mask-built preferences against the pair-list definitions they
+    replace, closed by ``helpers.pair_closure``."""
+
+    @staticmethod
+    def subset_pairs(cc):
+        return [(i, j) for i, ci in enumerate(cc.concepts)
+                for j, cj in enumerate(cc.concepts) if i != j and ci & cj == ci]
+
+    @staticmethod
+    def superset_pairs(cc):
+        return [(i, j) for i, ci in enumerate(cc.concepts)
+                for j, cj in enumerate(cc.concepts) if i != j and cj & ci == cj]
+
+    @staticmethod
+    def lex_pairs(pref, keys):
+        pairs = [(i, j) for i in range(pref.size) for j in bits(pref.below[i])]
+        for i in range(pref.size):
+            for j in range(pref.size):
+                if i != j and keys[i] > keys[j] and not pref.is_preferred(i, j) \
+                        and not pref.is_preferred(j, i):
+                    pairs.append((i, j))
+        return pairs
+
+    @staticmethod
+    def below_or_cycle(build):
+        try:
+            return build()
+        except PreferenceCycleError:
+            return "cycle"
+
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_classes(self, d, data):
+        masks = data.draw(st.sets(st.integers(0, (1 << d) - 1), min_size=1,
+                                  max_size=min(24, 1 << d)))
+        cc = ConceptClass.from_masks(d, masks)
+        m = len(cc)
+        sub, sup = subset_preferences(cc), superset_preferences(cc)
+        assert sub.below == pair_closure(m, self.subset_pairs(cc))
+        assert sup.below == pair_closure(m, self.superset_pairs(cc))
+        keys = data.draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        for base in (sub, sup):
+            got = self.below_or_cycle(lambda: lex_refine(base, keys).below)
+            want = self.below_or_cycle(
+                lambda: pair_closure(m, self.lex_pairs(base, keys)))
+            assert got == want
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_from_direct_on_random_masks(self, size, data):
+        direct = [data.draw(st.integers(0, (1 << size) - 1)) for _ in range(size)]
+        pairs = [(i, j) for i in range(size) for j in bits(direct[i])]
+        got = self.below_or_cycle(
+            lambda: PreferenceRelation.from_direct(direct).below)
+        assert got == self.below_or_cycle(lambda: pair_closure(size, pairs))
 
 
 class TestVerifier:
@@ -212,9 +272,9 @@ class TestPlanToTeacher:
     def test_preference_is_closure_of_level_pairs(self, cc):
         cert = rtd(cc)
         level_of = {i: k for k, (lv, _) in enumerate(cert.levels) for i in lv}
-        pairs = [(i, j) for i in range(len(cc)) for j in range(len(cc))
-                 if level_of[i] > level_of[j]]
-        want = PreferenceRelation.from_pairs(len(cc), pairs)
+        direct = [sum(1 << j for j in range(len(cc)) if level_of[i] > level_of[j])
+                  for i in range(len(cc))]
+        want = PreferenceRelation.from_direct(direct)
         got = plan_to_teacher(cert, cc).preference
         assert got.below == want.below
         assert got.depths == want.depths
