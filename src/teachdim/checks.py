@@ -187,13 +187,16 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
     out.append(_chain_result(
         f"con-chain(empty={'yes' if include_empty else 'no'})", ell, rt.rtd, v))
 
-    cc_full = build_con_class(g, True, budget=budget)
-    v_full, _ = vcd(cc_full)
+    # the with-empty class is cc itself or the other policy's class
     if include_empty:
+        cc_full, rt_full, v_full = cc, rt, v
         cc_other = build_con_class(g, False, budget=budget)
+        other = (rtd(cc_other).rtd, vcd(cc_other)[0])
     else:
-        cc_other = cc_full
-    other = (rtd(cc_other).rtd, vcd(cc_other)[0])
+        cc_full = build_con_class(g, True, budget=budget)
+        rt_full = rtd(cc_full)
+        v_full, _ = vcd(cc_full)
+        other = (rt_full.rtd, v_full)
     out.append(CheckResult(
         "con-empty-policy", "pass",
         f"(rtd,vcd) this policy ({rt.rtd},{v}), other policy {other}"))
@@ -231,13 +234,12 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
     out.append(_result("con-opponent-boundaries", opp_ok, detail))
 
     if g.n and is_connected(g, g.full_mask):
-        wit = leaf_tree_condition(g, enum_budget=budget)
+        wit = leaf_tree_condition(g, enum_budget=budget, ell=ell)
         expected = v_full == ell + 1
         out.append(_result(
             "con-leaf-tree-vs-vcd", (wit is not None) == expected,
             f"witness {'found' if wit else 'none'}, vcd(with empty) {v_full}, ell {ell}"))
     else:
-        rt_full = rtd(cc_full)
         comp_vals = []
         for comp in comps:
             sub, _ = spanned_subgraph(g, comp)

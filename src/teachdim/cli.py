@@ -8,10 +8,10 @@ TEACHDIM_BUDGET overrides the default enumeration budgets.
 Exit codes: 0 success; 1 a check or a teacher's maximality failed; 2
 bad input, reported in one line on stderr: bad flags or sizes, an
 unreadable graph or class file, an unknown vertex or concept, more than
-one graph for teach/dims, dims without --kind, or an unavailable
-teacher; 3 a budget or size cap was exceeded; 141 stdout was closed
-before all output was written (as a shell reports a process ended by
-SIGPIPE).
+one graph for teach/dims, dims without --kind, --family (other than
+file) together with --graph-file, or an unavailable teacher; 3 a budget
+or size cap was exceeded; 141 stdout was closed before all output was
+written (as a shell reports a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -367,9 +367,12 @@ def main(argv=None) -> int:
         ap.error("--family, --graph-file or --class-file is required")
     if hasattr(args, "include_empty"):
         args.include_empty = args.include_empty == "true"
-    if args.family is None and getattr(args, "graph_file", None):
-        args.family = "file"
     try:
+        if getattr(args, "graph_file", None):
+            if args.family not in (None, "file"):
+                raise InputError(f"--family {args.family} conflicts with "
+                                 "--graph-file; give one of them")
+            args.family = "file"
         code = args.func(args)
         sys.stdout.flush()
     except InputError as exc:

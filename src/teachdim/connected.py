@@ -85,8 +85,8 @@ def maximal_opponents(g: Graph, x) -> OpponentSet:
 
 
 def leaf_tree_condition(g: Graph, *, budget: int = DEFAULT_PATH_BUDGET,
-                        enum_budget: int = DEFAULT_ENUM_BUDGET
-                        ) -> tuple[Tree, int] | None:
+                        enum_budget: int = DEFAULT_ENUM_BUDGET,
+                        ell: int | None = None) -> tuple[Tree, int] | None:
     """Search for a tree with the maximum leaf count whose leaves stay
     pairwise connectable away from the tree's other leaves and one
     interior vertex.
@@ -97,12 +97,14 @@ def leaf_tree_condition(g: Graph, *, budget: int = DEFAULT_PATH_BUDGET,
     from deterministic shortest paths to the smallest member, which then
     acts as the interior vertex.  Returns None when no subset qualifies;
     raises BudgetExceededError when the reachability work hits ``budget``.
+    A caller that already has ell(G) passes it as ``ell``.
     """
     if g.n == 0:
         raise ValueError("empty graph")
     if not is_connected(g, g.full_mask):
         raise ValueError("graph must be connected")
-    ell = max_leaf_number(g, budget=enum_budget)
+    if ell is None:
+        ell = max_leaf_number(g, budget=enum_budget)
     steps = 0
     full = g.full_mask
 

@@ -81,24 +81,46 @@ def vcd(cc: ConceptClass) -> tuple[int, frozenset[int]]:
 # ---------------------------------------------------------------------------
 
 def _unique_traces(cc: ConceptClass, active: int, targets: int,
-                   k: int) -> dict[int, int]:
+                   k: int, first: bool = False) -> dict[int, int]:
     """{i: D} for every target i that some k-instance set D teaches
     against the active concepts, D the smallest-valued such mask.
 
     Walks the k-sets in increasing mask order by choosing the largest
     instance first (colex order, which is integer order), splitting each
     block of the partition of ``active`` by the chosen instance's column
-    and dropping blocks that hold no unfound target.  Stops once every
-    target has a set.
+    and dropping blocks that hold no unfound target.  The last instance
+    only has to cut a target off on its own, so its level runs inside
+    the loop of the level above it (k = 1 is one flat scan) and never
+    builds a partition.  Stops once every target has a set.
+
+    With ``first`` it stops at the first target isolated, which is all
+    TD_min needs: by the precondition no target is isolated by fewer
+    than k instances, so one hit proves the smallest teaching set has
+    exactly k.
 
     Precondition: k >= 1 and no target has a teaching set of fewer than
     k instances against ``active``.  Only then may an instance that
     splits no block be skipped: a k-set through it that isolated a
-    target would isolate it without that instance too.
+    target would isolate it without that instance too.  For the same
+    reason no block of size one holds a target before the last level.
     """
     cols = cc.instance_columns
     found: dict[int, int] = {}
     left = targets
+
+    if k == 1:
+        for x in range(cc.domain_size):
+            inner = active & cols[x]
+            rest = active ^ inner
+            for b in (inner, rest) if inner and rest else ():
+                if b & (b - 1) == 0 and b & left:
+                    found[b.bit_length() - 1] = 1 << x
+                    if first:
+                        return found
+                    left ^= b
+            if not left:
+                break
+        return found
 
     def walk(blocks: list[int], top: int, depth: int, dmask: int) -> bool:
         nonlocal left
@@ -117,18 +139,32 @@ def _unique_traces(cc: ConceptClass, active: int, targets: int,
                         parts.append(inner)
                 elif b & left:
                     parts.append(b)
-            if not split:
+            if not split or not parts:
                 continue
-            if depth > 1:
-                if parts and walk(parts, x, depth - 1, dmask | 1 << x):
+            if depth > 2:
+                if walk(parts, x, depth - 1, dmask | 1 << x):
                     return True
                 continue
-            for b in parts:
-                if b & (b - 1) == 0:
-                    found[b.bit_length() - 1] = dmask | 1 << x
-                    left ^= b
-            if not left:
-                return True
+            # last level: instance y < x completes the set
+            for y in range(x):
+                col = cols[y]
+                for b in parts:
+                    inner = b & col
+                    if not inner or inner == b:
+                        continue
+                    if inner & (inner - 1) == 0 and inner & left:
+                        found[inner.bit_length() - 1] = dmask | 1 << x | 1 << y
+                        if first:
+                            return True
+                        left ^= inner
+                    inner ^= b
+                    if inner & (inner - 1) == 0 and inner & left:
+                        found[inner.bit_length() - 1] = dmask | 1 << x | 1 << y
+                        if first:
+                            return True
+                        left ^= inner
+                if not left:
+                    return True
         return False
 
     walk([active], cc.domain_size, k, 0)
@@ -136,18 +172,19 @@ def _unique_traces(cc: ConceptClass, active: int, targets: int,
 
 
 def _teaching_sets(cc: ConceptClass, active: int, targets: int,
-                   size_cap: int):
+                   size_cap: int, first: bool = False):
     """Yield (k, {i: D}) for increasing k: the targets whose smallest
     teaching sets against the active concepts have k instances, each
     with its smallest-valued such mask D.  ``targets`` must be a nonempty
     subset of ``active``.  Raises BudgetExceededError when targets are
-    left past ``size_cap``."""
+    left past ``size_cap``.  With ``first`` each level holds only the
+    first target found (see _unique_traces)."""
     if active & (active - 1) == 0:
         # a lone concept needs no examples
         yield 0, {active.bit_length() - 1: 0}
         return
     for k in range(1, min(size_cap, cc.domain_size) + 1):
-        found = _unique_traces(cc, active, targets, k)
+        found = _unique_traces(cc, active, targets, k, first)
         if found:
             yield k, found
             for i in found:
@@ -195,7 +232,7 @@ def td_min(cc: ConceptClass) -> int:
     if len(cc) == 0:
         raise ValueError("empty class")
     everyone = cc.all_indices_mask
-    return next(_teaching_sets(cc, everyone, everyone, TD_SIZE_CAP))[0]
+    return next(_teaching_sets(cc, everyone, everyone, TD_SIZE_CAP, True))[0]
 
 
 def td_max(cc: ConceptClass) -> int:
@@ -279,7 +316,7 @@ def rtd_subclass_lower_bound(cc: ConceptClass, subclass) -> int:
         sub |= 1 << i
     if not sub:
         raise ValueError("subclass must be nonempty")
-    return next(_teaching_sets(cc, sub, sub, TD_SIZE_CAP))[0]
+    return next(_teaching_sets(cc, sub, sub, TD_SIZE_CAP, True))[0]
 
 
 def check_chain(lo: int, mid: int, hi: int, kind: str) -> int:

@@ -420,8 +420,12 @@ def extend_to_spanning_tree(g: Graph, t: Tree) -> Tree:
 def spanning_trees(g: Graph):
     """Exhaustively enumerate spanning trees of a connected graph.
 
-    Recursive edge inclusion/exclusion with cycle pruning; oracle-grade
-    machinery only, refuses graphs with more than
+    Edge inclusion/exclusion with cycle pruning, in g.edges() order:
+    each edge is first taken (when it joins two components), then left
+    out.  The walk runs in this one generator frame with an explicit
+    stack of the pending left-out branches, so the trees come out in the
+    order of the recursive formulation without a frame per edge.
+    Oracle-grade machinery only, refuses graphs with more than
     MAX_SPANNING_TREE_VERTICES vertices.  Yields tuples of edges.
     """
     if g.n == 0:
@@ -436,33 +440,26 @@ def spanning_trees(g: Graph):
         yield ()
         return
     edge_list = g.edges()
+    m = len(edge_list)
     need = g.n - 1
-
-    def rec(idx, chosen, parent):
-        if len(chosen) == need:
+    chosen: list[tuple[int, int]] = []
+    # (next edge, edges chosen, component label of each vertex)
+    stack = [(0, 0, list(range(g.n)))]
+    while stack:
+        idx, depth, comp = stack.pop()
+        del chosen[depth:]
+        while depth < need and m - idx >= need - depth:
+            u, v = edge_list[idx]
+            idx += 1
+            cu, cv = comp[u], comp[v]
+            if cu != cv:
+                stack.append((idx, depth, comp))
+                lo, hi = (cu, cv) if cu < cv else (cv, cu)
+                comp = [lo if c == hi else c for c in comp]
+                chosen.append((u, v))
+                depth += 1
+        if depth == need:
             yield tuple(chosen)
-            return
-        if len(edge_list) - idx < need - len(chosen):
-            return
-        u, v = edge_list[idx]
-        ru = _find(parent, u)
-        rv = _find(parent, v)
-        if ru != rv:
-            child = parent.copy()
-            child[max(ru, rv)] = min(ru, rv)
-            chosen.append((u, v))
-            yield from rec(idx + 1, chosen, child)
-            chosen.pop()
-        yield from rec(idx + 1, chosen, parent)
-
-    yield from rec(0, [], list(range(g.n)))
-
-
-def _find(parent, v):
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
 
 
 def max_leaf_number_exhaustive(g: Graph) -> int:
@@ -482,7 +479,7 @@ def max_leaf_number_exhaustive(g: Graph) -> int:
             for u, v in edges:
                 deg[u] += 1
                 deg[v] += 1
-            leaves = sum(1 for d in deg if d == 1)
+            leaves = deg.count(1)
             if leaves > best:
                 best = leaves
     return best

@@ -96,7 +96,11 @@ def star_vcd_characterization(g: Graph) -> tuple[int, tuple[int, int] | None]:
     some vertex outside a shared closed neighborhood covers that group's
     fringe; otherwise Delta with no witness.
     """
-    part = vmax_partition(g)
+    return _characterize(g, vmax_partition(g))
+
+
+def _characterize(g: Graph, part: VmaxPartition) -> tuple[int, tuple[int, int] | None]:
+    """star_vcd_characterization from an already computed partition."""
     for i, grp in enumerate(part.groups):
         closed = mask_of(grp.closed)
         fringe = mask_of(grp.fringe)
@@ -127,8 +131,8 @@ def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTe
     more members means more preferred; non-special concepts carry
     smaller-sets-first preferences.
     """
-    value, witness = star_vcd_characterization(g)
     part = vmax_partition(g)
+    value, witness = _characterize(g, part)
     if value != part.delta:
         raise TeacherPreconditionError(
             "an external vertex covers a fringe; the order-Delta construction "

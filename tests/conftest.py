@@ -77,7 +77,7 @@ def sweep6():
             if (rf, vf) != (rb, vb):
                 data["policy_diff"].append((key, (rb, vb), (rf, vf)))
             try:
-                wit = leaf_tree_condition(g)
+                wit = leaf_tree_condition(g, ell=ell)
             except BudgetExceededError:
                 data["ltc_budget"].append(key)
                 continue

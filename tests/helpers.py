@@ -1,7 +1,8 @@
 """Shared test machinery: exhaustive graph/tree enumeration, the
-vectorized all-graphs max-leaf sweep used by the acceptance suite, and
-the pair-list preference closure that mask-built preferences are
-checked against."""
+vectorized all-graphs max-leaf sweep used by the acceptance suite, the
+pair-list preference closure that mask-built preferences are checked
+against, and the recursive spanning-tree enumerator that the library's
+one-frame walk is checked against."""
 
 from __future__ import annotations
 
@@ -34,6 +35,41 @@ def pair_closure(size: int, pairs) -> tuple[int, ...]:
     if any(below[i] >> i & 1 for i in range(size)):
         raise PreferenceCycleError("pairs contain a cycle")
     return tuple(below)
+
+
+def reference_spanning_trees(g):
+    """Spanning trees of a connected graph as edge tuples, by recursive
+    edge inclusion/exclusion over g.edges() (include first) with a
+    union-find cycle test; the order the library's enumerator keeps."""
+    if g.n == 1:
+        yield ()
+        return
+    edge_list = g.edges()
+    need = g.n - 1
+
+    def find(parent, v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def rec(idx, chosen, parent):
+        if len(chosen) == need:
+            yield tuple(chosen)
+            return
+        if len(edge_list) - idx < need - len(chosen):
+            return
+        u, v = edge_list[idx]
+        ru, rv = find(parent, u), find(parent, v)
+        if ru != rv:
+            child = parent.copy()
+            child[max(ru, rv)] = min(ru, rv)
+            chosen.append((u, v))
+            yield from rec(idx + 1, chosen, child)
+            chosen.pop()
+        yield from rec(idx + 1, chosen, parent)
+
+    yield from rec(0, [], list(range(g.n)))
 
 
 def all_graphs(n: int):

@@ -298,6 +298,18 @@ class TestBadInput:
             path.write_text(content)
         self.assert_refused(capsys, "dims", "--class-file", str(path))
 
+    @pytest.mark.parametrize("command", ["triples", "dims"])
+    def test_family_with_graph_file(self, capsys, tmp_path, command):
+        path = tmp_path / "k2.txt"
+        path.write_text("2 1\n0 1\n")
+        self.assert_refused(capsys, command, "--family", "fig2",
+                            "--graph-file", str(path), "--kind", "con")
+        # naming the file family is not a conflict
+        alone = run_cli(capsys, command, "--graph-file", str(path), "--kind", "con")
+        named = run_cli(capsys, command, "--family", "file",
+                        "--graph-file", str(path), "--kind", "con")
+        assert alone == named and alone[0] == 0
+
     def test_bad_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("TEACHDIM_BUDGET", "lots")
         self.assert_refused(capsys, "dims", "--family", "fig2", "--kind", "con")
@@ -326,6 +338,27 @@ class TestChecksDirect:
         assert not any(r.failed for r in results)
         assert any(r.name == "ell-oracle" and r.status == "pass"
                    for r in results)
+
+    @pytest.mark.parametrize("include_empty", [False, True])
+    def test_con_checks_measure_each_class_once(self, monkeypatch, include_empty):
+        import teachdim.checks as checks
+        from teachdim.graphs import graph_from_edges
+
+        seen = []
+        for name in ("rtd", "vcd"):
+            real = getattr(checks, name)
+
+            def counted(cc, *args, _real=real, _name=name, **kwargs):
+                seen.append((_name, cc.concepts))
+                return _real(cc, *args, **kwargs)
+
+            monkeypatch.setattr(checks, name, counted)
+        # components of different shapes, so no two of their classes agree
+        for g in (fig2(), graph_from_edges(6, [(0, 1), (1, 2), (3, 4)])):
+            seen.clear()
+            results = check_graph(g, "con", include_empty=include_empty)
+            assert not any(r.failed for r in results)
+            assert len(seen) == len(set(seen))
 
     def test_con_checks_on_disconnected_graph(self):
         from teachdim.graphs import graph_from_edges

@@ -129,6 +129,19 @@ class TestLeafTreeCondition:
         with pytest.raises(ValueError):
             leaf_tree_condition(graph_from_edges(3, [(0, 1)]))
 
+    def test_known_ell_is_not_recomputed(self, monkeypatch):
+        import teachdim.connected as connected
+
+        graphs = [fig2(), cycle_graph(4), path_graph(5), random_graph(7, 0.5, 3)]
+        want = [leaf_tree_condition(g) for g in graphs]
+        ells = [max_leaf_number(g) for g in graphs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("max_leaf_number called despite a known ell")
+
+        monkeypatch.setattr(connected, "max_leaf_number", refuse)
+        assert [leaf_tree_condition(g, ell=e) for g, e in zip(graphs, ells)] == want
+
 
 class TestTreeTeacher:
     def test_teaching_sets_are_subtree_leaves(self):

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teachdim.concepts import ConceptClass, is_shattered, powerset_class
 from teachdim.connected import build_con_class
@@ -327,6 +329,38 @@ class TestRtd:
                 for sub in range(1, 1 << len(cc))
             )
             assert best == rtd(cc).rtd
+
+
+class TestTdMinFirstHit:
+    """td_min and rtd_subclass_lower_bound stop at the first concept they
+    isolate; their value must still be the smallest brute_td over the
+    (sub)class."""
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_classes_and_subclasses(self, d, data):
+        masks = data.draw(st.sets(st.integers(0, (1 << d) - 1), min_size=1,
+                                  max_size=min(40, 1 << d)))
+        cc = ConceptClass.from_masks(d, masks)
+        m = len(cc)
+        assert td_min(cc) == min(brute_td(cc, i) for i in range(m))
+        sub = data.draw(st.sets(st.integers(0, m - 1), min_size=1))
+        active = sum(1 << i for i in sub)
+        assert rtd_subclass_lower_bound(cc, sorted(sub)) == min(
+            brute_td(cc, i, active) for i in sub)
+
+    def test_wide_domains(self):
+        rng = random.Random(23)
+        for d in (15, 16, 17):
+            for _ in range(2):
+                cc = ConceptClass.from_masks(
+                    d, rng.sample(range(1 << d), rng.randint(2, 40)))
+                m = len(cc)
+                assert td_min(cc) == min(brute_td(cc, i) for i in range(m))
+                sub = rng.sample(range(m), rng.randint(1, m))
+                active = sum(1 << i for i in sub)
+                assert rtd_subclass_lower_bound(cc, sub) == min(
+                    brute_td(cc, i, active) for i in sub)
 
 
 class TestSauer:

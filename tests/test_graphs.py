@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import all_graphs, connected_graphs, labeled_trees
+from helpers import (
+    all_graphs,
+    connected_graphs,
+    labeled_trees,
+    reference_spanning_trees,
+)
 from teachdim.errors import BudgetExceededError, GraphFormatError
 from teachdim.families import (
     complete_graph,
@@ -176,6 +181,19 @@ class TestSpanningTrees:
     def test_size_cap(self):
         with pytest.raises(ValueError, match="capped"):
             next(spanning_trees(complete_graph(9)))
+
+    def test_same_sequence_as_recursive_enumerator(self):
+        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+        rng = random.Random(17)
+        index = 0
+        while len(graphs) < 27_476 + 50:
+            g = random_graph(rng.choice((7, 8)), rng.choice((0.4, 0.6, 0.8)),
+                             17, index=index)
+            index += 1
+            if is_connected(g, g.full_mask):
+                graphs.append(g)
+        for g in graphs:
+            assert list(spanning_trees(g)) == list(reference_spanning_trees(g))
 
 
 class TestNeighborhoodSpanningTree:

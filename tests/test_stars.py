@@ -131,6 +131,25 @@ class TestStarTeachers:
         for i, c in enumerate(cc.concepts):
             assert teacher.teaching_sets[i] == frozenset(range(4)) - cc.concept_set(i)
 
+    def test_special_teacher_computes_the_partition_once(self, monkeypatch):
+        import teachdim.stars as stars
+
+        calls = []
+        real = stars.vmax_partition
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(stars, "vmax_partition", counted)
+        for g in (complete_graph(4), path_graph(4), cycle_graph(6), fig1_right()):
+            calls.clear()
+            try:
+                star_special_teacher(g)
+            except TeacherPreconditionError:
+                pass
+            assert len(calls) == 1
+
     def test_special_teacher_refuses_when_vcd_exceeds_delta(self):
         for g in (fig1_right(), cycle_graph(4)):
             with pytest.raises(TeacherPreconditionError):
