@@ -278,7 +278,7 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
         out.append(_teacher_result("con-tree-teacher", cc_full,
                                    con_tree_teacher(g, budget=budget), leaf_count))
     try:
-        tm = con_vcd_matching_teacher(g, budget=budget)
+        tm = con_vcd_matching_teacher(g, budget=budget, ell=ell)
         out.append(_teacher_result("con-vcd-matching-teacher", cc_full, tm,
                                    ell, exclude_empty=True))
     except TeacherPreconditionError as exc:

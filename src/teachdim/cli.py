@@ -8,7 +8,8 @@ TEACHDIM_BUDGET overrides the default enumeration budgets.
 Exit codes: 0 success; 1 a check or a teacher's maximality failed; 2
 bad input, reported in one line on stderr: bad flags or sizes, an
 unreadable graph or class file, an unknown vertex or concept, more than
-one graph for teach/dims, dims without --kind, --family (other than
+one graph for teach/dims, dims without --kind, dims with --class-file
+together with --family, --graph-file or --kind, --family (other than
 file) together with --graph-file, or an unavailable teacher; 3 a budget
 or size cap was exceeded; 141 stdout was closed before all output was
 written (as a shell reports a process ended by SIGPIPE).
@@ -261,6 +262,13 @@ def cmd_teach(args) -> int:
 
 def cmd_dims(args) -> int:
     if args.class_file:
+        ignored = [flag for flag, given in (
+            ("--graph-file", args.graph_file),
+            ("--family", args.family and not args.graph_file),
+            ("--kind", args.kind)) if given]
+        if ignored:
+            raise InputError(f"--class-file conflicts with {', '.join(ignored)}; "
+                             "give the class file alone")
         cc = _read(read_class, args.class_file)
         source = f"class file {args.class_file}"
     else:

@@ -130,6 +130,15 @@ class ConceptClass:
                 cols[i] |= 1 << j
         return tuple(cols)
 
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """masks[j] = bitmask over instances x whose flip of concept j is
+        also in the class: concept j's edges in the one-inclusion graph."""
+        present = set(self.concepts)
+        flips = [1 << x for x in range(self.domain_size)]
+        return tuple(sum(f for f in flips if c ^ f in present)
+                     for c in self.concepts)
+
     @property
     def all_indices_mask(self) -> int:
         return (1 << len(self.concepts)) - 1

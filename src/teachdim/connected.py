@@ -239,8 +239,8 @@ def con_superset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTe
     return PBTeacher(cc, tuple(sets), superset_preferences(cc))
 
 
-def con_vcd_matching_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET
-                             ) -> PBTeacher:
+def con_vcd_matching_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
+                             ell: int | None = None) -> PBTeacher:
     """The order-ell teacher that exists when the VC-dimension does not
     exceed the max-leaf number.
 
@@ -248,9 +248,11 @@ def con_vcd_matching_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET
     negatives; their only rivals in the version space are their maximal
     opponents, whose boundaries are strictly smaller, so refining the
     larger-sets-first preference by boundary size settles every contest.
-    Smaller-boundary sets get one positive member on top.
+    Smaller-boundary sets get one positive member on top.  A caller that
+    already has ell(G) passes it as ``ell``.
     """
-    ell = max_leaf_number(g, budget=budget)
+    if ell is None:
+        ell = max_leaf_number(g, budget=budget)
     cc = build_con_class(g, include_empty=True, budget=budget)
     value, witness = vcd(cc)
     if value != ell:

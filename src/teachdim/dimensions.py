@@ -14,6 +14,21 @@ instances in D partitions the concepts by their trace on D.  Hence:
 Peeling (Zilles, Lange, Holte & Zinkevich) removes, level by level, the
 active concepts with the smallest teaching sets: a level is everything
 that has a unique trace at the first size k where anything does.
+
+Most levels are settled without a search by the one-inclusion graph
+(Haussler, Littlestone & Warmuth; Doliwa, Fan, Simon & Zilles), whose
+edges join concepts that differ in exactly one instance.  Let F_i(A)
+be the instances x for which concept i with x flipped is active.  A
+sample without x cannot tell i from that neighbour, so every teaching
+set of i against A contains F_i(A): TD(i, A) >= |F_i(A)|, and at
+k = |F_i(A)| the only k-set that can teach i is F_i(A) itself.  The
+search for i therefore starts at k = |F_i(A)| with one direct check of
+F_i(A) and walks k-sets only past it; since no teaching set is smaller
+than |F_i(A)| and every k' from there up was checked, the walk's
+precondition (nothing teaches a target with fewer than k instances)
+holds.  ``cc.neighbour_masks`` holds F_i of the whole class; peeling
+keeps it current by clearing, as each concept leaves, the bit of its
+flip instance in each neighbour, one update per edge.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ from math import comb
 
 from .concepts import ConceptClass
 from .errors import BudgetExceededError
-from .graphs import set_of
+from .graphs import bits, set_of
 
 #: Teaching-set searches refuse to look past this size.
 TD_SIZE_CAP = 12
@@ -172,19 +187,55 @@ def _unique_traces(cc: ConceptClass, active: int, targets: int,
 
 
 def _teaching_sets(cc: ConceptClass, active: int, targets: int,
-                   size_cap: int, first: bool = False):
+                   size_cap: int, first: bool = False, forced=None):
     """Yield (k, {i: D}) for increasing k: the targets whose smallest
     teaching sets against the active concepts have k instances, each
     with its smallest-valued such mask D.  ``targets`` must be a nonempty
     subset of ``active``.  Raises BudgetExceededError when targets are
     left past ``size_cap``.  With ``first`` each level holds only the
-    first target found (see _unique_traces)."""
+    first target found (see _unique_traces).
+
+    ``forced``, when given, holds one mask per concept index: forced[i]
+    is F_i(active), the instances whose flip of concept i is active.
+    Every teaching set of i contains F_i, so the search starts at the
+    smallest |F_i| (at least 1), and at each k it skips the targets with
+    |F_i| > k, checks those with |F_i| = k by F_i alone (the only k-set
+    that can teach them) and walks only those with |F_i| < k.  A walked
+    target was checked at every k' from |F_i| up to k, directly or by
+    walk, and has no teaching set below |F_i|, which is the walk's
+    precondition.  ``forced`` serves the searches that want every target
+    (rtd, td_of) and is not combined with ``first``."""
     if active & (active - 1) == 0:
         # a lone concept needs no examples
         yield 0, {active.bit_length() - 1: 0}
         return
-    for k in range(1, min(size_cap, cc.domain_size) + 1):
-        found = _unique_traces(cc, active, targets, k, first)
+    start, by_size, walkers = 1, None, 0
+    if forced is not None:
+        cols, concepts = cc.instance_columns, cc.concepts
+        by_size = [0] * (cc.domain_size + 1)
+        for i, f in enumerate(forced):
+            if targets >> i & 1:
+                by_size[f.bit_count()] |= 1 << i
+        start = max(1, next(s for s, group in enumerate(by_size) if group))
+    for k in range(start, min(size_cap, cc.domain_size) + 1):
+        if by_size is None:
+            found = _unique_traces(cc, active, targets, k, first)
+        else:
+            found = {}
+            for i in bits(by_size[k] & targets):
+                c = concepts[i]
+                vs = active
+                f = forced[i]
+                while f:
+                    low = f & -f
+                    x = low.bit_length() - 1
+                    vs &= cols[x] if c & low else ~cols[x]
+                    f ^= low
+                if vs == 1 << i:
+                    found[i] = forced[i]
+            walkers |= by_size[k - 1]
+            if walkers & targets:
+                found.update(_unique_traces(cc, active, walkers & targets, k))
         if found:
             yield k, found
             for i in found:
@@ -213,7 +264,8 @@ def td_of(cc: ConceptClass, i: int, *,
         raise ValueError(f"concept index {i} out of range")
     if _td_pass is None or _td_pass[0] is not cc or _td_pass[1] != size_cap:
         everyone = cc.all_indices_mask
-        _td_pass = (cc, size_cap, {}, _teaching_sets(cc, everyone, everyone, size_cap))
+        _td_pass = (cc, size_cap, {}, _teaching_sets(
+            cc, everyone, everyone, size_cap, forced=cc.neighbour_masks))
     _, _, rows, levels = _td_pass
     if i not in rows:
         try:
@@ -291,12 +343,21 @@ def rtd(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> RtdCertificate:
     active = cc.all_indices_mask
     levels = []
     witnesses = [0] * len(cc)
+    forced = list(cc.neighbour_masks)
+    index = {c: j for j, c in enumerate(cc.concepts)}
     while active:
-        low, found = next(_teaching_sets(cc, active, active, size_cap))
+        low, found = next(_teaching_sets(cc, active, active, size_cap,
+                                         forced=forced))
         levels.append((frozenset(found), low))
         for i, witness in found.items():
             witnesses[i] = witness
             active ^= 1 << i
+            # i leaves: each neighbour c ^ flip loses flip from its forced set
+            c, f = cc.concepts[i], forced[i]
+            while f:
+                flip = f & -f
+                forced[index[c ^ flip]] &= ~flip
+                f ^= flip
     value = max(v for _, v in levels)
     return RtdCertificate(len(cc), tuple(levels), value, tuple(witnesses))
 
@@ -309,9 +370,10 @@ def rtd_value(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> int:
 def rtd_subclass_lower_bound(cc: ConceptClass, subclass) -> int:
     """TD_min of the subclass viewed as a class over the same domain;
     every such value lower-bounds the full class's peeling dimension."""
+    m = len(cc)
     sub = 0
     for i in subclass:
-        if not 0 <= i < len(cc):
+        if not 0 <= i < m:
             raise ValueError(f"concept index {i} out of range")
         sub |= 1 << i
     if not sub:

@@ -298,6 +298,22 @@ class TestBadInput:
             path.write_text(content)
         self.assert_refused(capsys, "dims", "--class-file", str(path))
 
+    @pytest.mark.parametrize("flags", [
+        ("--family", "fig2", "--kind", "con"),
+        ("--family", "fig2"),
+        ("--kind", "star"),
+        ("--graph-file", "GRAPH"),
+    ], ids=("family-and-kind", "family", "kind", "graph-file"))
+    def test_class_file_with_graph_flags(self, capsys, tmp_path, flags):
+        from teachdim.concepts import powerset_class, write_class
+
+        path = tmp_path / "class.txt"
+        write_class(powerset_class(1), path)
+        graph = tmp_path / "k2.txt"
+        graph.write_text("2 1\n0 1\n")
+        flags = [str(graph) if f == "GRAPH" else f for f in flags]
+        self.assert_refused(capsys, "dims", "--class-file", str(path), *flags)
+
     @pytest.mark.parametrize("command", ["triples", "dims"])
     def test_family_with_graph_file(self, capsys, tmp_path, command):
         path = tmp_path / "k2.txt"
@@ -359,6 +375,24 @@ class TestChecksDirect:
             results = check_graph(g, "con", include_empty=include_empty)
             assert not any(r.failed for r in results)
             assert len(seen) == len(set(seen))
+
+    def test_con_checks_compute_ell_once(self, monkeypatch):
+        import teachdim.checks as checks
+        import teachdim.connected as connected
+
+        calls = []
+        real = checks.max_leaf_number
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (checks, connected):
+            monkeypatch.setattr(module, "max_leaf_number", counted)
+        for g in (fig2(), path_graph(3)):
+            calls.clear()
+            check_graph(g, "con")
+            assert len(calls) == 1
 
     def test_con_checks_on_disconnected_graph(self):
         from teachdim.graphs import graph_from_edges

@@ -216,6 +216,30 @@ class TestMatchingTeacher:
         nonempty = [i for i, c in enumerate(cc.concepts) if c]
         assert teacher.order_over(nonempty) <= max_leaf_number(g)
 
+    def test_known_ell_is_not_recomputed(self, monkeypatch):
+        import teachdim.connected as connected
+
+        graphs = [path_graph(2), path_graph(3), fig2(),
+                  graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])]
+
+        def built(g, **kwargs):
+            try:
+                t = con_vcd_matching_teacher(g, **kwargs)
+            except TeacherPreconditionError as exc:
+                return str(exc)
+            return t.teaching_sets, t.preference.below
+
+        want = [built(g) for g in graphs]
+        ells = [max_leaf_number(g) for g in graphs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("max_leaf_number called despite a known ell")
+
+        monkeypatch.setattr(connected, "max_leaf_number", refuse)
+        assert [built(g, ell=e) for g, e in zip(graphs, ells)] == want
+        assert any(isinstance(w, str) for w in want)
+        assert any(not isinstance(w, str) for w in want)
+
     def test_refuses_when_vcd_exceeds_max_leaf(self):
         for g in (cycle_graph(4), complete_graph(4), fig2()):
             with pytest.raises(TeacherPreconditionError, match="does not apply"):

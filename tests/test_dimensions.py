@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from teachdim.concepts import ConceptClass, is_shattered, powerset_class
 from teachdim.connected import build_con_class
+import teachdim.dimensions as dimensions
 from teachdim.dimensions import (
+    TD_SIZE_CAP,
     RtdCertificate,
+    _teaching_sets,
     rtd,
     rtd_subclass_lower_bound,
     rtd_value,
@@ -87,9 +90,16 @@ def brute_vcd(cc):
     return best
 
 
+def edgeless_class():
+    """The even-weight subsets of 5 instances: no two concepts differ in
+    exactly one instance, so every forced set is empty."""
+    return ConceptClass.from_masks(
+        5, [c for c in range(32) if c.bit_count() % 2 == 0])
+
+
 def engine_corpus():
-    """Powersets, cycle stars, path connected sets, random classes and
-    random star classes."""
+    """Powersets, cycle stars, path connected sets, random classes,
+    random star classes and a class without one-inclusion edges."""
     rng = random.Random(31)
     classes = [powerset_class(d) for d in range(5)]
     classes += [build_star_class(cycle_graph(n)) for n in range(3, 8)]
@@ -102,6 +112,7 @@ def engine_corpus():
     for i in range(10):
         g = random_graph(8, 0.5, seed=3, index=i)
         classes.append(build_star_class(g))
+    classes.append(edgeless_class())
     return classes
 
 
@@ -361,6 +372,94 @@ class TestTdMinFirstHit:
                 active = sum(1 << i for i in sub)
                 assert rtd_subclass_lower_bound(cc, sub) == min(
                     brute_td(cc, i, active) for i in sub)
+
+
+def forced_set(cc, i, active):
+    """F_i(active) from its definition: the instances x such that concept
+    i with x flipped is an active concept."""
+    ci = cc.concepts[i]
+    return sum(1 << x for x in range(cc.domain_size)
+               if any(cc.concepts[j] == ci ^ 1 << x for j in bits(active)))
+
+
+class TestForcedInstances:
+    """A concept whose flip across x is active cannot be told from it
+    without x, so every teaching set contains the forced set F_i(A); the
+    search starts at the forced bound and settles most levels by it."""
+
+    @given(st.integers(1, 8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_minimum_teaching_set_contains_the_forced_set(self, d, data):
+        masks = data.draw(st.sets(st.integers(0, (1 << d) - 1), min_size=2,
+                                  max_size=min(40, 1 << d)))
+        cc = ConceptClass.from_masks(d, masks)
+        sub = data.draw(st.sets(st.integers(0, len(cc) - 1), min_size=2))
+        active = sum(1 << i for i in sub)
+        i = data.draw(st.sampled_from(sorted(sub)))
+        forced = forced_set(cc, i, active)
+        others = [cc.concepts[j] for j in bits(active) if j != i]
+        teaching = [dm for dm in range(1 << d)
+                    if all((cc.concepts[i] ^ c) & dm for c in others)]
+        low = min(dm.bit_count() for dm in teaching)
+        assert low == brute_td(cc, i, active) >= forced.bit_count()
+        assert all(dm & forced == forced
+                   for dm in teaching if dm.bit_count() == low)
+        # the bounded search gives the same levels as the plain one
+        forced_all = [forced_set(cc, j, active) if active >> j & 1 else None
+                    for j in range(len(cc))]
+        assert list(_teaching_sets(cc, active, active, TD_SIZE_CAP,
+                                   forced=forced_all)) \
+            == list(_teaching_sets(cc, active, active, TD_SIZE_CAP))
+
+    def test_neighbour_masks_match_pairwise_definition(self):
+        rng = random.Random(7)
+        classes = engine_corpus()
+        for d in (15, 16, 17):
+            classes.append(ConceptClass.from_masks(
+                d, rng.sample(range(1 << d), 30) + [0, 1, 3, 1 << d - 1]))
+        for cc in classes:
+            want = [0] * len(cc)
+            for i, a in enumerate(cc.concepts):
+                for j, b in enumerate(cc.concepts):
+                    if (a ^ b).bit_count() == 1:
+                        want[i] |= a ^ b
+            assert cc.neighbour_masks == tuple(want)
+        assert not any(edgeless_class().neighbour_masks)
+
+    def test_walks_only_targets_below_their_bound(self, monkeypatch):
+        """Every target handed to the walk has fewer than k forced
+        instances against the active set; a class where every bound is
+        the level value needs no walk at all."""
+        real = dimensions._unique_traces
+        walked = []
+
+        def spy(cc, active, targets, k, first=False):
+            for i in bits(targets):
+                assert forced_set(cc, i, active).bit_count() < k
+            walked.append(k)
+            return real(cc, active, targets, k, first)
+
+        monkeypatch.setattr(dimensions, "_unique_traces", spy)
+        for cc in engine_corpus():
+            rtd(cc)
+            for i in range(len(cc)):
+                td_of(cc, i)
+        assert walked
+        walked.clear()
+        cc = powerset_class(4)
+        assert rtd(cc).rtd == 4
+        assert [td_of(cc, i)[0] for i in range(16)] == [4] * 16
+        assert walked == []
+
+    def test_bound_past_the_cap_refuses_alike(self):
+        # the whole vertex set of C_13 is forced to all 13 vertices
+        cc = build_con_class(cycle_graph(13), False)
+        full = cc.index_of(range(13))
+        assert cc.neighbour_masks[full] == (1 << 13) - 1
+        with pytest.raises(BudgetExceededError):
+            td_of(cc, full)
+        assert td_of(cc, full, size_cap=13) == (13, frozenset(range(13)))
+        assert rtd(cc, size_cap=13).levels == rtd(cc).levels
 
 
 class TestSauer:
