@@ -56,6 +56,7 @@ from .graphs import (
     is_connected,
     max_leaf_number,
     max_leaf_number_exhaustive,
+    max_open_neighborhood,
     neighborhood_spanning_tree,
     open_neighborhood,
     read_graph,

@@ -32,8 +32,8 @@ from .graphs import (
     components,
     connected_set_masks,
     is_connected,
-    max_leaf_number,
     max_leaf_number_exhaustive,
+    max_open_neighborhood,
     open_neighborhood_mask,
     set_of,
     spanned_subgraph,
@@ -180,8 +180,8 @@ def check_star_graph(g: Graph, *,
 def check_con_graph(g: Graph, include_empty: bool = False, *,
                     budget: int = DEFAULT_ENUM_BUDGET) -> list[CheckResult]:
     out = []
-    ell = max_leaf_number(g, budget=budget)
     cc = build_con_class(g, include_empty, budget=budget)
+    ell = max_open_neighborhood(g, cc.concepts)
     rt = rtd(cc)
     v, _ = vcd(cc)
     out.append(_chain_result(

@@ -9,8 +9,9 @@ Exit codes: 0 success; 1 a check or a teacher's maximality failed; 2
 bad input, reported in one line on stderr: bad flags or sizes, an
 unreadable graph or class file, an unknown vertex or concept, more than
 one graph for teach/dims, dims without --kind, dims with --class-file
-together with --family, --graph-file or --kind, --family (other than
-file) together with --graph-file, or an unavailable teacher; 3 a budget
+together with any graph or class flag (--family, --graph-file, --n,
+--p, --seed, --budget, --kind or --include-empty), --family (other
+than file) together with --graph-file, or an unavailable teacher; 3 a budget
 or size cap was exceeded; 141 stdout was closed before all output was
 written (as a shell reports a process ended by SIGPIPE).
 """
@@ -265,7 +266,12 @@ def cmd_dims(args) -> int:
         ignored = [flag for flag, given in (
             ("--graph-file", args.graph_file),
             ("--family", args.family and not args.graph_file),
-            ("--kind", args.kind)) if given]
+            ("--kind", args.kind),
+            ("--n", args.n),
+            ("--p", args.p is not None),
+            ("--seed", args.seed is not None),
+            ("--include-empty", args.include_empty is not None),
+            ("--budget", args.budget is not None)) if given]
         if ignored:
             raise InputError(f"--class-file conflicts with {', '.join(ignored)}; "
                              "give the class file alone")
@@ -276,11 +282,12 @@ def cmd_dims(args) -> int:
             raise InputError("dims needs --kind when loading a graph")
         g = _load_graph_for(args)
         budget = _budget(args)
+        include_empty = bool(args.include_empty)  # not given: false
         if args.kind == "star":
             cc = build_star_class(g, budget=budget)
         else:
-            cc = build_con_class(g, args.include_empty, budget=budget)
-        source = f"{args.kind} class ({'with' if args.include_empty else 'without'} empty)"
+            cc = build_con_class(g, include_empty, budget=budget)
+        source = f"{args.kind} class ({'with' if include_empty else 'without'} empty)"
     v, witness = vcd(cc)
     cert = rtd(cc)
     tds = [td_of(cc, i)[0] for i in range(len(cc))]
@@ -363,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_flags(p_dims)
     add_class_flags(p_dims, kind_required=False)
     p_dims.add_argument("--class-file", help="concept class in text format")
-    p_dims.set_defaults(func=cmd_dims)
+    # None tells "not given" apart, to refuse it next to --class-file
+    p_dims.set_defaults(func=cmd_dims, include_empty=None)
     return ap
 
 
@@ -373,7 +381,7 @@ def main(argv=None) -> int:
     if getattr(args, "family", None) is None and not getattr(args, "graph_file", None) \
             and not getattr(args, "class_file", None):
         ap.error("--family, --graph-file or --class-file is required")
-    if hasattr(args, "include_empty"):
+    if getattr(args, "include_empty", None) is not None:
         args.include_empty = args.include_empty == "true"
     try:
         if getattr(args, "graph_file", None):

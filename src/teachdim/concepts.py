@@ -125,19 +125,35 @@ class ConceptClass:
     def instance_columns(self) -> tuple[int, ...]:
         """columns[i] = bitmask over concept indices whose concept contains i."""
         cols = [0] * self.domain_size
-        for j, c in enumerate(self.concepts):
-            for i in bits(c):
-                cols[i] |= 1 << j
+        bit = 1
+        for c in self.concepts:
+            while c:
+                low = c & -c
+                cols[low.bit_length() - 1] |= bit
+                c ^= low
+            bit <<= 1
         return tuple(cols)
 
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """masks[j] = bitmask over instances x whose flip of concept j is
-        also in the class: concept j's edges in the one-inclusion graph."""
-        present = set(self.concepts)
-        flips = [1 << x for x in range(self.domain_size)]
-        return tuple(sum(f for f in flips if c ^ f in present)
-                     for c in self.concepts)
+        also in the class: concept j's edges in the one-inclusion graph.
+
+        Each edge is found once, from its endpoint without x: every
+        concept c looks up c | x for each instance x outside c."""
+        index = {c: j for j, c in enumerate(self.concepts)}
+        masks = [0] * len(self.concepts)
+        full = (1 << self.domain_size) - 1
+        for j, c in enumerate(self.concepts):
+            out = full ^ c
+            while out:
+                low = out & -out
+                k = index.get(c | low)
+                if k is not None:
+                    masks[j] |= low
+                    masks[k] |= low
+                out ^= low
+        return tuple(masks)
 
     @property
     def all_indices_mask(self) -> int:

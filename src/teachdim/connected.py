@@ -14,14 +14,15 @@ from .graphs import (
     DEFAULT_ENUM_BUDGET,
     Graph,
     Tree,
-    _bfs_tree_edges,
-    _component_mask,
+    bfs_tree_edges,
     bits,
     closed_neighborhood_mask,
+    component_mask,
     connected_set_masks,
     is_connected,
     mask_of,
     max_leaf_number,
+    max_open_neighborhood,
     open_neighborhood_mask,
     set_of,
 )
@@ -75,7 +76,7 @@ def maximal_opponents(g: Graph, x) -> OpponentSet:
     remaining = outside
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
-        comp = _component_mask(g, start, outside)
+        comp = component_mask(g, start, outside)
         # the boundary of a maximal opponent sits inside X's boundary
         if open_neighborhood_mask(g, comp) & ~open_x:
             raise RuntimeError("opponent boundary escapes the boundary of X")
@@ -159,7 +160,7 @@ def _witness_tree(g: Graph, combo) -> Tree:
         union_vertices |= mask_of(path)
         for a, b in zip(path, path[1:]):
             union_edges.add((min(a, b), max(a, b)))
-    seen, edges = _bfs_tree_edges(g, u, union_vertices, allowed_edges=union_edges)
+    seen, edges = bfs_tree_edges(g, u, union_vertices, allowed_edges=union_edges)
     assert seen == union_vertices
     tree = Tree(g.n, set_of(union_vertices), frozenset(edges))
     # the other members are exactly the leaves, except on a single edge
@@ -331,7 +332,7 @@ def con_triple(g: Graph, include_empty: bool = False, *,
     Validates ell <= RTD <= VCD <= ell+1 with exactly one strict step.
     """
     cc = build_con_class(g, include_empty, budget=budget)
-    ell = max_leaf_number(g, budget=budget)
+    ell = max_open_neighborhood(g, cc.concepts)
     r = rtd_value(cc)
     v, _ = vcd(cc)
     check_chain(ell, r, v, "connected-set")

@@ -28,7 +28,12 @@ than |F_i(A)| and every k' from there up was checked, the walk's
 precondition (nothing teaches a target with fewer than k instances)
 holds.  ``cc.neighbour_masks`` holds F_i of the whole class; peeling
 keeps it current by clearing, as each concept leaves, the bit of its
-flip instance in each neighbour, one update per edge.
+flip instance in each neighbour, one update per edge.  It also keeps
+the active concepts in buckets by |F_i| across levels: a departing
+concept leaves its bucket, and each neighbour that loses its flip bit
+moves from bucket s to s - 1 in that same loop, so a level reads the
+concepts to check directly (bucket k) and to walk (buckets below k)
+without a pass over the class.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from math import comb
 
 from .concepts import ConceptClass
 from .errors import BudgetExceededError
-from .graphs import bits, set_of
+from .graphs import set_of
 
 #: Teaching-set searches refuse to look past this size.
 TD_SIZE_CAP = 12
@@ -186,8 +191,19 @@ def _unique_traces(cc: ConceptClass, active: int, targets: int,
     return found
 
 
+def _size_buckets(forced, members: int, domain_size: int) -> list[int]:
+    """by_size[s] = the members i with |forced[i]| = s, as an index mask."""
+    by_size = [0] * (domain_size + 1)
+    while members:
+        low = members & -members
+        by_size[forced[low.bit_length() - 1].bit_count()] |= low
+        members ^= low
+    return by_size
+
+
 def _teaching_sets(cc: ConceptClass, active: int, targets: int,
-                   size_cap: int, first: bool = False, forced=None):
+                   size_cap: int, first: bool = False, forced=None,
+                   by_size=None):
     """Yield (k, {i: D}) for increasing k: the targets whose smallest
     teaching sets against the active concepts have k instances, each
     with its smallest-valued such mask D.  ``targets`` must be a nonempty
@@ -204,35 +220,44 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
     target was checked at every k' from |F_i| up to k, directly or by
     walk, and has no teaching set below |F_i|, which is the walk's
     precondition.  ``forced`` serves the searches that want every target
-    (rtd, td_of) and is not combined with ``first``."""
+    (rtd, td_of) and is not combined with ``first``.
+
+    ``by_size``, when given with ``forced``, holds the size buckets:
+    by_size[s] is an index mask containing every target i with
+    |F_i| = s (other bits are masked off by ``targets``).  rtd keeps
+    them current across its levels; without them they are built here
+    from ``forced``."""
     if active & (active - 1) == 0:
         # a lone concept needs no examples
         yield 0, {active.bit_length() - 1: 0}
         return
-    start, by_size, walkers = 1, None, 0
+    start, walkers = 0, 0
     if forced is not None:
         cols, concepts = cc.instance_columns, cc.concepts
-        by_size = [0] * (cc.domain_size + 1)
-        for i, f in enumerate(forced):
-            if targets >> i & 1:
-                by_size[f.bit_count()] |= 1 << i
-        start = max(1, next(s for s, group in enumerate(by_size) if group))
-    for k in range(start, min(size_cap, cc.domain_size) + 1):
         if by_size is None:
+            by_size = _size_buckets(forced, targets, cc.domain_size)
+        while not by_size[start] & targets:
+            start += 1
+    for k in range(start or 1, min(size_cap, cc.domain_size) + 1):
+        if forced is None:
             found = _unique_traces(cc, active, targets, k, first)
         else:
             found = {}
-            for i in bits(by_size[k] & targets):
+            due = by_size[k] & targets
+            while due:
+                low = due & -due
+                i = low.bit_length() - 1
                 c = concepts[i]
                 vs = active
                 f = forced[i]
                 while f:
-                    low = f & -f
-                    x = low.bit_length() - 1
-                    vs &= cols[x] if c & low else ~cols[x]
-                    f ^= low
-                if vs == 1 << i:
+                    flip = f & -f
+                    x = flip.bit_length() - 1
+                    vs &= cols[x] if c & flip else ~cols[x]
+                    f ^= flip
+                if vs == low:
                     found[i] = forced[i]
+                due ^= low
             walkers |= by_size[k - 1]
             if walkers & targets:
                 found.update(_unique_traces(cc, active, walkers & targets, k))
@@ -344,19 +369,29 @@ def rtd(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> RtdCertificate:
     levels = []
     witnesses = [0] * len(cc)
     forced = list(cc.neighbour_masks)
-    index = {c: j for j, c in enumerate(cc.concepts)}
+    by_size = _size_buckets(forced, active, cc.domain_size)
+    concepts = cc.concepts
+    index = {c: j for j, c in enumerate(concepts)}
     while active:
         low, found = next(_teaching_sets(cc, active, active, size_cap,
-                                         forced=forced))
+                                         forced=forced, by_size=by_size))
         levels.append((frozenset(found), low))
         for i, witness in found.items():
             witnesses[i] = witness
             active ^= 1 << i
-            # i leaves: each neighbour c ^ flip loses flip from its forced set
-            c, f = cc.concepts[i], forced[i]
+            c, f = concepts[i], forced[i]
+            by_size[f.bit_count()] ^= 1 << i
+            # i leaves: each neighbour c ^ flip loses flip from its forced
+            # set and moves down one bucket
             while f:
                 flip = f & -f
-                forced[index[c ^ flip]] &= ~flip
+                j = index[c ^ flip]
+                fj = forced[j]
+                forced[j] = fj ^ flip
+                s = fj.bit_count()
+                bit = 1 << j
+                by_size[s] ^= bit
+                by_size[s - 1] |= bit
                 f ^= flip
     value = max(v for _, v in levels)
     return RtdCertificate(len(cc), tuple(levels), value, tuple(witnesses))

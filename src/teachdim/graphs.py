@@ -135,9 +135,12 @@ def graph_from_edges(n: int, edges, names=None) -> Graph:
 # ---------------------------------------------------------------------------
 
 def closed_neighborhood_mask(g: Graph, xmask: int) -> int:
-    m = 0
-    for v in bits(xmask):
-        m |= g.closed_mask(v)
+    adj = g.adj
+    m = rest = xmask
+    while rest:
+        low = rest & -rest
+        m |= adj[low.bit_length() - 1]
+        rest ^= low
     return m
 
 
@@ -186,7 +189,8 @@ def spanned_subgraph(g: Graph, x) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(kept), tuple(adj), names), kept
 
 
-def _component_mask(g: Graph, start: int, within: int) -> int:
+def component_mask(g: Graph, start: int, within: int) -> int:
+    """The vertices reachable from ``start`` inside ``within``, as a mask."""
     comp = 1 << start
     frontier = comp
     while frontier:
@@ -204,7 +208,7 @@ def components(g: Graph) -> tuple[frozenset[int], ...]:
     out = []
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
-        comp = _component_mask(g, start, remaining)
+        comp = component_mask(g, start, remaining)
         out.append(set_of(comp))
         remaining &= ~comp
     return tuple(out)
@@ -216,7 +220,7 @@ def is_connected(g: Graph, x) -> bool:
     if xmask == 0:
         raise ValueError("is_connected is undefined for the empty set")
     start = (xmask & -xmask).bit_length() - 1
-    return _component_mask(g, start, xmask) == xmask
+    return component_mask(g, start, xmask) == xmask
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +264,17 @@ def connected_set_masks(g: Graph, *, within: int | None = None,
             stack.append((newmask, new_cand, banned))
 
 
+def max_open_neighborhood(g: Graph, masks) -> int:
+    """The largest |N(X) minus X| over the vertex sets X in ``masks``; the
+    empty set, like an empty iterable, gives 0.
+
+    Over the nonempty connected sets this is ell(G), so a caller holding
+    the connected-set class reads ell(G) from its concepts.
+    """
+    return max((open_neighborhood_mask(g, x).bit_count() for x in masks),
+               default=0)
+
+
 def max_leaf_number(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """The graph parameter ell(G): per component, the largest open
     neighborhood of a nonempty connected set; maximized over components.
@@ -268,12 +283,7 @@ def max_leaf_number(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """
     if g.n == 0:
         raise ValueError("max_leaf_number requires a nonempty graph")
-    best = 0
-    for mask in connected_set_masks(g, budget=budget):
-        size = open_neighborhood_mask(g, mask).bit_count()
-        if size > best:
-            best = size
-    return best
+    return max_open_neighborhood(g, connected_set_masks(g, budget=budget))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +354,8 @@ class Tree:
         return all(g.adj[u] >> v & 1 for u, v in self.edges)
 
 
-def _bfs_tree_edges(g: Graph, root: int, within: int,
-                    allowed_edges: set[tuple[int, int]] | None = None):
+def bfs_tree_edges(g: Graph, root: int, within: int,
+                   allowed_edges: set[tuple[int, int]] | None = None):
     """Deterministic BFS tree inside ``within``; neighbors visited ascending."""
     seen = 1 << root
     order = [root]
@@ -377,7 +387,7 @@ def neighborhood_spanning_tree(g: Graph, x) -> Tree:
     if not is_connected(g, xmask):
         raise ValueError("X must be connected")
     root = (xmask & -xmask).bit_length() - 1
-    seen, edges = _bfs_tree_edges(g, root, xmask)
+    seen, edges = bfs_tree_edges(g, root, xmask)
     assert seen == xmask
     closed = closed_neighborhood_mask(g, xmask)
     for y in bits(closed & ~xmask):
@@ -399,7 +409,7 @@ def extend_to_spanning_tree(g: Graph, t: Tree) -> Tree:
         raise ValueError("tree is not a subgraph of the graph")
     tmask = mask_of(t.vertices)
     start = (tmask & -tmask).bit_length() - 1
-    comp = _component_mask(g, start, g.full_mask)
+    comp = component_mask(g, start, g.full_mask)
     if tmask & ~comp:
         raise ValueError("tree does not lie in one component of the graph")
     edges = set(t.edges)

@@ -20,7 +20,12 @@ from teachdim.families import (
     path_graph,
     random_graph,
 )
-from teachdim.graphs import graph_from_edges, is_connected, max_leaf_number
+from teachdim.graphs import (
+    graph_from_edges,
+    is_connected,
+    max_leaf_number,
+    max_open_neighborhood,
+)
 from teachdim.stars import build_star_class, star_vcd_characterization
 
 RANDOM_SEED = 20240
@@ -34,7 +39,8 @@ def _one_strict(lo, mid, hi):
 def sweep6():
     """Every connected labeled graph with at most 6 vertices, with the
     star characterization, brute VC-dimensions, peeling values under both
-    empty-set policies, and the leaf-tree witness outcome."""
+    empty-set policies, ell read from each connected-set class against
+    max_leaf_number, and the leaf-tree witness outcome."""
     data = {
         "count": 0,
         "char_mismatch": [],
@@ -43,6 +49,7 @@ def sweep6():
         "star_chain": [],
         "con_chain": [],
         "policy_diff": [],
+        "ell_from_class": [],
         "ell_by_key": {},
     }
     for n in range(1, 7):
@@ -66,6 +73,9 @@ def sweep6():
             data["ell_by_key"][key] = ell
             ccf = build_con_class(g, True)
             ccb = build_con_class(g, False)
+            for cc in (ccf, ccb):
+                if max_open_neighborhood(g, cc.concepts) != ell:
+                    data["ell_from_class"].append((key, len(cc), ell))
             vf, _ = vcd(ccf)
             vb, _ = vcd(ccb)
             rf = rtd_value(ccf)

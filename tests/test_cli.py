@@ -303,7 +303,14 @@ class TestBadInput:
         ("--family", "fig2"),
         ("--kind", "star"),
         ("--graph-file", "GRAPH"),
-    ], ids=("family-and-kind", "family", "kind", "graph-file"))
+        ("--n", "5"),
+        ("--p", "0.5"),
+        ("--seed", "3"),
+        ("--include-empty", "true"),
+        ("--include-empty", "false"),
+        ("--budget", "1"),
+    ], ids=("family-and-kind", "family", "kind", "graph-file", "n", "p",
+            "seed", "include-empty-true", "include-empty-false", "budget"))
     def test_class_file_with_graph_flags(self, capsys, tmp_path, flags):
         from teachdim.concepts import powerset_class, write_class
 
@@ -377,22 +384,30 @@ class TestChecksDirect:
             assert len(seen) == len(set(seen))
 
     def test_con_checks_compute_ell_once(self, monkeypatch):
+        """ell is read once, from the class the checks build; the
+        connected sets are not enumerated again for it."""
         import teachdim.checks as checks
         import teachdim.connected as connected
+        from teachdim.connected import build_con_class
 
         calls = []
-        real = checks.max_leaf_number
+        real = checks.max_open_neighborhood
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(g, masks):
+            masks = tuple(masks)
+            calls.append(masks)
+            return real(g, masks)
 
-        for module in (checks, connected):
-            monkeypatch.setattr(module, "max_leaf_number", counted)
+        def refuse(*args, **kwargs):
+            raise AssertionError("max_leaf_number called by check_graph")
+
+        monkeypatch.setattr(checks, "max_open_neighborhood", counted)
+        monkeypatch.setattr(connected, "max_leaf_number", refuse)
         for g in (fig2(), path_graph(3)):
-            calls.clear()
-            check_graph(g, "con")
-            assert len(calls) == 1
+            for include_empty in (False, True):
+                calls.clear()
+                check_graph(g, "con", include_empty)
+                assert calls == [build_con_class(g, include_empty).concepts]
 
     def test_con_checks_on_disconnected_graph(self):
         from teachdim.graphs import graph_from_edges

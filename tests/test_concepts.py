@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,19 @@ class TestConceptClass:
     def test_width_enforced(self):
         with pytest.raises(ValueError, match="wider"):
             ConceptClass.from_masks(2, [4])
+
+    def test_instance_columns_match_definition(self):
+        rng = random.Random(41)
+        classes = [ConceptClass(d, ()) for d in (0, 3, 40)]
+        classes += [powerset_class(d) for d in range(5)]
+        for d in (1, 6, 9, 33, 64):
+            classes += [ConceptClass.from_masks(
+                d, {rng.getrandbits(d) for _ in range(rng.randint(1, 40))})
+                for _ in range(4)]
+        for cc in classes:
+            assert cc.instance_columns == tuple(
+                sum(1 << j for j, c in enumerate(cc.concepts) if c >> x & 1)
+                for x in range(cc.domain_size))
 
     def test_powerset(self):
         assert len(powerset_class(0)) == 1

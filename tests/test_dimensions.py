@@ -417,6 +417,11 @@ class TestForcedInstances:
         for d in (15, 16, 17):
             classes.append(ConceptClass.from_masks(
                 d, rng.sample(range(1 << d), 30) + [0, 1, 3, 1 << d - 1]))
+        # wider than a machine word, and empty
+        for d in (33, 64):
+            classes.append(ConceptClass.from_masks(
+                d, [rng.getrandbits(d) for _ in range(30)] + [0, 1, 3, 1 << d - 1]))
+        classes += [ConceptClass(d, ()) for d in (0, 40)]
         for cc in classes:
             want = [0] * len(cc)
             for i, a in enumerate(cc.concepts):
@@ -425,6 +430,38 @@ class TestForcedInstances:
                         want[i] |= a ^ b
             assert cc.neighbour_masks == tuple(want)
         assert not any(edgeless_class().neighbour_masks)
+
+    def test_rtd_buckets_match_a_recomputation_at_every_level(self, monkeypatch):
+        """rtd keeps F_i and the |F_i| buckets across levels by one update
+        per one-inclusion edge; at every level both equal their
+        definitions over the concepts still active."""
+        real = dimensions._teaching_sets
+        calls = []
+
+        def spy(cc, active, targets, size_cap, first=False, forced=None,
+                by_size=None):
+            want = [0] * (cc.domain_size + 1)
+            for i in bits(active):
+                f = forced_set(cc, i, active)
+                assert forced[i] == f
+                want[f.bit_count()] |= 1 << i
+            assert by_size == want
+            calls.append(active)
+            return real(cc, active, targets, size_cap, first, forced, by_size)
+
+        monkeypatch.setattr(dimensions, "_teaching_sets", spy)
+        rng = random.Random(43)
+        classes = engine_corpus() + [build_con_class(g, e) for g in
+                                     (fig2(), cycle_graph(7)) for e in (False, True)]
+        for _ in range(20):
+            d = rng.randint(3, 7)
+            # dense classes: many one-inclusion edges inside each level
+            classes.append(ConceptClass.from_masks(
+                d, rng.sample(range(1 << d), (1 << d) * 3 // 4)))
+        for cc in classes:
+            calls.clear()
+            cert = rtd(cc)
+            assert len(calls) == len(cert.levels)
 
     def test_walks_only_targets_below_their_bound(self, monkeypatch):
         """Every target handed to the walk has fewer than k forced

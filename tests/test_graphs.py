@@ -29,6 +29,7 @@ from teachdim.graphs import (
     is_connected,
     max_leaf_number,
     max_leaf_number_exhaustive,
+    max_open_neighborhood,
     neighborhood_spanning_tree,
     open_neighborhood,
     parse_graph,
@@ -165,6 +166,30 @@ class TestMaxLeafNumber:
         for n in (1, 3, 4, 5):
             for g in connected_graphs(n):
                 assert max_leaf_number(g) == max_leaf_number_exhaustive(g)
+
+
+class TestMaxOpenNeighborhood:
+    def test_empty_sets_give_zero(self):
+        g = fig2()
+        assert max_open_neighborhood(g, []) == 0
+        assert max_open_neighborhood(g, [0]) == 0
+        assert max_open_neighborhood(complete_graph(1), [1]) == 0
+
+    def test_matches_open_neighborhood_on_any_sets(self):
+        rng = random.Random(5)
+        for i in range(20):
+            g = random_graph(9, 0.4, seed=8, index=i)
+            sets = [rng.getrandbits(9) for _ in range(12)]
+            want = max(len(open_neighborhood(g, set_of(x))) for x in sets)
+            assert max_open_neighborhood(g, sets) == want
+            assert max_open_neighborhood(g, iter(sets)) == want
+
+    def test_read_from_the_class_on_every_small_graph(self, sweep6):
+        """On every connected graph with at most 6 vertices, ell read from
+        the connected-set class, with and without the empty set, equals
+        max_leaf_number (the sweep compares the two per graph)."""
+        assert sweep6["count"] == 27476
+        assert sweep6["ell_from_class"] == []
 
 
 class TestSpanningTrees:
