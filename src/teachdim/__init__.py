@@ -61,7 +61,6 @@ from .graphs import (
     open_neighborhood,
     read_graph,
     spanned_subgraph,
-    spanning_trees,
     write_graph,
 )
 from .stars import (

@@ -82,7 +82,7 @@ def _eq6_check(cc: ConceptClass, rtd_value_: int) -> CheckResult:
     if m <= EQ6_FULL_LIMIT:
         best = 0
         for sub in range(1, 1 << m):
-            tdm = rtd_subclass_lower_bound(cc, bits(sub))
+            tdm = rtd_subclass_lower_bound(cc, sub)
             if tdm > best:
                 best = tdm
             if tdm > rtd_value_:

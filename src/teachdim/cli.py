@@ -239,7 +239,7 @@ def cmd_teach(args) -> int:
         raise InputError(
             f"{sorted(concept)} is not a concept of the {kind} class") from None
     sample = teacher.sample_for(idx)
-    vs = version_space_mask(cc, sample)
+    vs = version_space_mask(cc, sample.pos, sample.neg)
     print(f"graph: n={g.n} m={g.m}; teacher: {args.teacher}")
     print(f"concept: {g.vertex_names(cc.concepts[idx])} (index {idx})")
     toks = [f"{g.vertex_name(x)}{'+' if lab else '-'}" for x, lab in sample.pairs()]

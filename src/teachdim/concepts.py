@@ -174,26 +174,27 @@ def is_consistent(concept: int, s: Sample) -> bool:
     return (concept & s.pos) == s.pos and (concept & s.neg) == 0
 
 
-def version_space_mask(cc: ConceptClass, s: Sample) -> int:
-    """Consistent concepts as a bitmask over concept indices."""
-    if (s.pos | s.neg) >> cc.domain_size:
+def version_space_mask(cc: ConceptClass, pos: int, neg: int = 0) -> int:
+    """Concepts that contain every instance of ``pos`` and none of ``neg``,
+    as a bitmask over concept indices."""
+    if (pos | neg) >> cc.domain_size:
         raise ValueError("sample mentions instances outside the domain")
     vs = cc.all_indices_mask
     cols = cc.instance_columns
-    for i in bits(s.pos):
-        vs &= cols[i]
-        if not vs:
-            return 0
-    for i in bits(s.neg):
-        vs &= ~cols[i]
-        if not vs:
-            return 0
+    while pos:
+        low = pos & -pos
+        vs &= cols[low.bit_length() - 1]
+        pos ^= low
+    while neg:
+        low = neg & -neg
+        vs &= ~cols[low.bit_length() - 1]
+        neg ^= low
     return vs
 
 
 def version_space(cc: ConceptClass, s: Sample) -> tuple[int, ...]:
     """Indices of all concepts consistent with the sample, ascending."""
-    return tuple(bits(version_space_mask(cc, s)))
+    return tuple(bits(version_space_mask(cc, s.pos, s.neg)))
 
 
 def is_shattered(cc: ConceptClass, instances) -> bool:

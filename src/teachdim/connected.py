@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .concepts import ConceptClass, Sample, version_space_mask
+from .concepts import ConceptClass, version_space_mask
 from .dimensions import check_chain, rtd_value, vcd
 from .errors import BudgetExceededError, PreferenceCycleError, TeacherPreconditionError
 from .graphs import (
@@ -314,7 +314,7 @@ def _matching_preference(g: Graph, cc: ConceptClass, boundary, ell
         pass
     direct = list(base.below)
     for i in full_boundary:
-        vs = version_space_mask(cc, Sample(0, boundary[cc.concepts[i]]))
+        vs = version_space_mask(cc, 0, boundary[cc.concepts[i]])
         direct[i] |= vs & ~(1 << i)
     try:
         return PreferenceRelation.from_direct(direct)

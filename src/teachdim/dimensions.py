@@ -404,13 +404,19 @@ def rtd_value(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> int:
 
 def rtd_subclass_lower_bound(cc: ConceptClass, subclass) -> int:
     """TD_min of the subclass viewed as a class over the same domain;
-    every such value lower-bounds the full class's peeling dimension."""
+    every such value lower-bounds the full class's peeling dimension.
+    ``subclass`` is an iterable of concept indices or their mask."""
     m = len(cc)
-    sub = 0
-    for i in subclass:
-        if not 0 <= i < m:
-            raise ValueError(f"concept index {i} out of range")
-        sub |= 1 << i
+    if isinstance(subclass, int):
+        sub = subclass
+        if sub < 0 or sub >> m:
+            raise ValueError(f"concept index mask {sub:#x} out of range")
+    else:
+        sub = 0
+        for i in subclass:
+            if not 0 <= i < m:
+                raise ValueError(f"concept index {i} out of range")
+            sub |= 1 << i
     if not sub:
         raise ValueError("subclass must be nonempty")
     return next(_teaching_sets(cc, sub, sub, TD_SIZE_CAP, True))[0]

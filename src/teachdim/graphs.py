@@ -21,8 +21,8 @@ MAX_VERTICES = 24
 #: visit before raising BudgetExceededError.
 DEFAULT_ENUM_BUDGET = 1 << 22
 
-#: Exhaustive spanning-tree enumeration is only meant as a small-scale
-#: cross-check; it refuses graphs larger than this.
+#: The spanning-tree max-leaf oracle is only meant as a small-scale
+#: cross-check; it refuses components larger than this.
 MAX_SPANNING_TREE_VERTICES = 8
 
 
@@ -427,54 +427,18 @@ def extend_to_spanning_tree(g: Graph, t: Tree) -> Tree:
     return Tree(g.n, set_of(comp), frozenset(edges))
 
 
-def spanning_trees(g: Graph):
-    """Exhaustively enumerate spanning trees of a connected graph.
-
-    Edge inclusion/exclusion with cycle pruning, in g.edges() order:
-    each edge is first taken (when it joins two components), then left
-    out.  The walk runs in this one generator frame with an explicit
-    stack of the pending left-out branches, so the trees come out in the
-    order of the recursive formulation without a frame per edge.
-    Oracle-grade machinery only, refuses graphs with more than
-    MAX_SPANNING_TREE_VERTICES vertices.  Yields tuples of edges.
-    """
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if g.n > MAX_SPANNING_TREE_VERTICES:
-        raise ValueError(
-            f"spanning-tree enumeration capped at {MAX_SPANNING_TREE_VERTICES} vertices"
-        )
-    if not is_connected(g, g.full_mask):
-        raise ValueError("graph must be connected")
-    if g.n == 1:
-        yield ()
-        return
-    edge_list = g.edges()
-    m = len(edge_list)
-    need = g.n - 1
-    chosen: list[tuple[int, int]] = []
-    # (next edge, edges chosen, component label of each vertex)
-    stack = [(0, 0, list(range(g.n)))]
-    while stack:
-        idx, depth, comp = stack.pop()
-        del chosen[depth:]
-        while depth < need and m - idx >= need - depth:
-            u, v = edge_list[idx]
-            idx += 1
-            cu, cv = comp[u], comp[v]
-            if cu != cv:
-                stack.append((idx, depth, comp))
-                lo, hi = (cu, cv) if cu < cv else (cv, cu)
-                comp = [lo if c == hi else c for c in comp]
-                chosen.append((u, v))
-                depth += 1
-        if depth == need:
-            yield tuple(chosen)
-
-
 def max_leaf_number_exhaustive(g: Graph) -> int:
     """Oracle twin of max_leaf_number: per component, max over all spanning
     trees of the number of degree-1 vertices.
+
+    Branch and bound over g.edges(): each edge is first taken (when it
+    joins two trees of the forest so far), then left out.  Degrees only
+    grow along a branch and a spanning tree of n >= 2 vertices has no
+    vertex of degree 0, so every tree a branch completes has at most
+    n - inner leaves, inner being its vertices of degree >= 2.  A branch
+    is cut once that is no more than the best tree found, so the cut
+    loses no better tree.  Refuses components with more than
+    MAX_SPANNING_TREE_VERTICES vertices.
 
     On a lone edge this gives 2 where max_leaf_number gives 1: the tree's
     interior is empty. The two agree on every other connected graph with
@@ -483,15 +447,37 @@ def max_leaf_number_exhaustive(g: Graph) -> int:
         raise ValueError("empty graph")
     best = 0
     for comp in components(g):
+        if len(comp) > MAX_SPANNING_TREE_VERTICES:
+            raise ValueError("spanning-tree oracle capped at "
+                             f"{MAX_SPANNING_TREE_VERTICES} vertices per component")
+        if len(comp) < 2:
+            continue
         sub, _ = spanned_subgraph(g, comp)
-        for edges in spanning_trees(sub):
-            deg = [0] * sub.n
-            for u, v in edges:
-                deg[u] += 1
-                deg[v] += 1
-            leaves = deg.count(1)
-            if leaves > best:
-                best = leaves
+        n = sub.n
+        edge_list = sub.edges()
+        m = len(edge_list)
+        need = n - 1
+        # (next edge, edges taken, component label of each vertex,
+        #  vertices of degree >= 1, vertices of degree >= 2)
+        stack = [(0, 0, list(range(n)), 0, 0)]
+        while stack:
+            idx, depth, comp_of, touched, inner = stack.pop()
+            bound = n - inner.bit_count()
+            while bound > best and depth < need and m - idx >= need - depth:
+                u, v = edge_list[idx]
+                idx += 1
+                cu, cv = comp_of[u], comp_of[v]
+                if cu != cv:
+                    stack.append((idx, depth, comp_of, touched, inner))
+                    lo, hi = (cu, cv) if cu < cv else (cv, cu)
+                    comp_of = [lo if c == hi else c for c in comp_of]
+                    ends = 1 << u | 1 << v
+                    inner |= touched & ends
+                    touched |= ends
+                    depth += 1
+                    bound = n - inner.bit_count()
+            if depth == need and bound > best:
+                best = bound
     return best
 
 

@@ -36,9 +36,11 @@ class PreferenceRelation:
                 raise PreferenceCycleError(f"concept {i} below itself")
         # transitivity (and with irreflexivity, antisymmetry) must hold:
         # below[j] lies inside below[i] for every j in below[i].  Checked
-        # once per distinct mask against each group of concepts sharing a
-        # below mask that meets it: at most |mask| steps, and one per
-        # earlier level for a plan teacher's masks.
+        # once per distinct mask M; a j in M whose mask lies inside M
+        # spares below[j] and the concepts sharing its mask a step.  In
+        # any order of the masks that hides nothing: a skipped k with
+        # below[k] outside M also breaks below[j], a strictly smaller
+        # mask, so the smallest broken mask meets its k directly.
         members: dict[int, int] = {}
         for i, mask in enumerate(self.below):
             members[mask] = members.get(mask, 0) | 1 << i
@@ -48,7 +50,7 @@ class PreferenceRelation:
                 other = self.below[(rest & -rest).bit_length() - 1]
                 if other & ~mask:
                     raise ValueError("below masks are not transitively closed")
-                rest &= ~members[other]
+                rest &= ~(other | members[other])
 
     @classmethod
     def empty(cls, size: int) -> "PreferenceRelation":
@@ -63,12 +65,35 @@ class PreferenceRelation:
         for mask in direct:
             if mask < 0 or mask >> size:
                 raise ValueError("below mask out of range")
+        # depth first, into the lowest child not yet done; once all its
+        # children are done a concept adds their closed masks, highest
+        # child first, and skips the children a closed mask already holds
         below = [0] * size
-        for i in reversed(_topological_order(size, direct)):
-            mask = direct[i]
-            for j in bits(direct[i]):
-                mask |= below[j]
-            below[i] = mask
+        done = on_stack = 0
+        for root in range(size):
+            if done >> root & 1:
+                continue
+            stack = [root]
+            on_stack |= 1 << root
+            while stack:
+                v = stack[-1]
+                pending = direct[v] & ~done
+                if pending:
+                    low = pending & -pending
+                    if low & on_stack:
+                        raise PreferenceCycleError("preference pairs contain a cycle")
+                    on_stack |= low
+                    stack.append(low.bit_length() - 1)
+                    continue
+                mask = rest = direct[v]
+                while rest:
+                    j = rest.bit_length() - 1
+                    mask |= below[j]
+                    rest &= ~(below[j] | 1 << j)
+                below[v] = mask
+                done |= 1 << v
+                on_stack ^= 1 << v
+                stack.pop()
         return cls(size, tuple(below))
 
     def is_preferred(self, i: int, j: int) -> bool:
@@ -92,56 +117,31 @@ class PreferenceRelation:
         return tuple(depth)
 
 
-def _topological_order(size: int, direct: list[int]) -> list[int]:
-    state = [0] * size  # 0 unseen, 1 on stack, 2 done
-    order: list[int] = []
-
-    for root in range(size):
-        if state[root]:
-            continue
-        stack = [(root, iter(bits(direct[root])))]
-        state[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if state[u] == 1:
-                    raise PreferenceCycleError("preference pairs contain a cycle")
-                if state[u] == 0:
-                    state[u] = 1
-                    stack.append((u, iter(bits(direct[u]))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                order.append(v)
-                stack.pop()
-    order.reverse()
-    return order
-
-
 def subset_preferences(cc: ConceptClass) -> PreferenceRelation:
     """Strictly smaller concepts are preferred over their proper supersets."""
-    cols = cc.instance_columns
-    below = []
-    for i, c in enumerate(cc.concepts):
-        supersets = cc.all_indices_mask
-        for x in bits(c):
-            supersets &= cols[x]
-        below.append(supersets & ~(1 << i))
-    return PreferenceRelation(len(cc), tuple(below))
+    return _containment(cc, cc.instance_columns, 0)
 
 
 def superset_preferences(cc: ConceptClass) -> PreferenceRelation:
     """Strictly larger concepts are preferred over their proper subsets."""
-    cols = cc.instance_columns
-    domain = (1 << cc.domain_size) - 1
+    everything = cc.all_indices_mask
+    return _containment(cc, [everything ^ col for col in cc.instance_columns],
+                        (1 << cc.domain_size) - 1)
+
+
+def _containment(cc: ConceptClass, columns, flip: int) -> PreferenceRelation:
+    """below[i] = every other concept in columns[x] for each instance x
+    of concept i XOR flip."""
+    everything = cc.all_indices_mask
     below = []
     for i, c in enumerate(cc.concepts):
-        subsets = cc.all_indices_mask
-        for x in bits(domain & ~c):
-            subsets &= ~cols[x]
-        below.append(subsets & ~(1 << i))
+        mask = everything ^ 1 << i
+        rest = c ^ flip
+        while rest:
+            low = rest & -rest
+            mask &= columns[low.bit_length() - 1]
+            rest ^= low
+        below.append(mask)
     return PreferenceRelation(len(cc), tuple(below))
 
 
@@ -217,8 +217,9 @@ def verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher
     if teacher.concept_class != cc:
         raise ValueError("teacher was built for a different class")
     below = teacher.preference.below
-    for i in range(len(cc)):
-        vs = version_space_mask(cc, teacher.sample_for(i))
+    for i, c in enumerate(cc.concepts):
+        shown = mask_of(teacher.teaching_sets[i])
+        vs = version_space_mask(cc, c & shown, shown & ~c)
         assert vs >> i & 1, "a concept is always consistent with its own sample"
         bad = vs & ~below[i] & ~(1 << i)
         if bad:
@@ -253,8 +254,7 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
         for i in level:
             witness = cert.witnesses[i]
             c = cc.concepts[i]
-            sample = Sample(c & witness, witness & ~c)
-            if version_space_mask(cc, sample) & active != 1 << i:
+            if version_space_mask(cc, c & witness, witness & ~c) & active != 1 << i:
                 raise ValueError(f"certificate witness does not teach concept {i} "
                                  "against its residual class")
             sets[i] = set_of(witness)

@@ -1,8 +1,9 @@
 """Shared test machinery: exhaustive graph/tree enumeration, the
-vectorized all-graphs max-leaf sweep used by the acceptance suite, the
-pair-list preference closure that mask-built preferences are checked
-against, and the recursive spanning-tree enumerator that the library's
-one-frame walk is checked against."""
+vectorized all-graphs max-leaf sweeps used by the acceptance suite and
+the max-leaf oracle's differential test, the pair-list preference
+closure that mask-built preferences are checked against, and the
+recursive spanning-tree enumerator that the pruned max-leaf oracle is
+checked against on graphs too large for the sweeps."""
 
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ def pair_closure(size: int, pairs) -> tuple[int, ...]:
 def reference_spanning_trees(g):
     """Spanning trees of a connected graph as edge tuples, by recursive
     edge inclusion/exclusion over g.edges() (include first) with a
-    union-find cycle test; the order the library's enumerator keeps."""
+    union-find cycle test."""
     if g.n == 1:
         yield ()
         return
@@ -72,13 +73,19 @@ def reference_spanning_trees(g):
     yield from rec(0, [], list(range(g.n)))
 
 
+def graph_of_edge_mask(n: int, mask: int):
+    """The labeled graph on n vertices whose edges are the pairs (u, v),
+    u < v in lexicographic order, selected by ``mask``: the encoding of
+    the vectorized sweeps' graph index."""
+    pairs = list(itertools.combinations(range(n), 2))
+    return graph_from_edges(
+        n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
 def all_graphs(n: int):
     """Every labeled graph on n vertices, one per edge subset."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield graph_from_edges(
-            n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        )
+    for mask in range(1 << (n * (n - 1) // 2)):
+        yield graph_of_edge_mask(n, mask)
 
 
 def connected_graphs(n: int):

@@ -409,6 +409,42 @@ class TestChecksDirect:
                 check_graph(g, "con", include_empty)
                 assert calls == [build_con_class(g, include_empty).concepts]
 
+    def test_eq6_passes_the_seeded_subclasses(self, monkeypatch):
+        """The full branch asks for every nonempty subclass mask in
+        increasing order; the sampled branch asks for exactly the
+        subclasses that random.Random(EQ6_SEED) draws, in draw order."""
+        import random
+
+        import teachdim.checks as checks
+        from teachdim.connected import build_con_class
+        from teachdim.dimensions import rtd
+        from teachdim.stars import build_star_class
+
+        seen = []
+        real = checks.rtd_subclass_lower_bound
+
+        def spy(cc, subclass):
+            seen.append(subclass)
+            return real(cc, subclass)
+
+        monkeypatch.setattr(checks, "rtd_subclass_lower_bound", spy)
+        small = build_con_class(path_graph(3), False)
+        assert len(small) <= checks.EQ6_FULL_LIMIT
+        assert checks._eq6_check(small, rtd(small).rtd).status == "pass"
+        assert seen == list(range(1, 1 << len(small)))
+
+        seen.clear()
+        big = build_star_class(fig2())
+        m = len(big)
+        assert m > checks.EQ6_FULL_LIMIT
+        assert checks._eq6_check(big, rtd(big).rtd).status == "pass"
+        rng = random.Random(checks.EQ6_SEED)
+        want = []
+        for _ in range(checks.EQ6_SAMPLES):
+            size = rng.randint(1, m)
+            want.append(rng.sample(range(m), size))
+        assert seen == want
+
     def test_con_checks_on_disconnected_graph(self):
         from teachdim.graphs import graph_from_edges
 

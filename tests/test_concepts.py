@@ -109,8 +109,10 @@ class TestVersionSpace:
         lab2 = {x: joint[x] for x in lab2}
         s1 = Sample.from_pairs(lab1.items())
         s2 = Sample.from_pairs(lab2.items())
-        vs_union = version_space_mask(cc, s1.union(s2))
-        assert vs_union == version_space_mask(cc, s1) & version_space_mask(cc, s2)
+        u = s1.union(s2)
+        vs_union = version_space_mask(cc, u.pos, u.neg)
+        assert vs_union == (version_space_mask(cc, s1.pos, s1.neg)
+                            & version_space_mask(cc, s2.pos, s2.neg))
 
 
 class TestShattering:

@@ -30,7 +30,7 @@ from teachdim.families import (
     path_graph,
     random_graph,
 )
-from teachdim.graphs import bits
+from teachdim.graphs import bits, mask_of
 from teachdim.stars import build_star_class
 
 
@@ -326,9 +326,17 @@ class TestRtd:
 
     def test_subclass_indices_checked(self):
         cc = powerset_class(2)
-        for bad in ([-1], [0, 4], []):
+        for bad in ([-1], [0, 4], [], -1, -16, 1 << 4, 0b10001, 0):
             with pytest.raises(ValueError):
                 rtd_subclass_lower_bound(cc, bad)
+
+    def test_subclass_mask_matches_index_list(self):
+        cc = build_star_class(fig2())
+        rng = random.Random(8)
+        for _ in range(50):
+            sub = rng.sample(range(len(cc)), rng.randint(1, len(cc)))
+            assert rtd_subclass_lower_bound(cc, mask_of(sub)) == \
+                rtd_subclass_lower_bound(cc, sub)
 
     def test_max_subclass_bound_attained_on_small_classes(self):
         for cc in (powerset_class(3),

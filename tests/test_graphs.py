@@ -4,7 +4,9 @@ import pytest
 
 from helpers import (
     all_graphs,
+    bulk_max_leaf_by_spanning_trees,
     connected_graphs,
+    graph_of_edge_mask,
     labeled_trees,
     reference_spanning_trees,
 )
@@ -35,7 +37,6 @@ from teachdim.graphs import (
     parse_graph,
     set_of,
     spanned_subgraph,
-    spanning_trees,
 )
 
 
@@ -160,12 +161,67 @@ class TestMaxLeafNumber:
         assert max_leaf_number(g) == 4
 
     def test_oracle_agreement_small(self):
-        # single-edge graphs are the documented divergence: the only
-        # spanning tree has two degree-1 vertices but no interior vertex
+        """The pruned spanning-tree oracle against every spanning tree: all
+        connected graphs with 2..6 vertices and seeded 7-vertex graphs
+        against the vectorized sweep over labeled trees, sparse 8-vertex
+        graphs against the recursive enumerator, disconnected graphs
+        against the maximum over their components. Off K_2, the library's
+        connected-set form of ell must agree on every small graph."""
+        assert max_leaf_number_exhaustive(complete_graph(1)) == 0
+        assert max_leaf_number(complete_graph(1)) == 0
+        # single-edge graphs are the documented divergence from
+        # max_leaf_number: two degree-1 vertices but no interior vertex
         assert max_leaf_number_exhaustive(complete_graph(2)) == 2
-        for n in (1, 3, 4, 5):
-            for g in connected_graphs(n):
-                assert max_leaf_number(g) == max_leaf_number_exhaustive(g)
+        for n in range(2, 7):
+            bulk = bulk_max_leaf_by_spanning_trees(n)
+            for gid in map(int, bulk.nonzero()[0]):
+                g = graph_of_edge_mask(n, gid)
+                assert max_leaf_number_exhaustive(g) == bulk[gid]
+                if n != 2:
+                    assert max_leaf_number(g) == bulk[gid]
+
+        bulk = bulk_max_leaf_by_spanning_trees(7)
+        rng = random.Random(29)
+        checked = 0
+        while checked < 2000:
+            gid = rng.getrandbits(21)
+            if bulk[gid]:  # connected
+                g = graph_of_edge_mask(7, gid)
+                assert max_leaf_number_exhaustive(g) == bulk[gid]
+                checked += 1
+
+        def by_trees(g):
+            best = 0
+            for edges in reference_spanning_trees(g):
+                deg = [0] * g.n
+                for u, v in edges:
+                    deg[u] += 1
+                    deg[v] += 1
+                best = max(best, deg.count(1))
+            return best
+
+        index = 0
+        for _ in range(6):
+            while True:
+                g = random_graph(8, 0.35, 31, index=index)
+                index += 1
+                if is_connected(g, g.full_mask):
+                    break
+            assert max_leaf_number_exhaustive(g) == by_trees(g)
+
+        for i in range(40):
+            g = random_graph(8, 0.2, 37, index=i)
+            want = max(
+                (by_trees(spanned_subgraph(g, c)[0]) if len(c) > 1 else 0)
+                for c in components(g))
+            assert max_leaf_number_exhaustive(g) == want
+
+    def test_oracle_size_cap(self):
+        with pytest.raises(ValueError, match="capped"):
+            max_leaf_number_exhaustive(complete_graph(9))
+        # the cap is per component
+        g = graph_from_edges(9, complete_graph(8).edges())
+        assert max_leaf_number_exhaustive(g) == 7
 
 
 class TestMaxOpenNeighborhood:
@@ -190,35 +246,6 @@ class TestMaxOpenNeighborhood:
         max_leaf_number (the sweep compares the two per graph)."""
         assert sweep6["count"] == 27476
         assert sweep6["ell_from_class"] == []
-
-
-class TestSpanningTrees:
-    def test_counts(self):
-        assert sum(1 for _ in spanning_trees(complete_graph(4))) == 16
-        assert sum(1 for _ in spanning_trees(path_graph(5))) == 1
-        assert sum(1 for _ in spanning_trees(cycle_graph(5))) == 5
-
-    def test_every_tree_is_spanning_and_acyclic(self):
-        g = fig2()
-        for edges in spanning_trees(g):
-            Tree(g.n, frozenset(range(g.n)), frozenset(edges))  # validates
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            next(spanning_trees(complete_graph(9)))
-
-    def test_same_sequence_as_recursive_enumerator(self):
-        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
-        rng = random.Random(17)
-        index = 0
-        while len(graphs) < 27_476 + 50:
-            g = random_graph(rng.choice((7, 8)), rng.choice((0.4, 0.6, 0.8)),
-                             17, index=index)
-            index += 1
-            if is_connected(g, g.full_mask):
-                graphs.append(g)
-        for g in graphs:
-            assert list(spanning_trees(g)) == list(reference_spanning_trees(g))
 
 
 class TestNeighborhoodSpanningTree:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import pair_closure
-from teachdim.concepts import ConceptClass, powerset_class
+from teachdim.concepts import ConceptClass, powerset_class, version_space
 from teachdim.connected import build_con_class, con_superset_teacher
 from teachdim.dimensions import TD_SIZE_CAP, _teaching_sets, rtd
 from teachdim.errors import PreferenceCycleError
@@ -73,14 +74,24 @@ class TestPreferenceRelation:
 
     @staticmethod
     def acyclic_direct(size, data):
-        """Direct masks whose edges all run from a lower to a higher index."""
-        return [data.draw(st.integers(0, (1 << size) - 1)) >> (i + 1) << (i + 1)
-                for i in range(size)]
+        """Direct masks of an acyclic relation along a drawn order of the
+        indices, so edges run both ways in index order; from 4 concepts
+        on, the first four in that order form a chain 3 deep."""
+        order = data.draw(st.permutations(range(size)))
+        direct = [0] * size
+        later = 0
+        for i in reversed(order):
+            direct[i] = data.draw(st.integers(0, (1 << size) - 1)) & later
+            later |= 1 << i
+        for a, b in zip(order, order[1:4]):
+            direct[a] |= 1 << b
+        return direct
 
-    @given(st.integers(2, 7), st.data())
+    @given(st.integers(2, 12), st.data())
     @settings(max_examples=50, deadline=None)
     def test_from_direct_closure_is_transitive(self, size, data):
         pref = PreferenceRelation.from_direct(self.acyclic_direct(size, data))
+        assert max(pref.depths) >= min(size - 1, 3)
         for i in range(size):
             for j in range(size):
                 if pref.is_preferred(i, j):
@@ -94,8 +105,15 @@ class TestPreferenceRelation:
         return all(below[j] & ~below[i] == 0
                    for i in range(len(below)) for j in bits(below[i]))
 
-    @given(st.integers(1, 7), st.data())
-    @settings(max_examples=200, deadline=None)
+    def assert_check_matches_definition(self, below):
+        if self.brute_closed(below):
+            assert PreferenceRelation(len(below), tuple(below)).below == tuple(below)
+        else:
+            with pytest.raises(ValueError, match="transitively closed"):
+                PreferenceRelation(len(below), tuple(below))
+
+    @given(st.integers(1, 12), st.data())
+    @settings(max_examples=300, deadline=None)
     def test_closure_check_matches_definition(self, size, data):
         if data.draw(st.booleans()):
             # closed: the closure of an acyclic relation, sometimes with one
@@ -108,11 +126,46 @@ class TestPreferenceRelation:
         else:
             below = [data.draw(st.integers(0, (1 << size) - 1)) & ~(1 << i)
                      for i in range(size)]
-        if self.brute_closed(below):
-            assert PreferenceRelation(size, tuple(below)).below == tuple(below)
-        else:
-            with pytest.raises(ValueError, match="transitively closed"):
-                PreferenceRelation(size, tuple(below))
+        self.assert_check_matches_definition(below)
+
+    def test_closure_check_on_every_small_relation(self):
+        # every irreflexive relation on up to 4 concepts
+        for size in range(1, 5):
+            choices = [[mask for mask in range(1 << size) if not mask >> i & 1]
+                       for i in range(size)]
+            for below in itertools.product(*choices):
+                self.assert_check_matches_definition(list(below))
+
+    @pytest.mark.parametrize("kind", ["star", "con"])
+    def test_pool_relations_with_one_pair_dropped(self, kind):
+        """The subset and superset orders of the verify benchmark's graph
+        pool stay closed; dropping a pair that a third concept lies
+        between must be rejected, and every dropped pair is judged as the
+        definition judges it."""
+        rng = random.Random(41)
+        for n in (6, 7, 8):
+            for p in (0.3, 0.5, 0.7):
+                for index in (0, 1):
+                    g = random_graph(n, p, 2025, index=index)
+                    cc = (build_star_class(g) if kind == "star"
+                          else build_con_class(g, False))
+                    for pref in (subset_preferences(cc), superset_preferences(cc)):
+                        below = pref.below
+                        self.assert_check_matches_definition(list(below))
+                        pairs = [(i, j) for i in range(len(below))
+                                 for j in bits(below[i])]
+                        between = [(i, j) for i, j in pairs
+                                   if any(below[k] >> j & 1 for k in bits(below[i]))]
+                        assert between
+                        for i, j in rng.sample(between, min(5, len(between))):
+                            dropped = list(below)
+                            dropped[i] ^= 1 << j
+                            with pytest.raises(ValueError, match="transitively closed"):
+                                PreferenceRelation(len(below), tuple(dropped))
+                        for i, j in rng.sample(pairs, min(5, len(pairs))):
+                            dropped = list(below)
+                            dropped[i] ^= 1 << j
+                            self.assert_check_matches_definition(dropped)
 
 
 class TestLexRefine:
@@ -192,10 +245,19 @@ class TestMasksMatchPairDefinitions:
                 lambda: pair_closure(m, self.lex_pairs(base, keys)))
             assert got == want
 
-    @given(st.integers(1, 8), st.data())
+    @given(st.integers(1, 12), st.data())
     @settings(max_examples=300, deadline=None)
     def test_from_direct_on_random_masks(self, size, data):
-        direct = [data.draw(st.integers(0, (1 << size) - 1)) for _ in range(size)]
+        if data.draw(st.booleans()):
+            direct = [data.draw(st.integers(0, (1 << size) - 1))
+                      for _ in range(size)]
+        else:
+            # acyclic with a chain 3 deep, sometimes with one more edge
+            # that may close a cycle
+            direct = TestPreferenceRelation.acyclic_direct(size, data)
+            if data.draw(st.booleans()):
+                direct[data.draw(st.integers(0, size - 1))] |= \
+                    1 << data.draw(st.integers(0, size - 1))
         pairs = [(i, j) for i in range(size) for j in bits(direct[i])]
         got = self.below_or_cycle(
             lambda: PreferenceRelation.from_direct(direct).below)
@@ -232,6 +294,38 @@ class TestVerifier:
                             PreferenceRelation.empty(2))
         with pytest.raises(ValueError):
             verify_pb_teacher(other, teacher)
+
+    def test_matches_version_space_reference_on_random_teachers(self):
+        """The verifier's mask walk against the version spaces of the
+        teachers' Samples, on random and mostly failing teachers: the
+        first concept whose version space holds a concept other than
+        itself that it is not preferred over, and the first such one."""
+        rng = random.Random(13)
+        failing = 0
+        for _ in range(300):
+            d = rng.randint(1, 8)
+            cc = ConceptClass.from_masks(
+                d, rng.sample(range(1 << d), rng.randint(1, min(40, 1 << d))))
+            m = len(cc)
+            sets = tuple(set_of(rng.getrandbits(d) & rng.getrandbits(d))
+                         for _ in range(m))
+            pref = rng.choice([
+                PreferenceRelation.empty(m), subset_preferences(cc),
+                superset_preferences(cc),
+                PreferenceRelation.from_direct(
+                    rng.getrandbits(m) >> (i + 1) << (i + 1) for i in range(m)),
+            ])
+            teacher = PBTeacher(cc, sets, pref)
+            want = (True, None)
+            for i in range(m):
+                bad = [j for j in version_space(cc, teacher.sample_for(i))
+                       if j != i and not pref.is_preferred(i, j)]
+                if bad:
+                    want = (False, (i, bad[0]))
+                    break
+            assert verify_pb_teacher(cc, teacher) == want
+            failing += not want[0]
+        assert failing > 150
 
     def test_smgk_variant(self):
         cc = powerset_class(2)
