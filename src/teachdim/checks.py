@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .concepts import ConceptClass, is_shattered
 from .connected import (
@@ -28,10 +29,10 @@ from .errors import TeacherPreconditionError
 from .graphs import (
     DEFAULT_ENUM_BUDGET,
     Graph,
-    bits,
     components,
     connected_set_masks,
     is_connected,
+    mask_of,
     max_leaf_number_exhaustive,
     max_open_neighborhood,
     open_neighborhood_mask,
@@ -44,8 +45,14 @@ from .stars import (
     star_subset_teacher,
     star_special_teacher,
     star_vcd_characterization,
+    vmax_partition,
 )
-from .teaching import plan_to_teacher, verify_pb_teacher
+from .teaching import (
+    plan_to_teacher,
+    subset_preferences,
+    superset_preferences,
+    verify_pb_teacher,
+)
 
 EQ6_FULL_LIMIT = 12
 EQ6_SAMPLES = 100
@@ -75,6 +82,21 @@ def _chain_result(name, lo, mid, hi):
     return CheckResult(name, "pass", f"({lo},{mid},{hi}) strict at {strict}")
 
 
+@lru_cache(maxsize=256)
+def _eq6_samples(m: int) -> tuple[int, ...]:
+    """The sampled subclasses of an m-concept class as index masks, in
+    draw order: EQ6_SAMPLES times a size from ``randint(1, m)`` and then
+    that many indices from ``sample(range(m), size)``, all from one
+    ``random.Random(EQ6_SEED)``.  They depend on m alone, so each size
+    is drawn once per process."""
+    rng = random.Random(EQ6_SEED)
+    out = []
+    for _ in range(EQ6_SAMPLES):
+        size = rng.randint(1, m)
+        out.append(mask_of(rng.sample(range(m), size)))
+    return tuple(out)
+
+
 def _eq6_check(cc: ConceptClass, rtd_value_: int) -> CheckResult:
     """Subclass TD_min never exceeds the class's peeling dimension; for
     small classes the maximum over all subclasses must reach it exactly."""
@@ -91,10 +113,7 @@ def _eq6_check(cc: ConceptClass, rtd_value_: int) -> CheckResult:
                     f"subclass {sub:#x} has TD_min {tdm} > rtd {rtd_value_}")
         return _result("eq6-subclass-bound", best == rtd_value_,
                        f"max subclass TD_min {best} == rtd {rtd_value_} (full)")
-    rng = random.Random(EQ6_SEED)
-    for _ in range(EQ6_SAMPLES):
-        size = rng.randint(1, m)
-        sub = rng.sample(range(m), size)
+    for sub in _eq6_samples(m):
         tdm = rtd_subclass_lower_bound(cc, sub)
         if tdm > rtd_value_:
             return CheckResult(
@@ -145,7 +164,8 @@ def check_star_graph(g: Graph, *,
     v, witness = vcd(cc)
     out.append(_chain_result("star-chain", delta, rt.rtd, v))
 
-    predicted, char_witness = star_vcd_characterization(g)
+    part = vmax_partition(g)
+    predicted, char_witness = star_vcd_characterization(g, part=part)
     out.append(_result("star-char-vs-brute", predicted == v,
                        f"predicted {predicted}, brute {v}"))
 
@@ -160,11 +180,15 @@ def check_star_graph(g: Graph, *,
     out.extend(_sauer_checks(cc, v, rt.rtd))
     out.append(_eq6_check(cc, rt.rtd))
 
-    out.append(_teacher_result("star-subset-teacher", cc,
-                               star_subset_teacher(g, budget=budget), delta + 1))
+    pref = subset_preferences(cc)
+    out.append(_teacher_result(
+        "star-subset-teacher", cc,
+        star_subset_teacher(g, budget=budget, cc=cc, pref=pref), delta + 1))
     try:
-        out.append(_teacher_result("star-special-teacher", cc,
-                                   star_special_teacher(g, budget=budget), delta))
+        out.append(_teacher_result(
+            "star-special-teacher", cc,
+            star_special_teacher(g, budget=budget, cc=cc, part=part, pref=pref),
+            delta))
     except TeacherPreconditionError as exc:
         out.append(CheckResult("star-special-teacher", "na", str(exc)))
 
@@ -183,20 +207,23 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
     cc = build_con_class(g, include_empty, budget=budget)
     ell = max_open_neighborhood(g, cc.concepts)
     rt = rtd(cc)
-    v, _ = vcd(cc)
+    vc = vcd(cc)
+    v = vc[0]
     out.append(_chain_result(
         f"con-chain(empty={'yes' if include_empty else 'no'})", ell, rt.rtd, v))
 
-    # the with-empty class is cc itself or the other policy's class
+    # the other policy's class is cc with the empty concept, which sorts
+    # first, added or removed
     if include_empty:
-        cc_full, rt_full, v_full = cc, rt, v
-        cc_other = build_con_class(g, False, budget=budget)
+        cc_full, rt_full, vc_full = cc, rt, vc
+        cc_other = ConceptClass(g.n, cc.concepts[1:])
         other = (rtd(cc_other).rtd, vcd(cc_other)[0])
     else:
-        cc_full = build_con_class(g, True, budget=budget)
+        cc_full = ConceptClass(g.n, (0,) + cc.concepts)
         rt_full = rtd(cc_full)
-        v_full, _ = vcd(cc_full)
-        other = (rt_full.rtd, v_full)
+        vc_full = vcd(cc_full)
+        other = (rt_full.rtd, vc_full[0])
+    v_full = vc_full[0]
     out.append(CheckResult(
         "con-empty-policy", "pass",
         f"(rtd,vcd) this policy ({rt.rtd},{v}), other policy {other}"))
@@ -217,21 +244,30 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
             out.append(_result("ell-oracle", ell == oracle,
                                f"neighborhood {ell}, spanning-tree {oracle}"))
 
-    opp_ok = True
-    detail = ""
-    for xmask in connected_set_masks(g, budget=budget):
-        xcomp = next(c for c in comps if next(bits(xmask)) in c)
+    # one pass over the connected sets serves both opponent checks
+    comp_of = {x: mask_of(c) for c in comps for x in c}
+    opp_fail = {}  # set -> detail of its last failing opponent
+    strict_ok = True
+    for xmask in cc_full.concepts[1:]:
+        xcomp = comp_of[(xmask & -xmask).bit_length() - 1]
         xopen = open_neighborhood_mask(g, xmask)
+        full = v_full == ell and xopen.bit_count() == ell
         for y in maximal_opponents(g, xmask).opponents:
-            ymask = sum(1 << b for b in y)
+            ymask = mask_of(y)
             yopen = open_neighborhood_mask(g, ymask)
             if yopen & ~xopen:
-                opp_ok = False
-                detail = f"boundary of {sorted(y)} escapes X={sorted(set_of(xmask))}"
-            if not y <= xcomp and yopen:
-                opp_ok = False
-                detail = f"cross-component opponent {sorted(y)} has a boundary"
-    out.append(_result("con-opponent-boundaries", opp_ok, detail))
+                opp_fail[xmask] = (f"boundary of {sorted(y)} escapes "
+                                   f"X={sorted(set_of(xmask))}")
+            if ymask & ~xcomp and yopen:
+                opp_fail[xmask] = f"cross-component opponent {sorted(y)} has a boundary"
+            if full and (yopen & ~xopen or yopen == xopen):
+                strict_ok = False
+    detail = ""
+    if opp_fail:
+        # name the failure that enumeration order meets last
+        detail = opp_fail[[x for x in connected_set_masks(g, budget=budget)
+                           if x in opp_fail][-1]]
+    out.append(_result("con-opponent-boundaries", not opp_fail, detail))
 
     if g.n and is_connected(g, g.full_mask):
         wit = leaf_tree_condition(g, enum_budget=budget, ell=ell)
@@ -255,30 +291,25 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
             f"{max_r} <= {rt_full.rtd} <= {max_r + 1}"))
 
     if v_full == ell:
-        claim_ok = True
-        for xmask in connected_set_masks(g, budget=budget):
-            if open_neighborhood_mask(g, xmask).bit_count() != ell:
-                continue
-            xopen = open_neighborhood_mask(g, xmask)
-            for y in maximal_opponents(g, xmask).opponents:
-                yopen = open_neighborhood_mask(g, sum(1 << b for b in y))
-                if not (yopen & ~xopen == 0 and yopen != xopen):
-                    claim_ok = False
-        out.append(_result("con-opponent-strictness", claim_ok))
+        out.append(_result("con-opponent-strictness", strict_ok))
 
     out.extend(_sauer_checks(cc, v, rt.rtd))
     out.append(_eq6_check(cc, rt.rtd))
 
-    out.append(_teacher_result("con-superset-teacher", cc_full,
-                               con_superset_teacher(g, budget=budget), ell + 1,
-                               exclude_empty=True))
+    pref_full = superset_preferences(cc_full)
+    out.append(_teacher_result(
+        "con-superset-teacher", cc_full,
+        con_superset_teacher(g, budget=budget, cc=cc_full, pref=pref_full),
+        ell + 1, exclude_empty=True))
     if g.n and is_connected(g, g.full_mask) and g.m == g.n - 1:
         leaf_count = (sum(1 for x in range(g.n) if g.degree(x) == 1)
                       if g.n > 1 else 1)
-        out.append(_teacher_result("con-tree-teacher", cc_full,
-                                   con_tree_teacher(g, budget=budget), leaf_count))
+        out.append(_teacher_result(
+            "con-tree-teacher", cc_full,
+            con_tree_teacher(g, budget=budget, cc=cc_full), leaf_count))
     try:
-        tm = con_vcd_matching_teacher(g, budget=budget, ell=ell)
+        tm = con_vcd_matching_teacher(g, budget=budget, ell=ell, cc=cc_full,
+                                      vc=vc_full, pref=pref_full)
         out.append(_teacher_result("con-vcd-matching-teacher", cc_full, tm,
                                    ell, exclude_empty=True))
     except TeacherPreconditionError as exc:

@@ -206,13 +206,16 @@ def _subtree_leaves_mask(g: Graph, xmask: int) -> int:
     return leaves
 
 
-def con_tree_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTeacher:
+def con_tree_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
+                     cc: ConceptClass | None = None) -> PBTeacher:
     """On a tree, teach a connected set by the leaves of its spanned
     subtree as positive examples, under smaller-sets-first preferences.
-    The empty concept is in the class and needs no examples."""
+    The empty concept is in the class and needs no examples.  A caller
+    that already has the class with the empty set passes it as ``cc``."""
     if g.n == 0 or not is_connected(g, g.full_mask) or g.m != g.n - 1:
         raise ValueError("con_tree_teacher requires a tree")
-    cc = build_con_class(g, include_empty=True, budget=budget)
+    if cc is None:
+        cc = build_con_class(g, include_empty=True, budget=budget)
     sets = tuple(
         set_of(_subtree_leaves_mask(g, c)) if c else frozenset()
         for c in cc.concepts
@@ -220,7 +223,9 @@ def con_tree_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTeache
     return PBTeacher(cc, sets, subset_preferences(cc))
 
 
-def con_superset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTeacher:
+def con_superset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
+                         cc: ConceptClass | None = None,
+                         pref: PreferenceRelation | None = None) -> PBTeacher:
     """Teach a connected set by one member (smallest index) as positive and
     its whole open neighborhood as negatives, under larger-sets-first
     preferences.
@@ -228,8 +233,12 @@ def con_superset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTe
     The empty concept cannot be taught that way; it gets every vertex as
     a negative example, which pins it exactly.  Its oversized teaching
     set is deliberate and excluded from the order bound checks.
+
+    A caller that already has the class with the empty set passes it as
+    ``cc``, and its ``superset_preferences`` as ``pref``.
     """
-    cc = build_con_class(g, include_empty=True, budget=budget)
+    if cc is None:
+        cc = build_con_class(g, include_empty=True, budget=budget)
     sets = []
     for c in cc.concepts:
         if c == 0:
@@ -237,11 +246,15 @@ def con_superset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTe
             continue
         low = (c & -c).bit_length() - 1
         sets.append(set_of(open_neighborhood_mask(g, c) | (1 << low)))
-    return PBTeacher(cc, tuple(sets), superset_preferences(cc))
+    return PBTeacher(cc, tuple(sets),
+                     superset_preferences(cc) if pref is None else pref)
 
 
 def con_vcd_matching_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
-                             ell: int | None = None) -> PBTeacher:
+                             ell: int | None = None,
+                             cc: ConceptClass | None = None,
+                             vc: tuple[int, frozenset[int]] | None = None,
+                             pref: PreferenceRelation | None = None) -> PBTeacher:
     """The order-ell teacher that exists when the VC-dimension does not
     exceed the max-leaf number.
 
@@ -250,12 +263,15 @@ def con_vcd_matching_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
     opponents, whose boundaries are strictly smaller, so refining the
     larger-sets-first preference by boundary size settles every contest.
     Smaller-boundary sets get one positive member on top.  A caller that
-    already has ell(G) passes it as ``ell``.
+    already has them passes ell(G) as ``ell``, the class with the empty
+    set as ``cc``, its ``vcd`` as ``vc`` and its ``superset_preferences``
+    as ``pref``.
     """
     if ell is None:
         ell = max_leaf_number(g, budget=budget)
-    cc = build_con_class(g, include_empty=True, budget=budget)
-    value, witness = vcd(cc)
+    if cc is None:
+        cc = build_con_class(g, include_empty=True, budget=budget)
+    value, witness = vcd(cc) if vc is None else vc
     if value != ell:
         raise TeacherPreconditionError(
             f"VC-dimension {value} exceeds max-leaf number {ell} "
@@ -274,12 +290,11 @@ def con_vcd_matching_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
         else:
             low = (c & -c).bit_length() - 1
             sets.append(set_of(nb | (1 << low)))
-    pref = _matching_preference(g, cc, boundary, ell)
-    return PBTeacher(cc, tuple(sets), pref)
+    return PBTeacher(cc, tuple(sets), _matching_preference(g, cc, boundary, ell, pref))
 
 
-def _matching_preference(g: Graph, cc: ConceptClass, boundary, ell
-                         ) -> PreferenceRelation:
+def _matching_preference(g: Graph, cc: ConceptClass, boundary, ell,
+                         base: PreferenceRelation | None) -> PreferenceRelation:
     """Larger-sets-first refined by boundary size on incomparable pairs.
 
     The global refinement can cycle (boundary size is not monotone under
@@ -289,7 +304,8 @@ def _matching_preference(g: Graph, cc: ConceptClass, boundary, ell
     contradictory: two disjoint full-boundary sets may each survive the
     other's sample, e.g. the second and fifth vertices of a six-vertex
     path, and then no preference relation whatsoever makes the stated
-    teaching sets work; such graphs are refused.
+    teaching sets work; such graphs are refused.  ``base`` is the class's
+    ``superset_preferences`` when the caller has it.
     """
     full_boundary = [
         i for i, c in enumerate(cc.concepts)
@@ -306,7 +322,8 @@ def _matching_preference(g: Graph, cc: ConceptClass, boundary, ell
                     f"{g.vertex_names(ci)} and {g.vertex_names(cj)} each "
                     "survive the other's sample"
                 )
-    base = superset_preferences(cc)
+    if base is None:
+        base = superset_preferences(cc)
     keys = [boundary[c].bit_count() for c in cc.concepts]
     try:
         return lex_refine(base, keys)

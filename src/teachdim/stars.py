@@ -89,18 +89,17 @@ def vmax_partition(g: Graph) -> VmaxPartition:
     return VmaxPartition(delta, tuple(groups))
 
 
-def star_vcd_characterization(g: Graph) -> tuple[int, tuple[int, int] | None]:
+def star_vcd_characterization(g: Graph, *, part: VmaxPartition | None = None
+                              ) -> tuple[int, tuple[int, int] | None]:
     """Predict the star class's VC-dimension without building the class.
 
     Returns Delta+1 with a witness (group index, external vertex) when
     some vertex outside a shared closed neighborhood covers that group's
-    fringe; otherwise Delta with no witness.
+    fringe; otherwise Delta with no witness.  A caller that already has
+    ``vmax_partition(g)`` passes it as ``part``.
     """
-    return _characterize(g, vmax_partition(g))
-
-
-def _characterize(g: Graph, part: VmaxPartition) -> tuple[int, tuple[int, int] | None]:
-    """star_vcd_characterization from an already computed partition."""
+    if part is None:
+        part = vmax_partition(g)
     for i, grp in enumerate(part.groups):
         closed = mask_of(grp.closed)
         fringe = mask_of(grp.fringe)
@@ -112,15 +111,25 @@ def _characterize(g: Graph, part: VmaxPartition) -> tuple[int, tuple[int, int] |
     return part.delta, None
 
 
-def star_subset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTeacher:
+def star_subset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
+                        cc: ConceptClass | None = None,
+                        pref: PreferenceRelation | None = None) -> PBTeacher:
     """Teach every star by all of its members as positive examples, under
-    smaller-sets-first preferences.  Valid for every graph."""
-    cc = build_star_class(g, budget=budget)
+    smaller-sets-first preferences.  Valid for every graph.
+
+    A caller that already has the star class passes it as ``cc``, and
+    its ``subset_preferences`` as ``pref``.
+    """
+    if cc is None:
+        cc = build_star_class(g, budget=budget)
     sets = tuple(set_of(c) for c in cc.concepts)
-    return PBTeacher(cc, sets, subset_preferences(cc))
+    return PBTeacher(cc, sets, subset_preferences(cc) if pref is None else pref)
 
 
-def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTeacher:
+def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
+                         cc: ConceptClass | None = None,
+                         part: VmaxPartition | None = None,
+                         pref: PreferenceRelation | None = None) -> PBTeacher:
     """The order-Delta teacher that exists when no external vertex covers
     any group's fringe.
 
@@ -130,15 +139,21 @@ def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTe
     are preferred over special ones; within a group's special concepts,
     more members means more preferred; non-special concepts carry
     smaller-sets-first preferences.
+
+    A caller that already has them passes the star class as ``cc``, its
+    ``subset_preferences`` as ``pref`` and ``vmax_partition(g)`` as
+    ``part``.
     """
-    part = vmax_partition(g)
-    value, witness = _characterize(g, part)
+    if part is None:
+        part = vmax_partition(g)
+    value, witness = star_vcd_characterization(g, part=part)
     if value != part.delta:
         raise TeacherPreconditionError(
             "an external vertex covers a fringe; the order-Delta construction "
             f"does not apply (witness {witness})"
         )
-    cc = build_star_class(g, budget=budget)
+    if cc is None:
+        cc = build_star_class(g, budget=budget)
     group_masks = [
         (mask_of(grp.members), mask_of(grp.closed), mask_of(grp.fringe))
         for grp in part.groups
@@ -167,7 +182,9 @@ def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTe
         else:
             sets.append(set_of(c))
 
-    supersets = subset_preferences(cc).below
+    if pref is None:
+        pref = subset_preferences(cc)
+    supersets = pref.below
     direct = []
     for i, scopes in enumerate(special_scopes):
         if not scopes:
@@ -180,8 +197,7 @@ def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> PBTe
                 if count < k:
                     mask |= concepts
         direct.append(mask)
-    pref = PreferenceRelation.from_direct(direct)
-    return PBTeacher(cc, tuple(sets), pref)
+    return PBTeacher(cc, tuple(sets), PreferenceRelation.from_direct(direct))
 
 
 def star_triple(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, int, int]:

@@ -1,14 +1,16 @@
 """Shared test machinery: exhaustive graph/tree enumeration, the
 vectorized all-graphs max-leaf sweeps used by the acceptance suite and
 the max-leaf oracle's differential test, the pair-list preference
-closure that mask-built preferences are checked against, and the
+closure that mask-built preferences are checked against, the
 recursive spanning-tree enumerator that the pruned max-leaf oracle is
-checked against on graphs too large for the sweeps."""
+checked against on graphs too large for the sweeps, and relabeling with
+label-free check results for the invariance tests."""
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import re
 
 import numpy as np
 
@@ -80,6 +82,28 @@ def graph_of_edge_mask(n: int, mask: int):
     pairs = list(itertools.combinations(range(n), 2))
     return graph_from_edges(
         n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def relabel(g, perm):
+    """The same graph with vertex v renamed perm[v]."""
+    return graph_from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+VERTEX_LIST = re.compile(r"\[[\d, ]*\]")
+
+
+def label_free(check) -> list:
+    """``[name, status, detail]`` of one check result with what depends on
+    vertex labels taken out: a vertex list becomes its length, and the
+    numbers in the reason for an ``na`` (which name vertices) become
+    ``#``.  Chain triples, Sauer counts, orders and the like stay."""
+    if check.status == "na":
+        detail = re.sub(r"\d+", "#", check.detail)
+    else:
+        detail = VERTEX_LIST.sub(
+            lambda m: "<%d vertices>" % len(re.findall(r"\d+", m.group())),
+            check.detail)
+    return [check.name, check.status, detail]
 
 
 def all_graphs(n: int):

@@ -412,7 +412,8 @@ class TestChecksDirect:
     def test_eq6_passes_the_seeded_subclasses(self, monkeypatch):
         """The full branch asks for every nonempty subclass mask in
         increasing order; the sampled branch asks for exactly the
-        subclasses that random.Random(EQ6_SEED) draws, in draw order."""
+        subclasses that random.Random(EQ6_SEED) draws, in draw order,
+        as index masks."""
         import random
 
         import teachdim.checks as checks
@@ -442,8 +443,112 @@ class TestChecksDirect:
         want = []
         for _ in range(checks.EQ6_SAMPLES):
             size = rng.randint(1, m)
-            want.append(rng.sample(range(m), size))
+            want.append(sum(1 << i for i in rng.sample(range(m), size)))
         assert seen == want
+
+    def test_eq6_table_equals_a_fresh_draw(self):
+        import random
+
+        import teachdim.checks as checks
+
+        for m in range(checks.EQ6_FULL_LIMIT + 1, 301):
+            rng = random.Random(checks.EQ6_SEED)
+            want = []
+            for _ in range(checks.EQ6_SAMPLES):
+                size = rng.randint(1, m)
+                want.append(sum(1 << i for i in rng.sample(range(m), size)))
+            assert checks._eq6_samples(m) == tuple(want), m
+
+    def test_eq6_draws_once_per_class_size(self, monkeypatch):
+        """A second class of the same size reuses the first one's draws:
+        no random.Random is made and nothing is drawn."""
+        import random
+
+        import teachdim.checks as checks
+        from teachdim.dimensions import rtd
+        from teachdim.graphs import graph_from_edges
+        from teachdim.stars import build_star_class
+
+        made = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        checks._eq6_samples.cache_clear()
+        g = fig2()
+        first = build_star_class(g)
+        # g with its vertices renumbered backwards: the same number of
+        # concepts, other masks
+        second = build_star_class(graph_from_edges(
+            g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]))
+        assert len(first) == len(second) > checks.EQ6_FULL_LIMIT
+        assert first != second
+        assert checks._eq6_check(first, rtd(first).rtd).status == "pass"
+        assert made == [(checks.EQ6_SEED,)]
+        made.clear()
+        assert checks._eq6_check(second, rtd(second).rtd).status == "pass"
+        assert made == []
+        assert checks._eq6_samples.cache_info().hits == 1
+
+    def test_eq6_fails_on_the_first_subclass_over_rtd(self, monkeypatch):
+        """A kernel that reports rtd + 1 on the 37th sampled subclass
+        fails the check there, with the sampled branch's message."""
+        import teachdim.checks as checks
+        from teachdim.dimensions import rtd
+        from teachdim.stars import build_star_class
+
+        big = build_star_class(fig2())
+        r = rtd(big).rtd
+        calls = []
+        real = checks.rtd_subclass_lower_bound
+
+        def spy(cc, subclass):
+            calls.append(subclass)
+            return r + 1 if len(calls) == 37 else real(cc, subclass)
+
+        monkeypatch.setattr(checks, "rtd_subclass_lower_bound", spy)
+        res = checks._eq6_check(big, r)
+        assert res == checks.CheckResult(
+            "eq6-subclass-bound", "fail",
+            f"sampled subclass has TD_min {r + 1} > rtd {r}")
+        assert calls == list(checks._eq6_samples(len(big))[:37])
+
+    def test_opponent_failure_names_the_last_set_in_enumeration_order(
+            self, monkeypatch):
+        """With bogus opponents injected for several sets, the detail names
+        the one that the connected-set enumeration meets last, whatever
+        order the checks visit the sets in."""
+        import teachdim.checks as checks
+        from teachdim.connected import OpponentSet
+        from teachdim.graphs import connected_set_masks, set_of
+
+        g = fig2()
+        order = [x for x in connected_set_masks(g) if x.bit_count() >= 2]
+        last_by_mask = max(order)
+        bad = {order[5], order[len(order) // 2], last_by_mask}
+        last = [x for x in order if x in bad][-1]
+        assert last != last_by_mask
+        real = checks.maximal_opponents
+
+        def spy(graph, x):
+            res = real(graph, x)
+            if x not in bad:
+                return res
+            # the lowest vertex of X has a neighbor inside X, so its
+            # boundary escapes X's
+            low = frozenset({(x & -x).bit_length() - 1})
+            return OpponentSet(res.x, res.opponents + (low,))
+
+        monkeypatch.setattr(checks, "maximal_opponents", spy)
+        for include_empty in (False, True):
+            res = {r.name: r for r in check_graph(g, "con", include_empty)}
+            low = (last & -last).bit_length() - 1
+            assert res["con-opponent-boundaries"] == checks.CheckResult(
+                "con-opponent-boundaries", "fail",
+                f"boundary of {[low]} escapes X={sorted(set_of(last))}")
 
     def test_con_checks_on_disconnected_graph(self):
         from teachdim.graphs import graph_from_edges

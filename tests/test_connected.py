@@ -21,6 +21,7 @@ from teachdim.families import complete_graph, cycle_graph, fig2, path_graph, ran
 from teachdim.graphs import (
     bits,
     graph_from_edges,
+    is_connected,
     max_leaf_number,
     open_neighborhood,
     open_neighborhood_mask,
@@ -289,6 +290,44 @@ class TestMatchingTeacher:
             assert teacher.preference.below == pair_closure(len(cc), pairs)
             fallbacks += 1
         assert fallbacks >= 8
+
+
+def shared_parts_corpus():
+    yield from (fig2(), path_graph(1), path_graph(3), path_graph(5),
+                cycle_graph(5), complete_graph(4))
+    yield graph_from_edges(6, [(0, 1), (1, 2), (3, 4)])
+    for i in range(30):
+        yield random_graph(5 + i % 4, (0.3, 0.5, 0.7)[i % 3], 404, i)
+
+
+def teacher_or_refusal(build, **parts):
+    try:
+        return build(**parts)
+    except TeacherPreconditionError as exc:
+        return str(exc)
+
+
+class TestSharedParts:
+    """A teacher given the class, its VCD and its containment order
+    equals the one that builds them itself."""
+
+    def test_con_teachers(self):
+        corpus = list(shared_parts_corpus())
+        trees = refused = 0
+        for g in corpus:
+            cc = build_con_class(g, include_empty=True)
+            pref = superset_preferences(cc)
+            ell = max_leaf_number(g)
+            assert con_superset_teacher(g, cc=cc, pref=pref) == con_superset_teacher(g)
+            matching = teacher_or_refusal(
+                lambda **kw: con_vcd_matching_teacher(g, **kw),
+                ell=ell, cc=cc, vc=vcd(cc), pref=pref)
+            assert matching == teacher_or_refusal(lambda: con_vcd_matching_teacher(g))
+            refused += isinstance(matching, str)
+            if g.m == g.n - 1 and is_connected(g, g.full_mask):
+                trees += 1
+                assert con_tree_teacher(g, cc=cc) == con_tree_teacher(g)
+        assert trees >= 3 and 0 < refused < len(corpus)
 
 
 class TestConTriple:

@@ -338,6 +338,39 @@ class TestRtd:
             assert rtd_subclass_lower_bound(cc, mask_of(sub)) == \
                 rtd_subclass_lower_bound(cc, sub)
 
+    def test_subclass_kernel_matches_trace_brute_force(self):
+        """TD_min of a subclass, against a search over instance
+        combinations, smallest first, that compares traces as sets."""
+
+        def td_min_by_traces(members, d):
+            for k in range(d + 1):
+                for combo in itertools.combinations(range(d), k):
+                    traces = [frozenset(x for x in combo if x in c) for c in members]
+                    if any(traces.count(t) == 1 for t in traces):
+                        return k
+            raise AssertionError("distinct concepts always have distinct traces")
+
+        rng = random.Random(2718)
+        for trial in range(160):
+            if trial % 2:
+                d = rng.randint(1, 10)
+                masks = {rng.randrange(1 << d) for _ in range(rng.randint(1, 40))}
+            else:
+                # most of a small powerset, where TD_min runs up to d
+                d = rng.randint(2, 5)
+                keep = rng.choice((0.6, 0.85, 1.0))
+                masks = {c for c in range(1 << d) if rng.random() < keep} or {0}
+            cc = ConceptClass.from_masks(d, masks)
+            m = len(cc)
+            everything = (1 << m) - 1
+            subs = [1 << rng.randrange(m), everything,
+                    everything & ~(1 << rng.randrange(m)) or everything,
+                    rng.randrange(1, 1 << m), rng.randrange(1, 1 << m)]
+            for sub in subs:
+                members = [{x for x in range(d) if cc.concepts[i] >> x & 1}
+                           for i in range(m) if sub >> i & 1]
+                assert rtd_subclass_lower_bound(cc, sub) == td_min_by_traces(members, d)
+
     def test_max_subclass_bound_attained_on_small_classes(self):
         for cc in (powerset_class(3),
                    build_star_class(path_graph(2)),

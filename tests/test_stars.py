@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -22,7 +23,7 @@ from teachdim.stars import (
     star_vcd_characterization,
     vmax_partition,
 )
-from teachdim.teaching import verify_pb_teacher
+from teachdim.teaching import subset_preferences, verify_pb_teacher
 
 
 class TestBuildStarClass:
@@ -199,6 +200,33 @@ class TestStarTeachers:
                 len(cc), self.special_pairs(g, cc))
             built += 1
         assert built >= 10
+
+
+class TestSharedParts:
+    """A star teacher given the class, its subset order and the vmax
+    partition equals the one that builds them itself."""
+
+    def test_star_teachers(self):
+        graphs = [cycle_graph(5), complete_graph(4), fig1_right(), path_graph(1)]
+        graphs += [random_graph(5 + i % 4, (0.3, 0.5, 0.7)[i % 3], 505, i)
+                   for i in range(30)]
+        refused = 0
+        for g in graphs:
+            cc = build_star_class(g)
+            pref = subset_preferences(cc)
+            part = vmax_partition(g)
+            assert star_vcd_characterization(g, part=part) == \
+                star_vcd_characterization(g)
+            assert star_subset_teacher(g, cc=cc, pref=pref) == star_subset_teacher(g)
+            try:
+                shared = star_special_teacher(g, cc=cc, part=part, pref=pref)
+            except TeacherPreconditionError as exc:
+                refused += 1
+                with pytest.raises(TeacherPreconditionError, match=re.escape(str(exc))):
+                    star_special_teacher(g)
+                continue
+            assert shared == star_special_teacher(g)
+        assert 0 < refused < len(graphs)
 
 
 class TestTriples:
