@@ -97,14 +97,15 @@ def _eq6_samples(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _eq6_check(cc: ConceptClass, rtd_value_: int) -> CheckResult:
+def _eq6_check(cc: ConceptClass, rtd_value_: int, *,
+               budget: int = DEFAULT_ENUM_BUDGET) -> CheckResult:
     """Subclass TD_min never exceeds the class's peeling dimension; for
     small classes the maximum over all subclasses must reach it exactly."""
     m = len(cc)
     if m <= EQ6_FULL_LIMIT:
         best = 0
         for sub in range(1, 1 << m):
-            tdm = rtd_subclass_lower_bound(cc, sub)
+            tdm = rtd_subclass_lower_bound(cc, sub, budget=budget)
             if tdm > best:
                 best = tdm
             if tdm > rtd_value_:
@@ -114,7 +115,7 @@ def _eq6_check(cc: ConceptClass, rtd_value_: int) -> CheckResult:
         return _result("eq6-subclass-bound", best == rtd_value_,
                        f"max subclass TD_min {best} == rtd {rtd_value_} (full)")
     for sub in _eq6_samples(m):
-        tdm = rtd_subclass_lower_bound(cc, sub)
+        tdm = rtd_subclass_lower_bound(cc, sub, budget=budget)
         if tdm > rtd_value_:
             return CheckResult(
                 "eq6-subclass-bound", "fail",
@@ -160,7 +161,7 @@ def check_star_graph(g: Graph, *,
     out = []
     cc = build_star_class(g, budget=budget)
     delta = g.max_degree()
-    rt = rtd(cc)
+    rt = rtd(cc, budget=budget)
     v, witness = vcd(cc)
     out.append(_chain_result("star-chain", delta, rt.rtd, v))
 
@@ -178,7 +179,7 @@ def check_star_graph(g: Graph, *,
                        f"witness {sorted(witness)}"))
 
     out.extend(_sauer_checks(cc, v, rt.rtd))
-    out.append(_eq6_check(cc, rt.rtd))
+    out.append(_eq6_check(cc, rt.rtd, budget=budget))
 
     pref = subset_preferences(cc)
     out.append(_teacher_result(
@@ -206,7 +207,7 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
     out = []
     cc = build_con_class(g, include_empty, budget=budget)
     ell = max_open_neighborhood(g, cc.concepts)
-    rt = rtd(cc)
+    rt = rtd(cc, budget=budget)
     vc = vcd(cc)
     v = vc[0]
     out.append(_chain_result(
@@ -217,10 +218,10 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
     if include_empty:
         cc_full, rt_full, vc_full = cc, rt, vc
         cc_other = ConceptClass(g.n, cc.concepts[1:])
-        other = (rtd(cc_other).rtd, vcd(cc_other)[0])
+        other = (rtd(cc_other, budget=budget).rtd, vcd(cc_other)[0])
     else:
         cc_full = ConceptClass(g.n, (0,) + cc.concepts)
-        rt_full = rtd(cc_full)
+        rt_full = rtd(cc_full, budget=budget)
         vc_full = vcd(cc_full)
         other = (rt_full.rtd, vc_full[0])
     v_full = vc_full[0]
@@ -280,7 +281,7 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
         for comp in comps:
             sub, _ = spanned_subgraph(g, comp)
             sub_cc = build_con_class(sub, True, budget=budget)
-            comp_vals.append((rtd(sub_cc).rtd, vcd(sub_cc)[0]))
+            comp_vals.append((rtd(sub_cc, budget=budget).rtd, vcd(sub_cc)[0]))
         max_r = max(r for r, _ in comp_vals)
         max_v = max(w for _, w in comp_vals)
         out.append(_result(
@@ -294,7 +295,7 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
         out.append(_result("con-opponent-strictness", strict_ok))
 
     out.extend(_sauer_checks(cc, v, rt.rtd))
-    out.append(_eq6_check(cc, rt.rtd))
+    out.append(_eq6_check(cc, rt.rtd, budget=budget))
 
     pref_full = superset_preferences(cc_full)
     out.append(_teacher_result(

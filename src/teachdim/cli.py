@@ -2,8 +2,10 @@
 explanations and per-graph verification runs.
 
 Identical inputs (including seeds) produce byte-identical output; every
-table header echoes the parameters that generated it.  The env var
-TEACHDIM_BUDGET overrides the default enumeration budgets.
+table header echoes the parameters that generated it.  ``--budget``
+(or the env var TEACHDIM_BUDGET) overrides the default budget of every
+enumeration and of the teaching-set searches' work; ``dims --class-file``
+rejects ``--budget``, so it takes TEACHDIM_BUDGET or the default.
 
 Exit codes: 0 success; 1 a check or a teacher's maximality failed; 2
 bad input, reported in one line on stderr: bad flags or sizes, an
@@ -12,7 +14,8 @@ one graph for teach/dims, dims without --kind, dims with --class-file
 together with any graph or class flag (--family, --graph-file, --n,
 --p, --seed, --budget, --kind or --include-empty), --family (other
 than file) together with --graph-file, or an unavailable teacher; 3 a budget
-or size cap was exceeded; 141 stdout was closed before all output was
+was exceeded, reported in one line on stderr (a teaching-set search says
+how far it got); 141 stdout was closed before all output was
 written (as a shell reports a process ended by SIGPIPE).
 """
 
@@ -61,12 +64,12 @@ def _read(load, path):
 
 def _star_plan_teacher(g, *, budget):
     cc = build_star_class(g, budget=budget)
-    return plan_to_teacher(rtd(cc), cc)
+    return plan_to_teacher(rtd(cc, budget=budget), cc)
 
 
 def _con_plan_teacher(g, *, budget):
     cc = build_con_class(g, include_empty=True, budget=budget)
-    return plan_to_teacher(rtd(cc), cc)
+    return plan_to_teacher(rtd(cc, budget=budget), cc)
 
 
 TEACHERS = {
@@ -262,6 +265,7 @@ def cmd_teach(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    budget = _budget(args)
     if args.class_file:
         ignored = [flag for flag, given in (
             ("--graph-file", args.graph_file),
@@ -281,7 +285,6 @@ def cmd_dims(args) -> int:
         if args.kind is None:
             raise InputError("dims needs --kind when loading a graph")
         g = _load_graph_for(args)
-        budget = _budget(args)
         include_empty = bool(args.include_empty)  # not given: false
         if args.kind == "star":
             cc = build_star_class(g, budget=budget)
@@ -289,8 +292,8 @@ def cmd_dims(args) -> int:
             cc = build_con_class(g, include_empty, budget=budget)
         source = f"{args.kind} class ({'with' if include_empty else 'without'} empty)"
     v, witness = vcd(cc)
-    cert = rtd(cc)
-    tds = [td_of(cc, i)[0] for i in range(len(cc))]
+    cert = rtd(cc, budget=budget)
+    tds = [td_of(cc, i, budget=budget)[0] for i in range(len(cc))]
     imp = sauer_rtd_implication(cc)
     if args.format == "json":
         print(json.dumps({

@@ -155,6 +155,13 @@ class ConceptClass:
                 out ^= low
         return tuple(masks)
 
+    @cached_property
+    def td_passes(self) -> dict:
+        """``dimensions.td_of``'s passes over this class, keyed by (size
+        cap, budget): each is (rows found, the refusal that ended the
+        pass or None)."""
+        return {}
+
     @property
     def all_indices_mask(self) -> int:
         return (1 << len(self.concepts)) - 1

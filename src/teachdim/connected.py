@@ -57,7 +57,9 @@ def build_con_class(g: Graph, include_empty: bool, *,
 @dataclass(frozen=True)
 class OpponentSet:
     """The maximal opponents of a nonempty connected set X: the components
-    left over after deleting X's closed neighborhood."""
+    left over after deleting X's closed neighborhood.  Each one's boundary
+    lies in X's: a vertex next to a component Y is in N[X], and not in X,
+    or Y would meet N[X]."""
 
     x: frozenset[int]
     opponents: tuple[frozenset[int], ...]
@@ -69,17 +71,12 @@ def maximal_opponents(g: Graph, x) -> OpponentSet:
         raise ValueError("X must be nonempty")
     if not is_connected(g, xmask):
         raise ValueError("X must be connected")
-    closed = closed_neighborhood_mask(g, xmask)
-    outside = g.full_mask & ~closed
-    open_x = closed & ~xmask
+    outside = g.full_mask & ~closed_neighborhood_mask(g, xmask)
     opps = []
     remaining = outside
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
         comp = component_mask(g, start, outside)
-        # the boundary of a maximal opponent sits inside X's boundary
-        if open_neighborhood_mask(g, comp) & ~open_x:
-            raise RuntimeError("opponent boundary escapes the boundary of X")
         opps.append(set_of(comp))
         remaining &= ~comp
     return OpponentSet(set_of(xmask), tuple(opps))
@@ -350,7 +347,7 @@ def con_triple(g: Graph, include_empty: bool = False, *,
     """
     cc = build_con_class(g, include_empty, budget=budget)
     ell = max_open_neighborhood(g, cc.concepts)
-    r = rtd_value(cc)
+    r = rtd_value(cc, budget=budget)
     v, _ = vcd(cc)
     check_chain(ell, r, v, "connected-set")
     return ell, r, v

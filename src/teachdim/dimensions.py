@@ -34,6 +34,13 @@ concept leaves its bucket, and each neighbour that loses its flip bit
 moves from bucket s to s - 1 in that same loop, so a level reads the
 concepts to check directly (bucket k) and to walk (buckets below k)
 without a pass over the class.
+
+Teaching-set sizes run up to the domain size: at k = d the whole domain
+tells every concept apart, and a concept forced to all d instances is
+settled by its direct check.  What bounds a search is its work, counted
+in walk nodes against a budget (``budget=``, default
+DEFAULT_ENUM_BUDGET); a search that runs out refuses with
+BudgetExceededError and says how far it got.
 """
 
 from __future__ import annotations
@@ -43,10 +50,7 @@ from math import comb
 
 from .concepts import ConceptClass
 from .errors import BudgetExceededError
-from .graphs import set_of
-
-#: Teaching-set searches refuse to look past this size.
-TD_SIZE_CAP = 12
+from .graphs import DEFAULT_ENUM_BUDGET, set_of
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +104,32 @@ def vcd(cc: ConceptClass) -> tuple[int, frozenset[int]]:
 # Teaching sets
 # ---------------------------------------------------------------------------
 
-def _unique_traces(cc: ConceptClass, active: int, targets: int,
-                   k: int, first: bool = False) -> dict[int, int]:
+@dataclass(slots=True)
+class _Work:
+    """The limits of one teaching-set search and the work it has done.
+
+    ``done`` counts walk nodes: one per ``walk`` call of _unique_traces
+    and one per k = 1 scan (the walk's last level, run inside the loop
+    of the level above it, is part of that level's node).  The search
+    refuses once ``done`` passes ``budget``, and, under the opt-in
+    ``size_cap``, when concepts are left past that size.  ``stage``
+    names the search in a refusal."""
+
+    stage: str = "teaching-set search"
+    budget: int = DEFAULT_ENUM_BUDGET
+    size_cap: int | None = None
+    done: int = 0
+
+    def refusal(self, k: int, left: int, cap: bool = False):
+        """The BudgetExceededError of a search at size k with ``left``
+        concepts still without a teaching set: out of budget, or past
+        the size cap."""
+        limit = self.size_cap if cap else self.budget
+        return BudgetExceededError(self.stage, limit, k, left, self.done, cap)
+
+
+def _unique_traces(cc: ConceptClass, active: int, targets: int, k: int,
+                   work: _Work, first: bool = False) -> dict[int, int]:
     """{i: D} for every target i that some k-instance set D teaches
     against the active concepts, D the smallest-valued such mask.
 
@@ -111,7 +139,9 @@ def _unique_traces(cc: ConceptClass, active: int, targets: int,
     and dropping blocks that hold no unfound target.  The last instance
     only has to cut a target off on its own, so its level runs inside
     the loop of the level above it (k = 1 is one flat scan) and never
-    builds a partition.  Stops once every target has a set.
+    builds a partition.  Stops once every target has a set, or with
+    the sets found so far once the walk nodes pass ``work``'s budget
+    (the caller then refuses).
 
     With ``first`` it stops at the first target isolated, which is all
     TD_min needs: by the precondition no target is isolated by fewer
@@ -129,6 +159,9 @@ def _unique_traces(cc: ConceptClass, active: int, targets: int,
     left = targets
 
     if k == 1:
+        work.done += 1
+        if work.done > work.budget:
+            return found
         for x in range(cc.domain_size):
             inner = active & cols[x]
             rest = active ^ inner
@@ -142,8 +175,14 @@ def _unique_traces(cc: ConceptClass, active: int, targets: int,
                 break
         return found
 
+    allowance = work.budget - work.done
+    nodes = 0
+
     def walk(blocks: list[int], top: int, depth: int, dmask: int) -> bool:
-        nonlocal left
+        nonlocal left, nodes
+        nodes += 1
+        if nodes > allowance:
+            return True
         for x in range(depth - 1, top):
             col = cols[x]
             parts = []
@@ -188,6 +227,7 @@ def _unique_traces(cc: ConceptClass, active: int, targets: int,
         return False
 
     walk([active], cc.domain_size, k, 0)
+    work.done += nodes
     return found
 
 
@@ -202,14 +242,15 @@ def _size_buckets(forced, members: int, domain_size: int) -> list[int]:
 
 
 def _teaching_sets(cc: ConceptClass, active: int, targets: int,
-                   size_cap: int, first: bool = False, forced=None,
+                   work: _Work, first: bool = False, forced=None,
                    by_size=None):
     """Yield (k, {i: D}) for increasing k: the targets whose smallest
     teaching sets against the active concepts have k instances, each
     with its smallest-valued such mask D.  ``targets`` must be a nonempty
-    subset of ``active``.  Raises BudgetExceededError when targets are
-    left past ``size_cap``.  With ``first`` each level holds only the
-    first target found (see _unique_traces).
+    subset of ``active``.  Raises BudgetExceededError once the walk
+    nodes pass ``work.budget``, or when targets are left past the opt-in
+    ``work.size_cap``.  With ``first`` each level holds only the first
+    target found (see _unique_traces).
 
     ``forced``, when given, holds one mask per concept index: forced[i]
     is F_i(active), the instances whose flip of concept i is active.
@@ -238,9 +279,14 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
             by_size = _size_buckets(forced, targets, cc.domain_size)
         while not by_size[start] & targets:
             start += 1
-    for k in range(start or 1, min(size_cap, cc.domain_size) + 1):
+    top = cc.domain_size
+    if work.size_cap is not None:
+        top = min(work.size_cap, top)
+    for k in range(start or 1, top + 1):
         if forced is None:
-            found = _unique_traces(cc, active, targets, k, first)
+            found = _unique_traces(cc, active, targets, k, work, first)
+            if work.done > work.budget:
+                raise work.refusal(k, targets.bit_count() - len(found))
         else:
             found = {}
             due = by_size[k] & targets
@@ -260,62 +306,62 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
                 due ^= low
             walkers |= by_size[k - 1]
             if walkers & targets:
-                found.update(_unique_traces(cc, active, walkers & targets, k))
+                found.update(_unique_traces(cc, active, walkers & targets, k, work))
+                if work.done > work.budget:
+                    raise work.refusal(k, targets.bit_count() - len(found))
         if found:
             yield k, found
             for i in found:
                 targets ^= 1 << i
             if not targets:
                 return
-    raise BudgetExceededError("teaching-set search (size cap)", size_cap)
+    # only a size cap gets here: at k = d the whole domain teaches every concept
+    raise work.refusal(top, targets.bit_count(), cap=True)
 
 
-#: The pass td_of reads rows from: (class, size cap, rows found so far,
-#: the suspended _teaching_sets generator over the whole class).
-_td_pass = None
-
-
-def td_of(cc: ConceptClass, i: int, *,
-          size_cap: int = TD_SIZE_CAP) -> tuple[int, frozenset[int]]:
+def td_of(cc: ConceptClass, i: int, *, size_cap: int | None = None,
+          budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, frozenset[int]]:
     """Minimum teaching set distinguishing concept i from the whole class.
 
     Returns (size, witness); the witness is the smallest-valued feasible
     instance mask at that size.  A singleton class needs no examples.
-    Rows come from one pass over all concepts, kept for the last class
-    and cap, since callers read every row of one class.
+    Rows come from one pass over all concepts, since callers read every
+    row of one class; the pass is cached on the class per (size_cap,
+    budget).  A pass that refuses keeps the rows it found before the
+    refusal, which still answer; every other row raises that refusal.
     """
-    global _td_pass
     if not 0 <= i < len(cc):
         raise ValueError(f"concept index {i} out of range")
-    if _td_pass is None or _td_pass[0] is not cc or _td_pass[1] != size_cap:
+    key = (size_cap, budget)
+    if key not in cc.td_passes:
+        rows, refusal = {}, None
         everyone = cc.all_indices_mask
-        _td_pass = (cc, size_cap, {}, _teaching_sets(
-            cc, everyone, everyone, size_cap, forced=cc.neighbour_masks))
-    _, _, rows, levels = _td_pass
-    if i not in rows:
+        work = _Work("teaching-set search (td_of)", budget, size_cap)
         try:
-            for k, found in levels:
+            for k, found in _teaching_sets(cc, everyone, everyone, work,
+                                           forced=cc.neighbour_masks):
                 rows.update((j, (k, set_of(D))) for j, D in found.items())
-                if i in rows:
-                    break
-        except BaseException:
-            # a pass that stopped early (size cap, interrupt) answers nothing more
-            _td_pass = None
-            raise
+        except BudgetExceededError as exc:
+            refusal = exc
+        cc.td_passes[key] = rows, refusal
+    rows, refusal = cc.td_passes[key]
+    if i not in rows:
+        raise refusal.with_traceback(None)
     return rows[i]
 
 
-def td_min(cc: ConceptClass) -> int:
+def td_min(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     if len(cc) == 0:
         raise ValueError("empty class")
     everyone = cc.all_indices_mask
-    return next(_teaching_sets(cc, everyone, everyone, TD_SIZE_CAP, True))[0]
+    work = _Work("teaching-set search (td_min)", budget)
+    return next(_teaching_sets(cc, everyone, everyone, work, True))[0]
 
 
-def td_max(cc: ConceptClass) -> int:
+def td_max(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     if len(cc) == 0:
         raise ValueError("empty class")
-    return max(td_of(cc, i)[0] for i in range(len(cc)))
+    return max(td_of(cc, i, budget=budget)[0] for i in range(len(cc)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +404,13 @@ class RtdCertificate:
                                      f"its level's size {value}")
 
 
-def rtd(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> RtdCertificate:
+def rtd(cc: ConceptClass, *, size_cap: int | None = None,
+        budget: int = DEFAULT_ENUM_BUDGET) -> RtdCertificate:
     """The peeling recursion: remove every active concept with the
     smallest teaching set against the active class as one level, recurse;
-    the dimension is the largest level value.  Refuses only when a
-    level's value exceeds ``size_cap``."""
+    the dimension is the largest level value.  Refuses when the walk
+    nodes of all levels together pass ``budget``, or when a level's value
+    would exceed the opt-in ``size_cap``."""
     if len(cc) == 0:
         raise ValueError("empty class")
     active = cc.all_indices_mask
@@ -372,8 +420,9 @@ def rtd(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> RtdCertificate:
     by_size = _size_buckets(forced, active, cc.domain_size)
     concepts = cc.concepts
     index = {c: j for j, c in enumerate(concepts)}
+    work = _Work("teaching-set search (rtd)", budget, size_cap)
     while active:
-        low, found = next(_teaching_sets(cc, active, active, size_cap,
+        low, found = next(_teaching_sets(cc, active, active, work,
                                          forced=forced, by_size=by_size))
         levels.append((frozenset(found), low))
         for i, witness in found.items():
@@ -397,12 +446,14 @@ def rtd(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> RtdCertificate:
     return RtdCertificate(len(cc), tuple(levels), value, tuple(witnesses))
 
 
-def rtd_value(cc: ConceptClass, *, size_cap: int = TD_SIZE_CAP) -> int:
+def rtd_value(cc: ConceptClass, *, size_cap: int | None = None,
+              budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Value of the peeling recursion, as used by the exhaustive sweeps."""
-    return rtd(cc, size_cap=size_cap).rtd
+    return rtd(cc, size_cap=size_cap, budget=budget).rtd
 
 
-def rtd_subclass_lower_bound(cc: ConceptClass, subclass) -> int:
+def rtd_subclass_lower_bound(cc: ConceptClass, subclass, *,
+                             budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """TD_min of the subclass viewed as a class over the same domain;
     every such value lower-bounds the full class's peeling dimension.
     ``subclass`` is an iterable of concept indices or their mask."""
@@ -419,7 +470,8 @@ def rtd_subclass_lower_bound(cc: ConceptClass, subclass) -> int:
             sub |= 1 << i
     if not sub:
         raise ValueError("subclass must be nonempty")
-    return next(_teaching_sets(cc, sub, sub, TD_SIZE_CAP, True))[0]
+    work = _Work("teaching-set search (subclass TD_min)", budget)
+    return next(_teaching_sets(cc, sub, sub, work, True))[0]
 
 
 def check_chain(lo: int, mid: int, hi: int, kind: str) -> int:

@@ -17,8 +17,9 @@ from .errors import BudgetExceededError, GraphFormatError
 #: so anything beyond desk scale is rejected at construction time.
 MAX_VERTICES = 24
 
-#: Default cap on the number of connected vertex sets an enumeration may
-#: visit before raising BudgetExceededError.
+#: Default budget of the exhaustive searches before BudgetExceededError:
+#: the connected vertex sets an enumeration visits, the star sets the star
+#: class enumerates, and the walk nodes of a teaching-set search.
 DEFAULT_ENUM_BUDGET = 1 << 22
 
 #: The spanning-tree max-leaf oracle is only meant as a small-scale

@@ -208,7 +208,7 @@ def star_triple(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, in
     """
     cc = build_star_class(g, budget=budget)
     delta = g.max_degree()
-    r = rtd_value(cc)
+    r = rtd_value(cc, budget=budget)
     v, _ = vcd(cc)
     check_chain(delta, r, v, "star")
     return delta, r, v

@@ -3,14 +3,18 @@ vectorized all-graphs max-leaf sweeps used by the acceptance suite and
 the max-leaf oracle's differential test, the pair-list preference
 closure that mask-built preferences are checked against, the
 recursive spanning-tree enumerator that the pruned max-leaf oracle is
-checked against on graphs too large for the sweeps, and relabeling with
-label-free check results for the invariance tests."""
+checked against on graphs too large for the sweeps, relabeling with
+label-free check results for the invariance tests, and the benchmark's
+workload definitions, loaded read-only."""
 
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import itertools
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -248,3 +252,17 @@ def bulk_connected_mask(n: int) -> np.ndarray:
     if n == 1:
         return np.ones(1, dtype=bool)
     return bulk_max_leaf_by_spanning_trees(n) > 0
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py`` as a module, imported from its file
+    without putting ``perfbench/`` on the import path."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        # registered before it runs: its dataclasses look their module up
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]

@@ -243,6 +243,37 @@ class TestDimsCommand:
         assert code == 3
         assert "budget exceeded" in err
 
+    @pytest.mark.parametrize("argv", [
+        *(("--family", "cycle", "--n", str(n)) for n in range(13, 17)),
+        ("--family", "path", "--n", "12", "--include-empty", "true")],
+        ids=["C_13", "C_14", "C_15", "C_16", "P_12-empty"])
+    def test_teaching_sets_past_twelve_instances(self, capsys, argv):
+        # the whole vertex set of a cycle, and the empty set next to the 13
+        # singletons of P_12, need every vertex
+        code, out, err = run_cli(capsys, "dims", *argv, "--kind", "con",
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["td_max"] == payload["domain"] >= 13
+
+    def test_teaching_set_refusal_says_how_far_it_got(self, capsys, monkeypatch,
+                                                      tmp_path):
+        # --budget also caps the enumeration, which needs 1,061 sets here
+        # while the searches need fewer than 500 walk nodes, so the search
+        # budget comes from TEACHDIM_BUDGET on a class file
+        from teachdim.concepts import write_class
+        from teachdim.connected import build_con_class
+        from teachdim.families import random_graph
+
+        path = tmp_path / "class.txt"
+        write_class(build_con_class(random_graph(11, 0.35, 3), False), path)
+        monkeypatch.setenv("TEACHDIM_BUDGET", "100")
+        code, out, err = run_cli(capsys, "dims", "--class-file", str(path))
+        assert (code, out) == (3, "")
+        assert err == ("budget exceeded: teaching-set search (rtd): budget of "
+                       "100 exceeded at k=5, with 1046 concepts still without "
+                       "a teaching set, after 101 walk nodes\n")
+
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("TEACHDIM_BUDGET", "5")
         code, _, err = run_cli(capsys, "dims", "--family", "complete",
@@ -424,9 +455,9 @@ class TestChecksDirect:
         seen = []
         real = checks.rtd_subclass_lower_bound
 
-        def spy(cc, subclass):
+        def spy(cc, subclass, **kw):
             seen.append(subclass)
-            return real(cc, subclass)
+            return real(cc, subclass, **kw)
 
         monkeypatch.setattr(checks, "rtd_subclass_lower_bound", spy)
         small = build_con_class(path_graph(3), False)
@@ -505,9 +536,9 @@ class TestChecksDirect:
         calls = []
         real = checks.rtd_subclass_lower_bound
 
-        def spy(cc, subclass):
+        def spy(cc, subclass, **kw):
             calls.append(subclass)
-            return r + 1 if len(calls) == 37 else real(cc, subclass)
+            return r + 1 if len(calls) == 37 else real(cc, subclass, **kw)
 
         monkeypatch.setattr(checks, "rtd_subclass_lower_bound", spy)
         res = checks._eq6_check(big, r)

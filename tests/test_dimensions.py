@@ -1,17 +1,19 @@
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import perfbench_workloads
 from teachdim.concepts import ConceptClass, is_shattered, powerset_class
 from teachdim.connected import build_con_class
 import teachdim.dimensions as dimensions
 from teachdim.dimensions import (
-    TD_SIZE_CAP,
     RtdCertificate,
     _teaching_sets,
+    _Work,
     rtd,
     rtd_subclass_lower_bound,
     rtd_value,
@@ -218,16 +220,44 @@ class TestTeachingDimension:
                 size, mask = brute_td_witness(cc, i)
                 assert td_of(cc, i) == (size, frozenset(bits(mask)))
 
-    def test_refusal_only_past_the_cap(self):
+    def test_answers_past_twelve_instances(self):
         # the whole vertex set of C_13 needs all 13 vertices
         cc = build_con_class(cycle_graph(13), False)
         full = cc.index_of(range(13))
         single = cc.index_of({0})
+        assert td_of(cc, full) == (13, frozenset(range(13)))
+        assert td_of(cc, single)[0] == brute_td(cc, single) == 3
+        assert td_max(cc) == 13
+
+    def test_refusal_under_a_small_budget(self):
+        # C_13's pass walks 12 nodes, all for its first level (k = 3)
+        cc = build_con_class(cycle_graph(13), False)
+        full = cc.index_of(range(13))
         for _ in range(2):
-            with pytest.raises(BudgetExceededError):
-                td_of(cc, full)
-            assert td_of(cc, single)[0] == brute_td(cc, single) == 3
-        assert td_of(cc, full, size_cap=13) == (13, frozenset(range(13)))
+            with pytest.raises(BudgetExceededError) as refusal:
+                td_of(cc, full, budget=5)
+            assert (refusal.value.k, refusal.value.left, refusal.value.work) \
+                == (3, 140, 6)
+            assert "budget of 5 exceeded at k=3" in str(refusal.value)
+        again = pickle.loads(pickle.dumps(refusal.value))
+        assert (again.k, again.left, again.work, str(again)) \
+            == (3, 140, 6, str(refusal.value))
+        assert td_of(cc, full) == (13, frozenset(range(13)))
+        # the rows of the levels finished before a refusal still answer:
+        # random_graph(11, .35, 3) has used 49 walk nodes after k = 4
+        big = build_con_class(random_graph(11, 0.35, 3), False)
+        answered = 0
+        for i in range(len(big)):
+            try:
+                value, witness = td_of(big, i, budget=100)
+            except BudgetExceededError as exc:
+                assert (exc.k, exc.work, exc.cap) == (5, 101, False)
+            else:
+                assert (value, witness) == td_of(big, i)
+                answered += 1
+        assert answered == 5
+        with pytest.raises(BudgetExceededError, match="size cap of 3 exceeded"):
+            td_of(powerset_class(4), 0, size_cap=3)
 
 
 class TestRtd:
@@ -448,9 +478,9 @@ class TestForcedInstances:
         # the bounded search gives the same levels as the plain one
         forced_all = [forced_set(cc, j, active) if active >> j & 1 else None
                     for j in range(len(cc))]
-        assert list(_teaching_sets(cc, active, active, TD_SIZE_CAP,
+        assert list(_teaching_sets(cc, active, active, _Work(),
                                    forced=forced_all)) \
-            == list(_teaching_sets(cc, active, active, TD_SIZE_CAP))
+            == list(_teaching_sets(cc, active, active, _Work()))
 
     def test_neighbour_masks_match_pairwise_definition(self):
         rng = random.Random(7)
@@ -479,7 +509,7 @@ class TestForcedInstances:
         real = dimensions._teaching_sets
         calls = []
 
-        def spy(cc, active, targets, size_cap, first=False, forced=None,
+        def spy(cc, active, targets, work, first=False, forced=None,
                 by_size=None):
             want = [0] * (cc.domain_size + 1)
             for i in bits(active):
@@ -488,7 +518,7 @@ class TestForcedInstances:
                 want[f.bit_count()] |= 1 << i
             assert by_size == want
             calls.append(active)
-            return real(cc, active, targets, size_cap, first, forced, by_size)
+            return real(cc, active, targets, work, first, forced, by_size)
 
         monkeypatch.setattr(dimensions, "_teaching_sets", spy)
         rng = random.Random(43)
@@ -511,11 +541,11 @@ class TestForcedInstances:
         real = dimensions._unique_traces
         walked = []
 
-        def spy(cc, active, targets, k, first=False):
+        def spy(cc, active, targets, k, work, first=False):
             for i in bits(targets):
                 assert forced_set(cc, i, active).bit_count() < k
             walked.append(k)
-            return real(cc, active, targets, k, first)
+            return real(cc, active, targets, k, work, first)
 
         monkeypatch.setattr(dimensions, "_unique_traces", spy)
         for cc in engine_corpus():
@@ -529,15 +559,43 @@ class TestForcedInstances:
         assert [td_of(cc, i)[0] for i in range(16)] == [4] * 16
         assert walked == []
 
-    def test_bound_past_the_cap_refuses_alike(self):
+    def test_whole_domain_bound_needs_no_walk(self):
         # the whole vertex set of C_13 is forced to all 13 vertices
         cc = build_con_class(cycle_graph(13), False)
         full = cc.index_of(range(13))
         assert cc.neighbour_masks[full] == (1 << 13) - 1
-        with pytest.raises(BudgetExceededError):
-            td_of(cc, full)
-        assert td_of(cc, full, size_cap=13) == (13, frozenset(range(13)))
-        assert rtd(cc, size_cap=13).levels == rtd(cc).levels
+        assert td_of(cc, full) == (13, frozenset(range(13)))
+        # every search of P_12 with the empty set is settled by its bound,
+        # the empty set's by all 13 singletons
+        path = build_con_class(path_graph(12), True)
+        assert rtd(path, budget=0) == rtd(path)
+        assert [td_of(path, i, budget=0) for i in range(len(path))] \
+            == [td_of(path, i) for i in range(len(path))]
+        assert td_of(path, path.index_of(0), budget=0) == (13, frozenset(range(13)))
+
+    def test_a_walk_not_the_bound_runs_out(self):
+        cc = build_con_class(cycle_graph(13), False)
+        with pytest.raises(BudgetExceededError) as refusal:
+            rtd(cc, budget=0)
+        assert (refusal.value.k, refusal.value.work) == (3, 1)
+        assert refusal.value.what == "teaching-set search (rtd)"
+        with pytest.raises(BudgetExceededError) as refusal:
+            td_min(cc, budget=0)
+        assert (refusal.value.k, refusal.value.left) == (1, len(cc))
+
+
+class TestNoSizeCap:
+    def test_default_matches_a_cap_at_the_domain_size(self):
+        """Without a cap the searches give exactly what a cap at the
+        domain size gives: the same levels and witnesses, the same rows."""
+        W = perfbench_workloads()
+        classes = engine_corpus() + [W.build_class(make(), kind, empty)
+                                     for _, make, kind, empty in W.PEEL_INPUTS]
+        for cc in classes:
+            d = cc.domain_size
+            assert rtd(cc) == rtd(cc, size_cap=d)
+            assert [td_of(cc, i) for i in range(len(cc))] \
+                == [td_of(cc, i, size_cap=d) for i in range(len(cc))]
 
 
 class TestSauer:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import pair_closure
 from teachdim.concepts import ConceptClass, powerset_class, version_space
 from teachdim.connected import build_con_class, con_superset_teacher
-from teachdim.dimensions import TD_SIZE_CAP, _teaching_sets, rtd
+from teachdim.dimensions import _teaching_sets, _Work, rtd
 from teachdim.errors import PreferenceCycleError
 from teachdim.families import cycle_graph, fig2, path_graph, random_graph
 from teachdim.graphs import bits, mask_of, set_of
@@ -388,7 +388,7 @@ class TestPlanToTeacher:
         peeled = 0
         for level, value in cert.levels:
             active = cc.all_indices_mask & ~peeled
-            size, found = next(_teaching_sets(cc, active, mask_of(level), TD_SIZE_CAP))
+            size, found = next(_teaching_sets(cc, active, mask_of(level), _Work()))
             assert size == value and set(found) == level
             for i, witness in found.items():
                 sets[i] = set_of(witness)
