@@ -3,15 +3,9 @@
 from .concepts import (
     ConceptClass,
     Sample,
-    disjoint_union,
-    is_consistent,
     is_shattered,
-    powerset_class,
     read_class,
-    restrict,
     sample_of,
-    version_space,
-    write_class,
 )
 from .connected import (
     OpponentSet,
@@ -48,20 +42,15 @@ from .graphs import (
     MAX_VERTICES,
     Graph,
     Tree,
-    closed_neighborhood,
     components,
     connected_set_masks,
-    extend_to_spanning_tree,
     graph_from_edges,
     is_connected,
     max_leaf_number,
     max_leaf_number_exhaustive,
     max_open_neighborhood,
-    neighborhood_spanning_tree,
-    open_neighborhood,
     read_graph,
     spanned_subgraph,
-    write_graph,
 )
 from .stars import (
     VmaxGroup,
@@ -82,7 +71,6 @@ from .teaching import (
     subset_preferences,
     superset_preferences,
     verify_pb_teacher,
-    verify_smgk_teacher,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,8 +9,8 @@ rejects ``--budget``, so it takes TEACHDIM_BUDGET or the default.
 
 Exit codes: 0 success; 1 a check or a teacher's maximality failed; 2
 bad input, reported in one line on stderr: bad flags or sizes, an
-unreadable graph or class file, an unknown vertex or concept, more than
-one graph for teach/dims, dims without --kind, dims with --class-file
+unreadable or empty graph or class file, an unknown vertex or concept,
+more than one graph for teach/dims, dims without --kind, dims with --class-file
 together with any graph or class flag (--family, --graph-file, --n,
 --p, --seed, --budget, --kind or --include-empty), --family (other
 than file) together with --graph-file, or an unavailable teacher; 3 a budget
@@ -25,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import graphs as G
 from .checks import check_graph
@@ -34,13 +33,19 @@ from .connected import (
     build_con_class,
     con_superset_teacher,
     con_tree_teacher,
+    con_triple,
     con_vcd_matching_teacher,
 )
 from .dimensions import rtd, sauer_bound, sauer_rtd_implication, td_of, vcd
 from .errors import BudgetExceededError, TeacherPreconditionError
 from .families import FAMILY_NAMES, FamilySpec
 from .graphs import read_graph
-from .stars import build_star_class, star_subset_teacher, star_special_teacher
+from .stars import (
+    build_star_class,
+    star_special_teacher,
+    star_subset_teacher,
+    star_triple,
+)
 from .teaching import format_teacher, plan_to_teacher
 
 
@@ -118,15 +123,10 @@ def _params_line(args, fields) -> str:
     return " ".join(parts)
 
 
-def _triple_row(item):
-    name, g, kind, include_empty, budget = item
+def _triple_row(name, g, kind, include_empty, budget):
     if kind == "star":
-        from .stars import star_triple
-
         param, r, v = star_triple(g, budget=budget)
     else:
-        from .connected import con_triple
-
         param, r, v = con_triple(g, include_empty, budget=budget)
     strict = ["param<RTD", "RTD<VCD", "VCD<param+1"][
         [param < r, r < v, v < param + 1].index(True)
@@ -137,13 +137,8 @@ def _triple_row(item):
 
 def cmd_triples(args) -> int:
     budget = _budget(args)
-    items = [(name, g, args.kind, args.include_empty, budget)
-             for name, g in _family_graphs(args)]
-    if args.parallel and len(items) > 1:
-        with ProcessPoolExecutor() as pool:
-            rows = list(pool.map(_triple_row, items))
-    else:
-        rows = [_triple_row(item) for item in items]
+    rows = [_triple_row(name, g, args.kind, args.include_empty, budget)
+            for name, g in _family_graphs(args)]
     header = _params_line(args, ("family", "n", "p", "seed", "kind",
                                  "include_empty", "budget"))
     if args.format == "json":
@@ -158,21 +153,10 @@ def cmd_triples(args) -> int:
     return 0
 
 
-def _verify_one(item):
-    name, g, kind, include_empty, budget = item
-    results = check_graph(g, kind, include_empty, budget=budget)
-    return name, [(r.name, r.status, r.detail) for r in results]
-
-
 def cmd_verify(args) -> int:
     budget = _budget(args)
-    items = [(name, g, args.kind, args.include_empty, budget)
-             for name, g in _family_graphs(args)]
-    if args.parallel and len(items) > 1:
-        with ProcessPoolExecutor() as pool:
-            reports = list(pool.map(_verify_one, items))
-    else:
-        reports = [_verify_one(item) for item in items]
+    reports = [(name, check_graph(g, args.kind, args.include_empty, budget=budget))
+               for name, g in _family_graphs(args)]
     failed = 0
     header = _params_line(args, ("family", "n", "p", "seed", "kind",
                                  "include_empty"))
@@ -181,24 +165,23 @@ def cmd_verify(args) -> int:
             "params": header,
             "graphs": [
                 {"name": name,
-                 "checks": [{"check": c, "status": s, "detail": d}
-                            for c, s, d in checks]}
+                 "checks": [{"check": r.name, "status": r.status,
+                             "detail": r.detail} for r in checks]}
                 for name, checks in reports
             ],
         }
-        failed = sum(1 for _, checks in reports
-                     for _, s, _ in checks if s == "fail")
+        failed = sum(1 for _, checks in reports for r in checks if r.failed)
         print(json.dumps(payload, indent=2))
     else:
         print(f"# verify {header}")
         for name, checks in reports:
-            for check, status, detail in checks:
-                mark = {"pass": "PASS", "fail": "FAIL", "na": "SKIP"}[status]
-                line = f"{mark}\t{name}\t{check}"
-                if detail:
-                    line += f"\t{detail}"
+            for r in checks:
+                mark = {"pass": "PASS", "fail": "FAIL", "na": "SKIP"}[r.status]
+                line = f"{mark}\t{name}\t{r.name}"
+                if r.detail:
+                    line += f"\t{r.detail}"
                 print(line)
-                if status == "fail":
+                if r.failed:
                     failed += 1
     return 1 if failed else 0
 
@@ -356,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         add_graph_flags(p)
         add_class_flags(p)
-        p.add_argument("--parallel", action="store_true",
-                       help="process graphs in worker processes")
         p.set_defaults(func=func)
 
     p_teach = sub.add_parser("teach", help="explain one teaching set")

@@ -13,9 +13,8 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ClassFormatError
-from .graphs import bits, mask_of, set_of
+from .graphs import bits, mask_of
 
-MAX_POWERSET_DOMAIN = 16
 MAX_SHATTER_SET = 20
 
 
@@ -32,41 +31,9 @@ class Sample:
         if self.pos & self.neg:
             raise ValueError("contradictory sample: instance labeled both + and -")
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Sample":
-        """Build from (instance, label) pairs; label is a bool or '+'/'-'."""
-        pos = neg = 0
-        for x, label in pairs:
-            if label in (True, "+"):
-                b = True
-            elif label in (False, "-"):
-                b = False
-            else:
-                raise ValueError(f"bad label {label!r}")
-            bit = 1 << x
-            if (pos | neg) & bit:
-                if bool(pos & bit) != b:
-                    raise ValueError(f"contradictory labels for instance {x}")
-                continue
-            if b:
-                pos |= bit
-            else:
-                neg |= bit
-        return cls(pos, neg)
-
     def pairs(self) -> tuple[tuple[int, bool], ...]:
         out = [(x, True) for x in bits(self.pos)] + [(x, False) for x in bits(self.neg)]
         return tuple(sorted(out))
-
-    @property
-    def instances(self) -> int:
-        return self.pos | self.neg
-
-    def __len__(self) -> int:
-        return self.instances.bit_count()
-
-    def union(self, other: "Sample") -> "Sample":
-        return Sample(self.pos | other.pos, self.neg | other.neg)
 
 
 def sample_of(concept: int, instances) -> Sample:
@@ -98,15 +65,8 @@ class ConceptClass:
     def from_masks(cls, domain_size: int, masks) -> "ConceptClass":
         return cls(domain_size, tuple(sorted(set(masks))))
 
-    @classmethod
-    def from_sets(cls, domain_size: int, sets) -> "ConceptClass":
-        return cls.from_masks(domain_size, (mask_of(s) for s in sets))
-
     def __len__(self) -> int:
         return len(self.concepts)
-
-    def concept_set(self, i: int) -> frozenset[int]:
-        return set_of(self.concepts[i])
 
     def index_of(self, concept) -> int:
         mask = concept if isinstance(concept, int) else mask_of(concept)
@@ -157,28 +117,13 @@ class ConceptClass:
 
     @cached_property
     def td_passes(self) -> dict:
-        """``dimensions.td_of``'s passes over this class, keyed by (size
-        cap, budget): each is (rows found, the refusal that ended the
-        pass or None)."""
+        """``dimensions.td_of``'s passes over this class, keyed by budget:
+        each is (rows found, the refusal that ended the pass or None)."""
         return {}
 
     @property
     def all_indices_mask(self) -> int:
         return (1 << len(self.concepts)) - 1
-
-
-def powerset_class(domain_size: int) -> ConceptClass:
-    """All subsets of the domain, as a class."""
-    if domain_size > MAX_POWERSET_DOMAIN:
-        raise ValueError(f"powerset domain capped at {MAX_POWERSET_DOMAIN}")
-    if domain_size < 0:
-        raise ValueError("domain size must be nonnegative")
-    return ConceptClass(domain_size, tuple(range(1 << domain_size)))
-
-
-def is_consistent(concept: int, s: Sample) -> bool:
-    """True iff the concept reproduces every label of the sample."""
-    return (concept & s.pos) == s.pos and (concept & s.neg) == 0
 
 
 def version_space_mask(cc: ConceptClass, pos: int, neg: int = 0) -> int:
@@ -197,11 +142,6 @@ def version_space_mask(cc: ConceptClass, pos: int, neg: int = 0) -> int:
         vs &= ~cols[low.bit_length() - 1]
         neg ^= low
     return vs
-
-
-def version_space(cc: ConceptClass, s: Sample) -> tuple[int, ...]:
-    """Indices of all concepts consistent with the sample, ascending."""
-    return tuple(bits(version_space_mask(cc, s.pos, s.neg)))
 
 
 def is_shattered(cc: ConceptClass, instances) -> bool:
@@ -223,45 +163,6 @@ def is_shattered(cc: ConceptClass, instances) -> bool:
     return False
 
 
-def disjoint_union(classes) -> ConceptClass:
-    """Union of classes over concatenated (disjoint) domains.
-
-    Each concept keeps label - outside its origin block.  If several
-    blocks contain the all-negative concept, one copy survives: a class
-    is a set of concepts.
-    """
-    classes = list(classes)
-    offsets = []
-    total = 0
-    for cc in classes:
-        offsets.append(total)
-        total += cc.domain_size
-    masks = set()
-    for cc, off in zip(classes, offsets):
-        for c in cc.concepts:
-            masks.add(c << off)
-    return ConceptClass.from_masks(total, masks)
-
-
-def restrict(cc: ConceptClass, instances) -> ConceptClass:
-    """Project every concept onto the instance set and deduplicate.
-
-    The surviving instances are reindexed in increasing original order.
-    """
-    smask = instances if isinstance(instances, int) else mask_of(instances)
-    if smask >> cc.domain_size:
-        raise ValueError("instance set outside the domain")
-    kept = tuple(bits(smask))
-    masks = set()
-    for c in cc.concepts:
-        m = 0
-        for new_i, old_i in enumerate(kept):
-            if c >> old_i & 1:
-                m |= 1 << new_i
-        masks.add(m)
-    return ConceptClass.from_masks(len(kept), masks)
-
-
 # ---------------------------------------------------------------------------
 # Text format
 # ---------------------------------------------------------------------------
@@ -279,6 +180,8 @@ def parse_class(text: str) -> ConceptClass:
         m, d = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ClassFormatError(f"bad header line: {rows[0]!r}") from exc
+    if m == 0:
+        raise ClassFormatError("class file has no concepts")
     if len(rows) - 1 != m:
         raise ClassFormatError(f"expected {m} concept rows, found {len(rows) - 1}")
     masks = []
@@ -295,15 +198,5 @@ def format_concept(concept: int, domain_size: int) -> str:
     return "".join("1" if concept >> i & 1 else "0" for i in range(domain_size))
 
 
-def format_class(cc: ConceptClass) -> str:
-    lines = [f"{len(cc.concepts)} {cc.domain_size}"]
-    lines.extend(format_concept(c, cc.domain_size) for c in cc.concepts)
-    return "\n".join(lines) + "\n"
-
-
 def read_class(path) -> ConceptClass:
     return parse_class(Path(path).read_text())
-
-
-def write_class(cc: ConceptClass, path) -> None:
-    Path(path).write_text(format_class(cc))

@@ -111,21 +111,17 @@ class _Work:
     ``done`` counts walk nodes: one per ``walk`` call of _unique_traces
     and one per k = 1 scan (the walk's last level, run inside the loop
     of the level above it, is part of that level's node).  The search
-    refuses once ``done`` passes ``budget``, and, under the opt-in
-    ``size_cap``, when concepts are left past that size.  ``stage``
-    names the search in a refusal."""
+    refuses once ``done`` passes ``budget``.  ``stage`` names the search
+    in a refusal."""
 
     stage: str = "teaching-set search"
     budget: int = DEFAULT_ENUM_BUDGET
-    size_cap: int | None = None
     done: int = 0
 
-    def refusal(self, k: int, left: int, cap: bool = False):
+    def refusal(self, k: int, left: int):
         """The BudgetExceededError of a search at size k with ``left``
-        concepts still without a teaching set: out of budget, or past
-        the size cap."""
-        limit = self.size_cap if cap else self.budget
-        return BudgetExceededError(self.stage, limit, k, left, self.done, cap)
+        concepts still without a teaching set."""
+        return BudgetExceededError(self.stage, self.budget, k, left, self.done)
 
 
 def _unique_traces(cc: ConceptClass, active: int, targets: int, k: int,
@@ -248,9 +244,8 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
     teaching sets against the active concepts have k instances, each
     with its smallest-valued such mask D.  ``targets`` must be a nonempty
     subset of ``active``.  Raises BudgetExceededError once the walk
-    nodes pass ``work.budget``, or when targets are left past the opt-in
-    ``work.size_cap``.  With ``first`` each level holds only the first
-    target found (see _unique_traces).
+    nodes pass ``work.budget``.  With ``first`` each level holds only
+    the first target found (see _unique_traces).
 
     ``forced``, when given, holds one mask per concept index: forced[i]
     is F_i(active), the instances whose flip of concept i is active.
@@ -279,10 +274,7 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
             by_size = _size_buckets(forced, targets, cc.domain_size)
         while not by_size[start] & targets:
             start += 1
-    top = cc.domain_size
-    if work.size_cap is not None:
-        top = min(work.size_cap, top)
-    for k in range(start or 1, top + 1):
+    for k in range(start or 1, cc.domain_size + 1):
         if forced is None:
             found = _unique_traces(cc, active, targets, k, work, first)
             if work.done > work.budget:
@@ -315,36 +307,35 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
                 targets ^= 1 << i
             if not targets:
                 return
-    # only a size cap gets here: at k = d the whole domain teaches every concept
-    raise work.refusal(top, targets.bit_count(), cap=True)
+    # at k = d the whole domain teaches every concept of a deduplicated class
+    raise AssertionError("teaching-set search passed the domain size")
 
 
-def td_of(cc: ConceptClass, i: int, *, size_cap: int | None = None,
-          budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, frozenset[int]]:
+def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
+          ) -> tuple[int, frozenset[int]]:
     """Minimum teaching set distinguishing concept i from the whole class.
 
     Returns (size, witness); the witness is the smallest-valued feasible
     instance mask at that size.  A singleton class needs no examples.
     Rows come from one pass over all concepts, since callers read every
-    row of one class; the pass is cached on the class per (size_cap,
-    budget).  A pass that refuses keeps the rows it found before the
-    refusal, which still answer; every other row raises that refusal.
+    row of one class; the pass is cached on the class per budget.  A
+    pass that refuses keeps the rows it found before the refusal, which
+    still answer; every other row raises that refusal.
     """
     if not 0 <= i < len(cc):
         raise ValueError(f"concept index {i} out of range")
-    key = (size_cap, budget)
-    if key not in cc.td_passes:
+    if budget not in cc.td_passes:
         rows, refusal = {}, None
         everyone = cc.all_indices_mask
-        work = _Work("teaching-set search (td_of)", budget, size_cap)
+        work = _Work("teaching-set search (td_of)", budget)
         try:
             for k, found in _teaching_sets(cc, everyone, everyone, work,
                                            forced=cc.neighbour_masks):
                 rows.update((j, (k, set_of(D))) for j, D in found.items())
         except BudgetExceededError as exc:
             refusal = exc
-        cc.td_passes[key] = rows, refusal
-    rows, refusal = cc.td_passes[key]
+        cc.td_passes[budget] = rows, refusal
+    rows, refusal = cc.td_passes[budget]
     if i not in rows:
         raise refusal.with_traceback(None)
     return rows[i]
@@ -404,13 +395,11 @@ class RtdCertificate:
                                      f"its level's size {value}")
 
 
-def rtd(cc: ConceptClass, *, size_cap: int | None = None,
-        budget: int = DEFAULT_ENUM_BUDGET) -> RtdCertificate:
+def rtd(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> RtdCertificate:
     """The peeling recursion: remove every active concept with the
     smallest teaching set against the active class as one level, recurse;
     the dimension is the largest level value.  Refuses when the walk
-    nodes of all levels together pass ``budget``, or when a level's value
-    would exceed the opt-in ``size_cap``."""
+    nodes of all levels together pass ``budget``."""
     if len(cc) == 0:
         raise ValueError("empty class")
     active = cc.all_indices_mask
@@ -420,7 +409,7 @@ def rtd(cc: ConceptClass, *, size_cap: int | None = None,
     by_size = _size_buckets(forced, active, cc.domain_size)
     concepts = cc.concepts
     index = {c: j for j, c in enumerate(concepts)}
-    work = _Work("teaching-set search (rtd)", budget, size_cap)
+    work = _Work("teaching-set search (rtd)", budget)
     while active:
         low, found = next(_teaching_sets(cc, active, active, work,
                                          forced=forced, by_size=by_size))
@@ -446,10 +435,9 @@ def rtd(cc: ConceptClass, *, size_cap: int | None = None,
     return RtdCertificate(len(cc), tuple(levels), value, tuple(witnesses))
 
 
-def rtd_value(cc: ConceptClass, *, size_cap: int | None = None,
-              budget: int = DEFAULT_ENUM_BUDGET) -> int:
+def rtd_value(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Value of the peeling recursion, as used by the exhaustive sweeps."""
-    return rtd(cc, size_cap=size_cap, budget=budget).rtd
+    return rtd(cc, budget=budget).rtd
 
 
 def rtd_subclass_lower_bound(cc: ConceptClass, subclass, *,

@@ -8,14 +8,12 @@ class BudgetExceededError(RuntimeError):
     "search completed, nothing found" from "search gave up".  A
     teaching-set search also says how far it got: the size k it had
     reached, how many of its concepts were ``left`` without a teaching
-    set, and the ``work`` done (walk nodes).  ``cap`` marks a refusal by
-    an opt-in size cap rather than by the budget.
+    set, and the ``work`` done (walk nodes).
     """
 
     def __init__(self, what: str, limit: int, k: int | None = None,
-                 left: int | None = None, work: int | None = None,
-                 cap: bool = False):
-        text = f"{what}: {'size cap' if cap else 'budget'} of {limit} exceeded"
+                 left: int | None = None, work: int | None = None):
+        text = f"{what}: budget of {limit} exceeded"
         if k is not None:
             text += (f" at k={k}, with {left} concepts still without a "
                      f"teaching set, after {work} walk nodes")
@@ -25,12 +23,6 @@ class BudgetExceededError(RuntimeError):
         self.k = k
         self.left = left
         self.work = work
-        self.cap = cap
-
-    def __reduce__(self):
-        # rebuilt from its fields, so it survives a worker process
-        return type(self), (self.what, self.limit, self.k, self.left,
-                            self.work, self.cap)
 
 
 class GraphFormatError(ValueError):

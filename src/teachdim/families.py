@@ -8,9 +8,9 @@ arises there.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graphs import MAX_VERTICES, Graph, graph_from_edges
+from .graphs import MAX_VERTICES, Graph, graph_from_edges, read_graph
 
 FAMILY_NAMES = ("complete", "path", "cycle", "fig1-left", "fig1-right", "fig2",
                 "random", "file")
@@ -90,7 +90,6 @@ class FamilySpec:
     p: float | None = None
     seed: int | None = None
     path: str | None = None
-    graph: Graph | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILY_NAMES:
@@ -106,7 +105,7 @@ class FamilySpec:
                 raise ValueError("random family requires p in (0,1)")
             if self.seed is None:
                 raise ValueError("random family requires a seed")
-        if self.family == "file" and self.path is None and self.graph is None:
+        if self.family == "file" and self.path is None:
             raise ValueError("file family requires a path")
 
     def graphs(self) -> list[tuple[str, Graph]]:
@@ -130,8 +129,4 @@ class FamilySpec:
                 out.append((name, random_graph(n, self.p, self.seed, index=i)))
             return out
         # file
-        if self.graph is not None:
-            return [(self.path or "graph", self.graph)]
-        from .graphs import read_graph
-
         return [(f"file:{self.path}", read_graph(self.path))]

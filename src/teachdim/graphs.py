@@ -2,8 +2,7 @@
 
 Vertices are the integers 0..n-1 and every vertex set is a Python int
 bitmask internally; the public functions accept and return frozensets.
-All structures are immutable after construction and safe to share
-between threads or worker processes.
+All structures are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -147,18 +146,6 @@ def closed_neighborhood_mask(g: Graph, xmask: int) -> int:
 
 def open_neighborhood_mask(g: Graph, xmask: int) -> int:
     return closed_neighborhood_mask(g, xmask) & ~xmask
-
-
-def closed_neighborhood(g: Graph, x) -> frozenset[int]:
-    """N(X) = union over x in X of (neighbors of x plus x itself)."""
-    xmask = _as_mask(g, x)
-    return set_of(closed_neighborhood_mask(g, xmask))
-
-
-def open_neighborhood(g: Graph, x) -> frozenset[int]:
-    """N(X) minus X: the vertices outside X adjacent to some member."""
-    xmask = _as_mask(g, x)
-    return set_of(open_neighborhood_mask(g, xmask))
 
 
 def _as_mask(g: Graph, x) -> int:
@@ -330,9 +317,6 @@ class Tree:
         if seen != self.vertices:
             raise ValueError("tree is not connected over its vertex set")
 
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
-
     def leaves(self) -> frozenset[int]:
         """Degree-1 vertices; for a single-vertex tree, that vertex itself."""
         if len(self.vertices) == 1:
@@ -342,17 +326,6 @@ class Tree:
             deg[u] += 1
             deg[v] += 1
         return frozenset(v for v, d in deg.items() if d == 1)
-
-    def interior(self) -> frozenset[int]:
-        return self.vertices - self.leaves()
-
-    def leaf_count(self) -> int:
-        return len(self.leaves())
-
-    def is_subgraph_of(self, g: Graph) -> bool:
-        if self.n != g.n:
-            return False
-        return all(g.adj[u] >> v & 1 for u, v in self.edges)
 
 
 def bfs_tree_edges(g: Graph, root: int, within: int,
@@ -372,60 +345,6 @@ def bfs_tree_edges(g: Graph, root: int, within: int,
             order.append(u)
             edges.append((min(u, v), max(u, v)))
     return seen, edges
-
-
-def neighborhood_spanning_tree(g: Graph, x) -> Tree:
-    """Spanning tree of the subgraph spanned by N(X) in which every vertex
-    of the open neighborhood of X is a leaf.
-
-    Built by taking a BFS spanning tree of the subgraph spanned by X
-    (rooted at the smallest index) and then hanging each outside neighbor
-    off its smallest-index contact in X.
-    """
-    xmask = _as_mask(g, x)
-    if xmask == 0:
-        raise ValueError("X must be nonempty")
-    if not is_connected(g, xmask):
-        raise ValueError("X must be connected")
-    root = (xmask & -xmask).bit_length() - 1
-    seen, edges = bfs_tree_edges(g, root, xmask)
-    assert seen == xmask
-    closed = closed_neighborhood_mask(g, xmask)
-    for y in bits(closed & ~xmask):
-        contact = (g.adj[y] & xmask)
-        v = (contact & -contact).bit_length() - 1
-        edges.append((min(v, y), max(v, y)))
-    return Tree(g.n, set_of(closed), frozenset(edges))
-
-
-def extend_to_spanning_tree(g: Graph, t: Tree) -> Tree:
-    """Grow t into a spanning tree of its component without losing leaves.
-
-    Edges are added greedily (smallest tree vertex, then smallest new
-    vertex).  When t already has the maximum possible number of leaves,
-    the result is t plus paths hanging off t's leaves; the test suite
-    asserts that property.
-    """
-    if not t.is_subgraph_of(g):
-        raise ValueError("tree is not a subgraph of the graph")
-    tmask = mask_of(t.vertices)
-    start = (tmask & -tmask).bit_length() - 1
-    comp = component_mask(g, start, g.full_mask)
-    if tmask & ~comp:
-        raise ValueError("tree does not lie in one component of the graph")
-    edges = set(t.edges)
-    while tmask != comp:
-        added = False
-        for v in bits(tmask):
-            out = g.adj[v] & comp & ~tmask
-            if out:
-                u = (out & -out).bit_length() - 1
-                edges.add((min(u, v), max(u, v)))
-                tmask |= 1 << u
-                added = True
-                break
-        assert added
-    return Tree(g.n, set_of(comp), frozenset(edges))
 
 
 def max_leaf_number_exhaustive(g: Graph) -> int:
@@ -502,6 +421,8 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(f"bad header line: {rows[0]!r}") from exc
     if n < 0 or m < 0:
         raise GraphFormatError("negative counts in header")
+    if n == 0:
+        raise GraphFormatError("graph file has no vertices")
     if len(rows) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
@@ -522,15 +443,5 @@ def parse_graph(text: str) -> Graph:
         raise GraphFormatError(str(exc)) from exc
 
 
-def format_graph(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 def read_graph(path) -> Graph:
     return parse_graph(Path(path).read_text())
-
-
-def write_graph(g: Graph, path) -> None:
-    Path(path).write_text(format_graph(g))

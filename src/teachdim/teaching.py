@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .concepts import ConceptClass, Sample, sample_of, version_space_mask
+from .concepts import (
+    ConceptClass,
+    Sample,
+    format_concept,
+    sample_of,
+    version_space_mask,
+)
 from .dimensions import RtdCertificate
 from .errors import PreferenceCycleError
 from .graphs import bits, mask_of, set_of
@@ -51,10 +57,6 @@ class PreferenceRelation:
                 if other & ~mask:
                     raise ValueError("below masks are not transitively closed")
                 rest &= ~(other | members[other])
-
-    @classmethod
-    def empty(cls, size: int) -> "PreferenceRelation":
-        return cls(size, (0,) * size)
 
     @classmethod
     def from_direct(cls, direct) -> "PreferenceRelation":
@@ -227,14 +229,6 @@ def verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher
     return True, None
 
 
-def verify_smgk_teacher(cc: ConceptClass, teaching_sets) -> bool:
-    """Classic teacher check: each sample must pin down its concept alone."""
-    sets = tuple(frozenset(ts) for ts in teaching_sets)
-    teacher = PBTeacher(cc, sets, PreferenceRelation.empty(len(cc)))
-    ok, _ = verify_pb_teacher(cc, teacher)
-    return ok
-
-
 def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
     """Turn a peeling certificate into a preference-based teacher.
 
@@ -266,8 +260,6 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
 def format_teacher(teacher: PBTeacher) -> str:
     """One line per concept: bit pattern, labeled teaching set, preference
     level (longest chain below the concept)."""
-    from .concepts import format_concept
-
     cc = teacher.concept_class
     depths = teacher.preference.depths
     lines = []

@@ -1,11 +1,14 @@
-"""Shared test machinery: exhaustive graph/tree enumeration, the
-vectorized all-graphs max-leaf sweeps used by the acceptance suite and
-the max-leaf oracle's differential test, the pair-list preference
-closure that mask-built preferences are checked against, the
-recursive spanning-tree enumerator that the pruned max-leaf oracle is
-checked against on graphs too large for the sweeps, relabeling with
-label-free check results for the invariance tests, and the benchmark's
-workload definitions, loaded read-only."""
+"""Shared test machinery: the graph, tree, class, sample and teacher
+helpers that only tests use (neighborhoods as sets, neighborhood
+spanning trees, text writers, powersets, unions and restrictions,
+version spaces, the classic teacher check), exhaustive graph/tree
+enumeration, the vectorized all-graphs max-leaf sweeps used by the
+acceptance suite and the max-leaf oracle's differential test, the
+pair-list preference closure that mask-built preferences are checked
+against, the recursive spanning-tree enumerator that the pruned
+max-leaf oracle is checked against on graphs too large for the sweeps,
+relabeling with label-free check results for the invariance tests,
+and the benchmark's workload definitions, loaded read-only."""
 
 from __future__ import annotations
 
@@ -18,8 +21,245 @@ from pathlib import Path
 
 import numpy as np
 
+from teachdim.concepts import ConceptClass, Sample, format_concept, version_space_mask
 from teachdim.errors import PreferenceCycleError
-from teachdim.graphs import bits, graph_from_edges
+from teachdim.graphs import (
+    Graph,
+    Tree,
+    _as_mask,
+    bfs_tree_edges,
+    bits,
+    closed_neighborhood_mask,
+    component_mask,
+    graph_from_edges,
+    is_connected,
+    mask_of,
+    open_neighborhood_mask,
+    set_of,
+)
+from teachdim.teaching import PBTeacher, PreferenceRelation, verify_pb_teacher
+
+
+# ---------------------------------------------------------------------------
+# Graphs and trees
+# ---------------------------------------------------------------------------
+
+def closed_neighborhood(g: Graph, x) -> frozenset[int]:
+    """N(X) = union over x in X of (neighbors of x plus x itself)."""
+    return set_of(closed_neighborhood_mask(g, _as_mask(g, x)))
+
+
+def open_neighborhood(g: Graph, x) -> frozenset[int]:
+    """N(X) minus X: the vertices outside X adjacent to some member."""
+    return set_of(open_neighborhood_mask(g, _as_mask(g, x)))
+
+
+def tree_degree(t: Tree, v: int) -> int:
+    return sum(1 for u, w in t.edges if v in (u, w))
+
+
+def interior(t: Tree) -> frozenset[int]:
+    return t.vertices - t.leaves()
+
+
+def leaf_count(t: Tree) -> int:
+    return len(t.leaves())
+
+
+def is_subgraph_of(t: Tree, g: Graph) -> bool:
+    if t.n != g.n:
+        return False
+    return all(g.adj[u] >> v & 1 for u, v in t.edges)
+
+
+def neighborhood_spanning_tree(g: Graph, x) -> Tree:
+    """Spanning tree of the subgraph spanned by N(X) in which every vertex
+    of the open neighborhood of X is a leaf.
+
+    Built by taking a BFS spanning tree of the subgraph spanned by X
+    (rooted at the smallest index) and then hanging each outside neighbor
+    off its smallest-index contact in X.
+    """
+    xmask = _as_mask(g, x)
+    if xmask == 0:
+        raise ValueError("X must be nonempty")
+    if not is_connected(g, xmask):
+        raise ValueError("X must be connected")
+    root = (xmask & -xmask).bit_length() - 1
+    seen, edges = bfs_tree_edges(g, root, xmask)
+    assert seen == xmask
+    closed = closed_neighborhood_mask(g, xmask)
+    for y in bits(closed & ~xmask):
+        contact = (g.adj[y] & xmask)
+        v = (contact & -contact).bit_length() - 1
+        edges.append((min(v, y), max(v, y)))
+    return Tree(g.n, set_of(closed), frozenset(edges))
+
+
+def extend_to_spanning_tree(g: Graph, t: Tree) -> Tree:
+    """Grow t into a spanning tree of its component without losing leaves.
+
+    Edges are added greedily (smallest tree vertex, then smallest new
+    vertex).  When t already has the maximum possible number of leaves,
+    the result is t plus paths hanging off t's leaves; the test suite
+    asserts that property.
+    """
+    if not is_subgraph_of(t, g):
+        raise ValueError("tree is not a subgraph of the graph")
+    tmask = mask_of(t.vertices)
+    start = (tmask & -tmask).bit_length() - 1
+    comp = component_mask(g, start, g.full_mask)
+    if tmask & ~comp:
+        raise ValueError("tree does not lie in one component of the graph")
+    edges = set(t.edges)
+    while tmask != comp:
+        added = False
+        for v in bits(tmask):
+            out = g.adj[v] & comp & ~tmask
+            if out:
+                u = (out & -out).bit_length() - 1
+                edges.add((min(u, v), max(u, v)))
+                tmask |= 1 << u
+                added = True
+                break
+        assert added
+    return Tree(g.n, set_of(comp), frozenset(edges))
+
+
+def format_graph(g: Graph) -> str:
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def write_graph(g: Graph, path) -> None:
+    Path(path).write_text(format_graph(g))
+
+
+# ---------------------------------------------------------------------------
+# Samples, classes and teachers
+# ---------------------------------------------------------------------------
+
+MAX_POWERSET_DOMAIN = 16
+
+
+def sample_from_pairs(pairs) -> Sample:
+    """Build from (instance, label) pairs; label is a bool or '+'/'-'."""
+    pos = neg = 0
+    for x, label in pairs:
+        if label in (True, "+"):
+            b = True
+        elif label in (False, "-"):
+            b = False
+        else:
+            raise ValueError(f"bad label {label!r}")
+        bit = 1 << x
+        if (pos | neg) & bit:
+            if bool(pos & bit) != b:
+                raise ValueError(f"contradictory labels for instance {x}")
+            continue
+        if b:
+            pos |= bit
+        else:
+            neg |= bit
+    return Sample(pos, neg)
+
+
+def sample_union(s: Sample, other: Sample) -> Sample:
+    return Sample(s.pos | other.pos, s.neg | other.neg)
+
+
+def sample_size(s: Sample) -> int:
+    return (s.pos | s.neg).bit_count()
+
+
+def concept_set(cc: ConceptClass, i: int) -> frozenset[int]:
+    return set_of(cc.concepts[i])
+
+
+def powerset_class(domain_size: int) -> ConceptClass:
+    """All subsets of the domain, as a class."""
+    if domain_size > MAX_POWERSET_DOMAIN:
+        raise ValueError(f"powerset domain capped at {MAX_POWERSET_DOMAIN}")
+    if domain_size < 0:
+        raise ValueError("domain size must be nonnegative")
+    return ConceptClass(domain_size, tuple(range(1 << domain_size)))
+
+
+def is_consistent(concept: int, s: Sample) -> bool:
+    """True iff the concept reproduces every label of the sample."""
+    return (concept & s.pos) == s.pos and (concept & s.neg) == 0
+
+
+def version_space(cc: ConceptClass, s: Sample) -> tuple[int, ...]:
+    """Indices of all concepts consistent with the sample, ascending."""
+    return tuple(bits(version_space_mask(cc, s.pos, s.neg)))
+
+
+def disjoint_union(classes) -> ConceptClass:
+    """Union of classes over concatenated (disjoint) domains.
+
+    Each concept keeps label - outside its origin block.  If several
+    blocks contain the all-negative concept, one copy survives: a class
+    is a set of concepts.
+    """
+    classes = list(classes)
+    offsets = []
+    total = 0
+    for cc in classes:
+        offsets.append(total)
+        total += cc.domain_size
+    masks = set()
+    for cc, off in zip(classes, offsets):
+        for c in cc.concepts:
+            masks.add(c << off)
+    return ConceptClass.from_masks(total, masks)
+
+
+def restrict(cc: ConceptClass, instances) -> ConceptClass:
+    """Project every concept onto the instance set and deduplicate.
+
+    The surviving instances are reindexed in increasing original order.
+    """
+    smask = instances if isinstance(instances, int) else mask_of(instances)
+    if smask >> cc.domain_size:
+        raise ValueError("instance set outside the domain")
+    kept = tuple(bits(smask))
+    masks = set()
+    for c in cc.concepts:
+        m = 0
+        for new_i, old_i in enumerate(kept):
+            if c >> old_i & 1:
+                m |= 1 << new_i
+        masks.add(m)
+    return ConceptClass.from_masks(len(kept), masks)
+
+
+def format_class(cc: ConceptClass) -> str:
+    lines = [f"{len(cc.concepts)} {cc.domain_size}"]
+    lines.extend(format_concept(c, cc.domain_size) for c in cc.concepts)
+    return "\n".join(lines) + "\n"
+
+
+def write_class(cc: ConceptClass, path) -> None:
+    Path(path).write_text(format_class(cc))
+
+
+def empty_preference(size: int) -> PreferenceRelation:
+    return PreferenceRelation(size, (0,) * size)
+
+
+def verify_smgk_teacher(cc: ConceptClass, teaching_sets) -> bool:
+    """Classic teacher check: each sample must pin down its concept alone."""
+    sets = tuple(frozenset(ts) for ts in teaching_sets)
+    teacher = PBTeacher(cc, sets, empty_preference(len(cc)))
+    ok, _ = verify_pb_teacher(cc, teacher)
+    return ok
+
+
+# ---------------------------------------------------------------------------
+# Preference closure and spanning trees by reference algorithms
+# ---------------------------------------------------------------------------
 
 
 def pair_closure(size: int, pairs) -> tuple[int, ...]:
@@ -117,8 +357,6 @@ def all_graphs(n: int):
 
 
 def connected_graphs(n: int):
-    from teachdim.graphs import is_connected
-
     for g in all_graphs(n):
         if n == 1 or is_connected(g, g.full_mask):
             yield g

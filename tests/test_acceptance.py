@@ -25,8 +25,8 @@ from helpers import (
     bulk_max_leaf_by_spanning_trees,
     connected_graphs,
     labeled_trees,
+    powerset_class,
 )
-from teachdim.concepts import powerset_class
 from teachdim.connected import (
     build_con_class,
     con_superset_teacher,

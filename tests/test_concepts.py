@@ -4,18 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teachdim.concepts import (
-    ConceptClass,
-    Sample,
+from helpers import (
+    concept_set,
     disjoint_union,
     format_class,
     is_consistent,
-    is_shattered,
-    parse_class,
     powerset_class,
     restrict,
-    sample_of,
+    sample_from_pairs,
+    sample_size,
+    sample_union,
     version_space,
+)
+from teachdim.concepts import (
+    ConceptClass,
+    Sample,
+    is_shattered,
+    parse_class,
+    sample_of,
     version_space_mask,
 )
 from teachdim.errors import ClassFormatError
@@ -25,18 +31,18 @@ from teachdim.stars import build_star_class
 
 class TestSample:
     def test_from_pairs_labels(self):
-        s = Sample.from_pairs([(0, "+"), (2, "-"), (1, True)])
+        s = sample_from_pairs([(0, "+"), (2, "-"), (1, True)])
         assert s.pairs() == ((0, True), (1, True), (2, False))
 
     def test_contradiction_rejected(self):
         with pytest.raises(ValueError, match="contradictory"):
-            Sample.from_pairs([(0, "+"), (0, "-")])
+            sample_from_pairs([(0, "+"), (0, "-")])
         with pytest.raises(ValueError, match="contradictory"):
             Sample(pos=1, neg=1)
 
     def test_duplicate_agreeing_pair_collapses(self):
-        s = Sample.from_pairs([(3, "+"), (3, "+")])
-        assert len(s) == 1
+        s = sample_from_pairs([(3, "+"), (3, "+")])
+        assert sample_size(s) == 1
 
 
 class TestConceptClass:
@@ -76,7 +82,7 @@ class TestVersionSpace:
 
     def test_powerset_two_labels(self):
         cc = powerset_class(2)
-        vs = version_space(cc, Sample.from_pairs([(0, "+"), (1, "-")]))
+        vs = version_space(cc, sample_from_pairs([(0, "+"), (1, "-")]))
         assert [cc.concepts[i] for i in vs] == [0b01]
 
     def test_star_class_brute_force_agreement(self):
@@ -84,16 +90,16 @@ class TestVersionSpace:
         # two remaining singletons
         g = cycle_graph(4)
         cc = build_star_class(g)
-        s = Sample.from_pairs([(0, "-"), (2, "-")])
+        s = sample_from_pairs([(0, "-"), (2, "-")])
         vs = version_space(cc, s)
         expected = [i for i, c in enumerate(cc.concepts)
                     if not c >> 0 & 1 and not c >> 2 & 1]
         assert list(vs) == expected
-        assert sorted(cc.concept_set(i) for i in vs) == [{1}, {3}]
+        assert sorted(concept_set(cc, i) for i in vs) == [{1}, {3}]
 
     def test_consistency(self):
-        assert is_consistent(0b101, Sample.from_pairs([(0, "+"), (1, "-")]))
-        assert not is_consistent(0b101, Sample.from_pairs([(2, "-")]))
+        assert is_consistent(0b101, sample_from_pairs([(0, "+"), (1, "-")]))
+        assert not is_consistent(0b101, sample_from_pairs([(2, "-")]))
         assert is_consistent(0, Sample())
 
     @given(st.integers(1, 5), st.data())
@@ -107,9 +113,9 @@ class TestVersionSpace:
         joint = {**lab1, **lab2}
         lab1 = {x: joint[x] for x in lab1}  # avoid contradictions
         lab2 = {x: joint[x] for x in lab2}
-        s1 = Sample.from_pairs(lab1.items())
-        s2 = Sample.from_pairs(lab2.items())
-        u = s1.union(s2)
+        s1 = sample_from_pairs(lab1.items())
+        s2 = sample_from_pairs(lab2.items())
+        u = sample_union(s1, s2)
         vs_union = version_space_mask(cc, u.pos, u.neg)
         assert vs_union == (version_space_mask(cc, s1.pos, s1.neg)
                             & version_space_mask(cc, s2.pos, s2.neg))
@@ -187,6 +193,7 @@ class TestTextFormat:
     @pytest.mark.parametrize("text", [
         "",
         "1 3\n",
+        "0 3\n",           # no concepts
         "1 3\n10\n",        # wrong width
         "1 3\n10x\n",       # bad character
         "2 2\n10\n10\n",    # duplicate

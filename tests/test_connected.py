@@ -1,7 +1,14 @@
 import pytest
 
-from helpers import connected_graphs, labeled_trees, pair_closure
-from teachdim.concepts import Sample, version_space
+from helpers import (
+    connected_graphs,
+    labeled_trees,
+    open_neighborhood,
+    pair_closure,
+    sample_from_pairs,
+    version_space,
+)
+from teachdim.concepts import Sample
 from teachdim.connected import (
     build_con_class,
     con_superset_teacher,
@@ -23,7 +30,6 @@ from teachdim.graphs import (
     graph_from_edges,
     is_connected,
     max_leaf_number,
-    open_neighborhood,
     open_neighborhood_mask,
     set_of,
 )
@@ -256,8 +262,8 @@ class TestMatchingTeacher:
             con_vcd_matching_teacher(g)
         # direct demonstration of the conflict
         cc = build_con_class(g, True)
-        s1 = Sample.from_pairs([(0, "-"), (2, "-")])    # boundary of {1}
-        s4 = Sample.from_pairs([(3, "-"), (5, "-")])    # boundary of {4}
+        s1 = sample_from_pairs([(0, "-"), (2, "-")])    # boundary of {1}
+        s4 = sample_from_pairs([(3, "-"), (5, "-")])    # boundary of {4}
         vs1 = {cc.concepts[i] for i in version_space(cc, s1)}
         vs4 = {cc.concepts[i] for i in version_space(cc, s4)}
         assert 1 << 4 in vs1 and 1 << 1 in vs4

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from helpers import connected_graphs, pair_closure
+from helpers import concept_set, connected_graphs, pair_closure
 from teachdim.concepts import is_shattered
 from teachdim.dimensions import rtd_subclass_lower_bound, vcd
 from teachdim.errors import BudgetExceededError, TeacherPreconditionError
@@ -116,7 +116,7 @@ class TestStarTeachers:
         teacher = star_subset_teacher(g)
         cc = teacher.concept_class
         for i in range(len(cc)):
-            assert teacher.teaching_sets[i] == cc.concept_set(i)
+            assert teacher.teaching_sets[i] == concept_set(cc, i)
         ok, cx = verify_pb_teacher(cc, teacher)
         assert ok
         assert teacher.order <= g.max_degree() + 1
@@ -130,7 +130,7 @@ class TestStarTeachers:
         # every concept is special here: taught by its complement as negatives
         cc = teacher.concept_class
         for i, c in enumerate(cc.concepts):
-            assert teacher.teaching_sets[i] == frozenset(range(4)) - cc.concept_set(i)
+            assert teacher.teaching_sets[i] == frozenset(range(4)) - concept_set(cc, i)
 
     def test_special_teacher_computes_the_partition_once(self, monkeypatch):
         import teachdim.stars as stars

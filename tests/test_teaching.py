@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pair_closure
-from teachdim.concepts import ConceptClass, powerset_class, version_space
+from helpers import (
+    empty_preference,
+    pair_closure,
+    powerset_class,
+    verify_smgk_teacher,
+    version_space,
+)
+from teachdim.concepts import ConceptClass
 from teachdim.connected import build_con_class, con_superset_teacher
 from teachdim.dimensions import _teaching_sets, _Work, rtd
 from teachdim.errors import PreferenceCycleError
@@ -23,7 +29,6 @@ from teachdim.teaching import (
     subset_preferences,
     superset_preferences,
     verify_pb_teacher,
-    verify_smgk_teacher,
 )
 
 
@@ -269,14 +274,14 @@ class TestVerifier:
         for cc in (powerset_class(3), build_star_class(cycle_graph(5))):
             full = frozenset(range(cc.domain_size))
             teacher = PBTeacher(cc, (full,) * len(cc),
-                                PreferenceRelation.empty(len(cc)))
+                                empty_preference(len(cc)))
             ok, cx = verify_pb_teacher(cc, teacher)
             assert ok and cx is None
 
     def test_broken_teacher_reports_first_counterexample(self):
         cc = powerset_class(2)
         sets = [frozenset()] * len(cc)
-        teacher = PBTeacher(cc, tuple(sets), PreferenceRelation.empty(len(cc)))
+        teacher = PBTeacher(cc, tuple(sets), empty_preference(len(cc)))
         ok, cx = verify_pb_teacher(cc, teacher)
         assert not ok
         assert cx == (0, 1)
@@ -291,7 +296,7 @@ class TestVerifier:
         cc = powerset_class(1)
         other = powerset_class(2)
         teacher = PBTeacher(cc, (frozenset(), frozenset({0})),
-                            PreferenceRelation.empty(2))
+                            empty_preference(2))
         with pytest.raises(ValueError):
             verify_pb_teacher(other, teacher)
 
@@ -310,7 +315,7 @@ class TestVerifier:
             sets = tuple(set_of(rng.getrandbits(d) & rng.getrandbits(d))
                          for _ in range(m))
             pref = rng.choice([
-                PreferenceRelation.empty(m), subset_preferences(cc),
+                empty_preference(m), subset_preferences(cc),
                 superset_preferences(cc),
                 PreferenceRelation.from_direct(
                     rng.getrandbits(m) >> (i + 1) << (i + 1) for i in range(m)),
@@ -455,7 +460,7 @@ def test_order_statistics():
     teacher = PBTeacher(
         cc,
         (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({1})),
-        PreferenceRelation.empty(4),
+        empty_preference(4),
     )
     assert teacher.order == 2
     assert teacher.order_over([0, 1]) == 1
