@@ -17,6 +17,7 @@ from .connected import (
     leaf_tree_condition,
     maximal_opponents,
 )
+from .context import GraphContext
 from .dimensions import (
     RtdCertificate,
     check_chain,

@@ -10,20 +10,18 @@ from functools import lru_cache
 
 from .concepts import ConceptClass, is_shattered
 from .connected import (
-    build_con_class,
     con_superset_teacher,
     con_tree_teacher,
     con_vcd_matching_teacher,
     leaf_tree_condition,
     maximal_opponents,
 )
+from .context import GraphContext
 from .dimensions import (
     check_chain,
-    rtd,
     rtd_subclass_lower_bound,
     sauer_bound,
     sauer_rtd_implication,
-    vcd,
 )
 from .errors import TeacherPreconditionError
 from .graphs import (
@@ -34,25 +32,13 @@ from .graphs import (
     is_connected,
     mask_of,
     max_leaf_number_exhaustive,
-    max_open_neighborhood,
     open_neighborhood_mask,
     set_of,
     spanned_subgraph,
     MAX_SPANNING_TREE_VERTICES,
 )
-from .stars import (
-    build_star_class,
-    star_subset_teacher,
-    star_special_teacher,
-    star_vcd_characterization,
-    vmax_partition,
-)
-from .teaching import (
-    plan_to_teacher,
-    subset_preferences,
-    superset_preferences,
-    verify_pb_teacher,
-)
+from .stars import star_special_teacher, star_subset_teacher, star_vcd_characterization
+from .teaching import plan_to_teacher, verify_pb_teacher
 
 EQ6_FULL_LIMIT = 12
 EQ6_SAMPLES = 100
@@ -156,17 +142,15 @@ def _teacher_result(name, cc, teacher, order_bound=None, exclude_empty=False):
     return CheckResult(name, "pass")
 
 
-def check_star_graph(g: Graph, *,
-                     budget: int = DEFAULT_ENUM_BUDGET) -> list[CheckResult]:
+def check_star_graph(ctx: GraphContext) -> list[CheckResult]:
     out = []
-    cc = build_star_class(g, budget=budget)
+    g, cc = ctx.g, ctx.star
     delta = g.max_degree()
-    rt = rtd(cc, budget=budget)
-    v, witness = vcd(cc)
+    rt = ctx.rtd(cc)
+    v, witness = ctx.vcd(cc)
     out.append(_chain_result("star-chain", delta, rt.rtd, v))
 
-    part = vmax_partition(g)
-    predicted, char_witness = star_vcd_characterization(g, part=part)
+    predicted, _ = star_vcd_characterization(g)
     out.append(_result("star-char-vs-brute", predicted == v,
                        f"predicted {predicted}, brute {v}"))
 
@@ -179,17 +163,13 @@ def check_star_graph(g: Graph, *,
                        f"witness {sorted(witness)}"))
 
     out.extend(_sauer_checks(cc, v, rt.rtd))
-    out.append(_eq6_check(cc, rt.rtd, budget=budget))
+    out.append(_eq6_check(cc, rt.rtd, budget=ctx.budget))
 
-    pref = subset_preferences(cc)
     out.append(_teacher_result(
-        "star-subset-teacher", cc,
-        star_subset_teacher(g, budget=budget, cc=cc, pref=pref), delta + 1))
+        "star-subset-teacher", cc, star_subset_teacher(ctx), delta + 1))
     try:
         out.append(_teacher_result(
-            "star-special-teacher", cc,
-            star_special_teacher(g, budget=budget, cc=cc, part=part, pref=pref),
-            delta))
+            "star-special-teacher", cc, star_special_teacher(ctx), delta))
     except TeacherPreconditionError as exc:
         out.append(CheckResult("star-special-teacher", "na", str(exc)))
 
@@ -202,29 +182,19 @@ def check_star_graph(g: Graph, *,
     return out
 
 
-def check_con_graph(g: Graph, include_empty: bool = False, *,
-                    budget: int = DEFAULT_ENUM_BUDGET) -> list[CheckResult]:
+def check_con_graph(ctx: GraphContext, include_empty: bool = False
+                    ) -> list[CheckResult]:
     out = []
-    cc = build_con_class(g, include_empty, budget=budget)
-    ell = max_open_neighborhood(g, cc.concepts)
-    rt = rtd(cc, budget=budget)
-    vc = vcd(cc)
-    v = vc[0]
+    g, cc, ell = ctx.g, ctx.con(include_empty), ctx.ell
+    rt = ctx.rtd(cc)
+    v = ctx.vcd(cc)[0]
     out.append(_chain_result(
         f"con-chain(empty={'yes' if include_empty else 'no'})", ell, rt.rtd, v))
 
-    # the other policy's class is cc with the empty concept, which sorts
-    # first, added or removed
-    if include_empty:
-        cc_full, rt_full, vc_full = cc, rt, vc
-        cc_other = ConceptClass(g.n, cc.concepts[1:])
-        other = (rtd(cc_other, budget=budget).rtd, vcd(cc_other)[0])
-    else:
-        cc_full = ConceptClass(g.n, (0,) + cc.concepts)
-        rt_full = rtd(cc_full, budget=budget)
-        vc_full = vcd(cc_full)
-        other = (rt_full.rtd, vc_full[0])
-    v_full = vc_full[0]
+    cc_other = ctx.con(not include_empty)
+    other = (ctx.rtd(cc_other).rtd, ctx.vcd(cc_other)[0])
+    cc_full = ctx.con(True)
+    rt_full, v_full = ctx.rtd(cc_full), ctx.vcd(cc_full)[0]
     out.append(CheckResult(
         "con-empty-policy", "pass",
         f"(rtd,vcd) this policy ({rt.rtd},{v}), other policy {other}"))
@@ -266,12 +236,12 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
     detail = ""
     if opp_fail:
         # name the failure that enumeration order meets last
-        detail = opp_fail[[x for x in connected_set_masks(g, budget=budget)
+        detail = opp_fail[[x for x in connected_set_masks(g, budget=ctx.budget)
                            if x in opp_fail][-1]]
     out.append(_result("con-opponent-boundaries", not opp_fail, detail))
 
     if g.n and is_connected(g, g.full_mask):
-        wit = leaf_tree_condition(g, enum_budget=budget, ell=ell)
+        wit = leaf_tree_condition(ctx)
         expected = v_full == ell + 1
         out.append(_result(
             "con-leaf-tree-vs-vcd", (wit is not None) == expected,
@@ -279,9 +249,9 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
     else:
         comp_vals = []
         for comp in comps:
-            sub, _ = spanned_subgraph(g, comp)
-            sub_cc = build_con_class(sub, True, budget=budget)
-            comp_vals.append((rtd(sub_cc, budget=budget).rtd, vcd(sub_cc)[0]))
+            sub = GraphContext(spanned_subgraph(g, comp)[0], ctx.budget)
+            sub_cc = sub.con(True)
+            comp_vals.append((sub.rtd(sub_cc).rtd, sub.vcd(sub_cc)[0]))
         max_r = max(r for r, _ in comp_vals)
         max_v = max(w for _, w in comp_vals)
         out.append(_result(
@@ -295,24 +265,20 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
         out.append(_result("con-opponent-strictness", strict_ok))
 
     out.extend(_sauer_checks(cc, v, rt.rtd))
-    out.append(_eq6_check(cc, rt.rtd, budget=budget))
+    out.append(_eq6_check(cc, rt.rtd, budget=ctx.budget))
 
-    pref_full = superset_preferences(cc_full)
     out.append(_teacher_result(
-        "con-superset-teacher", cc_full,
-        con_superset_teacher(g, budget=budget, cc=cc_full, pref=pref_full),
+        "con-superset-teacher", cc_full, con_superset_teacher(ctx),
         ell + 1, exclude_empty=True))
     if g.n and is_connected(g, g.full_mask) and g.m == g.n - 1:
         leaf_count = (sum(1 for x in range(g.n) if g.degree(x) == 1)
                       if g.n > 1 else 1)
         out.append(_teacher_result(
-            "con-tree-teacher", cc_full,
-            con_tree_teacher(g, budget=budget, cc=cc_full), leaf_count))
+            "con-tree-teacher", cc_full, con_tree_teacher(ctx), leaf_count))
     try:
-        tm = con_vcd_matching_teacher(g, budget=budget, ell=ell, cc=cc_full,
-                                      vc=vc_full, pref=pref_full)
-        out.append(_teacher_result("con-vcd-matching-teacher", cc_full, tm,
-                                   ell, exclude_empty=True))
+        out.append(_teacher_result(
+            "con-vcd-matching-teacher", cc_full, con_vcd_matching_teacher(ctx),
+            ell, exclude_empty=True))
     except TeacherPreconditionError as exc:
         out.append(CheckResult("con-vcd-matching-teacher", "na", str(exc)))
 
@@ -328,9 +294,9 @@ def check_con_graph(g: Graph, include_empty: bool = False, *,
 def check_graph(g: Graph, kind: str, include_empty: bool = False, *,
                 budget: int = DEFAULT_ENUM_BUDGET):
     """Run every check of one kind; ``budget`` caps each enumeration and
-    raises BudgetExceededError when hit."""
+    teaching-set search and raises BudgetExceededError when hit."""
     if kind == "star":
-        return check_star_graph(g, budget=budget)
+        return check_star_graph(GraphContext(g, budget))
     if kind == "con":
-        return check_con_graph(g, include_empty, budget=budget)
+        return check_con_graph(GraphContext(g, budget), include_empty)
     raise ValueError(f"unknown kind {kind!r}")

@@ -30,22 +30,16 @@ from . import graphs as G
 from .checks import check_graph
 from .concepts import format_concept, read_class, version_space_mask
 from .connected import (
-    build_con_class,
     con_superset_teacher,
     con_tree_teacher,
     con_triple,
     con_vcd_matching_teacher,
 )
+from .context import GraphContext
 from .dimensions import rtd, sauer_bound, sauer_rtd_implication, td_of, vcd
 from .errors import BudgetExceededError, TeacherPreconditionError
 from .families import FAMILY_NAMES, FamilySpec
-from .graphs import read_graph
-from .stars import (
-    build_star_class,
-    star_special_teacher,
-    star_subset_teacher,
-    star_triple,
-)
+from .stars import star_special_teacher, star_subset_teacher, star_triple
 from .teaching import format_teacher, plan_to_teacher
 
 
@@ -58,23 +52,13 @@ class InputError(Exception):
     as one line on stderr and exits 2."""
 
 
-def _read(load, path):
-    """Load a graph or class file; a missing or malformed file is an
-    InputError."""
-    try:
-        return load(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+def _star_plan_teacher(ctx):
+    return plan_to_teacher(ctx.rtd(ctx.star), ctx.star)
 
 
-def _star_plan_teacher(g, *, budget):
-    cc = build_star_class(g, budget=budget)
-    return plan_to_teacher(rtd(cc, budget=budget), cc)
-
-
-def _con_plan_teacher(g, *, budget):
-    cc = build_con_class(g, include_empty=True, budget=budget)
-    return plan_to_teacher(rtd(cc, budget=budget), cc)
+def _con_plan_teacher(ctx):
+    cc = ctx.con(True)
+    return plan_to_teacher(ctx.rtd(cc), cc)
 
 
 TEACHERS = {
@@ -97,13 +81,15 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _family_graphs(args):
-    """The named graphs the family flags select."""
+    """The named graphs the family flags select; a graph file that cannot
+    be read is named in the error."""
     lo, hi = _parse_range(args.n) if args.n else (0, 0)
     try:
         return FamilySpec(args.family, lo, hi, p=args.p, seed=args.seed,
                           path=args.graph_file).graphs()
     except (OSError, ValueError) as exc:
-        raise InputError(str(exc)) from exc
+        where = f"cannot read {args.graph_file}: " if args.graph_file else ""
+        raise InputError(f"{where}{exc}") from exc
 
 
 def _budget(args) -> int:
@@ -187,8 +173,6 @@ def cmd_verify(args) -> int:
 
 
 def _load_graph_for(args):
-    if args.graph_file:
-        return _read(read_graph, args.graph_file)
     graphs = _family_graphs(args)
     if len(graphs) != 1:
         raise InputError("teach/dims need exactly one graph; narrow --n")
@@ -214,7 +198,7 @@ def cmd_teach(args) -> int:
     g = _load_graph_for(args)
     builder, kind = TEACHERS[args.teacher]
     try:
-        teacher = builder(g, budget=_budget(args))
+        teacher = builder(GraphContext(g, _budget(args)))
     except (TeacherPreconditionError, ValueError) as exc:
         raise InputError(f"teacher {args.teacher} unavailable: {exc}") from exc
     cc = teacher.concept_class
@@ -262,17 +246,18 @@ def cmd_dims(args) -> int:
         if ignored:
             raise InputError(f"--class-file conflicts with {', '.join(ignored)}; "
                              "give the class file alone")
-        cc = _read(read_class, args.class_file)
+        try:
+            cc = read_class(args.class_file)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read {args.class_file}: {exc}") from exc
         source = f"class file {args.class_file}"
     else:
         if args.kind is None:
             raise InputError("dims needs --kind when loading a graph")
         g = _load_graph_for(args)
         include_empty = bool(args.include_empty)  # not given: false
-        if args.kind == "star":
-            cc = build_star_class(g, budget=budget)
-        else:
-            cc = build_con_class(g, include_empty, budget=budget)
+        ctx = GraphContext(g, budget)
+        cc = ctx.star if args.kind == "star" else ctx.con(include_empty)
         source = f"{args.kind} class ({'with' if include_empty else 'without'} empty)"
     v, witness = vcd(cc)
     cert = rtd(cc, budget=budget)
@@ -324,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="PRNG seed (random family)")
         p.add_argument("--graph-file", help="graph in text format")
         p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget override")
+                       help="budget of every enumeration and of the "
+                            "teaching-set searches' work")
 
     def add_class_flags(p, kind_required=True):
         p.add_argument("--kind", choices=("star", "con"), required=kind_required)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .concepts import ConceptClass, version_space_mask
 from .dimensions import check_chain, rtd_value, vcd
@@ -21,18 +22,14 @@ from .graphs import (
     connected_set_masks,
     is_connected,
     mask_of,
-    max_leaf_number,
     max_open_neighborhood,
     open_neighborhood_mask,
     set_of,
 )
-from .teaching import (
-    PBTeacher,
-    PreferenceRelation,
-    lex_refine,
-    subset_preferences,
-    superset_preferences,
-)
+from .teaching import PBTeacher, PreferenceRelation, lex_refine, subset_preferences
+
+if TYPE_CHECKING:
+    from .context import GraphContext
 
 #: Default cap on reachability expansion steps in the witness search.
 DEFAULT_PATH_BUDGET = 10 ** 7
@@ -82,9 +79,8 @@ def maximal_opponents(g: Graph, x) -> OpponentSet:
     return OpponentSet(set_of(xmask), tuple(opps))
 
 
-def leaf_tree_condition(g: Graph, *, budget: int = DEFAULT_PATH_BUDGET,
-                        enum_budget: int = DEFAULT_ENUM_BUDGET,
-                        ell: int | None = None) -> tuple[Tree, int] | None:
+def leaf_tree_condition(ctx: GraphContext, *, budget: int = DEFAULT_PATH_BUDGET
+                        ) -> tuple[Tree, int] | None:
     """Search for a tree with the maximum leaf count whose leaves stay
     pairwise connectable away from the tree's other leaves and one
     interior vertex.
@@ -95,14 +91,13 @@ def leaf_tree_condition(g: Graph, *, budget: int = DEFAULT_PATH_BUDGET,
     from deterministic shortest paths to the smallest member, which then
     acts as the interior vertex.  Returns None when no subset qualifies;
     raises BudgetExceededError when the reachability work hits ``budget``.
-    A caller that already has ell(G) passes it as ``ell``.
     """
+    g = ctx.g
     if g.n == 0:
         raise ValueError("empty graph")
     if not is_connected(g, g.full_mask):
         raise ValueError("graph must be connected")
-    if ell is None:
-        ell = max_leaf_number(g, budget=enum_budget)
+    ell = ctx.ell
     steps = 0
     full = g.full_mask
 
@@ -203,16 +198,14 @@ def _subtree_leaves_mask(g: Graph, xmask: int) -> int:
     return leaves
 
 
-def con_tree_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
-                     cc: ConceptClass | None = None) -> PBTeacher:
+def con_tree_teacher(ctx: GraphContext) -> PBTeacher:
     """On a tree, teach a connected set by the leaves of its spanned
     subtree as positive examples, under smaller-sets-first preferences.
-    The empty concept is in the class and needs no examples.  A caller
-    that already has the class with the empty set passes it as ``cc``."""
+    The empty concept is in the class and needs no examples."""
+    g = ctx.g
     if g.n == 0 or not is_connected(g, g.full_mask) or g.m != g.n - 1:
         raise ValueError("con_tree_teacher requires a tree")
-    if cc is None:
-        cc = build_con_class(g, include_empty=True, budget=budget)
+    cc = ctx.con(True)
     sets = tuple(
         set_of(_subtree_leaves_mask(g, c)) if c else frozenset()
         for c in cc.concepts
@@ -220,9 +213,7 @@ def con_tree_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
     return PBTeacher(cc, sets, subset_preferences(cc))
 
 
-def con_superset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
-                         cc: ConceptClass | None = None,
-                         pref: PreferenceRelation | None = None) -> PBTeacher:
+def con_superset_teacher(ctx: GraphContext) -> PBTeacher:
     """Teach a connected set by one member (smallest index) as positive and
     its whole open neighborhood as negatives, under larger-sets-first
     preferences.
@@ -230,12 +221,8 @@ def con_superset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
     The empty concept cannot be taught that way; it gets every vertex as
     a negative example, which pins it exactly.  Its oversized teaching
     set is deliberate and excluded from the order bound checks.
-
-    A caller that already has the class with the empty set passes it as
-    ``cc``, and its ``superset_preferences`` as ``pref``.
     """
-    if cc is None:
-        cc = build_con_class(g, include_empty=True, budget=budget)
+    g, cc = ctx.g, ctx.con(True)
     sets = []
     for c in cc.concepts:
         if c == 0:
@@ -243,15 +230,10 @@ def con_superset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
             continue
         low = (c & -c).bit_length() - 1
         sets.append(set_of(open_neighborhood_mask(g, c) | (1 << low)))
-    return PBTeacher(cc, tuple(sets),
-                     superset_preferences(cc) if pref is None else pref)
+    return PBTeacher(cc, tuple(sets), ctx.con_pref)
 
 
-def con_vcd_matching_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
-                             ell: int | None = None,
-                             cc: ConceptClass | None = None,
-                             vc: tuple[int, frozenset[int]] | None = None,
-                             pref: PreferenceRelation | None = None) -> PBTeacher:
+def con_vcd_matching_teacher(ctx: GraphContext) -> PBTeacher:
     """The order-ell teacher that exists when the VC-dimension does not
     exceed the max-leaf number.
 
@@ -259,16 +241,10 @@ def con_vcd_matching_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
     negatives; their only rivals in the version space are their maximal
     opponents, whose boundaries are strictly smaller, so refining the
     larger-sets-first preference by boundary size settles every contest.
-    Smaller-boundary sets get one positive member on top.  A caller that
-    already has them passes ell(G) as ``ell``, the class with the empty
-    set as ``cc``, its ``vcd`` as ``vc`` and its ``superset_preferences``
-    as ``pref``.
+    Smaller-boundary sets get one positive member on top.
     """
-    if ell is None:
-        ell = max_leaf_number(g, budget=budget)
-    if cc is None:
-        cc = build_con_class(g, include_empty=True, budget=budget)
-    value, witness = vcd(cc) if vc is None else vc
+    g, ell, cc = ctx.g, ctx.ell, ctx.con(True)
+    value, witness = ctx.vcd(cc)
     if value != ell:
         raise TeacherPreconditionError(
             f"VC-dimension {value} exceeds max-leaf number {ell} "
@@ -287,11 +263,10 @@ def con_vcd_matching_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
         else:
             low = (c & -c).bit_length() - 1
             sets.append(set_of(nb | (1 << low)))
-    return PBTeacher(cc, tuple(sets), _matching_preference(g, cc, boundary, ell, pref))
+    return PBTeacher(cc, tuple(sets), _matching_preference(ctx, boundary))
 
 
-def _matching_preference(g: Graph, cc: ConceptClass, boundary, ell,
-                         base: PreferenceRelation | None) -> PreferenceRelation:
+def _matching_preference(ctx: GraphContext, boundary) -> PreferenceRelation:
     """Larger-sets-first refined by boundary size on incomparable pairs.
 
     The global refinement can cycle (boundary size is not monotone under
@@ -301,9 +276,9 @@ def _matching_preference(g: Graph, cc: ConceptClass, boundary, ell,
     contradictory: two disjoint full-boundary sets may each survive the
     other's sample, e.g. the second and fifth vertices of a six-vertex
     path, and then no preference relation whatsoever makes the stated
-    teaching sets work; such graphs are refused.  ``base`` is the class's
-    ``superset_preferences`` when the caller has it.
+    teaching sets work; such graphs are refused.
     """
+    g, ell, cc = ctx.g, ctx.ell, ctx.con(True)
     full_boundary = [
         i for i, c in enumerate(cc.concepts)
         if c and boundary[c].bit_count() == ell
@@ -319,8 +294,7 @@ def _matching_preference(g: Graph, cc: ConceptClass, boundary, ell,
                     f"{g.vertex_names(ci)} and {g.vertex_names(cj)} each "
                     "survive the other's sample"
                 )
-    if base is None:
-        base = superset_preferences(cc)
+    base = ctx.con_pref
     keys = [boundary[c].bit_count() for c in cc.concepts]
     try:
         return lex_refine(base, keys)

@@ -5,6 +5,7 @@ vertices share closed neighborhoods."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .concepts import ConceptClass
 from .dimensions import check_chain, rtd_value, vcd
@@ -16,7 +17,10 @@ from .graphs import (
     mask_of,
     set_of,
 )
-from .teaching import PBTeacher, PreferenceRelation, subset_preferences
+from .teaching import PBTeacher, PreferenceRelation
+
+if TYPE_CHECKING:
+    from .context import GraphContext
 
 
 def build_star_class(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> ConceptClass:
@@ -89,17 +93,17 @@ def vmax_partition(g: Graph) -> VmaxPartition:
     return VmaxPartition(delta, tuple(groups))
 
 
-def star_vcd_characterization(g: Graph, *, part: VmaxPartition | None = None
-                              ) -> tuple[int, tuple[int, int] | None]:
+def star_vcd_characterization(g: Graph) -> tuple[int, tuple[int, int] | None]:
     """Predict the star class's VC-dimension without building the class.
 
     Returns Delta+1 with a witness (group index, external vertex) when
     some vertex outside a shared closed neighborhood covers that group's
-    fringe; otherwise Delta with no witness.  A caller that already has
-    ``vmax_partition(g)`` passes it as ``part``.
+    fringe; otherwise Delta with no witness.
     """
-    if part is None:
-        part = vmax_partition(g)
+    return _fringe_cover(g, vmax_partition(g))
+
+
+def _fringe_cover(g: Graph, part: VmaxPartition) -> tuple[int, tuple[int, int] | None]:
     for i, grp in enumerate(part.groups):
         closed = mask_of(grp.closed)
         fringe = mask_of(grp.fringe)
@@ -111,25 +115,14 @@ def star_vcd_characterization(g: Graph, *, part: VmaxPartition | None = None
     return part.delta, None
 
 
-def star_subset_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
-                        cc: ConceptClass | None = None,
-                        pref: PreferenceRelation | None = None) -> PBTeacher:
+def star_subset_teacher(ctx: GraphContext) -> PBTeacher:
     """Teach every star by all of its members as positive examples, under
-    smaller-sets-first preferences.  Valid for every graph.
-
-    A caller that already has the star class passes it as ``cc``, and
-    its ``subset_preferences`` as ``pref``.
-    """
-    if cc is None:
-        cc = build_star_class(g, budget=budget)
-    sets = tuple(set_of(c) for c in cc.concepts)
-    return PBTeacher(cc, sets, subset_preferences(cc) if pref is None else pref)
+    smaller-sets-first preferences.  Valid for every graph."""
+    cc = ctx.star
+    return PBTeacher(cc, tuple(set_of(c) for c in cc.concepts), ctx.star_pref)
 
 
-def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
-                         cc: ConceptClass | None = None,
-                         part: VmaxPartition | None = None,
-                         pref: PreferenceRelation | None = None) -> PBTeacher:
+def star_special_teacher(ctx: GraphContext) -> PBTeacher:
     """The order-Delta teacher that exists when no external vertex covers
     any group's fringe.
 
@@ -139,21 +132,15 @@ def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
     are preferred over special ones; within a group's special concepts,
     more members means more preferred; non-special concepts carry
     smaller-sets-first preferences.
-
-    A caller that already has them passes the star class as ``cc``, its
-    ``subset_preferences`` as ``pref`` and ``vmax_partition(g)`` as
-    ``part``.
     """
-    if part is None:
-        part = vmax_partition(g)
-    value, witness = star_vcd_characterization(g, part=part)
+    part = ctx.part
+    value, witness = _fringe_cover(ctx.g, part)
     if value != part.delta:
         raise TeacherPreconditionError(
             "an external vertex covers a fringe; the order-Delta construction "
             f"does not apply (witness {witness})"
         )
-    if cc is None:
-        cc = build_star_class(g, budget=budget)
+    cc = ctx.star
     group_masks = [
         (mask_of(grp.members), mask_of(grp.closed), mask_of(grp.fringe))
         for grp in part.groups
@@ -182,9 +169,7 @@ def star_special_teacher(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET,
         else:
             sets.append(set_of(c))
 
-    if pref is None:
-        pref = subset_preferences(cc)
-    supersets = pref.below
+    supersets = ctx.star_pref.below
     direct = []
     for i, scopes in enumerate(special_scopes):
         if not scopes:

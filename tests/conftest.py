@@ -8,7 +8,8 @@ import itertools
 
 import pytest
 
-from teachdim.connected import build_con_class, leaf_tree_condition
+from teachdim.connected import leaf_tree_condition
+from teachdim.context import GraphContext
 from teachdim.dimensions import rtd_value, vcd
 from teachdim.errors import BudgetExceededError
 from teachdim.families import (
@@ -71,8 +72,8 @@ def sweep6():
                 data["star_chain"].append((key, g.max_degree(), sr, sv))
             ell = max_leaf_number(g)
             data["ell_by_key"][key] = ell
-            ccf = build_con_class(g, True)
-            ccb = build_con_class(g, False)
+            ctx = GraphContext(g)
+            ccf, ccb = ctx.con(True), ctx.con(False)
             for cc in (ccf, ccb):
                 if max_open_neighborhood(g, cc.concepts) != ell:
                     data["ell_from_class"].append((key, len(cc), ell))
@@ -87,7 +88,7 @@ def sweep6():
             if (rf, vf) != (rb, vb):
                 data["policy_diff"].append((key, (rb, vb), (rf, vf)))
             try:
-                wit = leaf_tree_condition(g, ell=ell)
+                wit = leaf_tree_condition(ctx)
             except BudgetExceededError:
                 data["ltc_budget"].append(key)
                 continue

@@ -8,13 +8,17 @@ pair-list preference closure that mask-built preferences are checked
 against, the recursive spanning-tree enumerator that the pruned
 max-leaf oracle is checked against on graphs too large for the sweeps,
 relabeling with label-free check results for the invariance tests,
-and the benchmark's workload definitions, loaded read-only."""
+the certifier that checks RTD, TD and VCD answers from both sides
+without the kernels, and the benchmark's workload definitions, loaded
+read-only."""
 
 from __future__ import annotations
 
 import heapq
+import functools
 import importlib.util
 import itertools
+import operator
 import re
 import sys
 from pathlib import Path
@@ -255,6 +259,105 @@ def verify_smgk_teacher(cc: ConceptClass, teaching_sets) -> bool:
     teacher = PBTeacher(cc, sets, empty_preference(len(cc)))
     ok, _ = verify_pb_teacher(cc, teacher)
     return ok
+
+
+# ---------------------------------------------------------------------------
+# The certifier
+# ---------------------------------------------------------------------------
+
+
+def certify(cc: ConceptClass, cert, tds, vc) -> list[str]:
+    """Check the peeling certificate ``cert``, the ``td_of`` answers
+    ``tds`` (size, witness set) of every concept and the ``vcd`` answer
+    ``vc`` (value, witness set) of ``cc`` exhaustively, by code that
+    shares nothing with the library's kernels.  Returns the failures
+    found; an empty list certifies.
+
+    Each answer is checked from both sides, and one size suffices each
+    time, since a superset of a teaching set also teaches and every
+    subset of a shattered set is shattered:
+
+    * RTD: every level's witnesses have the level's size and teach their
+      concepts against the concepts still active there.  At A*, the
+      active set at the first level whose value is ``cert.rtd``, no set
+      one smaller teaches any member, so TD_min(A*) = rtd; as RTD is the
+      largest TD_min over subclasses, RTD >= rtd.
+    * TD: concept i's witness has k instances and teaches i against the
+      class; no (k-1)-set does.
+    * VCD: the witness has v instances and is shattered; no (v+1)-set is.
+    """
+    concepts, d = cc.concepts, cc.domain_size
+    problems = []
+
+    def teaches(s, c, members):
+        """Whether labeling the instances of s by c leaves c alone among
+        the members."""
+        return list(map(s.__and__, members)).count(c & s) == 1
+
+    def hit(masks, k):
+        """Whether at most k instances meet every mask in ``masks``; each
+        branch adds an instance of a smallest mask not met yet, as one
+        must."""
+        if not masks:
+            return True
+        if k <= 1:
+            return k == 1 and functools.reduce(operator.and_, masks) != 0
+        low = min(masks, key=int.bit_count)
+        while low:
+            bit = low & -low
+            if hit(list(itertools.filterfalse(bit.__and__, masks)), k - 1):
+                return True
+            low ^= bit
+        return False
+
+    def taught_by_fewer(c, members, k):
+        """Whether fewer than k instances teach c among ``members``, a
+        set: whether they meet c's difference from every other member.
+        The instances that tell c from a member one flip away are forced."""
+        forced = sum(1 << x for x in range(d) if c ^ 1 << x in members)
+        if forced.bit_count() >= k:
+            return False
+        rest = list(itertools.filterfalse(forced.__and__, map(c.__xor__, members)))
+        rest.remove(0)  # c's own
+        return hit(rest, k - 1 - forced.bit_count())
+
+    def shattered(s):
+        return len({c & s for c in concepts}) == 1 << s.bit_count()
+
+    if cert.rtd != max(value for _, value in cert.levels):
+        problems.append(f"rtd {cert.rtd} is not the largest level value")
+    active = set(range(len(concepts)))
+    a_star = None
+    for level, value in cert.levels:
+        members = [concepts[j] for j in sorted(active)]
+        if a_star is None and value == cert.rtd:
+            a_star = set(members)
+        for i in level:
+            w = cert.witnesses[i]
+            if w.bit_count() != value or not teaches(w, concepts[i], members):
+                problems.append(f"level witness {w:#x} of concept {i} does not "
+                                f"teach it with {value} instances")
+        active -= level
+    if a_star and any(taught_by_fewer(c, a_star, cert.rtd) for c in a_star):
+        problems.append(f"fewer than rtd {cert.rtd} instances teach a member of A*")
+
+    everyone = set(concepts)
+    for i, (k, witness) in enumerate(tds):
+        w = sum(1 << x for x in witness)
+        if len(witness) != k or not teaches(w, concepts[i], concepts):
+            problems.append(f"td witness {sorted(witness)} of concept {i} does "
+                            f"not teach it with {k} instances")
+        if taught_by_fewer(concepts[i], everyone, k):
+            problems.append(f"fewer than td {k} instances teach concept {i}")
+
+    v, witness = vc
+    if len(witness) != v or not shattered(sum(1 << x for x in witness)):
+        problems.append(f"vcd witness {sorted(witness)} of size {v} is not shattered")
+    for combo in itertools.combinations(range(d), v + 1):
+        if shattered(sum(1 << x for x in combo)):
+            problems.append(f"{sorted(combo)} is shattered, past vcd {v}")
+            break
+    return problems
 
 
 # ---------------------------------------------------------------------------

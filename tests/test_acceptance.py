@@ -34,6 +34,7 @@ from teachdim.connected import (
     con_triple,
     con_vcd_matching_teacher,
 )
+from teachdim.context import GraphContext
 from teachdim.dimensions import (
     rtd,
     rtd_subclass_lower_bound,
@@ -213,17 +214,18 @@ def test_criterion_08_teacher_validity(teacher_suite):
             failures.append((name, kind, "order", order, ">", bound))
 
     for name, g in teacher_suite:
+        ctx = GraphContext(g)
         delta = g.max_degree()
         ell = max_leaf_number(g)
-        check(name, "star-subset", star_subset_teacher(g), delta + 1)
+        check(name, "star-subset", star_subset_teacher(ctx), delta + 1)
         try:
-            check(name, "star-special", star_special_teacher(g), delta)
+            check(name, "star-special", star_special_teacher(ctx), delta)
         except TeacherPreconditionError:
             pass
-        check(name, "con-superset", con_superset_teacher(g), ell + 1,
+        check(name, "con-superset", con_superset_teacher(ctx), ell + 1,
               exclude_empty=True)
         try:
-            check(name, "con-vcd-matching", con_vcd_matching_teacher(g), ell,
+            check(name, "con-vcd-matching", con_vcd_matching_teacher(ctx), ell,
                   exclude_empty=True)
         except TeacherPreconditionError as exc:
             refusals["infeasible" if "infeasible" in str(exc)
@@ -234,8 +236,8 @@ def test_criterion_08_teacher_validity(teacher_suite):
             tree_count += 1
             leaf_count = (sum(1 for x in range(n) if g.degree(x) == 1)
                           if n > 1 else 1)
-            check(f"tree{n}#{tree_count}", "con-tree", con_tree_teacher(g),
-                  leaf_count)
+            check(f"tree{n}#{tree_count}", "con-tree",
+                  con_tree_teacher(GraphContext(g)), leaf_count)
     _report(
         8, "all constructive teachers verify within their order bounds",
         failures,
@@ -278,7 +280,7 @@ def test_criterion_09_plan_teachers_and_order_lower_bound(
         for kind, build in (("star-subset", star_subset_teacher),
                             ("star-special", star_special_teacher)):
             try:
-                teacher = build(g)
+                teacher = build(GraphContext(g))
             except TeacherPreconditionError:
                 continue
             if teacher.order < star_rtd:
@@ -288,7 +290,7 @@ def test_criterion_09_plan_teachers_and_order_lower_bound(
         for kind, build in (("con-superset", con_superset_teacher),
                             ("con-vcd-matching", con_vcd_matching_teacher)):
             try:
-                teacher = build(g)
+                teacher = build(GraphContext(g))
             except TeacherPreconditionError:
                 continue
             if teacher.order < con_rtd:

@@ -304,6 +304,21 @@ class TestBadInput:
         self.assert_refused(capsys, "teach", "--graph-file", str(path),
                             "--teacher", "con-plan", "--concept", "0")
 
+    @pytest.mark.parametrize("content", [None, ""], ids=("missing", "empty"))
+    @pytest.mark.parametrize("argv", [
+        ("dims", "--kind", "con"),
+        ("triples", "--kind", "star"),
+        ("verify", "--kind", "con"),
+        ("teach", "--teacher", "con-plan", "--concept", "0"),
+    ], ids=("dims", "triples", "verify", "teach"))
+    def test_unreadable_graph_file_is_named(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "graph.txt"
+        if content is not None:
+            path.write_text(content)
+        code, out, err = run_cli(capsys, argv[0], "--graph-file", str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot read {path}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("content", [None, "3 2\n01\n10\n", "0 3\n"],
                              ids=("missing", "malformed", "no-concepts"))
     def test_bad_class_file(self, capsys, tmp_path, content):
@@ -379,18 +394,18 @@ class TestChecksDirect:
 
     @pytest.mark.parametrize("include_empty", [False, True])
     def test_con_checks_measure_each_class_once(self, monkeypatch, include_empty):
-        import teachdim.checks as checks
+        import teachdim.context as context
         from teachdim.graphs import graph_from_edges
 
         seen = []
         for name in ("rtd", "vcd"):
-            real = getattr(checks, name)
+            real = getattr(context, name)
 
             def counted(cc, *args, _real=real, _name=name, **kwargs):
                 seen.append((_name, cc.concepts))
                 return _real(cc, *args, **kwargs)
 
-            monkeypatch.setattr(checks, name, counted)
+            monkeypatch.setattr(context, name, counted)
         # components of different shapes, so no two of their classes agree
         for g in (fig2(), graph_from_edges(6, [(0, 1), (1, 2), (3, 4)])):
             seen.clear()
@@ -399,30 +414,25 @@ class TestChecksDirect:
             assert len(seen) == len(set(seen))
 
     def test_con_checks_compute_ell_once(self, monkeypatch):
-        """ell is read once, from the class the checks build; the
-        connected sets are not enumerated again for it."""
-        import teachdim.checks as checks
-        import teachdim.connected as connected
+        """ell is read once, from the class without the empty set that the
+        checks build under either policy."""
+        import teachdim.context as context
         from teachdim.connected import build_con_class
 
         calls = []
-        real = checks.max_open_neighborhood
+        real = context.max_open_neighborhood
 
         def counted(g, masks):
             masks = tuple(masks)
             calls.append(masks)
             return real(g, masks)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("max_leaf_number called by check_graph")
-
-        monkeypatch.setattr(checks, "max_open_neighborhood", counted)
-        monkeypatch.setattr(connected, "max_leaf_number", refuse)
+        monkeypatch.setattr(context, "max_open_neighborhood", counted)
         for g in (fig2(), path_graph(3)):
             for include_empty in (False, True):
                 calls.clear()
                 check_graph(g, "con", include_empty)
-                assert calls == [build_con_class(g, include_empty).concepts]
+                assert calls == [build_con_class(g, False).concepts]
 
     def test_eq6_passes_the_seeded_subclasses(self, monkeypatch):
         """The full branch asks for every nonempty subclass mask in

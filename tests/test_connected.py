@@ -18,6 +18,7 @@ from teachdim.connected import (
     leaf_tree_condition,
     maximal_opponents,
 )
+from teachdim.context import GraphContext
 from teachdim.dimensions import vcd
 from teachdim.errors import (
     BudgetExceededError,
@@ -38,6 +39,17 @@ from teachdim.teaching import lex_refine, superset_preferences, verify_pb_teache
 
 def names(g, s):
     return sorted(g.vertex_name(v) for v in s)
+
+
+def refuse_to_measure_ell(monkeypatch):
+    """Fail any later enumeration or measurement of ell(G) by a context."""
+    import teachdim.context as context
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ell measured again despite a context that has it")
+
+    monkeypatch.setattr(context, "build_con_class", refuse)
+    monkeypatch.setattr(context, "max_open_neighborhood", refuse)
 
 
 class TestBuildConClass:
@@ -109,54 +121,49 @@ class TestOpponents:
 class TestLeafTreeCondition:
     def test_fig2_witness_is_the_binary_tree(self):
         g = fig2()
-        tree, u = leaf_tree_condition(g)
+        tree, u = leaf_tree_condition(GraphContext(g))
         assert g.vertex_name(u) == "a"
         assert names(g, tree.leaves()) == ["d", "e", "f", "g"]
         assert tree.edges == {(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)}
 
     def test_paths_have_no_witness(self):
         for n in range(2, 8):
-            assert leaf_tree_condition(path_graph(n)) is None
+            assert leaf_tree_condition(GraphContext(path_graph(n))) is None
 
     def test_cycle4_witness_exists(self):
         # brute force gives dimension 3 = max-leaf + 1, forcing a witness
         g = cycle_graph(4)
         assert vcd(build_con_class(g, True))[0] == 3 == max_leaf_number(g) + 1
-        assert leaf_tree_condition(g) is not None
+        assert leaf_tree_condition(GraphContext(g)) is not None
 
     def test_budget_error_is_distinct_from_no_witness(self):
         with pytest.raises(BudgetExceededError):
-            leaf_tree_condition(cycle_graph(8), budget=3)
+            leaf_tree_condition(GraphContext(cycle_graph(8)), budget=3)
 
     def test_single_vertex(self):
-        tree, u = leaf_tree_condition(complete_graph(1))
+        tree, u = leaf_tree_condition(GraphContext(complete_graph(1)))
         assert u == 0 and tree.vertices == {0}
 
     def test_requires_connected(self):
         with pytest.raises(ValueError):
-            leaf_tree_condition(graph_from_edges(3, [(0, 1)]))
+            leaf_tree_condition(GraphContext(graph_from_edges(3, [(0, 1)])))
 
     def test_known_ell_is_not_recomputed(self, monkeypatch):
-        import teachdim.connected as connected
-
         graphs = [fig2(), cycle_graph(4), path_graph(5), random_graph(7, 0.5, 3)]
-        want = [leaf_tree_condition(g) for g in graphs]
-        ells = [max_leaf_number(g) for g in graphs]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("max_leaf_number called despite a known ell")
-
-        monkeypatch.setattr(connected, "max_leaf_number", refuse)
-        assert [leaf_tree_condition(g, ell=e) for g, e in zip(graphs, ells)] == want
+        want = [leaf_tree_condition(GraphContext(g)) for g in graphs]
+        ctxs = [GraphContext(g) for g in graphs]
+        assert [ctx.ell for ctx in ctxs] == [max_leaf_number(g) for g in graphs]
+        refuse_to_measure_ell(monkeypatch)
+        assert [leaf_tree_condition(ctx) for ctx in ctxs] == want
 
 
 class TestTreeTeacher:
     def test_teaching_sets_are_subtree_leaves(self):
         g = fig2()  # not a tree
         with pytest.raises(ValueError):
-            con_tree_teacher(g)
+            con_tree_teacher(GraphContext(g))
         t = graph_from_edges(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)])
-        teacher = con_tree_teacher(t)
+        teacher = con_tree_teacher(GraphContext(t))
         cc = teacher.concept_class
         assert teacher.teaching_sets[cc.index_of(frozenset())] == frozenset()
         assert teacher.teaching_sets[cc.index_of({1})] == {1}
@@ -168,7 +175,7 @@ class TestTreeTeacher:
     def test_valid_on_all_trees_up_to_six(self):
         for n in range(1, 7):
             for g in labeled_trees(n):
-                teacher = con_tree_teacher(g)
+                teacher = con_tree_teacher(GraphContext(g))
                 ok, cx = verify_pb_teacher(teacher.concept_class, teacher)
                 assert ok, (n, g.edges(), cx)
                 leaf_count = (sum(1 for v in range(n) if g.degree(v) == 1)
@@ -179,7 +186,7 @@ class TestTreeTeacher:
 class TestSupersetTeacher:
     def test_teaching_set_structure(self):
         g = fig2()
-        teacher = con_superset_teacher(g)
+        teacher = con_superset_teacher(GraphContext(g))
         cc = teacher.concept_class
         i = cc.index_of({1, 3})  # {b,d}
         s = teacher.sample_for(i)
@@ -190,7 +197,7 @@ class TestSupersetTeacher:
 
     def test_order_bound_excludes_empty_concept(self):
         g = fig2()
-        teacher = con_superset_teacher(g)
+        teacher = con_superset_teacher(GraphContext(g))
         cc = teacher.concept_class
         nonempty = [i for i, c in enumerate(cc.concepts) if c]
         assert teacher.order_over(nonempty) == max_leaf_number(g) + 1
@@ -199,7 +206,7 @@ class TestSupersetTeacher:
     def test_valid_on_assorted_graphs(self):
         for g in (path_graph(4), cycle_graph(6), complete_graph(5), fig2(),
                   graph_from_edges(6, [(0, 1), (2, 3), (3, 4), (2, 4)])):
-            teacher = con_superset_teacher(g)
+            teacher = con_superset_teacher(GraphContext(g))
             ok, cx = verify_pb_teacher(teacher.concept_class, teacher)
             assert ok, cx
 
@@ -207,7 +214,7 @@ class TestSupersetTeacher:
 class TestMatchingTeacher:
     def test_small_paths_construct(self):
         for n in (2, 3):
-            teacher = con_vcd_matching_teacher(path_graph(n))
+            teacher = con_vcd_matching_teacher(GraphContext(path_graph(n)))
             ok, cx = verify_pb_teacher(teacher.concept_class, teacher)
             assert ok, cx
             cc = teacher.concept_class
@@ -216,7 +223,7 @@ class TestMatchingTeacher:
 
     def test_two_triangles_construct(self):
         g = graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        teacher = con_vcd_matching_teacher(g)
+        teacher = con_vcd_matching_teacher(GraphContext(g))
         ok, cx = verify_pb_teacher(teacher.concept_class, teacher)
         assert ok, cx
         cc = teacher.concept_class
@@ -224,33 +231,28 @@ class TestMatchingTeacher:
         assert teacher.order_over(nonempty) <= max_leaf_number(g)
 
     def test_known_ell_is_not_recomputed(self, monkeypatch):
-        import teachdim.connected as connected
-
         graphs = [path_graph(2), path_graph(3), fig2(),
                   graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])]
 
-        def built(g, **kwargs):
+        def built(ctx):
             try:
-                t = con_vcd_matching_teacher(g, **kwargs)
+                t = con_vcd_matching_teacher(ctx)
             except TeacherPreconditionError as exc:
                 return str(exc)
             return t.teaching_sets, t.preference.below
 
-        want = [built(g) for g in graphs]
-        ells = [max_leaf_number(g) for g in graphs]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("max_leaf_number called despite a known ell")
-
-        monkeypatch.setattr(connected, "max_leaf_number", refuse)
-        assert [built(g, ell=e) for g, e in zip(graphs, ells)] == want
+        want = [built(GraphContext(g)) for g in graphs]
+        ctxs = [GraphContext(g) for g in graphs]
+        assert [ctx.ell for ctx in ctxs] == [max_leaf_number(g) for g in graphs]
+        refuse_to_measure_ell(monkeypatch)
+        assert [built(ctx) for ctx in ctxs] == want
         assert any(isinstance(w, str) for w in want)
         assert any(not isinstance(w, str) for w in want)
 
     def test_refuses_when_vcd_exceeds_max_leaf(self):
         for g in (cycle_graph(4), complete_graph(4), fig2()):
             with pytest.raises(TeacherPreconditionError, match="does not apply"):
-                con_vcd_matching_teacher(g)
+                con_vcd_matching_teacher(GraphContext(g))
 
     def test_refuses_jointly_infeasible_negative_sets(self):
         """Long paths defeat every preference relation: the second and
@@ -259,7 +261,7 @@ class TestMatchingTeacher:
         be preferred over the other."""
         g = path_graph(5)
         with pytest.raises(TeacherPreconditionError, match="jointly infeasible"):
-            con_vcd_matching_teacher(g)
+            con_vcd_matching_teacher(GraphContext(g))
         # direct demonstration of the conflict
         cc = build_con_class(g, True)
         s1 = sample_from_pairs([(0, "-"), (2, "-")])    # boundary of {1}
@@ -276,7 +278,7 @@ class TestMatchingTeacher:
         for g in [path_graph(3)] + [random_graph(n, 0.4, s)
                                     for n in (5, 6, 7) for s in range(4)]:
             try:
-                teacher = con_vcd_matching_teacher(g)
+                teacher = con_vcd_matching_teacher(GraphContext(g))
             except TeacherPreconditionError:
                 continue
             cc = teacher.concept_class
@@ -306,33 +308,33 @@ def shared_parts_corpus():
         yield random_graph(5 + i % 4, (0.3, 0.5, 0.7)[i % 3], 404, i)
 
 
-def teacher_or_refusal(build, **parts):
+def teacher_or_refusal(build, ctx):
     try:
-        return build(**parts)
+        return build(ctx)
     except TeacherPreconditionError as exc:
         return str(exc)
 
 
 class TestSharedParts:
-    """A teacher given the class, its VCD and its containment order
-    equals the one that builds them itself."""
+    """A teacher built from a context whose class, VCD, ell and
+    containment order other teachers already read equals one built from
+    a fresh context."""
 
     def test_con_teachers(self):
         corpus = list(shared_parts_corpus())
         trees = refused = 0
         for g in corpus:
-            cc = build_con_class(g, include_empty=True)
-            pref = superset_preferences(cc)
-            ell = max_leaf_number(g)
-            assert con_superset_teacher(g, cc=cc, pref=pref) == con_superset_teacher(g)
-            matching = teacher_or_refusal(
-                lambda **kw: con_vcd_matching_teacher(g, **kw),
-                ell=ell, cc=cc, vc=vcd(cc), pref=pref)
-            assert matching == teacher_or_refusal(lambda: con_vcd_matching_teacher(g))
+            ctx = GraphContext(g)
+            assert ctx.ell == max_leaf_number(g)
+            assert ctx.vcd(ctx.con(True)) == vcd(build_con_class(g, True))
+            assert con_superset_teacher(ctx) == con_superset_teacher(GraphContext(g))
+            matching = teacher_or_refusal(con_vcd_matching_teacher, ctx)
+            assert matching == teacher_or_refusal(con_vcd_matching_teacher,
+                                                  GraphContext(g))
             refused += isinstance(matching, str)
             if g.m == g.n - 1 and is_connected(g, g.full_mask):
                 trees += 1
-                assert con_tree_teacher(g, cc=cc) == con_tree_teacher(g)
+                assert con_tree_teacher(ctx) == con_tree_teacher(GraphContext(g))
         assert trees >= 3 and 0 < refused < len(corpus)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import concept_set, connected_graphs, pair_closure
 from teachdim.concepts import is_shattered
+from teachdim.context import GraphContext
 from teachdim.dimensions import rtd_subclass_lower_bound, vcd
 from teachdim.errors import BudgetExceededError, TeacherPreconditionError
 from teachdim.families import (
@@ -23,7 +24,7 @@ from teachdim.stars import (
     star_vcd_characterization,
     vmax_partition,
 )
-from teachdim.teaching import subset_preferences, verify_pb_teacher
+from teachdim.teaching import verify_pb_teacher
 
 
 class TestBuildStarClass:
@@ -113,7 +114,7 @@ class TestCharacterization:
 class TestStarTeachers:
     def test_subset_teacher_sets_are_the_concepts(self):
         g = cycle_graph(5)
-        teacher = star_subset_teacher(g)
+        teacher = star_subset_teacher(GraphContext(g))
         cc = teacher.concept_class
         for i in range(len(cc)):
             assert teacher.teaching_sets[i] == concept_set(cc, i)
@@ -123,7 +124,7 @@ class TestStarTeachers:
 
     def test_special_teacher_on_complete_graph(self):
         g = complete_graph(4)
-        teacher = star_special_teacher(g)
+        teacher = star_special_teacher(GraphContext(g))
         ok, cx = verify_pb_teacher(teacher.concept_class, teacher)
         assert ok, cx
         assert teacher.order <= 3
@@ -133,6 +134,7 @@ class TestStarTeachers:
             assert teacher.teaching_sets[i] == frozenset(range(4)) - concept_set(cc, i)
 
     def test_special_teacher_computes_the_partition_once(self, monkeypatch):
+        import teachdim.context as context
         import teachdim.stars as stars
 
         calls = []
@@ -143,10 +145,11 @@ class TestStarTeachers:
             return real(g)
 
         monkeypatch.setattr(stars, "vmax_partition", counted)
+        monkeypatch.setattr(context, "vmax_partition", counted)
         for g in (complete_graph(4), path_graph(4), cycle_graph(6), fig1_right()):
             calls.clear()
             try:
-                star_special_teacher(g)
+                star_special_teacher(GraphContext(g))
             except TeacherPreconditionError:
                 pass
             assert len(calls) == 1
@@ -154,11 +157,11 @@ class TestStarTeachers:
     def test_special_teacher_refuses_when_vcd_exceeds_delta(self):
         for g in (fig1_right(), cycle_graph(4)):
             with pytest.raises(TeacherPreconditionError):
-                star_special_teacher(g)
+                star_special_teacher(GraphContext(g))
 
     def test_special_teacher_on_paths_and_long_cycles(self):
         for g in (path_graph(4), cycle_graph(6)):
-            teacher = star_special_teacher(g)
+            teacher = star_special_teacher(GraphContext(g))
             ok, cx = verify_pb_teacher(teacher.concept_class, teacher)
             assert ok, cx
             assert teacher.order <= g.max_degree()
@@ -192,7 +195,7 @@ class TestStarTeachers:
         built = 0
         for g in graphs:
             try:
-                teacher = star_special_teacher(g)
+                teacher = star_special_teacher(GraphContext(g))
             except TeacherPreconditionError:
                 continue
             cc = teacher.concept_class
@@ -203,8 +206,9 @@ class TestStarTeachers:
 
 
 class TestSharedParts:
-    """A star teacher given the class, its subset order and the vmax
-    partition equals the one that builds them itself."""
+    """A star teacher built from a context that other teachers and
+    checks of the graph already read equals one built from a fresh
+    context."""
 
     def test_star_teachers(self):
         graphs = [cycle_graph(5), complete_graph(4), fig1_right(), path_graph(1)]
@@ -212,20 +216,18 @@ class TestSharedParts:
                    for i in range(30)]
         refused = 0
         for g in graphs:
-            cc = build_star_class(g)
-            pref = subset_preferences(cc)
-            part = vmax_partition(g)
-            assert star_vcd_characterization(g, part=part) == \
-                star_vcd_characterization(g)
-            assert star_subset_teacher(g, cc=cc, pref=pref) == star_subset_teacher(g)
+            ctx = GraphContext(g)
+            assert star_subset_teacher(ctx) == star_subset_teacher(GraphContext(g))
+            assert ctx.part == vmax_partition(g)
             try:
-                shared = star_special_teacher(g, cc=cc, part=part, pref=pref)
+                shared = star_special_teacher(ctx)
             except TeacherPreconditionError as exc:
                 refused += 1
                 with pytest.raises(TeacherPreconditionError, match=re.escape(str(exc))):
-                    star_special_teacher(g)
+                    star_special_teacher(GraphContext(g))
                 continue
-            assert shared == star_special_teacher(g)
+            assert shared == star_special_teacher(GraphContext(g))
+            assert star_subset_teacher(ctx) == star_subset_teacher(GraphContext(g))
         assert 0 < refused < len(graphs)
 
 

@@ -15,6 +15,7 @@ from helpers import (
 )
 from teachdim.concepts import ConceptClass
 from teachdim.connected import build_con_class, con_superset_teacher
+from teachdim.context import GraphContext
 from teachdim.dimensions import _teaching_sets, _Work, rtd
 from teachdim.errors import PreferenceCycleError
 from teachdim.families import cycle_graph, fig2, path_graph, random_graph
@@ -288,7 +289,7 @@ class TestVerifier:
 
     def test_superset_teacher_on_path(self):
         g = path_graph(4)
-        teacher = con_superset_teacher(g)
+        teacher = con_superset_teacher(GraphContext(g))
         ok, cx = verify_pb_teacher(teacher.concept_class, teacher)
         assert ok, cx
 
