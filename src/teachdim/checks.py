@@ -37,7 +37,7 @@ from .graphs import (
     spanned_subgraph,
     MAX_SPANNING_TREE_VERTICES,
 )
-from .stars import star_special_teacher, star_subset_teacher, star_vcd_characterization
+from .stars import star_special_teacher, star_subset_teacher
 from .teaching import plan_to_teacher, verify_pb_teacher
 
 EQ6_FULL_LIMIT = 12
@@ -150,7 +150,7 @@ def check_star_graph(ctx: GraphContext) -> list[CheckResult]:
     v, witness = ctx.vcd(cc)
     out.append(_chain_result("star-chain", delta, rt.rtd, v))
 
-    predicted, _ = star_vcd_characterization(g)
+    predicted, _ = ctx.fringe_cover
     out.append(_result("star-char-vs-brute", predicted == v,
                        f"predicted {predicted}, brute {v}"))
 

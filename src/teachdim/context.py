@@ -1,9 +1,9 @@
 """One graph's shared parts, each built on first use and then kept: the
-star and connected-set classes, ell(G), the vmax partition, the
-containment orders the teachers use, and the VC-dimension and peeling
-certificate of each class.  The checks, the teachers and the CLI read
-them from one context, so a graph's parts are built once however many
-of them run."""
+star and connected-set classes, ell(G), the vmax partition and the star
+VC-dimension it predicts, the containment orders the teachers use, and
+the VC-dimension and peeling certificate of each class.  The checks,
+the teachers and the CLI read them from one context, so a graph's parts
+are built once however many of them run."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from .concepts import ConceptClass
 from .connected import build_con_class
 from .dimensions import RtdCertificate, rtd, vcd
 from .graphs import DEFAULT_ENUM_BUDGET, Graph, max_open_neighborhood
-from .stars import VmaxPartition, build_star_class, vmax_partition
+from .stars import VmaxPartition, _fringe_cover, build_star_class, vmax_partition
 from .teaching import PreferenceRelation, subset_preferences, superset_preferences
 
 
@@ -54,6 +54,12 @@ class GraphContext:
     @cached_property
     def part(self) -> VmaxPartition:
         return vmax_partition(self.g)
+
+    @cached_property
+    def fringe_cover(self) -> tuple[int, tuple[int, int] | None]:
+        """The star class's VC-dimension predicted from ``part``, with its
+        witness (see star_vcd_characterization)."""
+        return _fringe_cover(self.g, self.part)
 
     @cached_property
     def star_pref(self) -> PreferenceRelation:

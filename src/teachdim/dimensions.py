@@ -17,23 +17,23 @@ that has a unique trace at the first size k where anything does.
 
 Most levels are settled without a search by the one-inclusion graph
 (Haussler, Littlestone & Warmuth; Doliwa, Fan, Simon & Zilles), whose
-edges join concepts that differ in exactly one instance.  Let F_i(A)
-be the instances x for which concept i with x flipped is active.  A
-sample without x cannot tell i from that neighbour, so every teaching
-set of i against A contains F_i(A): TD(i, A) >= |F_i(A)|, and at
-k = |F_i(A)| the only k-set that can teach i is F_i(A) itself.  The
-search for i therefore starts at k = |F_i(A)| with one direct check of
-F_i(A) and walks k-sets only past it; since no teaching set is smaller
-than |F_i(A)| and every k' from there up was checked, the walk's
-precondition (nothing teaches a target with fewer than k instances)
-holds.  ``cc.neighbour_masks`` holds F_i of the whole class; peeling
-keeps it current by clearing, as each concept leaves, the bit of its
-flip instance in each neighbour, one update per edge.  It also keeps
-the active concepts in buckets by |F_i| across levels: a departing
-concept leaves its bucket, and each neighbour that loses its flip bit
-moves from bucket s to s - 1 in that same loop, so a level reads the
-concepts to check directly (bucket k) and to walk (buckets below k)
-without a pass over the class.
+edges join concepts that differ in exactly one instance.  Let F_i(A) be
+the instances x for which concept i with x flipped is active.  A sample
+without x cannot tell i from that neighbour, so every teaching set of i
+against A contains F_i(A): TD(i, A) >= |F_i(A)|, and at k = |F_i(A)| the
+only k-set that can teach i is F_i(A) itself.  The search for i
+therefore starts at k = |F_i(A)| with one direct check of F_i(A).  Past
+it, i is walked alone over what F_i(A) leaves open: against V_i, the
+active concepts that agree with i on F_i(A), at size k - |F_i(A)|, a hit
+E giving the witness F_i(A) | E (_teaching_sets says why that is still
+the smallest-valued k-set).  ``cc.neighbour_masks`` holds F_i of the
+whole class; peeling keeps it current by clearing, as each concept
+leaves, the bit of its flip instance in each neighbour, one update per
+edge.  It also keeps the active concepts in buckets by |F_i| across
+levels: a departing concept leaves its bucket, and each neighbour that
+loses its flip bit moves from bucket s to s - 1 in that same loop, so a
+level reads the concepts to check directly (bucket k) and to walk
+(buckets below k) without a pass over the class.
 
 Teaching-set sizes run up to the domain size: at k = d the whole domain
 tells every concept apart, and a concept forced to all d instances is
@@ -252,11 +252,25 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
     Every teaching set of i contains F_i, so the search starts at the
     smallest |F_i| (at least 1), and at each k it skips the targets with
     |F_i| > k, checks those with |F_i| = k by F_i alone (the only k-set
-    that can teach them) and walks only those with |F_i| < k.  A walked
-    target was checked at every k' from |F_i| up to k, directly or by
-    walk, and has no teaching set below |F_i|, which is the walk's
-    precondition.  ``forced`` serves the searches that want every target
-    (rtd, td_of) and is not combined with ``first``.
+    that can teach them), and then walks each target with |F_i| < k on
+    its own: against V_i, the active concepts that agree with i on F_i
+    (the AND the direct check computes), at size k - |F_i|.  A hit E
+    gives the witness F_i | E:
+
+    * the k-sets that teach i are exactly F_i | E for the
+      (k - |F_i|)-sets E that teach i against V_i, since F_i tells i
+      from every active concept outside V_i;
+    * the instances of F_i split no block of V_i, so the walk never
+      picks them;
+    * i was checked at every k' from |F_i| up to k and has no teaching
+      set below |F_i|, so no E smaller than k - |F_i| teaches it, which
+      is the walk's precondition;
+    * E and F_i are disjoint, so F_i | E sorts in integer order exactly
+      as E does, and the walk's smallest-valued E gives the
+      smallest-valued k-set.
+
+    ``forced`` serves the searches that want every target (rtd, td_of)
+    and is not combined with ``first``.
 
     ``by_size``, when given with ``forced``, holds the size buckets:
     by_size[s] is an index mask containing every target i with
@@ -281,26 +295,30 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
                 raise work.refusal(k, targets.bit_count() - len(found))
         else:
             found = {}
-            due = by_size[k] & targets
-            while due:
-                low = due & -due
-                i = low.bit_length() - 1
-                c = concepts[i]
-                vs = active
-                f = forced[i]
-                while f:
-                    flip = f & -f
-                    x = flip.bit_length() - 1
-                    vs &= cols[x] if c & flip else ~cols[x]
-                    f ^= flip
-                if vs == low:
-                    found[i] = forced[i]
-                due ^= low
             walkers |= by_size[k - 1]
-            if walkers & targets:
-                found.update(_unique_traces(cc, active, walkers & targets, k, work))
-                if work.done > work.budget:
-                    raise work.refusal(k, targets.bit_count() - len(found))
+            # the direct checks first, then the walkers
+            for due in (by_size[k] & targets, walkers & targets):
+                while due:
+                    low = due & -due
+                    due ^= low
+                    i = low.bit_length() - 1
+                    c, f = concepts[i], forced[i]
+                    vs, rest = active, f
+                    while rest:
+                        flip = rest & -rest
+                        x = flip.bit_length() - 1
+                        vs &= cols[x] if c & flip else ~cols[x]
+                        rest ^= flip
+                    open_k = k - f.bit_count()
+                    if not open_k:
+                        if vs == low:
+                            found[i] = f
+                        continue
+                    hit = _unique_traces(cc, vs, low, open_k, work)
+                    if hit:
+                        found[i] = f | hit[i]
+                    if work.done > work.budget:
+                        raise work.refusal(k, targets.bit_count() - len(found))
         if found:
             yield k, found
             for i in found:

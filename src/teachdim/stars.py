@@ -134,7 +134,7 @@ def star_special_teacher(ctx: GraphContext) -> PBTeacher:
     smaller-sets-first preferences.
     """
     part = ctx.part
-    value, witness = _fringe_cover(ctx.g, part)
+    value, witness = ctx.fringe_cover
     if value != part.delta:
         raise TeacherPreconditionError(
             "an external vertex covers a fringe; the order-Delta construction "

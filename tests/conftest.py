@@ -1,16 +1,18 @@
 """Session fixtures: the exhaustive n <= 6 sweep shared by several
-acceptance criteria, the seeded random-graph corpus, and small family
-collections."""
+acceptance criteria (with a seeded share of its classes certified),
+the seeded random-graph corpus, and small family collections."""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
+from helpers import certify
 from teachdim.connected import leaf_tree_condition
 from teachdim.context import GraphContext
-from teachdim.dimensions import rtd_value, vcd
+from teachdim.dimensions import rtd, rtd_value, td_of, vcd
 from teachdim.errors import BudgetExceededError
 from teachdim.families import (
     complete_graph,
@@ -30,6 +32,9 @@ from teachdim.graphs import (
 from teachdim.stars import build_star_class, star_vcd_characterization
 
 RANDOM_SEED = 20240
+# the share of sweep6's graphs whose three classes are certified;
+# certifying every graph would add about three times the sweep's own time
+CERTIFY_SHARE = 1 / 20
 
 
 def _one_strict(lo, mid, hi):
@@ -41,9 +46,13 @@ def sweep6():
     """Every connected labeled graph with at most 6 vertices, with the
     star characterization, brute VC-dimensions, peeling values under both
     empty-set policies, ell read from each connected-set class against
-    max_leaf_number, and the leaf-tree witness outcome."""
+    max_leaf_number, and the leaf-tree witness outcome.  On a seeded
+    share of the graphs, every RTD, TD and VCD answer of the three
+    classes goes through ``certify``."""
     data = {
         "count": 0,
+        "certified": 0,
+        "certify_failures": [],
         "char_mismatch": [],
         "ltc_mismatch": [],
         "ltc_budget": [],
@@ -53,6 +62,7 @@ def sweep6():
         "ell_from_class": [],
         "ell_by_key": {},
     }
+    rng = random.Random(RANDOM_SEED)
     for n in range(1, 7):
         pairs = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
@@ -87,6 +97,13 @@ def sweep6():
                 data["con_chain"].append((key, "no-empty", ell, rb, vb))
             if (rf, vf) != (rb, vb):
                 data["policy_diff"].append((key, (rb, vb), (rf, vf)))
+            if rng.random() < CERTIFY_SHARE:
+                data["certified"] += 1
+                for kind, cc in (("star", scc), ("con+empty", ccf), ("con", ccb)):
+                    tds = [td_of(cc, i) for i in range(len(cc))]
+                    problems = certify(cc, rtd(cc), tds, vcd(cc))
+                    if problems:
+                        data["certify_failures"].append((key, kind, problems[:3]))
             try:
                 wit = leaf_tree_condition(ctx)
             except BudgetExceededError:

@@ -243,19 +243,19 @@ class TestDimsCommand:
     def test_teaching_set_refusal_says_how_far_it_got(self, capsys, monkeypatch,
                                                       tmp_path):
         # --budget also caps the enumeration, which needs 1,061 sets here
-        # while the searches need fewer than 500 walk nodes, so the search
+        # while the searches need 12 walk nodes or fewer, so the search
         # budget comes from TEACHDIM_BUDGET on a class file
         from teachdim.connected import build_con_class
         from teachdim.families import random_graph
 
         path = tmp_path / "class.txt"
         write_class(build_con_class(random_graph(11, 0.35, 3), False), path)
-        monkeypatch.setenv("TEACHDIM_BUDGET", "100")
+        monkeypatch.setenv("TEACHDIM_BUDGET", "10")
         code, out, err = run_cli(capsys, "dims", "--class-file", str(path))
         assert (code, out) == (3, "")
         assert err == ("budget exceeded: teaching-set search (rtd): budget of "
-                       "100 exceeded at k=5, with 1046 concepts still without "
-                       "a teaching set, after 101 walk nodes\n")
+                       "10 exceeded at k=5, with 1036 concepts still without "
+                       "a teaching set, after 11 walk nodes\n")
 
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("TEACHDIM_BUDGET", "5")

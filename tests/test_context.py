@@ -1,5 +1,5 @@
 """GraphContext: every part equals a fresh build, and the checks build a
-graph's connected-set class once."""
+graph's connected-set class and its vmax partition once."""
 
 import pytest
 
@@ -16,7 +16,7 @@ from teachdim.families import (
     random_graph,
 )
 from teachdim.graphs import graph_from_edges, max_leaf_number
-from teachdim.stars import build_star_class, vmax_partition
+from teachdim.stars import build_star_class, star_vcd_characterization, vmax_partition
 from teachdim.teaching import subset_preferences, superset_preferences
 
 
@@ -39,6 +39,7 @@ def test_parts_equal_fresh_builds():
         assert ctx.star == build_star_class(g)
         assert ctx.ell == max_leaf_number(g)
         assert ctx.part == vmax_partition(g)
+        assert ctx.fringe_cover == star_vcd_characterization(g)
         assert ctx.star_pref == subset_preferences(build_star_class(g))
         assert ctx.con_pref == superset_preferences(build_con_class(g, True))
         for cc in (ctx.star, ctx.con(False), ctx.con(True)):
@@ -67,3 +68,24 @@ def test_checks_build_the_connected_sets_once(monkeypatch, include_empty):
         assert sum(graph is g for graph in built) == 1
     # the disconnected graph's three components get classes of their own
     assert len(built) == 1 + 3
+
+
+def test_star_checks_partition_the_graph_once(monkeypatch):
+    """check_star_graph and the special teacher it runs both read the
+    fringe-cover prediction from the context's one vmax partition."""
+    import teachdim.context as context
+    import teachdim.stars as stars
+
+    built = []
+    real = stars.vmax_partition
+
+    def counted(graph):
+        built.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(context, "vmax_partition", counted)
+    monkeypatch.setattr(stars, "vmax_partition", counted)
+    for g in (fig2(), fig1_right(), cycle_graph(5), complete_graph(4)):
+        built.clear()
+        check_graph(g, "star")
+        assert built == [g]

@@ -225,25 +225,28 @@ class TestTeachingDimension:
         assert td_max(cc) == 13
 
     def test_refusal_under_a_small_budget(self):
-        # C_13's pass walks 12 nodes, all for its first level (k = 3)
+        # C_13's pass walks 13 nodes, all at its first level (k = 3): one
+        # for each target walked there, at size 1.  Under a budget of 5
+        # the sixth walk refuses, after the direct checks found 13 rows
+        # and the walks 5, so 157 - 18 concepts are left
         cc = build_con_class(cycle_graph(13), False)
         full = cc.index_of(range(13))
         for _ in range(2):
             with pytest.raises(BudgetExceededError) as refusal:
                 td_of(cc, full, budget=5)
             assert (refusal.value.k, refusal.value.left, refusal.value.work) \
-                == (3, 140, 6)
+                == (3, 139, 6)
             assert "budget of 5 exceeded at k=3" in str(refusal.value)
         assert td_of(cc, full) == (13, frozenset(range(13)))
         # the rows of the levels finished before a refusal still answer:
-        # random_graph(11, .35, 3) has used 49 walk nodes after k = 4
+        # random_graph(11, .35, 3) has used 5 walk nodes after k = 4
         big = build_con_class(random_graph(11, 0.35, 3), False)
         answered = 0
         for i in range(len(big)):
             try:
-                value, witness = td_of(big, i, budget=100)
+                value, witness = td_of(big, i, budget=5)
             except BudgetExceededError as exc:
-                assert (exc.k, exc.work) == (5, 101)
+                assert (exc.k, exc.work) == (5, 6)
             else:
                 assert (value, witness) == td_of(big, i)
                 answered += 1
@@ -521,29 +524,107 @@ class TestForcedInstances:
             assert len(calls) == len(cert.levels)
 
     def test_walks_only_targets_below_their_bound(self, monkeypatch):
-        """Every target handed to the walk has fewer than k forced
-        instances against the active set; a class where every bound is
-        the level value needs no walk at all."""
-        real = dimensions._unique_traces
-        walked = []
+        """Each walk has one target i, with fewer than k forced instances
+        against the search's active set A.  It runs against V_i, the
+        active concepts that agree with i on F_i(A), at size
+        k - |F_i(A)|, once for every k from |F_i(A)| + 1 up to the level
+        that settles i (or the last level reached).  A class where every
+        bound is the level value needs no walk at all."""
+        real_sets, real_walk = dimensions._teaching_sets, dimensions._unique_traces
+        # one entry per search: its active set, the walk sizes of each
+        # target, the level that settled each target, and the last level
+        searches = []
 
-        def spy(cc, active, targets, k, work, first=False):
-            for i in bits(targets):
-                assert forced_set(cc, i, active).bit_count() < k
-            walked.append(k)
-            return real(cc, active, targets, k, work, first)
+        def sets_spy(cc, active, targets, work, first=False, forced=None,
+                     by_size=None):
+            search = {"active": active, "walks": {}, "level": {}, "last": 0}
+            searches.append(search)
+            for k, found in real_sets(cc, active, targets, work, first,
+                                      forced, by_size):
+                search["level"].update(dict.fromkeys(found, k))
+                search["last"] = k
+                yield k, found
 
-        monkeypatch.setattr(dimensions, "_unique_traces", spy)
+        def walk_spy(cc, active, targets, k, work, first=False):
+            i = targets.bit_length() - 1
+            assert targets == 1 << i
+            search = searches[-1]
+            forced = forced_set(cc, i, search["active"])
+            ci = cc.concepts[i]
+            assert active == sum(1 << j for j in bits(search["active"])
+                                 if not (cc.concepts[j] ^ ci) & forced)
+            search["walks"].setdefault(i, []).append(k)
+            return real_walk(cc, active, targets, k, work, first)
+
+        def check(cc):
+            for search in searches:
+                for i, sizes in search["walks"].items():
+                    bound = forced_set(cc, i, search["active"]).bit_count()
+                    level = search["level"].get(i, search["last"])
+                    assert sizes == list(range(1, level - bound + 1))
+
+        monkeypatch.setattr(dimensions, "_teaching_sets", sets_spy)
+        monkeypatch.setattr(dimensions, "_unique_traces", walk_spy)
+        walked = 0
         for cc in engine_corpus():
+            searches.clear()
             rtd(cc)
             for i in range(len(cc)):
                 td_of(cc, i)
+            check(cc)
+            walked += sum(len(s["walks"]) for s in searches)
         assert walked
-        walked.clear()
+        searches.clear()
         cc = powerset_class(4)
         assert rtd(cc).rtd == 4
         assert [td_of(cc, i)[0] for i in range(16)] == [4] * 16
-        assert walked == []
+        assert not any(s["walks"] for s in searches)
+
+    def test_forced_search_matches_the_plain_walk_on_wide_sparse_classes(self):
+        """The forced search, which walks each target below its bound on
+        its own against V_i, gives the same levels and witnesses as the
+        plain walk over every k-set of the domain: over the whole class
+        (the td_of pass) and at every rtd level's active set.  The
+        classes have 12-16 instances and few one-inclusion edges, so
+        most targets are walked: the two sparse star classes of the
+        benchmark's peel corpus and 30 seeded random classes of
+        clusters of one-flip neighbours."""
+        rng = random.Random(57)
+        classes = [build_star_class(random_graph(14, 0.25, 1)),
+                   build_star_class(random_graph(16, 0.15, 1))]
+        for _ in range(30):
+            d, size = rng.randint(12, 16), rng.randint(40, 120)
+            masks = set()
+            while len(masks) < size:
+                c = rng.getrandbits(d)
+                for x in [None] + rng.sample(range(d), rng.randint(0, 4)):
+                    if len(masks) < size:
+                        masks.add(c if x is None else c ^ 1 << x)
+            classes.append(ConceptClass.from_masks(d, masks))
+
+        def forced_of(cc, active):
+            members = {cc.concepts[j] for j in bits(active)}
+            return [sum(1 << x for x in range(cc.domain_size)
+                        if c ^ 1 << x in members) for c in cc.concepts]
+
+        walked = 0
+        for cc in classes:
+            everyone = cc.all_indices_mask
+            forced = forced_of(cc, everyone)
+            levels = list(_teaching_sets(cc, everyone, everyone, _Work(),
+                                         forced=forced))
+            assert levels == list(_teaching_sets(cc, everyone, everyone, _Work()))
+            walked += sum(forced[i].bit_count() < k
+                          for k, found in levels for i in found)
+            active = everyone
+            for level, _ in rtd(cc).levels:
+                forced = forced_of(cc, active)
+                assert next(_teaching_sets(cc, active, active, _Work(),
+                                           forced=forced)) \
+                    == next(_teaching_sets(cc, active, active, _Work()))
+                active ^= mask_of(level)
+        # most td_of rows come from a walk, not from the forced set alone
+        assert walked > sum(map(len, classes)) // 2
 
     def test_whole_domain_bound_needs_no_walk(self):
         # the whole vertex set of C_13 is forced to all 13 vertices
