@@ -22,6 +22,7 @@ from .dimensions import (
     rtd_subclass_lower_bound,
     sauer_bound,
     sauer_rtd_implication,
+    td_min_at_most,
 )
 from .errors import TeacherPreconditionError
 from .graphs import (
@@ -86,7 +87,13 @@ def _eq6_samples(m: int) -> tuple[int, ...]:
 def _eq6_check(cc: ConceptClass, rtd_value_: int, *,
                budget: int = DEFAULT_ENUM_BUDGET) -> CheckResult:
     """Subclass TD_min never exceeds the class's peeling dimension; for
-    small classes the maximum over all subclasses must reach it exactly."""
+    small classes the maximum over all subclasses must reach it exactly.
+
+    A class of at most EQ6_FULL_LIMIT concepts has the exact TD_min of
+    every subclass computed.  A larger class has only "TD_min <= rtd"
+    asked of each sampled subclass, by one td_min_at_most walk; the
+    exact TD_min is computed only for a sample that fails, for the
+    detail."""
     m = len(cc)
     if m <= EQ6_FULL_LIMIT:
         best = 0
@@ -101,8 +108,8 @@ def _eq6_check(cc: ConceptClass, rtd_value_: int, *,
         return _result("eq6-subclass-bound", best == rtd_value_,
                        f"max subclass TD_min {best} == rtd {rtd_value_} (full)")
     for sub in _eq6_samples(m):
-        tdm = rtd_subclass_lower_bound(cc, sub, budget=budget)
-        if tdm > rtd_value_:
+        if not td_min_at_most(cc, sub, rtd_value_, budget=budget):
+            tdm = rtd_subclass_lower_bound(cc, sub, budget=budget)
             return CheckResult(
                 "eq6-subclass-bound", "fail",
                 f"sampled subclass has TD_min {tdm} > rtd {rtd_value_}")

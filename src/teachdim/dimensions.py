@@ -110,9 +110,9 @@ class _Work:
 
     ``done`` counts walk nodes: one per ``walk`` call of _unique_traces
     and one per k = 1 scan (the walk's last level, run inside the loop
-    of the level above it, is part of that level's node).  The search
-    refuses once ``done`` passes ``budget``.  ``stage`` names the search
-    in a refusal."""
+    of the level above it, is part of that level's node), and one per
+    ``walk`` call of td_min_at_most.  The search refuses once ``done``
+    passes ``budget``.  ``stage`` names the search in a refusal."""
 
     stage: str = "teaching-set search"
     budget: int = DEFAULT_ENUM_BUDGET
@@ -478,6 +478,65 @@ def rtd_subclass_lower_bound(cc: ConceptClass, subclass, *,
         raise ValueError("subclass must be nonempty")
     work = _Work("teaching-set search (subclass TD_min)", budget)
     return next(_teaching_sets(cc, sub, sub, work, True))[0]
+
+
+def td_min_at_most(cc: ConceptClass, sub: int, k: int, *,
+                   budget: int = DEFAULT_ENUM_BUDGET) -> bool:
+    """Whether TD_min of the subclass ``sub`` (an index mask) is at most
+    k: whether some set of at most k instances tells some concept of
+    ``sub`` apart from the rest of ``sub``.
+
+    One depth-first walk over instance sets in increasing order, at most
+    k deep, that shares no code with the teaching-set kernel.  A node
+    holds the partition of ``sub`` by trace on its instances and extends
+    by each later instance that splits some block; an instance that
+    splits no block is skipped.  The walk returns true at the first
+    singleton block.
+
+    It is exact.  Let D be a teaching set of at most k instances that is
+    minimal under inclusion, with instances x_1 < ... < x_j.  If some x_i
+    split no block of the partition by x_1, ..., x_{i-1}, that partition
+    would stay as it is with x_i added, so D - {x_i} would split ``sub``
+    as D does and teach the same concept, against minimality.  So every
+    x_i splits, the walk reaches the node x_1, ..., x_j, and the concept
+    D teaches is a singleton block there.  A minimal D may have fewer
+    than k instances, so every split is tested for a singleton, not only
+    those of the last level.
+
+    Each node counts one against ``budget``; a walk that passes it
+    refuses with BudgetExceededError at k = the bound, with every
+    concept of ``sub`` counted as left.
+    """
+    if sub <= 0 or sub >> len(cc):
+        raise ValueError(f"concept index mask {sub:#x} out of range")
+    if sub & (sub - 1) == 0:
+        # a lone concept needs no examples
+        return k >= 0
+    cols, d = cc.instance_columns, cc.domain_size
+    work = _Work("teaching-set search (subclass TD_min)", budget)
+
+    def walk(blocks: list[int], start: int, depth: int) -> bool:
+        work.done += 1
+        if work.done > work.budget:
+            raise work.refusal(k, sub.bit_count())
+        for x in range(start, d):
+            col = cols[x]
+            parts = []
+            for b in blocks:
+                inner = b & col
+                if inner and inner != b:
+                    outer = b ^ inner
+                    if not inner & (inner - 1) or not outer & (outer - 1):
+                        return True
+                    parts += (inner, outer)
+                else:
+                    parts.append(b)
+            if depth > 1 and len(parts) > len(blocks) \
+                    and walk(parts, x + 1, depth - 1):
+                return True
+        return False
+
+    return k > 0 and walk([sub], 0, k)
 
 
 def check_chain(lo: int, mid: int, hi: int, kind: str) -> int:

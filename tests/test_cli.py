@@ -435,10 +435,11 @@ class TestChecksDirect:
                 assert calls == [build_con_class(g, False).concepts]
 
     def test_eq6_passes_the_seeded_subclasses(self, monkeypatch):
-        """The full branch asks for every nonempty subclass mask in
-        increasing order; the sampled branch asks for exactly the
-        subclasses that random.Random(EQ6_SEED) draws, in draw order,
-        as index masks."""
+        """The full branch asks for the TD_min of every nonempty subclass
+        mask in increasing order; the sampled branch asks whether
+        TD_min <= rtd of exactly the subclasses that
+        random.Random(EQ6_SEED) draws, in draw order, as index masks,
+        and computes no exact TD_min when all of them pass."""
         import random
 
         import teachdim.checks as checks
@@ -446,30 +447,39 @@ class TestChecksDirect:
         from teachdim.dimensions import rtd
         from teachdim.stars import build_star_class
 
-        seen = []
-        real = checks.rtd_subclass_lower_bound
+        exact, bounded = [], []
+        real_exact = checks.rtd_subclass_lower_bound
+        real_bounded = checks.td_min_at_most
 
-        def spy(cc, subclass, **kw):
-            seen.append(subclass)
-            return real(cc, subclass, **kw)
+        def spy_exact(cc, subclass, **kw):
+            exact.append(subclass)
+            return real_exact(cc, subclass, **kw)
 
-        monkeypatch.setattr(checks, "rtd_subclass_lower_bound", spy)
+        def spy_bounded(cc, sub, k, **kw):
+            bounded.append((sub, k))
+            return real_bounded(cc, sub, k, **kw)
+
+        monkeypatch.setattr(checks, "rtd_subclass_lower_bound", spy_exact)
+        monkeypatch.setattr(checks, "td_min_at_most", spy_bounded)
         small = build_con_class(path_graph(3), False)
         assert len(small) <= checks.EQ6_FULL_LIMIT
         assert checks._eq6_check(small, rtd(small).rtd).status == "pass"
-        assert seen == list(range(1, 1 << len(small)))
+        assert exact == list(range(1, 1 << len(small)))
+        assert bounded == []
 
-        seen.clear()
+        exact.clear()
         big = build_star_class(fig2())
         m = len(big)
+        r = rtd(big).rtd
         assert m > checks.EQ6_FULL_LIMIT
-        assert checks._eq6_check(big, rtd(big).rtd).status == "pass"
+        assert checks._eq6_check(big, r).status == "pass"
         rng = random.Random(checks.EQ6_SEED)
         want = []
         for _ in range(checks.EQ6_SAMPLES):
             size = rng.randint(1, m)
             want.append(sum(1 << i for i in rng.sample(range(m), size)))
-        assert seen == want
+        assert bounded == [(sub, r) for sub in want]
+        assert exact == []
 
     def test_eq6_table_equals_a_fresh_draw(self):
         import random
@@ -519,27 +529,85 @@ class TestChecksDirect:
         assert checks._eq6_samples.cache_info().hits == 1
 
     def test_eq6_fails_on_the_first_subclass_over_rtd(self, monkeypatch):
-        """A kernel that reports rtd + 1 on the 37th sampled subclass
-        fails the check there, with the sampled branch's message."""
+        """A walk that rejects the 37th sampled subclass fails the check
+        there, with the sampled branch's message and the exact TD_min
+        that the kernel gives for that subclass alone."""
         import teachdim.checks as checks
         from teachdim.dimensions import rtd
         from teachdim.stars import build_star_class
 
         big = build_star_class(fig2())
         r = rtd(big).rtd
-        calls = []
-        real = checks.rtd_subclass_lower_bound
+        calls, exact = [], []
+        real = checks.td_min_at_most
 
-        def spy(cc, subclass, **kw):
-            calls.append(subclass)
-            return r + 1 if len(calls) == 37 else real(cc, subclass, **kw)
+        def spy(cc, sub, k, **kw):
+            calls.append(sub)
+            return False if len(calls) == 37 else real(cc, sub, k, **kw)
 
-        monkeypatch.setattr(checks, "rtd_subclass_lower_bound", spy)
+        def kernel(cc, subclass, **kw):
+            exact.append(subclass)
+            return r + 1
+
+        monkeypatch.setattr(checks, "td_min_at_most", spy)
+        monkeypatch.setattr(checks, "rtd_subclass_lower_bound", kernel)
         res = checks._eq6_check(big, r)
         assert res == checks.CheckResult(
             "eq6-subclass-bound", "fail",
             f"sampled subclass has TD_min {r + 1} > rtd {r}")
-        assert calls == list(checks._eq6_samples(len(big))[:37])
+        samples = checks._eq6_samples(len(big))
+        assert calls == list(samples[:37])
+        assert exact == [samples[36]]
+
+    def test_eq6_sampled_branch_matches_exact_td_min_of_every_sample(
+            self, monkeypatch, family_graphs):
+        """On every class past EQ6_FULL_LIMIT of the benchmark's verify
+        pool and the family graphs, the sampled branch gives the
+        CheckResult of a loop that computes the exact TD_min of each
+        sample with the kernel, at rtd and at rtd - 1; where it fails, it
+        fails at that loop's first failing sample."""
+        import teachdim.checks as checks
+        from teachdim.context import GraphContext
+        from teachdim.dimensions import rtd_subclass_lower_bound
+        from teachdim.families import random_graph
+
+        def by_exact_td_min(cc, r):
+            for sub in checks._eq6_samples(len(cc)):
+                tdm = rtd_subclass_lower_bound(cc, sub)
+                if tdm > r:
+                    return sub, checks.CheckResult(
+                        "eq6-subclass-bound", "fail",
+                        f"sampled subclass has TD_min {tdm} > rtd {r}")
+            return None, checks.CheckResult(
+                "eq6-subclass-bound", "pass",
+                f"{checks.EQ6_SAMPLES} sampled subclasses (seed {checks.EQ6_SEED})")
+
+        asked = []
+
+        def spy(cc, subclass, **kw):
+            asked.append(subclass)
+            return rtd_subclass_lower_bound(cc, subclass, **kw)
+
+        monkeypatch.setattr(checks, "rtd_subclass_lower_bound", spy)
+        graphs = [random_graph(n, p, 2025, i) for n in (6, 7, 8)
+                  for p in (0.3, 0.5, 0.7) for i in range(2)]
+        graphs += [g for _, g in family_graphs]
+        classes = failures = 0
+        for g in graphs:
+            ctx = GraphContext(g)
+            for cc in (ctx.star, ctx.con(False), ctx.con(True)):
+                if len(cc) <= checks.EQ6_FULL_LIMIT:
+                    continue
+                classes += 1
+                r = ctx.rtd(cc).rtd
+                for bound in (r - 1, r):
+                    asked.clear()
+                    first, want = by_exact_td_min(cc, bound)
+                    assert checks._eq6_check(cc, bound) == want
+                    assert asked == ([] if first is None else [first])
+                    failures += first is not None
+        # 99 classes, 47 of which have a sample with TD_min = rtd
+        assert classes >= 90 and failures >= 40
 
     def test_opponent_failure_names_the_last_set_in_enumeration_order(
             self, monkeypatch):

@@ -20,6 +20,7 @@ from teachdim.dimensions import (
     sauer_rtd_implication,
     td_max,
     td_min,
+    td_min_at_most,
     td_of,
     vcd,
 )
@@ -358,8 +359,9 @@ class TestRtd:
                 rtd_subclass_lower_bound(cc, sub)
 
     def test_subclass_kernel_matches_trace_brute_force(self):
-        """TD_min of a subclass, against a search over instance
-        combinations, smallest first, that compares traces as sets."""
+        """TD_min of a subclass, and td_min_at_most at every k from 0 to
+        d, against a search over instance combinations, smallest first,
+        that compares traces as sets."""
 
         def td_min_by_traces(members, d):
             for k in range(d + 1):
@@ -388,7 +390,24 @@ class TestRtd:
             for sub in subs:
                 members = [{x for x in range(d) if cc.concepts[i] >> x & 1}
                            for i in range(m) if sub >> i & 1]
-                assert rtd_subclass_lower_bound(cc, sub) == td_min_by_traces(members, d)
+                want = td_min_by_traces(members, d)
+                assert rtd_subclass_lower_bound(cc, sub) == want
+                assert [td_min_at_most(cc, sub, k) for k in range(d + 1)] \
+                    == [want <= k for k in range(d + 1)]
+
+    def test_td_min_at_most_hand_cases(self):
+        cc = ConceptClass.from_masks(3, [0b000, 0b010, 0b111])
+        # one concept needs no examples; two cannot be told apart by none
+        assert td_min_at_most(cc, 0b100, 0)
+        assert not td_min_at_most(cc, 0b011, 0)
+        # 000 and 010 differ in instance 1 only: no second instance splits
+        # them, yet a bound of 2 holds
+        assert td_min_at_most(cc, 0b011, 2)
+        assert td_min_at_most(cc, 0b011, 1)
+        assert not td_min_at_most(cc, 0b100, -1)
+        for bad in (0, -1, 1 << 3, 0b1001):
+            with pytest.raises(ValueError):
+                td_min_at_most(cc, bad, 1)
 
     def test_max_subclass_bound_attained_on_small_classes(self):
         for cc in (powerset_class(3),
@@ -649,6 +668,13 @@ class TestForcedInstances:
         with pytest.raises(BudgetExceededError) as refusal:
             td_min(cc, budget=0)
         assert (refusal.value.k, refusal.value.left) == (1, len(cc))
+        with pytest.raises(BudgetExceededError) as refusal:
+            td_min_at_most(cc, cc.all_indices_mask, 3, budget=0)
+        assert (refusal.value.what, refusal.value.k, refusal.value.left,
+                refusal.value.work) == (
+            "teaching-set search (subclass TD_min)", 3, len(cc), 1)
+        # a lone concept is answered without a walk
+        assert td_min_at_most(cc, 1, 0, budget=0)
 
 
 class TestSauer:
