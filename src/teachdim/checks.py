@@ -165,7 +165,8 @@ def check_star_graph(ctx: GraphContext) -> list[CheckResult]:
         is_shattered(cc, g.adj[x]) for x in range(g.n)
     )
     out.append(_result("star-open-neighborhoods-shattered", shattered_ok))
-    covered = any(witness <= (set_of(g.closed_mask(x))) for x in range(g.n))
+    wmask = mask_of(witness)
+    covered = any(not wmask & ~g.closed_mask(x) for x in range(g.n))
     out.append(_result("star-witness-in-closed-neighborhood", covered,
                        f"witness {sorted(witness)}"))
 
@@ -230,14 +231,14 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
         xcomp = comp_of[(xmask & -xmask).bit_length() - 1]
         xopen = open_neighborhood_mask(g, xmask)
         full = v_full == ell and xopen.bit_count() == ell
-        for y in maximal_opponents(g, xmask).opponents:
-            ymask = mask_of(y)
+        for ymask in maximal_opponents(g, xmask).opponents:
             yopen = open_neighborhood_mask(g, ymask)
             if yopen & ~xopen:
-                opp_fail[xmask] = (f"boundary of {sorted(y)} escapes "
+                opp_fail[xmask] = (f"boundary of {sorted(set_of(ymask))} escapes "
                                    f"X={sorted(set_of(xmask))}")
             if ymask & ~xcomp and yopen:
-                opp_fail[xmask] = f"cross-component opponent {sorted(y)} has a boundary"
+                opp_fail[xmask] = (f"cross-component opponent "
+                                   f"{sorted(set_of(ymask))} has a boundary")
             if full and (yopen & ~xopen or yopen == xopen):
                 strict_ok = False
     detail = ""

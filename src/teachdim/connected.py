@@ -56,10 +56,10 @@ class OpponentSet:
     """The maximal opponents of a nonempty connected set X: the components
     left over after deleting X's closed neighborhood.  Each one's boundary
     lies in X's: a vertex next to a component Y is in N[X], and not in X,
-    or Y would meet N[X]."""
+    or Y would meet N[X].  X and the opponents are vertex masks."""
 
-    x: frozenset[int]
-    opponents: tuple[frozenset[int], ...]
+    x: int
+    opponents: tuple[int, ...]
 
 
 def maximal_opponents(g: Graph, x) -> OpponentSet:
@@ -74,9 +74,9 @@ def maximal_opponents(g: Graph, x) -> OpponentSet:
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
         comp = component_mask(g, start, outside)
-        opps.append(set_of(comp))
+        opps.append(comp)
         remaining &= ~comp
-    return OpponentSet(set_of(xmask), tuple(opps))
+    return OpponentSet(xmask, tuple(opps))
 
 
 def leaf_tree_condition(ctx: GraphContext, *, budget: int = DEFAULT_PATH_BUDGET
@@ -206,11 +206,8 @@ def con_tree_teacher(ctx: GraphContext) -> PBTeacher:
     if g.n == 0 or not is_connected(g, g.full_mask) or g.m != g.n - 1:
         raise ValueError("con_tree_teacher requires a tree")
     cc = ctx.con(True)
-    sets = tuple(
-        set_of(_subtree_leaves_mask(g, c)) if c else frozenset()
-        for c in cc.concepts
-    )
-    return PBTeacher(cc, sets, subset_preferences(cc))
+    masks = tuple(_subtree_leaves_mask(g, c) if c else 0 for c in cc.concepts)
+    return PBTeacher(cc, masks, subset_preferences(cc))
 
 
 def con_superset_teacher(ctx: GraphContext) -> PBTeacher:
@@ -223,14 +220,13 @@ def con_superset_teacher(ctx: GraphContext) -> PBTeacher:
     set is deliberate and excluded from the order bound checks.
     """
     g, cc = ctx.g, ctx.con(True)
-    sets = []
+    masks = []
     for c in cc.concepts:
         if c == 0:
-            sets.append(frozenset(range(g.n)))
+            masks.append(g.full_mask)
             continue
-        low = (c & -c).bit_length() - 1
-        sets.append(set_of(open_neighborhood_mask(g, c) | (1 << low)))
-    return PBTeacher(cc, tuple(sets), ctx.con_pref)
+        masks.append(open_neighborhood_mask(g, c) | (c & -c))
+    return PBTeacher(cc, tuple(masks), ctx.con_pref)
 
 
 def con_vcd_matching_teacher(ctx: GraphContext) -> PBTeacher:
@@ -252,18 +248,14 @@ def con_vcd_matching_teacher(ctx: GraphContext) -> PBTeacher:
             "construction does not apply"
         )
     boundary = {c: open_neighborhood_mask(g, c) if c else 0 for c in cc.concepts}
-    sets = []
+    masks = []
     for c in cc.concepts:
         if c == 0:
-            sets.append(frozenset(range(g.n)))
+            masks.append(g.full_mask)
             continue
         nb = boundary[c]
-        if nb.bit_count() == ell:
-            sets.append(set_of(nb))
-        else:
-            low = (c & -c).bit_length() - 1
-            sets.append(set_of(nb | (1 << low)))
-    return PBTeacher(cc, tuple(sets), _matching_preference(ctx, boundary))
+        masks.append(nb if nb.bit_count() == ell else nb | (c & -c))
+    return PBTeacher(cc, tuple(masks), _matching_preference(ctx, boundary))
 
 
 def _matching_preference(ctx: GraphContext, boundary) -> PreferenceRelation:

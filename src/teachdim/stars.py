@@ -119,7 +119,7 @@ def star_subset_teacher(ctx: GraphContext) -> PBTeacher:
     """Teach every star by all of its members as positive examples, under
     smaller-sets-first preferences.  Valid for every graph."""
     cc = ctx.star
-    return PBTeacher(cc, tuple(set_of(c) for c in cc.concepts), ctx.star_pref)
+    return PBTeacher(cc, cc.concepts, ctx.star_pref)
 
 
 def star_special_teacher(ctx: GraphContext) -> PBTeacher:
@@ -150,7 +150,7 @@ def star_special_teacher(ctx: GraphContext) -> PBTeacher:
     # group -> member count -> the group's special concepts with that count
     by_count: list[dict[int, int]] = [{} for _ in group_masks]
     special_scopes: list[tuple[int, ...]] = []
-    sets: list[frozenset[int]] = []
+    masks: list[int] = []
     for i, c in enumerate(cc.concepts):
         scopes = tuple(
             gi for gi, (members, closed, fringe) in enumerate(group_masks)
@@ -161,13 +161,13 @@ def star_special_teacher(ctx: GraphContext) -> PBTeacher:
             members, closed, fringe = group_masks[scopes[0]]
             if c & ~closed or not c & members:
                 raise RuntimeError("special concept is not fringe plus members")
-            sets.append(set_of(fringe | (members & ~c)))
+            masks.append(fringe | (members & ~c))
             special |= 1 << i
             for gi in scopes:
                 k = (c & group_masks[gi][0]).bit_count()
                 by_count[gi][k] = by_count[gi].get(k, 0) | 1 << i
         else:
-            sets.append(set_of(c))
+            masks.append(c)
 
     supersets = ctx.star_pref.below
     direct = []
@@ -182,7 +182,7 @@ def star_special_teacher(ctx: GraphContext) -> PBTeacher:
                 if count < k:
                     mask |= concepts
         direct.append(mask)
-    return PBTeacher(cc, tuple(sets), PreferenceRelation.from_direct(direct))
+    return PBTeacher(cc, tuple(masks), PreferenceRelation.from_direct(direct))
 
 
 def star_triple(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, int, int]:

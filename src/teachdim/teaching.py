@@ -159,8 +159,10 @@ def lex_refine(pref: PreferenceRelation, keys) -> PreferenceRelation:
         raise ValueError("one key per concept required")
     above = [0] * pref.size
     for i, mask in enumerate(pref.below):
-        for j in bits(mask):
-            above[j] |= 1 << i
+        while mask:
+            low = mask & -mask
+            above[low.bit_length() - 1] |= 1 << i
+            mask ^= low
     by_key: dict[int, int] = {}
     for i, key in enumerate(keys):
         by_key[key] = by_key.get(key, 0) | 1 << i
@@ -179,33 +181,41 @@ def lex_refine(pref: PreferenceRelation, keys) -> PreferenceRelation:
 
 @dataclass(frozen=True)
 class PBTeacher:
-    """A teaching-set map together with the preference it relies on."""
+    """A teaching-set map together with the preference it relies on:
+    teaching_masks[i] is concept i's teaching set as an instance mask."""
 
     concept_class: ConceptClass
-    teaching_sets: tuple[frozenset[int], ...]
+    teaching_masks: tuple[int, ...]
     preference: PreferenceRelation
 
     def __post_init__(self):
-        if len(self.teaching_sets) != len(self.concept_class):
+        if len(self.teaching_masks) != len(self.concept_class):
             raise ValueError("one teaching set per concept required")
         if self.preference.size != len(self.concept_class):
             raise ValueError("preference size does not match class size")
         d = self.concept_class.domain_size
-        for ts in self.teaching_sets:
-            for x in ts:
-                if not 0 <= x < d:
-                    raise ValueError(f"instance {x} outside the domain")
+        for ts in self.teaching_masks:
+            # a negative mask holds every instance from some point on
+            outside = ts >> d << d
+            if outside:
+                raise ValueError(f"instance {(outside & -outside).bit_length() - 1} "
+                                 "outside the domain")
+
+    @cached_property
+    def teaching_sets(self) -> tuple[frozenset[int], ...]:
+        """The teaching sets as frozensets of instances, built on first read."""
+        return tuple(set_of(ts) for ts in self.teaching_masks)
 
     @property
     def order(self) -> int:
         """Largest teaching-set size over all concepts."""
-        return max((len(ts) for ts in self.teaching_sets), default=0)
+        return max((ts.bit_count() for ts in self.teaching_masks), default=0)
 
     def order_over(self, indices) -> int:
-        return max((len(self.teaching_sets[i]) for i in indices), default=0)
+        return max((self.teaching_masks[i].bit_count() for i in indices), default=0)
 
     def sample_for(self, i: int) -> Sample:
-        return sample_of(self.concept_class.concepts[i], self.teaching_sets[i])
+        return sample_of(self.concept_class.concepts[i], self.teaching_masks[i])
 
 
 def verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher
@@ -219,9 +229,17 @@ def verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher
     if teacher.concept_class != cc:
         raise ValueError("teacher was built for a different class")
     below = teacher.preference.below
-    for i, c in enumerate(cc.concepts):
-        shown = mask_of(teacher.teaching_sets[i])
-        vs = version_space_mask(cc, c & shown, shown & ~c)
+    cols = cc.instance_columns
+    everything = cc.all_indices_mask
+    for i, (c, shown) in enumerate(zip(cc.concepts, teacher.teaching_masks)):
+        # the version space of the sample: the masks were range-checked
+        # when the teacher was built
+        vs = everything
+        while shown:
+            low = shown & -shown
+            col = cols[low.bit_length() - 1]
+            vs &= col if c & low else ~col
+            shown ^= low
         assert vs >> i & 1, "a concept is always consistent with its own sample"
         bad = vs & ~below[i] & ~(1 << i)
         if bad:
@@ -241,7 +259,7 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
     if cert.size != len(cc):
         raise ValueError("certificate does not match class size")
     below = [0] * len(cc)
-    sets: list[frozenset[int]] = [frozenset()] * len(cc)
+    masks = [0] * len(cc)
     peeled = 0
     for level, _ in cert.levels:
         active = cc.all_indices_mask & ~peeled
@@ -251,10 +269,10 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
             if version_space_mask(cc, c & witness, witness & ~c) & active != 1 << i:
                 raise ValueError(f"certificate witness does not teach concept {i} "
                                  "against its residual class")
-            sets[i] = set_of(witness)
+            masks[i] = witness
             below[i] = peeled
         peeled |= mask_of(level)
-    return PBTeacher(cc, tuple(sets), PreferenceRelation(len(cc), tuple(below)))
+    return PBTeacher(cc, tuple(masks), PreferenceRelation(len(cc), tuple(below)))
 
 
 def format_teacher(teacher: PBTeacher) -> str:

@@ -253,10 +253,10 @@ def empty_preference(size: int) -> PreferenceRelation:
     return PreferenceRelation(size, (0,) * size)
 
 
-def verify_smgk_teacher(cc: ConceptClass, teaching_sets) -> bool:
-    """Classic teacher check: each sample must pin down its concept alone."""
-    sets = tuple(frozenset(ts) for ts in teaching_sets)
-    teacher = PBTeacher(cc, sets, empty_preference(len(cc)))
+def verify_smgk_teacher(cc: ConceptClass, teaching_masks) -> bool:
+    """Classic teacher check: each sample, given by its instance mask,
+    must pin down its concept alone."""
+    teacher = PBTeacher(cc, tuple(teaching_masks), empty_preference(len(cc)))
     ok, _ = verify_pb_teacher(cc, teacher)
     return ok
 

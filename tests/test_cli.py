@@ -632,8 +632,7 @@ class TestChecksDirect:
                 return res
             # the lowest vertex of X has a neighbor inside X, so its
             # boundary escapes X's
-            low = frozenset({(x & -x).bit_length() - 1})
-            return OpponentSet(res.x, res.opponents + (low,))
+            return OpponentSet(res.x, res.opponents + (x & -x,))
 
         monkeypatch.setattr(checks, "maximal_opponents", spy)
         for include_empty in (False, True):

@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from helpers import (
     empty_preference,
     pair_closure,
+    perfbench_workloads,
     powerset_class,
     verify_smgk_teacher,
     version_space,
 )
+from teacher_digest import digest
+from teachdim.cli import TEACHERS
 from teachdim.concepts import ConceptClass
 from teachdim.connected import build_con_class, con_superset_teacher
 from teachdim.context import GraphContext
 from teachdim.dimensions import _teaching_sets, _Work, rtd
-from teachdim.errors import PreferenceCycleError
+from teachdim.errors import PreferenceCycleError, TeacherPreconditionError
 from teachdim.families import cycle_graph, fig2, path_graph, random_graph
 from teachdim.graphs import bits, mask_of, set_of
 from teachdim.stars import build_star_class
@@ -31,6 +34,9 @@ from teachdim.teaching import (
     superset_preferences,
     verify_pb_teacher,
 )
+
+# tests/teacher_digest.py on the tree before teachers held instance masks
+TEACHER_DIGEST = "72f88755281558c2f6d05fe70a79c369399205f626bb642be1547d2e75909a42"
 
 
 class TestPreferenceRelation:
@@ -273,7 +279,7 @@ class TestMasksMatchPairDefinitions:
 class TestVerifier:
     def test_full_domain_sets_always_valid(self):
         for cc in (powerset_class(3), build_star_class(cycle_graph(5))):
-            full = frozenset(range(cc.domain_size))
+            full = (1 << cc.domain_size) - 1
             teacher = PBTeacher(cc, (full,) * len(cc),
                                 empty_preference(len(cc)))
             ok, cx = verify_pb_teacher(cc, teacher)
@@ -281,8 +287,8 @@ class TestVerifier:
 
     def test_broken_teacher_reports_first_counterexample(self):
         cc = powerset_class(2)
-        sets = [frozenset()] * len(cc)
-        teacher = PBTeacher(cc, tuple(sets), empty_preference(len(cc)))
+        masks = [0] * len(cc)
+        teacher = PBTeacher(cc, tuple(masks), empty_preference(len(cc)))
         ok, cx = verify_pb_teacher(cc, teacher)
         assert not ok
         assert cx == (0, 1)
@@ -296,8 +302,7 @@ class TestVerifier:
     def test_class_mismatch_rejected(self):
         cc = powerset_class(1)
         other = powerset_class(2)
-        teacher = PBTeacher(cc, (frozenset(), frozenset({0})),
-                            empty_preference(2))
+        teacher = PBTeacher(cc, (0, 0b1), empty_preference(2))
         with pytest.raises(ValueError):
             verify_pb_teacher(other, teacher)
 
@@ -313,15 +318,15 @@ class TestVerifier:
             cc = ConceptClass.from_masks(
                 d, rng.sample(range(1 << d), rng.randint(1, min(40, 1 << d))))
             m = len(cc)
-            sets = tuple(set_of(rng.getrandbits(d) & rng.getrandbits(d))
-                         for _ in range(m))
+            masks = tuple(rng.getrandbits(d) & rng.getrandbits(d)
+                          for _ in range(m))
             pref = rng.choice([
                 empty_preference(m), subset_preferences(cc),
                 superset_preferences(cc),
                 PreferenceRelation.from_direct(
                     rng.getrandbits(m) >> (i + 1) << (i + 1) for i in range(m)),
             ])
-            teacher = PBTeacher(cc, sets, pref)
+            teacher = PBTeacher(cc, masks, pref)
             want = (True, None)
             for i in range(m):
                 bad = [j for j in version_space(cc, teacher.sample_for(i))
@@ -335,8 +340,8 @@ class TestVerifier:
 
     def test_smgk_variant(self):
         cc = powerset_class(2)
-        assert verify_smgk_teacher(cc, [{0, 1}] * 4)
-        assert not verify_smgk_teacher(cc, [set(), {0, 1}, {0, 1}, {0, 1}])
+        assert verify_smgk_teacher(cc, [0b11] * 4)
+        assert not verify_smgk_teacher(cc, [0, 0b11, 0b11, 0b11])
 
 
 class TestPlanToTeacher:
@@ -460,8 +465,53 @@ def test_order_statistics():
     cc = powerset_class(2)
     teacher = PBTeacher(
         cc,
-        (frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({1})),
+        (0, 0b01, 0b11, 0b10),
         empty_preference(4),
     )
     assert teacher.order == 2
     assert teacher.order_over([0, 1]) == 1
+
+
+class TestTeachingMasks:
+    def test_sets_view_matches_masks_for_every_cli_teacher(
+            self, family_graphs, random200):
+        """All seven CLI teachers, on the family graphs and random200: the
+        frozenset view is each mask's instances, in concept order."""
+        built = 0
+        for name, g in family_graphs + random200:
+            ctx = GraphContext(g)
+            for teacher_name, (builder, _) in TEACHERS.items():
+                try:
+                    teacher = builder(ctx)
+                except (TeacherPreconditionError, ValueError):
+                    continue
+                built += 1
+                masks = teacher.teaching_masks
+                assert all(isinstance(ts, int) for ts in masks)
+                assert teacher.teaching_sets == tuple(set_of(ts) for ts in masks), \
+                    (name, teacher_name)
+        assert built > 1000
+
+    @pytest.mark.parametrize("mask, lowest", [(-1, 3), (-16, 4), (0b1000, 3),
+                                              (0b110101, 4)])
+    def test_masks_outside_the_domain_rejected(self, mask, lowest):
+        cc = powerset_class(3)
+        masks = (0,) * (len(cc) - 1) + (mask,)
+        with pytest.raises(ValueError, match=f"instance {lowest} outside the domain"):
+            PBTeacher(cc, masks, empty_preference(len(cc)))
+
+    def test_plan_and_verify_build_no_frozensets(self):
+        """The peel workload's path, plan teacher then verifier, reads
+        the masks only: the frozenset view is never built."""
+        W = perfbench_workloads()
+        for label, make, kind, include_empty in W.PEEL_INPUTS:
+            cc = W.build_class(make(), kind, include_empty)
+            teacher = plan_to_teacher(rtd(cc), cc)
+            assert verify_pb_teacher(cc, teacher) == (True, None), label
+            assert "teaching_sets" not in vars(teacher), label
+
+
+def test_teacher_digest_is_pinned():
+    """Every CLI teacher and check on the digest's 68 graphs answers as
+    the pinned digest says (see tests/teacher_digest.py)."""
+    assert digest() == TEACHER_DIGEST
