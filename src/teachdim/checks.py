@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .concepts import ConceptClass, is_shattered
+from .concepts import ConceptClass, is_shattered, version_space_mask
 from .connected import (
     con_superset_teacher,
     con_tree_teacher,
@@ -18,6 +18,7 @@ from .connected import (
 )
 from .context import GraphContext
 from .dimensions import (
+    RtdCertificate,
     check_chain,
     rtd_subclass_lower_bound,
     sauer_bound,
@@ -84,35 +85,58 @@ def _eq6_samples(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _eq6_check(cc: ConceptClass, rtd_value_: int, *,
+def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
                budget: int = DEFAULT_ENUM_BUDGET) -> CheckResult:
-    """Subclass TD_min never exceeds the class's peeling dimension; for
-    small classes the maximum over all subclasses must reach it exactly.
+    """Subclass TD_min never exceeds the class's peeling dimension
+    rt.rtd; for small classes the maximum over all subclasses must reach
+    it exactly.
 
     A class of at most EQ6_FULL_LIMIT concepts has the exact TD_min of
     every subclass computed.  A larger class has only "TD_min <= rtd"
-    asked of each sampled subclass, by one td_min_at_most walk; the
-    exact TD_min is computed only for a sample that fails, for the
-    detail."""
-    m = len(cc)
+    asked of each sampled subclass, and the certificate is tried first:
+    with L* the first level that meets the sample and i the sample's
+    lowest member in L*, the sample passes if the witness of i, labelled
+    as i labels it, leaves only i of the sample.  The witness has its
+    level's size, at most rtd (the certificate checks both), so such a
+    pass proves TD_min <= rtd.  On a valid certificate every sample
+    passes so: the witness teaches i against everything still active at
+    L*, and the sample lies inside that.  A sample its witness does not
+    settle is decided exactly by one td_min_at_most walk, the only code
+    that can fail a sample; the exact TD_min is computed only for a
+    sample that fails, for the detail."""
+    m, r = len(cc), rt.rtd
+    if rt.size != m:
+        raise ValueError("certificate does not match class size")
     if m <= EQ6_FULL_LIMIT:
         best = 0
         for sub in range(1, 1 << m):
             tdm = rtd_subclass_lower_bound(cc, sub, budget=budget)
             if tdm > best:
                 best = tdm
-            if tdm > rtd_value_:
+            if tdm > r:
                 return CheckResult(
                     "eq6-subclass-bound", "fail",
-                    f"subclass {sub:#x} has TD_min {tdm} > rtd {rtd_value_}")
-        return _result("eq6-subclass-bound", best == rtd_value_,
-                       f"max subclass TD_min {best} == rtd {rtd_value_} (full)")
+                    f"subclass {sub:#x} has TD_min {tdm} > rtd {r}")
+        return _result("eq6-subclass-bound", best == r,
+                       f"max subclass TD_min {best} == rtd {r} (full)")
+    level_masks = [mask_of(level) for level, _ in rt.levels]
     for sub in _eq6_samples(m):
-        if not td_min_at_most(cc, sub, rtd_value_, budget=budget):
+        # the levels partition the class, so one of them meets sub
+        for level in level_masks:
+            if level & sub:
+                break
+        low = level & sub
+        low &= -low
+        i = low.bit_length() - 1
+        c, w = cc.concepts[i], rt.witnesses[i]
+        # a witness with an instance outside the domain teaches nothing
+        settled = not w >> cc.domain_size and \
+            version_space_mask(cc, c & w, w & ~c) & sub == low
+        if not settled and not td_min_at_most(cc, sub, r, budget=budget):
             tdm = rtd_subclass_lower_bound(cc, sub, budget=budget)
             return CheckResult(
                 "eq6-subclass-bound", "fail",
-                f"sampled subclass has TD_min {tdm} > rtd {rtd_value_}")
+                f"sampled subclass has TD_min {tdm} > rtd {r}")
     return CheckResult("eq6-subclass-bound", "pass",
                        f"{EQ6_SAMPLES} sampled subclasses (seed {EQ6_SEED})")
 
@@ -171,7 +195,7 @@ def check_star_graph(ctx: GraphContext) -> list[CheckResult]:
                        f"witness {sorted(witness)}"))
 
     out.extend(_sauer_checks(cc, v, rt.rtd))
-    out.append(_eq6_check(cc, rt.rtd, budget=ctx.budget))
+    out.append(_eq6_check(cc, rt, budget=ctx.budget))
 
     out.append(_teacher_result(
         "star-subset-teacher", cc, star_subset_teacher(ctx), delta + 1))
@@ -273,7 +297,7 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
         out.append(_result("con-opponent-strictness", strict_ok))
 
     out.extend(_sauer_checks(cc, v, rt.rtd))
-    out.append(_eq6_check(cc, rt.rtd, budget=ctx.budget))
+    out.append(_eq6_check(cc, rt, budget=ctx.budget))
 
     out.append(_teacher_result(
         "con-superset-teacher", cc_full, con_superset_teacher(ctx),

@@ -46,17 +46,23 @@ class PreferenceRelation:
         # spares below[j] and the concepts sharing its mask a step.  In
         # any order of the masks that hides nothing: a skipped k with
         # below[k] outside M also breaks below[j], a strictly smaller
-        # mask, so the smallest broken mask meets its k directly.
+        # mask, so the smallest broken mask meets its k directly.  Each
+        # step takes the lowest and the highest j left: the containment
+        # orders keep a mask's top members, whose masks spare the most, at
+        # one end of it (the low end for supersets, the high end for
+        # subsets).
+        below = self.below
         members: dict[int, int] = {}
-        for i, mask in enumerate(self.below):
+        for i, mask in enumerate(below):
             members[mask] = members.get(mask, 0) | 1 << i
         for mask in members:
             rest = mask
             while rest:
-                other = self.below[(rest & -rest).bit_length() - 1]
-                if other & ~mask:
+                low = below[(rest & -rest).bit_length() - 1]
+                high = below[rest.bit_length() - 1]
+                if (low | high) & ~mask:
                     raise ValueError("below masks are not transitively closed")
-                rest &= ~(other | members[other])
+                rest &= ~(low | members[low] | high | members[high])
 
     @classmethod
     def from_direct(cls, direct) -> "PreferenceRelation":

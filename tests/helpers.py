@@ -9,11 +9,12 @@ against, the recursive spanning-tree enumerator that the pruned
 max-leaf oracle is checked against on graphs too large for the sweeps,
 relabeling with label-free check results for the invariance tests,
 the certifier that checks RTD, TD and VCD answers from both sides
-without the kernels, and the benchmark's workload definitions, loaded
-read-only."""
+without the kernels, false peeling certificates for the eq6 tests,
+and the benchmark's workload definitions, loaded read-only."""
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import functools
 import importlib.util
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from teachdim.concepts import ConceptClass, Sample, format_concept, version_space_mask
+from teachdim.dimensions import RtdCertificate
 from teachdim.errors import PreferenceCycleError
 from teachdim.graphs import (
     Graph,
@@ -358,6 +360,32 @@ def certify(cc: ConceptClass, cert, tds, vc) -> list[str]:
             problems.append(f"{sorted(combo)} is shattered, past vcd {v}")
             break
     return problems
+
+
+def lowest_instance_certificate(cert: RtdCertificate) -> RtdCertificate:
+    """``cert`` with each witness replaced by the lowest instances of its
+    level's size: it passes the certificate's own checks, but its
+    witnesses mostly do not teach."""
+    witnesses = list(cert.witnesses)
+    for level, value in cert.levels:
+        for i in level:
+            witnesses[i] = (1 << value) - 1
+    return dataclasses.replace(cert, witnesses=tuple(witnesses))
+
+
+def understated_certificate(cert: RtdCertificate) -> RtdCertificate:
+    """``cert`` claiming one too few: each level of value rtd drops to
+    rtd - 1 and its witnesses lose their highest instance."""
+    r = cert.rtd
+    witnesses = list(cert.witnesses)
+    levels = []
+    for level, value in cert.levels:
+        if value == r:
+            for i in level:
+                witnesses[i] ^= 1 << witnesses[i].bit_length() - 1
+            value = r - 1
+        levels.append((level, value))
+    return RtdCertificate(cert.size, tuple(levels), r - 1, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

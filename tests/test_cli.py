@@ -8,7 +8,13 @@ from pathlib import Path
 import pytest
 
 import teachdim
-from helpers import powerset_class, write_class, write_graph
+from helpers import (
+    lowest_instance_certificate,
+    powerset_class,
+    understated_certificate,
+    write_class,
+    write_graph,
+)
 from teachdim.checks import check_graph
 from teachdim.cli import EXIT_BROKEN_PIPE, main
 from teachdim.families import FamilySpec, cycle_graph, fig2, path_graph
@@ -436,15 +442,20 @@ class TestChecksDirect:
 
     def test_eq6_passes_the_seeded_subclasses(self, monkeypatch):
         """The full branch asks for the TD_min of every nonempty subclass
-        mask in increasing order; the sampled branch asks whether
-        TD_min <= rtd of exactly the subclasses that
-        random.Random(EQ6_SEED) draws, in draw order, as index masks,
-        and computes no exact TD_min when all of them pass."""
+        mask in increasing order.  The sampled branch takes the subclasses
+        that random.Random(EQ6_SEED) draws, in draw order, as index
+        masks; the real certificate settles every one of them, so no walk
+        and no exact TD_min is asked for.  With witnesses that mostly do
+        not teach, "TD_min <= rtd" is asked at k = rtd of exactly the
+        samples whose first-peeled member's witness leaves a rival in the
+        sample, in draw order."""
         import random
 
         import teachdim.checks as checks
+        from teachdim.concepts import version_space_mask
         from teachdim.connected import build_con_class
         from teachdim.dimensions import rtd
+        from teachdim.graphs import mask_of
         from teachdim.stars import build_star_class
 
         exact, bounded = [], []
@@ -463,23 +474,38 @@ class TestChecksDirect:
         monkeypatch.setattr(checks, "td_min_at_most", spy_bounded)
         small = build_con_class(path_graph(3), False)
         assert len(small) <= checks.EQ6_FULL_LIMIT
-        assert checks._eq6_check(small, rtd(small).rtd).status == "pass"
+        assert checks._eq6_check(small, rtd(small)).status == "pass"
         assert exact == list(range(1, 1 << len(small)))
         assert bounded == []
 
         exact.clear()
         big = build_star_class(fig2())
         m = len(big)
-        r = rtd(big).rtd
+        rt = rtd(big)
         assert m > checks.EQ6_FULL_LIMIT
-        assert checks._eq6_check(big, r).status == "pass"
+        assert checks._eq6_check(big, rt).status == "pass"
+        assert bounded == exact == []
+
         rng = random.Random(checks.EQ6_SEED)
         want = []
         for _ in range(checks.EQ6_SAMPLES):
             size = rng.randint(1, m)
             want.append(sum(1 << i for i in rng.sample(range(m), size)))
-        assert bounded == [(sub, r) for sub in want]
+        scrambled = lowest_instance_certificate(rt)
+        unsettled = []
+        for sub in want:
+            level = next(mask_of(lv) & sub for lv, _ in rt.levels
+                         if mask_of(lv) & sub)
+            i = (level & -level).bit_length() - 1
+            c, w = big.concepts[i], scrambled.witnesses[i]
+            if version_space_mask(big, c & w, w & ~c) & sub != 1 << i:
+                unsettled.append(sub)
+        assert 0 < len(unsettled) < len(want)
+        assert checks._eq6_check(big, scrambled).status == "pass"
+        assert bounded == [(sub, rt.rtd) for sub in unsettled]
         assert exact == []
+        with pytest.raises(ValueError, match="does not match class size"):
+            checks._eq6_check(big, rtd(small))
 
     def test_eq6_table_equals_a_fresh_draw(self):
         import random
@@ -521,23 +547,26 @@ class TestChecksDirect:
             g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]))
         assert len(first) == len(second) > checks.EQ6_FULL_LIMIT
         assert first != second
-        assert checks._eq6_check(first, rtd(first).rtd).status == "pass"
+        assert checks._eq6_check(first, rtd(first)).status == "pass"
         assert made == [(checks.EQ6_SEED,)]
         made.clear()
-        assert checks._eq6_check(second, rtd(second).rtd).status == "pass"
+        assert checks._eq6_check(second, rtd(second)).status == "pass"
         assert made == []
         assert checks._eq6_samples.cache_info().hits == 1
 
     def test_eq6_fails_on_the_first_subclass_over_rtd(self, monkeypatch):
-        """A walk that rejects the 37th sampled subclass fails the check
-        there, with the sampled branch's message and the exact TD_min
-        that the kernel gives for that subclass alone."""
+        """A walk that rejects the 37th sampled subclass it is asked about
+        fails the check there, with the sampled branch's message and the
+        exact TD_min that the kernel gives for that subclass alone.  The
+        witnesses are the lowest instances of their level's size, so that
+        most samples reach the walk."""
         import teachdim.checks as checks
         from teachdim.dimensions import rtd
         from teachdim.stars import build_star_class
 
         big = build_star_class(fig2())
-        r = rtd(big).rtd
+        rt = lowest_instance_certificate(rtd(big))
+        r = rt.rtd
         calls, exact = [], []
         real = checks.td_min_at_most
 
@@ -551,21 +580,26 @@ class TestChecksDirect:
 
         monkeypatch.setattr(checks, "td_min_at_most", spy)
         monkeypatch.setattr(checks, "rtd_subclass_lower_bound", kernel)
-        res = checks._eq6_check(big, r)
+        res = checks._eq6_check(big, rt)
         assert res == checks.CheckResult(
             "eq6-subclass-bound", "fail",
             f"sampled subclass has TD_min {r + 1} > rtd {r}")
         samples = checks._eq6_samples(len(big))
-        assert calls == list(samples[:37])
-        assert exact == [samples[36]]
+        assert len(calls) == 37
+        assert calls == [sub for sub in samples if sub in calls]
+        assert exact == [calls[-1]]
+        # only the samples their witnesses leave open are walked, so the
+        # 37th walk comes after the 37th draw
+        assert samples.index(calls[-1]) > 36
 
     def test_eq6_sampled_branch_matches_exact_td_min_of_every_sample(
             self, monkeypatch, family_graphs):
         """On every class past EQ6_FULL_LIMIT of the benchmark's verify
         pool and the family graphs, the sampled branch gives the
         CheckResult of a loop that computes the exact TD_min of each
-        sample with the kernel, at rtd and at rtd - 1; where it fails, it
-        fails at that loop's first failing sample."""
+        sample with the kernel: at rtd with the real certificate, and at
+        rtd - 1 with a certificate that claims one too few; where it
+        fails, it fails at that loop's first failing sample."""
         import teachdim.checks as checks
         from teachdim.context import GraphContext
         from teachdim.dimensions import rtd_subclass_lower_bound
@@ -599,15 +633,86 @@ class TestChecksDirect:
                 if len(cc) <= checks.EQ6_FULL_LIMIT:
                     continue
                 classes += 1
-                r = ctx.rtd(cc).rtd
-                for bound in (r - 1, r):
+                rt = ctx.rtd(cc)
+                for cert in (understated_certificate(rt), rt):
                     asked.clear()
-                    first, want = by_exact_td_min(cc, bound)
-                    assert checks._eq6_check(cc, bound) == want
+                    first, want = by_exact_td_min(cc, cert.rtd)
+                    assert checks._eq6_check(cc, cert) == want
                     assert asked == ([] if first is None else [first])
                     failures += first is not None
         # 99 classes, 47 of which have a sample with TD_min = rtd
         assert classes >= 90 and failures >= 40
+
+    def test_eq6_calls_no_walk_on_the_verify_pool(self, monkeypatch):
+        """On the benchmark's verify pool, the certificate's witnesses
+        settle every sampled subclass: check_graph runs no walk."""
+        import teachdim.checks as checks
+        from teachdim.families import random_graph
+
+        walks = []
+        real = checks.td_min_at_most
+
+        def spy(cc, sub, k, **kw):
+            walks.append(sub)
+            return real(cc, sub, k, **kw)
+
+        monkeypatch.setattr(checks, "td_min_at_most", spy)
+        sampled = 0
+        for n in (6, 7, 8):
+            for p in (0.3, 0.5, 0.7):
+                for i in range(2):
+                    g = random_graph(n, p, 2025, i)
+                    for kind, include_empty in (("star", False), ("con", False),
+                                                ("con", True)):
+                        results = check_graph(g, kind, include_empty)
+                        assert not any(r.failed for r in results)
+                        sampled += any(r.name == "eq6-subclass-bound"
+                                       and "sampled" in r.detail for r in results)
+        assert sampled >= 40
+        assert walks == []
+
+    def test_eq6_certificate_agrees_with_the_walk_alone(self, family_graphs):
+        """With witnesses that mostly do not teach, or that lie outside
+        the domain, at rtd and at a claimed rtd - 1, the sampled branch
+        gives exactly the CheckResult of a loop that asks the walk of
+        every sample."""
+        import dataclasses
+
+        import teachdim.checks as checks
+        from teachdim.context import GraphContext
+        from teachdim.dimensions import rtd_subclass_lower_bound, td_min_at_most
+        from teachdim.families import random_graph
+
+        def by_walk(cc, r):
+            for sub in checks._eq6_samples(len(cc)):
+                if not td_min_at_most(cc, sub, r):
+                    tdm = rtd_subclass_lower_bound(cc, sub)
+                    return checks.CheckResult(
+                        "eq6-subclass-bound", "fail",
+                        f"sampled subclass has TD_min {tdm} > rtd {r}")
+            return checks.CheckResult(
+                "eq6-subclass-bound", "pass",
+                f"{checks.EQ6_SAMPLES} sampled subclasses (seed {checks.EQ6_SEED})")
+
+        graphs = [random_graph(n, p, 2025, i) for n in (6, 7, 8)
+                  for p in (0.3, 0.5, 0.7) for i in range(2)]
+        graphs += [g for _, g in family_graphs]
+        verdicts = []
+        for g in graphs:
+            ctx = GraphContext(g)
+            for cc in (ctx.star, ctx.con(False), ctx.con(True)):
+                if len(cc) <= checks.EQ6_FULL_LIMIT:
+                    continue
+                rt = ctx.rtd(cc)
+                for cert in (rt, understated_certificate(rt)):
+                    cert = lowest_instance_certificate(cert)
+                    outside = dataclasses.replace(cert, witnesses=tuple(
+                        w << cc.domain_size for w in cert.witnesses))
+                    want = by_walk(cc, cert.rtd)
+                    assert checks._eq6_check(cc, cert) == want
+                    assert checks._eq6_check(cc, outside) == want
+                    verdicts.append(want.status)
+        assert "pass" in verdicts and "fail" in verdicts
 
     def test_opponent_failure_names_the_last_set_in_enumeration_order(
             self, monkeypatch):

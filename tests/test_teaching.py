@@ -17,7 +17,11 @@ from helpers import (
 from teacher_digest import digest
 from teachdim.cli import TEACHERS
 from teachdim.concepts import ConceptClass
-from teachdim.connected import build_con_class, con_superset_teacher
+from teachdim.connected import (
+    build_con_class,
+    con_superset_teacher,
+    con_vcd_matching_teacher,
+)
 from teachdim.context import GraphContext
 from teachdim.dimensions import _teaching_sets, _Work, rtd
 from teachdim.errors import PreferenceCycleError, TeacherPreconditionError
@@ -150,10 +154,11 @@ class TestPreferenceRelation:
 
     @pytest.mark.parametrize("kind", ["star", "con"])
     def test_pool_relations_with_one_pair_dropped(self, kind):
-        """The subset and superset orders of the verify benchmark's graph
-        pool stay closed; dropping a pair that a third concept lies
-        between must be rejected, and every dropped pair is judged as the
-        definition judges it."""
+        """The subset and superset orders, the peeling plan's preference
+        and, for connected sets, the matching teacher's preference of the
+        verify benchmark's graph pool stay closed; dropping a pair that a
+        third concept lies between must be rejected, and every dropped
+        pair is judged as the definition judges it."""
         rng = random.Random(41)
         for n in (6, 7, 8):
             for p in (0.3, 0.5, 0.7):
@@ -161,7 +166,15 @@ class TestPreferenceRelation:
                     g = random_graph(n, p, 2025, index=index)
                     cc = (build_star_class(g) if kind == "star"
                           else build_con_class(g, False))
-                    for pref in (subset_preferences(cc), superset_preferences(cc)):
+                    prefs = [subset_preferences(cc), superset_preferences(cc),
+                             plan_to_teacher(rtd(cc), cc).preference]
+                    if kind == "con":
+                        try:
+                            prefs.append(con_vcd_matching_teacher(
+                                GraphContext(g)).preference)
+                        except TeacherPreconditionError:
+                            pass
+                    for pref in prefs:
                         below = pref.below
                         self.assert_check_matches_definition(list(below))
                         pairs = [(i, j) for i in range(len(below))
