@@ -33,7 +33,11 @@ edge.  It also keeps the active concepts in buckets by |F_i| across
 levels: a departing concept leaves its bucket, and each neighbour that
 loses its flip bit moves from bucket s to s - 1 in that same loop, so a
 level reads the concepts to check directly (bucket k) and to walk
-(buckets below k) without a pass over the class.
+(buckets below k) without a pass over the class.  rtd and td_of ask
+this search.  TD_min asks whether any concept of a (sub)class has a
+teaching set of at most k, and has its own walk over the whole
+partition (_isolates, behind td_min_at_most); td_min and
+rtd_subclass_lower_bound count k up until it says yes.
 
 Teaching-set sizes run up to the domain size: at k = d the whole domain
 tells every concept apart, and a concept forced to all d instances is
@@ -97,6 +101,8 @@ def vcd(cc: ConceptClass) -> tuple[int, frozenset[int]]:
         return False
 
     walk([cc.all_indices_mask], 0, [])
+    # the nested walk refers to itself; break that cycle here
+    del walk
     return len(best), frozenset(best)
 
 
@@ -108,11 +114,14 @@ def vcd(cc: ConceptClass) -> tuple[int, frozenset[int]]:
 class _Work:
     """The limits of one teaching-set search and the work it has done.
 
-    ``done`` counts walk nodes: one per ``walk`` call of _unique_traces
-    and one per k = 1 scan (the walk's last level, run inside the loop
-    of the level above it, is part of that level's node), and one per
-    ``walk`` call of td_min_at_most.  The search refuses once ``done``
-    passes ``budget``.  ``stage`` names the search in a refusal."""
+    ``done`` counts walk nodes: one per ``walk`` call of
+    _smallest_teaching_mask and one per k = 1 scan (the walk's last
+    level, run inside the loop of the level above it, is part of that
+    level's node), and one per ``walk`` call of _isolates.  One _Work
+    serves a whole search: every level of rtd, the whole td_of pass, or
+    every k that td_min and rtd_subclass_lower_bound try.  The search
+    refuses once ``done`` passes ``budget``.  ``stage`` names the search
+    in a refusal."""
 
     stage: str = "teaching-set search"
     budget: int = DEFAULT_ENUM_BUDGET
@@ -124,107 +133,68 @@ class _Work:
         return BudgetExceededError(self.stage, self.budget, k, left, self.done)
 
 
-def _unique_traces(cc: ConceptClass, active: int, targets: int, k: int,
-                   work: _Work, first: bool = False) -> dict[int, int]:
-    """{i: D} for every target i that some k-instance set D teaches
-    against the active concepts, D the smallest-valued such mask.
+def _smallest_teaching_mask(cc: ConceptClass, active: int, i: int, k: int,
+                            work: _Work) -> int:
+    """The smallest-valued k-instance mask that teaches concept i against
+    the active concepts, or 0 if none does.
 
     Walks the k-sets in increasing mask order by choosing the largest
-    instance first (colex order, which is integer order), splitting each
-    block of the partition of ``active`` by the chosen instance's column
-    and dropping blocks that hold no unfound target.  The last instance
-    only has to cut a target off on its own, so its level runs inside
-    the loop of the level above it (k = 1 is one flat scan) and never
-    builds a partition.  Stops once every target has a set, or with
-    the sets found so far once the walk nodes pass ``work``'s budget
-    (the caller then refuses).
+    instance first (colex order, which is integer order).  Its state is
+    one block: the active concepts that agree with i on the instances
+    chosen so far, narrowed by each instance's agreeing column (the
+    column itself if i holds the instance, its complement if not).  The
+    last instance only has to cut i off on its own, so its level runs
+    inside the loop of the level above it (k = 1 is one flat scan).
+    Returns 0 once the walk nodes pass ``work``'s budget (the caller
+    then refuses).
 
-    With ``first`` it stops at the first target isolated, which is all
-    TD_min needs: by the precondition no target is isolated by fewer
-    than k instances, so one hit proves the smallest teaching set has
-    exactly k.
-
-    Precondition: k >= 1 and no target has a teaching set of fewer than
-    k instances against ``active``.  Only then may an instance that
-    splits no block be skipped: a k-set through it that isolated a
-    target would isolate it without that instance too.  For the same
-    reason no block of size one holds a target before the last level.
+    Precondition: k >= 1, i is active, and i has no teaching set of
+    fewer than k instances against ``active``.  Only then may an
+    instance that leaves the block as it is be skipped: a k-set through
+    it that taught i would teach it without that instance too.  For the
+    same reason the block is not {i} before the last level.
     """
-    cols = cc.instance_columns
-    found: dict[int, int] = {}
-    left = targets
+    c, target = cc.concepts[i], 1 << i
+    agree = [col if c >> x & 1 else ~col
+             for x, col in enumerate(cc.instance_columns)]
 
     if k == 1:
         work.done += 1
         if work.done > work.budget:
-            return found
-        for x in range(cc.domain_size):
-            inner = active & cols[x]
-            rest = active ^ inner
-            for b in (inner, rest) if inner and rest else ():
-                if b & (b - 1) == 0 and b & left:
-                    found[b.bit_length() - 1] = 1 << x
-                    if first:
-                        return found
-                    left ^= b
-            if not left:
-                break
-        return found
+            return 0
+        for x, col in enumerate(agree):
+            if active & col == target:
+                return 1 << x
+        return 0
 
     allowance = work.budget - work.done
     nodes = 0
 
-    def walk(blocks: list[int], top: int, depth: int, dmask: int) -> bool:
-        nonlocal left, nodes
+    def walk(block: int, top: int, depth: int, dmask: int) -> int:
+        nonlocal nodes
         nodes += 1
         if nodes > allowance:
-            return True
+            return -1
         for x in range(depth - 1, top):
-            col = cols[x]
-            parts = []
-            split = False
-            for b in blocks:
-                inner = b & col
-                if inner and inner != b:
-                    split = True
-                    if inner & left:
-                        parts.append(inner)
-                    inner ^= b
-                    if inner & left:
-                        parts.append(inner)
-                elif b & left:
-                    parts.append(b)
-            if not split or not parts:
+            part = block & agree[x]
+            if part == block:
                 continue
             if depth > 2:
-                if walk(parts, x, depth - 1, dmask | 1 << x):
-                    return True
+                hit = walk(part, x, depth - 1, dmask | 1 << x)
+                if hit:
+                    return hit
                 continue
             # last level: instance y < x completes the set
             for y in range(x):
-                col = cols[y]
-                for b in parts:
-                    inner = b & col
-                    if not inner or inner == b:
-                        continue
-                    if inner & (inner - 1) == 0 and inner & left:
-                        found[inner.bit_length() - 1] = dmask | 1 << x | 1 << y
-                        if first:
-                            return True
-                        left ^= inner
-                    inner ^= b
-                    if inner & (inner - 1) == 0 and inner & left:
-                        found[inner.bit_length() - 1] = dmask | 1 << x | 1 << y
-                        if first:
-                            return True
-                        left ^= inner
-                if not left:
-                    return True
-        return False
+                if part & agree[y] == target:
+                    return dmask | 1 << x | 1 << y
+        return 0
 
-    walk([active], cc.domain_size, k, 0)
+    hit = walk(active, cc.domain_size, k, 0)
+    # the nested walk refers to itself; break that cycle here
+    del walk
     work.done += nodes
-    return found
+    return max(hit, 0)
 
 
 def _size_buckets(forced, members: int, domain_size: int) -> list[int]:
@@ -238,19 +208,17 @@ def _size_buckets(forced, members: int, domain_size: int) -> list[int]:
 
 
 def _teaching_sets(cc: ConceptClass, active: int, targets: int,
-                   work: _Work, first: bool = False, forced=None,
-                   by_size=None):
+                   work: _Work, forced, by_size=None):
     """Yield (k, {i: D}) for increasing k: the targets whose smallest
     teaching sets against the active concepts have k instances, each
     with its smallest-valued such mask D.  ``targets`` must be a nonempty
     subset of ``active``.  Raises BudgetExceededError once the walk
-    nodes pass ``work.budget``.  With ``first`` each level holds only
-    the first target found (see _unique_traces).
+    nodes pass ``work.budget``.
 
-    ``forced``, when given, holds one mask per concept index: forced[i]
-    is F_i(active), the instances whose flip of concept i is active.
-    Every teaching set of i contains F_i, so the search starts at the
-    smallest |F_i| (at least 1), and at each k it skips the targets with
+    ``forced`` holds one mask per concept index: forced[i] is
+    F_i(active), the instances whose flip of concept i is active.  Every
+    teaching set of i contains F_i, so the search starts at the smallest
+    |F_i| (at least 1), and at each k it skips the targets with
     |F_i| > k, checks those with |F_i| = k by F_i alone (the only k-set
     that can teach them), and then walks each target with |F_i| < k on
     its own: against V_i, the active concepts that agree with i on F_i
@@ -260,8 +228,8 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
     * the k-sets that teach i are exactly F_i | E for the
       (k - |F_i|)-sets E that teach i against V_i, since F_i tells i
       from every active concept outside V_i;
-    * the instances of F_i split no block of V_i, so the walk never
-      picks them;
+    * the instances of F_i leave V_i as it is, so the walk never picks
+      them;
     * i was checked at every k' from |F_i| up to k and has no teaching
       set below |F_i|, so no E smaller than k - |F_i| teaches it, which
       is the walk's precondition;
@@ -269,56 +237,46 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
       as E does, and the walk's smallest-valued E gives the
       smallest-valued k-set.
 
-    ``forced`` serves the searches that want every target (rtd, td_of)
-    and is not combined with ``first``.
-
-    ``by_size``, when given with ``forced``, holds the size buckets:
-    by_size[s] is an index mask containing every target i with
-    |F_i| = s (other bits are masked off by ``targets``).  rtd keeps
-    them current across its levels; without them they are built here
-    from ``forced``."""
+    ``by_size``, when given, holds the size buckets: by_size[s] is an
+    index mask containing every target i with |F_i| = s (other bits are
+    masked off by ``targets``).  rtd keeps them current across its
+    levels; without them they are built here from ``forced``."""
     if active & (active - 1) == 0:
         # a lone concept needs no examples
         yield 0, {active.bit_length() - 1: 0}
         return
+    cols, concepts = cc.instance_columns, cc.concepts
+    if by_size is None:
+        by_size = _size_buckets(forced, targets, cc.domain_size)
     start, walkers = 0, 0
-    if forced is not None:
-        cols, concepts = cc.instance_columns, cc.concepts
-        if by_size is None:
-            by_size = _size_buckets(forced, targets, cc.domain_size)
-        while not by_size[start] & targets:
-            start += 1
+    while not by_size[start] & targets:
+        start += 1
     for k in range(start or 1, cc.domain_size + 1):
-        if forced is None:
-            found = _unique_traces(cc, active, targets, k, work, first)
-            if work.done > work.budget:
-                raise work.refusal(k, targets.bit_count() - len(found))
-        else:
-            found = {}
-            walkers |= by_size[k - 1]
-            # the direct checks first, then the walkers
-            for due in (by_size[k] & targets, walkers & targets):
-                while due:
-                    low = due & -due
-                    due ^= low
-                    i = low.bit_length() - 1
-                    c, f = concepts[i], forced[i]
-                    vs, rest = active, f
-                    while rest:
-                        flip = rest & -rest
-                        x = flip.bit_length() - 1
-                        vs &= cols[x] if c & flip else ~cols[x]
-                        rest ^= flip
-                    open_k = k - f.bit_count()
-                    if not open_k:
-                        if vs == low:
-                            found[i] = f
-                        continue
-                    hit = _unique_traces(cc, vs, low, open_k, work)
-                    if hit:
-                        found[i] = f | hit[i]
-                    if work.done > work.budget:
-                        raise work.refusal(k, targets.bit_count() - len(found))
+        found = {}
+        walkers |= by_size[k - 1]
+        # the direct checks first, then the walkers
+        for due in (by_size[k] & targets, walkers & targets):
+            while due:
+                low = due & -due
+                due ^= low
+                i = low.bit_length() - 1
+                c, f = concepts[i], forced[i]
+                vs, rest = active, f
+                while rest:
+                    flip = rest & -rest
+                    x = flip.bit_length() - 1
+                    vs &= cols[x] if c & flip else ~cols[x]
+                    rest ^= flip
+                open_k = k - f.bit_count()
+                if not open_k:
+                    if vs == low:
+                        found[i] = f
+                    continue
+                hit = _smallest_teaching_mask(cc, vs, i, open_k, work)
+                if hit:
+                    found[i] = f | hit
+                if work.done > work.budget:
+                    raise work.refusal(k, targets.bit_count() - len(found))
         if found:
             yield k, found
             for i in found:
@@ -360,11 +318,18 @@ def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
 
 
 def td_min(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
+    """TD_min: the smallest teaching-set size of any concept of the class.
+
+    The smallest k that td_min_at_most's walk accepts, counted up from
+    min_i |F_i| (every teaching set of i contains F_i, so nothing smaller
+    can teach).  One budget covers every k tried."""
     if len(cc) == 0:
         raise ValueError("empty class")
-    everyone = cc.all_indices_mask
     work = _Work("teaching-set search (td_min)", budget)
-    return next(_teaching_sets(cc, everyone, everyone, work, True))[0]
+    k = min(f.bit_count() for f in cc.neighbour_masks)
+    while not _isolates(cc, cc.all_indices_mask, k, work):
+        k += 1
+    return k
 
 
 def td_max(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
@@ -462,7 +427,9 @@ def rtd_subclass_lower_bound(cc: ConceptClass, subclass, *,
                              budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """TD_min of the subclass viewed as a class over the same domain;
     every such value lower-bounds the full class's peeling dimension.
-    ``subclass`` is an iterable of concept indices or their mask."""
+    ``subclass`` is an iterable of concept indices or their mask.  The
+    smallest k from 0 up that td_min_at_most's walk accepts; one budget
+    covers every k tried."""
     m = len(cc)
     if isinstance(subclass, int):
         sub = subclass
@@ -477,14 +444,28 @@ def rtd_subclass_lower_bound(cc: ConceptClass, subclass, *,
     if not sub:
         raise ValueError("subclass must be nonempty")
     work = _Work("teaching-set search (subclass TD_min)", budget)
-    return next(_teaching_sets(cc, sub, sub, work, True))[0]
+    k = 0
+    while not _isolates(cc, sub, k, work):
+        k += 1
+    return k
 
 
 def td_min_at_most(cc: ConceptClass, sub: int, k: int, *,
                    budget: int = DEFAULT_ENUM_BUDGET) -> bool:
     """Whether TD_min of the subclass ``sub`` (an index mask) is at most
     k: whether some set of at most k instances tells some concept of
-    ``sub`` apart from the rest of ``sub``.
+    ``sub`` apart from the rest of ``sub``.  Refuses with
+    BudgetExceededError once the walk passes ``budget`` nodes (see
+    _isolates)."""
+    if sub <= 0 or sub >> len(cc):
+        raise ValueError(f"concept index mask {sub:#x} out of range")
+    return _isolates(cc, sub, k,
+                     _Work("teaching-set search (subclass TD_min)", budget))
+
+
+def _isolates(cc: ConceptClass, sub: int, k: int, work: _Work) -> bool:
+    """Whether some set of at most k instances tells some concept of the
+    nonempty subclass ``sub`` apart from the rest of ``sub``.
 
     One depth-first walk over instance sets in increasing order, at most
     k deep, that shares no code with the teaching-set kernel.  A node
@@ -503,17 +484,14 @@ def td_min_at_most(cc: ConceptClass, sub: int, k: int, *,
     than k instances, so every split is tested for a singleton, not only
     those of the last level.
 
-    Each node counts one against ``budget``; a walk that passes it
-    refuses with BudgetExceededError at k = the bound, with every
-    concept of ``sub`` counted as left.
+    Each node counts one in ``work``; a walk that passes its budget
+    refuses with BudgetExceededError at k, with every concept of ``sub``
+    counted as left.
     """
-    if sub <= 0 or sub >> len(cc):
-        raise ValueError(f"concept index mask {sub:#x} out of range")
     if sub & (sub - 1) == 0:
         # a lone concept needs no examples
         return k >= 0
     cols, d = cc.instance_columns, cc.domain_size
-    work = _Work("teaching-set search (subclass TD_min)", budget)
 
     def walk(blocks: list[int], start: int, depth: int) -> bool:
         work.done += 1
@@ -536,7 +514,11 @@ def td_min_at_most(cc: ConceptClass, sub: int, k: int, *,
                 return True
         return False
 
-    return k > 0 and walk([sub], 0, k)
+    try:
+        return k > 0 and walk([sub], 0, k)
+    finally:
+        # the nested walk refers to itself; break that cycle here
+        del walk
 
 
 def check_chain(lo: int, mid: int, hi: int, kind: str) -> int:

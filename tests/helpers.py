@@ -8,6 +8,7 @@ pair-list preference closure that mask-built preferences are checked
 against, the recursive spanning-tree enumerator that the pruned
 max-leaf oracle is checked against on graphs too large for the sweeps,
 relabeling with label-free check results for the invariance tests,
+the plain teaching-set walk that the forced search is checked against,
 the certifier that checks RTD, TD and VCD answers from both sides
 without the kernels, false peeling certificates for the eq6 tests,
 and the benchmark's workload definitions, loaded read-only."""
@@ -389,8 +390,107 @@ def understated_certificate(cert: RtdCertificate) -> RtdCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Preference closure and spanning trees by reference algorithms
+# Teaching sets, preference closure and spanning trees by reference
+# algorithms
 # ---------------------------------------------------------------------------
+
+def plain_teaching_sets(cc: ConceptClass, active: int, targets: int):
+    """Yield (k, {i: D}) for increasing k: the targets whose smallest
+    teaching sets against the active concepts have k instances, each
+    with its smallest-valued such mask D, from a plain walk over every
+    k-set of the domain that ignores the one-inclusion graph.  The
+    reference that the forced search of ``dimensions._teaching_sets``
+    is checked against."""
+    if active & (active - 1) == 0:
+        yield 0, {active.bit_length() - 1: 0}
+        return
+    for k in range(1, cc.domain_size + 1):
+        found = _plain_unique_traces(cc, active, targets, k)
+        if found:
+            yield k, found
+            for i in found:
+                targets ^= 1 << i
+            if not targets:
+                return
+    raise AssertionError("teaching-set search passed the domain size")
+
+
+def _plain_unique_traces(cc: ConceptClass, active: int, targets: int,
+                         k: int) -> dict[int, int]:
+    """{i: D} for every target i that some k-instance set D teaches
+    against the active concepts, D the smallest-valued such mask.
+
+    Walks the k-sets in increasing mask order by choosing the largest
+    instance first (colex order, which is integer order), splitting each
+    block of the partition of ``active`` by the chosen instance's column
+    and dropping blocks that hold no unfound target.  The last instance
+    only has to cut a target off on its own, so its level runs inside
+    the loop of the level above it (k = 1 is one flat scan).  Stops once
+    every target has a set.
+
+    Precondition: k >= 1 and no target has a teaching set of fewer than
+    k instances against ``active``.  Only then may an instance that
+    splits no block be skipped: a k-set through it that isolated a
+    target would isolate it without that instance too."""
+    cols = cc.instance_columns
+    found: dict[int, int] = {}
+    left = targets
+
+    if k == 1:
+        for x in range(cc.domain_size):
+            inner = active & cols[x]
+            rest = active ^ inner
+            for b in (inner, rest) if inner and rest else ():
+                if b & (b - 1) == 0 and b & left:
+                    found[b.bit_length() - 1] = 1 << x
+                    left ^= b
+            if not left:
+                break
+        return found
+
+    def walk(blocks: list[int], top: int, depth: int, dmask: int) -> bool:
+        nonlocal left
+        for x in range(depth - 1, top):
+            col = cols[x]
+            parts = []
+            split = False
+            for b in blocks:
+                inner = b & col
+                if inner and inner != b:
+                    split = True
+                    if inner & left:
+                        parts.append(inner)
+                    inner ^= b
+                    if inner & left:
+                        parts.append(inner)
+                elif b & left:
+                    parts.append(b)
+            if not split or not parts:
+                continue
+            if depth > 2:
+                if walk(parts, x, depth - 1, dmask | 1 << x):
+                    return True
+                continue
+            # last level: instance y < x completes the set
+            for y in range(x):
+                col = cols[y]
+                for b in parts:
+                    inner = b & col
+                    if not inner or inner == b:
+                        continue
+                    if inner & (inner - 1) == 0 and inner & left:
+                        found[inner.bit_length() - 1] = dmask | 1 << x | 1 << y
+                        left ^= inner
+                    inner ^= b
+                    if inner & (inner - 1) == 0 and inner & left:
+                        found[inner.bit_length() - 1] = dmask | 1 << x | 1 << y
+                        left ^= inner
+                if not left:
+                    return True
+        return False
+
+    walk([active], cc.domain_size, k, 0)
+    return found
 
 
 def pair_closure(size: int, pairs) -> tuple[int, ...]:

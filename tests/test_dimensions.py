@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import disjoint_union, powerset_class
+from helpers import disjoint_union, plain_teaching_sets, powerset_class
+from teachdim.checks import check_graph
 from teachdim.concepts import ConceptClass, is_shattered
 from teachdim.connected import build_con_class
 import teachdim.dimensions as dimensions
@@ -392,6 +394,8 @@ class TestRtd:
                            for i in range(m) if sub >> i & 1]
                 want = td_min_by_traces(members, d)
                 assert rtd_subclass_lower_bound(cc, sub) == want
+                if sub == everything:
+                    assert td_min(cc) == want
                 assert [td_min_at_most(cc, sub, k) for k in range(d + 1)] \
                     == [want <= k for k in range(d + 1)]
 
@@ -421,10 +425,10 @@ class TestRtd:
             assert best == rtd(cc).rtd
 
 
-class TestTdMinFirstHit:
-    """td_min and rtd_subclass_lower_bound stop at the first concept they
-    isolate; their value must still be the smallest brute_td over the
-    (sub)class."""
+class TestTdMinByWalk:
+    """td_min and rtd_subclass_lower_bound count k up until
+    td_min_at_most's walk isolates some concept; their value must be the
+    smallest brute_td over the (sub)class."""
 
     @given(st.integers(1, 8), st.data())
     @settings(max_examples=300, deadline=None)
@@ -451,6 +455,52 @@ class TestTdMinFirstHit:
                 active = sum(1 << i for i in sub)
                 assert rtd_subclass_lower_bound(cc, sub) == min(
                     brute_td(cc, i, active) for i in sub)
+
+    def test_from_the_forced_floor(self):
+        """td_min starts at min_i |F_i|: 0 on classes with a concept
+        that has no one-inclusion neighbour, d on powerset_class(d)."""
+        rng = random.Random(31)
+        floors = []
+        for _ in range(40):
+            d = rng.randint(2, 9)
+            cc = ConceptClass.from_masks(
+                d, rng.sample(range(1 << d), rng.randint(2, min(30, 1 << d))))
+            floors.append(min(f.bit_count() for f in cc.neighbour_masks))
+            if not floors[-1]:
+                assert td_min(cc) == min(brute_td(cc, i) for i in range(len(cc)))
+        assert floors.count(0) >= 20
+        for d in range(5):
+            cc = powerset_class(d)
+            assert min(f.bit_count() for f in cc.neighbour_masks) == d
+            assert td_min(cc) == d == min(brute_td(cc, i) for i in range(len(cc)))
+
+    def test_one_budget_per_call(self, monkeypatch):
+        """Every k a call tries draws on the one _Work it made, so
+        ``budget`` bounds the whole search."""
+        works = []
+
+        def recorded(*args, **kwargs):
+            works.append(real(*args, **kwargs))
+            return works[-1]
+
+        real = dimensions._Work
+        monkeypatch.setattr(dimensions, "_Work", recorded)
+        # TD_min 4: td_min tries k = 4 alone, the subclass bound 0 to 4
+        cc = powerset_class(4)
+        assert td_min(cc) == 4
+        assert [w.stage for w in works] == ["teaching-set search (td_min)"]
+        works.clear()
+        assert rtd_subclass_lower_bound(cc, cc.all_indices_mask) == 4
+        assert [w.stage for w in works] == \
+            ["teaching-set search (subclass TD_min)"]
+        nodes = works[0].done
+        # the same search on a budget of its nodes answers; one less refuses
+        assert rtd_subclass_lower_bound(cc, cc.all_indices_mask,
+                                        budget=nodes) == 4
+        with pytest.raises(BudgetExceededError) as refusal:
+            rtd_subclass_lower_bound(cc, cc.all_indices_mask, budget=nodes - 1)
+        assert (refusal.value.k, refusal.value.work) == (4, nodes)
+        assert len(works) == 3
 
 
 def forced_set(cc, i, active):
@@ -486,9 +536,8 @@ class TestForcedInstances:
         # the bounded search gives the same levels as the plain one
         forced_all = [forced_set(cc, j, active) if active >> j & 1 else None
                     for j in range(len(cc))]
-        assert list(_teaching_sets(cc, active, active, _Work(),
-                                   forced=forced_all)) \
-            == list(_teaching_sets(cc, active, active, _Work()))
+        assert list(_teaching_sets(cc, active, active, _Work(), forced_all)) \
+            == list(plain_teaching_sets(cc, active, active))
 
     def test_neighbour_masks_match_pairwise_definition(self):
         rng = random.Random(7)
@@ -517,8 +566,7 @@ class TestForcedInstances:
         real = dimensions._teaching_sets
         calls = []
 
-        def spy(cc, active, targets, work, first=False, forced=None,
-                by_size=None):
+        def spy(cc, active, targets, work, forced, by_size=None):
             want = [0] * (cc.domain_size + 1)
             for i in bits(active):
                 f = forced_set(cc, i, active)
@@ -526,7 +574,7 @@ class TestForcedInstances:
                 want[f.bit_count()] |= 1 << i
             assert by_size == want
             calls.append(active)
-            return real(cc, active, targets, work, first, forced, by_size)
+            return real(cc, active, targets, work, forced, by_size)
 
         monkeypatch.setattr(dimensions, "_teaching_sets", spy)
         rng = random.Random(43)
@@ -549,31 +597,30 @@ class TestForcedInstances:
         k - |F_i(A)|, once for every k from |F_i(A)| + 1 up to the level
         that settles i (or the last level reached).  A class where every
         bound is the level value needs no walk at all."""
-        real_sets, real_walk = dimensions._teaching_sets, dimensions._unique_traces
+        real_sets = dimensions._teaching_sets
+        real_walk = dimensions._smallest_teaching_mask
         # one entry per search: its active set, the walk sizes of each
         # target, the level that settled each target, and the last level
         searches = []
 
-        def sets_spy(cc, active, targets, work, first=False, forced=None,
-                     by_size=None):
+        def sets_spy(cc, active, targets, work, forced, by_size=None):
             search = {"active": active, "walks": {}, "level": {}, "last": 0}
             searches.append(search)
-            for k, found in real_sets(cc, active, targets, work, first,
-                                      forced, by_size):
+            for k, found in real_sets(cc, active, targets, work, forced,
+                                      by_size):
                 search["level"].update(dict.fromkeys(found, k))
                 search["last"] = k
                 yield k, found
 
-        def walk_spy(cc, active, targets, k, work, first=False):
-            i = targets.bit_length() - 1
-            assert targets == 1 << i
+        def walk_spy(cc, active, i, k, work):
+            assert active >> i & 1
             search = searches[-1]
             forced = forced_set(cc, i, search["active"])
             ci = cc.concepts[i]
             assert active == sum(1 << j for j in bits(search["active"])
                                  if not (cc.concepts[j] ^ ci) & forced)
             search["walks"].setdefault(i, []).append(k)
-            return real_walk(cc, active, targets, k, work, first)
+            return real_walk(cc, active, i, k, work)
 
         def check(cc):
             for search in searches:
@@ -583,7 +630,7 @@ class TestForcedInstances:
                     assert sizes == list(range(1, level - bound + 1))
 
         monkeypatch.setattr(dimensions, "_teaching_sets", sets_spy)
-        monkeypatch.setattr(dimensions, "_unique_traces", walk_spy)
+        monkeypatch.setattr(dimensions, "_smallest_teaching_mask", walk_spy)
         walked = 0
         for cc in engine_corpus():
             searches.clear()
@@ -631,16 +678,16 @@ class TestForcedInstances:
             everyone = cc.all_indices_mask
             forced = forced_of(cc, everyone)
             levels = list(_teaching_sets(cc, everyone, everyone, _Work(),
-                                         forced=forced))
-            assert levels == list(_teaching_sets(cc, everyone, everyone, _Work()))
+                                         forced))
+            assert levels == list(plain_teaching_sets(cc, everyone, everyone))
             walked += sum(forced[i].bit_count() < k
                           for k, found in levels for i in found)
             active = everyone
             for level, _ in rtd(cc).levels:
                 forced = forced_of(cc, active)
                 assert next(_teaching_sets(cc, active, active, _Work(),
-                                           forced=forced)) \
-                    == next(_teaching_sets(cc, active, active, _Work()))
+                                           forced)) \
+                    == next(plain_teaching_sets(cc, active, active))
                 active ^= mask_of(level)
         # most td_of rows come from a walk, not from the forced set alone
         assert walked > sum(map(len, classes)) // 2
@@ -665,9 +712,11 @@ class TestForcedInstances:
             rtd(cc, budget=0)
         assert (refusal.value.k, refusal.value.work) == (3, 1)
         assert refusal.value.what == "teaching-set search (rtd)"
+        # td_min's walk starts at the forced floor: every vertex is
+        # forced to both its neighbours, so 2
         with pytest.raises(BudgetExceededError) as refusal:
             td_min(cc, budget=0)
-        assert (refusal.value.k, refusal.value.left) == (1, len(cc))
+        assert (refusal.value.k, refusal.value.left) == (2, len(cc))
         with pytest.raises(BudgetExceededError) as refusal:
             td_min_at_most(cc, cc.all_indices_mask, 3, budget=0)
         assert (refusal.value.what, refusal.value.k, refusal.value.left,
@@ -739,3 +788,36 @@ def test_tree_classes_rtd_equals_vcd_small():
     for g in labeled_trees(5):
         cc = build_con_class(g, True)
         assert rtd(cc).rtd == rtd_value(cc) == vcd(cc)[0]
+
+
+def test_searches_leave_no_cyclic_garbage():
+    """Each search's nested walk refers to itself, and the search breaks
+    that cycle when it ends, also when the walk refuses; so no call
+    leaves work for the cyclic collector, which runs rarely when little
+    else is allocated."""
+
+    def run():
+        for g in (fig2(), cycle_graph(7), path_graph(5), complete_graph(4)):
+            for cc in (build_star_class(g), build_con_class(g, False),
+                       build_con_class(g, True)):
+                everyone = cc.all_indices_mask
+                vcd(cc)
+                rtd(cc)
+                td_of(cc, 0)
+                td_min(cc)
+                td_min_at_most(cc, everyone, 1)
+                rtd_subclass_lower_bound(cc, everyone)
+                with pytest.raises(BudgetExceededError):
+                    td_min_at_most(cc, everyone, 1, budget=0)
+            for kind, empty in (("star", False), ("con", False), ("con", True)):
+                check_graph(g, kind, empty)
+
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

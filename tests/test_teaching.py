@@ -10,6 +10,7 @@ from helpers import (
     empty_preference,
     pair_closure,
     perfbench_workloads,
+    plain_teaching_sets,
     powerset_class,
     verify_smgk_teacher,
     version_space,
@@ -23,7 +24,7 @@ from teachdim.connected import (
     con_vcd_matching_teacher,
 )
 from teachdim.context import GraphContext
-from teachdim.dimensions import _teaching_sets, _Work, rtd
+from teachdim.dimensions import rtd
 from teachdim.errors import PreferenceCycleError, TeacherPreconditionError
 from teachdim.families import cycle_graph, fig2, path_graph, random_graph
 from teachdim.graphs import bits, mask_of, set_of
@@ -405,14 +406,14 @@ class TestPlanToTeacher:
 
     @staticmethod
     def recomputed_plan(cert, cc):
-        """Teaching sets and below masks from a fresh teaching-set search
-        per level against the residual class."""
+        """Teaching sets and below masks from a fresh plain teaching-set
+        walk per level against the residual class."""
         sets = [None] * len(cc)
         below = [0] * len(cc)
         peeled = 0
         for level, value in cert.levels:
             active = cc.all_indices_mask & ~peeled
-            size, found = next(_teaching_sets(cc, active, mask_of(level), _Work()))
+            size, found = next(plain_teaching_sets(cc, active, mask_of(level)))
             assert size == value and set(found) == level
             for i, witness in found.items():
                 sets[i] = set_of(witness)
