@@ -10,11 +10,11 @@ from functools import lru_cache
 
 from .concepts import ConceptClass, is_shattered, version_space_mask
 from .connected import (
+    _maximal_opponents,
     con_superset_teacher,
     con_tree_teacher,
     con_vcd_matching_teacher,
     leaf_tree_condition,
-    maximal_opponents,
 )
 from .context import GraphContext
 from .dimensions import (
@@ -255,7 +255,7 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
         xcomp = comp_of[(xmask & -xmask).bit_length() - 1]
         xopen = open_neighborhood_mask(g, xmask)
         full = v_full == ell and xopen.bit_count() == ell
-        for ymask in maximal_opponents(g, xmask).opponents:
+        for ymask in _maximal_opponents(g, xmask).opponents:
             yopen = open_neighborhood_mask(g, ymask)
             if yopen & ~xopen:
                 opp_fail[xmask] = (f"boundary of {sorted(set_of(ymask))} escapes "

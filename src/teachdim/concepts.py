@@ -4,6 +4,11 @@ A concept is an int bitmask over instances 0..domain_size-1 (bit set
 means label +).  A ConceptClass stores its concepts deduplicated and in
 increasing bitmask order; all index-valued results refer to that
 canonical order, which keeps every downstream output reproducible.
+
+A class caches, per instance x, its instance column (the concepts that
+contain x, as a mask over concept indices) and its absent column (those
+that lack x).  A version space is the AND of one of them per labeled
+instance, so no search negates a column.
 """
 
 from __future__ import annotations
@@ -95,6 +100,12 @@ class ConceptClass:
         return tuple(cols)
 
     @cached_property
+    def absent_columns(self) -> tuple[int, ...]:
+        """absent[i] = bitmask over concept indices whose concept lacks i."""
+        everything = self.all_indices_mask
+        return tuple(everything ^ col for col in self.instance_columns)
+
+    @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """masks[j] = bitmask over instances x whose flip of concept j is
         also in the class: concept j's edges in the one-inclusion graph.
@@ -132,14 +143,14 @@ def version_space_mask(cc: ConceptClass, pos: int, neg: int = 0) -> int:
     if (pos | neg) >> cc.domain_size:
         raise ValueError("sample mentions instances outside the domain")
     vs = cc.all_indices_mask
-    cols = cc.instance_columns
+    cols, absent = cc.instance_columns, cc.absent_columns
     while pos:
         low = pos & -pos
         vs &= cols[low.bit_length() - 1]
         pos ^= low
     while neg:
         low = neg & -neg
-        vs &= ~cols[low.bit_length() - 1]
+        vs &= absent[low.bit_length() - 1]
         neg ^= low
     return vs
 

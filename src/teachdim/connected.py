@@ -63,11 +63,19 @@ class OpponentSet:
 
 
 def maximal_opponents(g: Graph, x) -> OpponentSet:
+    """The maximal opponents of X, a nonempty connected vertex set (a
+    mask or an iterable of vertices); raises ValueError for any other X."""
     xmask = x if isinstance(x, int) else mask_of(x)
     if xmask == 0:
         raise ValueError("X must be nonempty")
     if not is_connected(g, xmask):
         raise ValueError("X must be connected")
+    return _maximal_opponents(g, xmask)
+
+
+def _maximal_opponents(g: Graph, xmask: int) -> OpponentSet:
+    """maximal_opponents for a mask the caller knows is a nonempty
+    connected set, such as a concept of the connected-set class."""
     outside = g.full_mask & ~closed_neighborhood_mask(g, xmask)
     opps = []
     remaining = outside

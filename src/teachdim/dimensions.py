@@ -2,9 +2,10 @@
 peeling, and Sauer-Shelah certificates.
 
 Every search refines one partition.  ``cc.instance_columns[x]`` is the
-bitmask of concept indices whose concept contains instance x; splitting
-each block of a partition of concept indices by the columns of the
-instances in D partitions the concepts by their trace on D.  Hence:
+bitmask of concept indices whose concept contains instance x, and
+``cc.absent_columns[x]`` that of those that lack it; splitting each
+block of a partition of concept indices by the columns of the instances
+in D partitions the concepts by their trace on D.  Hence:
 
 * D teaches concept c against the active concepts A exactly when c's
   block in the partition of A by trace on D is {c} (Goldman & Kearns);
@@ -34,10 +35,11 @@ levels: a departing concept leaves its bucket, and each neighbour that
 loses its flip bit moves from bucket s to s - 1 in that same loop, so a
 level reads the concepts to check directly (bucket k) and to walk
 (buckets below k) without a pass over the class.  rtd and td_of ask
-this search.  TD_min asks whether any concept of a (sub)class has a
-teaching set of at most k, and has its own walk over the whole
-partition (_isolates, behind td_min_at_most); td_min and
-rtd_subclass_lower_bound count k up until it says yes.
+this search, and both give each witness as an instance mask.  TD_min
+asks whether any concept of a (sub)class has a teaching set of at most
+k, and has its own walk over the whole partition (_isolates, behind
+td_min_at_most); td_min and rtd_subclass_lower_bound count k up until
+it says yes.
 
 Teaching-set sizes run up to the domain size: at k = d the whole domain
 tells every concept apart, and a concept forced to all d instances is
@@ -54,7 +56,7 @@ from math import comb
 
 from .concepts import ConceptClass
 from .errors import BudgetExceededError
-from .graphs import DEFAULT_ENUM_BUDGET, set_of
+from .graphs import DEFAULT_ENUM_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +143,10 @@ def _smallest_teaching_mask(cc: ConceptClass, active: int, i: int, k: int,
     Walks the k-sets in increasing mask order by choosing the largest
     instance first (colex order, which is integer order).  Its state is
     one block: the active concepts that agree with i on the instances
-    chosen so far, narrowed by each instance's agreeing column (the
-    column itself if i holds the instance, its complement if not).  The
-    last instance only has to cut i off on its own, so its level runs
-    inside the loop of the level above it (k = 1 is one flat scan).
+    chosen so far, narrowed by each instance's agreeing column (its
+    instance column if i holds the instance, its absent column if not).
+    The last instance only has to cut i off on its own, so its level
+    runs inside the loop of the level above it (k = 1 is one flat scan).
     Returns 0 once the walk nodes pass ``work``'s budget (the caller
     then refuses).
 
@@ -155,8 +157,8 @@ def _smallest_teaching_mask(cc: ConceptClass, active: int, i: int, k: int,
     same reason the block is not {i} before the last level.
     """
     c, target = cc.concepts[i], 1 << i
-    agree = [col if c >> x & 1 else ~col
-             for x, col in enumerate(cc.instance_columns)]
+    agree = [col if c >> x & 1 else ab for x, (col, ab)
+             in enumerate(zip(cc.instance_columns, cc.absent_columns))]
 
     if k == 1:
         work.done += 1
@@ -245,7 +247,7 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
         # a lone concept needs no examples
         yield 0, {active.bit_length() - 1: 0}
         return
-    cols, concepts = cc.instance_columns, cc.concepts
+    cols, absent, concepts = cc.instance_columns, cc.absent_columns, cc.concepts
     if by_size is None:
         by_size = _size_buckets(forced, targets, cc.domain_size)
     start, walkers = 0, 0
@@ -265,7 +267,7 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
                 while rest:
                     flip = rest & -rest
                     x = flip.bit_length() - 1
-                    vs &= cols[x] if c & flip else ~cols[x]
+                    vs &= cols[x] if c & flip else absent[x]
                     rest ^= flip
                 open_k = k - f.bit_count()
                 if not open_k:
@@ -288,7 +290,7 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
 
 
 def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
-          ) -> tuple[int, frozenset[int]]:
+          ) -> tuple[int, int]:
     """Minimum teaching set distinguishing concept i from the whole class.
 
     Returns (size, witness); the witness is the smallest-valued feasible
@@ -296,7 +298,7 @@ def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
     Rows come from one pass over all concepts, since callers read every
     row of one class; the pass is cached on the class per budget.  A
     pass that refuses keeps the rows it found before the refusal, which
-    still answer; every other row raises that refusal.
+    still answer; every other row raises a fresh copy of that refusal.
     """
     if not 0 <= i < len(cc):
         raise ValueError(f"concept index {i} out of range")
@@ -307,13 +309,17 @@ def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
         try:
             for k, found in _teaching_sets(cc, everyone, everyone, work,
                                            forced=cc.neighbour_masks):
-                rows.update((j, (k, set_of(D))) for j, D in found.items())
+                for j, witness in found.items():
+                    rows[j] = k, witness
         except BudgetExceededError as exc:
-            refusal = exc
+            # its traceback holds this frame, and so cc: kept without it
+            refusal = exc.with_traceback(None)
         cc.td_passes[budget] = rows, refusal
     rows, refusal = cc.td_passes[budget]
     if i not in rows:
-        raise refusal.with_traceback(None)
+        # raising the kept refusal would give it a traceback again
+        raise BudgetExceededError(refusal.what, refusal.limit, refusal.k,
+                                  refusal.left, refusal.work)
     return rows[i]
 
 

@@ -357,8 +357,11 @@ def max_leaf_number_exhaustive(g: Graph) -> int:
     vertex of degree 0, so every tree a branch completes has at most
     n - inner leaves, inner being its vertices of degree >= 2.  A branch
     is cut once that is no more than the best tree found, so the cut
-    loses no better tree.  Refuses components with more than
-    MAX_SPANNING_TREE_VERTICES vertices.
+    loses no better tree.  The best starts at a real tree, the BFS tree
+    from a vertex of largest degree, and a component's walk stops once
+    the best reaches n - 1, the most any tree of n >= 3 vertices has
+    (the BFS tree of n = 2 already has its 2).  Refuses components with
+    more than MAX_SPANNING_TREE_VERTICES vertices.
 
     On a lone edge this gives 2 where max_leaf_number gives 1: the tree's
     interior is empty. The two agree on every other connected graph with
@@ -374,13 +377,20 @@ def max_leaf_number_exhaustive(g: Graph) -> int:
             continue
         sub, _ = spanned_subgraph(g, comp)
         n = sub.n
+        root = max(range(n), key=lambda v: sub.adj[v].bit_count())
+        touched = inner = 0
+        for u, v in bfs_tree_edges(sub, root, sub.full_mask)[1]:
+            ends = 1 << u | 1 << v
+            inner |= touched & ends
+            touched |= ends
+        best = max(best, n - inner.bit_count())
         edge_list = sub.edges()
         m = len(edge_list)
         need = n - 1
         # (next edge, edges taken, component label of each vertex,
         #  vertices of degree >= 1, vertices of degree >= 2)
         stack = [(0, 0, list(range(n)), 0, 0)]
-        while stack:
+        while stack and best < n - 1:
             idx, depth, comp_of, touched, inner = stack.pop()
             bound = n - inner.bit_count()
             while bound > best and depth < need and m - idx >= need - depth:

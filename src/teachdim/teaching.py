@@ -11,16 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .concepts import (
-    ConceptClass,
-    Sample,
-    format_concept,
-    sample_of,
-    version_space_mask,
-)
+from .concepts import ConceptClass, Sample, format_concept, sample_of
 from .dimensions import RtdCertificate
 from .errors import PreferenceCycleError
-from .graphs import bits, mask_of, set_of
+from .graphs import bits, set_of
 
 
 @dataclass(frozen=True)
@@ -132,9 +126,7 @@ def subset_preferences(cc: ConceptClass) -> PreferenceRelation:
 
 def superset_preferences(cc: ConceptClass) -> PreferenceRelation:
     """Strictly larger concepts are preferred over their proper subsets."""
-    everything = cc.all_indices_mask
-    return _containment(cc, [everything ^ col for col in cc.instance_columns],
-                        (1 << cc.domain_size) - 1)
+    return _containment(cc, cc.absent_columns, (1 << cc.domain_size) - 1)
 
 
 def _containment(cc: ConceptClass, columns, flip: int) -> PreferenceRelation:
@@ -235,7 +227,7 @@ def verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher
     if teacher.concept_class != cc:
         raise ValueError("teacher was built for a different class")
     below = teacher.preference.below
-    cols = cc.instance_columns
+    cols, absent = cc.instance_columns, cc.absent_columns
     everything = cc.all_indices_mask
     for i, (c, shown) in enumerate(zip(cc.concepts, teacher.teaching_masks)):
         # the version space of the sample: the masks were range-checked
@@ -243,8 +235,8 @@ def verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher
         vs = everything
         while shown:
             low = shown & -shown
-            col = cols[low.bit_length() - 1]
-            vs &= col if c & low else ~col
+            x = low.bit_length() - 1
+            vs &= cols[x] if c & low else absent[x]
             shown ^= low
         assert vs >> i & 1, "a concept is always consistent with its own sample"
         bad = vs & ~below[i] & ~(1 << i)
@@ -264,20 +256,33 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
     """
     if cert.size != len(cc):
         raise ValueError("certificate does not match class size")
+    cols, absent = cc.instance_columns, cc.absent_columns
+    concepts, d = cc.concepts, cc.domain_size
     below = [0] * len(cc)
     masks = [0] * len(cc)
-    peeled = 0
+    peeled, active = 0, cc.all_indices_mask
     for level, _ in cert.levels:
-        active = cc.all_indices_mask & ~peeled
+        level_mask = 0
         for i in level:
             witness = cert.witnesses[i]
-            c = cc.concepts[i]
-            if version_space_mask(cc, c & witness, witness & ~c) & active != 1 << i:
+            if witness >> d:
+                raise ValueError("sample mentions instances outside the domain")
+            # the version space of i's sample within the residual class
+            c, vs, rest = concepts[i], active, witness
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                vs &= cols[x] if c & low else absent[x]
+                rest ^= low
+            bit = 1 << i
+            if vs != bit:
                 raise ValueError(f"certificate witness does not teach concept {i} "
                                  "against its residual class")
             masks[i] = witness
             below[i] = peeled
-        peeled |= mask_of(level)
+            level_mask |= bit
+        peeled |= level_mask
+        active ^= level_mask
     return PBTeacher(cc, tuple(masks), PreferenceRelation(len(cc), tuple(below)))
 
 

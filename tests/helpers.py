@@ -271,7 +271,7 @@ def verify_smgk_teacher(cc: ConceptClass, teaching_masks) -> bool:
 
 def certify(cc: ConceptClass, cert, tds, vc) -> list[str]:
     """Check the peeling certificate ``cert``, the ``td_of`` answers
-    ``tds`` (size, witness set) of every concept and the ``vcd`` answer
+    ``tds`` (size, witness mask) of every concept and the ``vcd`` answer
     ``vc`` (value, witness set) of ``cc`` exhaustively, by code that
     shares nothing with the library's kernels.  Returns the failures
     found; an empty list certifies.
@@ -345,10 +345,9 @@ def certify(cc: ConceptClass, cert, tds, vc) -> list[str]:
         problems.append(f"fewer than rtd {cert.rtd} instances teach a member of A*")
 
     everyone = set(concepts)
-    for i, (k, witness) in enumerate(tds):
-        w = sum(1 << x for x in witness)
-        if len(witness) != k or not teaches(w, concepts[i], concepts):
-            problems.append(f"td witness {sorted(witness)} of concept {i} does "
+    for i, (k, w) in enumerate(tds):
+        if w.bit_count() != k or not teaches(w, concepts[i], concepts):
+            problems.append(f"td witness {w:#x} of concept {i} does "
                             f"not teach it with {k} instances")
         if taught_by_fewer(concepts[i], everyone, k):
             problems.append(f"fewer than td {k} instances teach concept {i}")

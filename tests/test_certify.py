@@ -39,16 +39,20 @@ def test_seeded_share_of_the_small_graph_sweep(sweep6):
     assert sweep6["certify_failures"] == []
 
 
+def shifted_mask(w, step):
+    """The instance mask ``w`` with its lowest outside instance added
+    (step +1) or its lowest instance removed (step -1)."""
+    return w ^ (~w & (w + 1) if step > 0 else w & -w)
+
+
 def shifted_level(cert, step):
     """``cert`` with the value of the first level at the rtd moved by
-    ``step``, +1 or -1, and each of its witnesses gaining its lowest
-    outside instance or losing its lowest instance to match."""
+    ``step``, +1 or -1, and each of its witnesses shifted to match."""
     at = next(k for k, (_, value) in enumerate(cert.levels) if value == cert.rtd)
     level, value = cert.levels[at]
     witnesses = list(cert.witnesses)
     for i in level:
-        w = witnesses[i]
-        witnesses[i] = w ^ (~w & (w + 1) if step > 0 else w & -w)
+        witnesses[i] = shifted_mask(witnesses[i], step)
     levels = list(cert.levels)
     levels[at] = (level, value + step)
     return RtdCertificate(cert.size, tuple(levels),
@@ -56,8 +60,8 @@ def shifted_level(cert, step):
 
 
 def shifted(size, witness, step, domain_size):
-    """(size + step, witness with its lowest outside instance added or its
-    lowest instance removed)."""
+    """(size + step, the instance set ``witness`` with its lowest outside
+    instance added or its lowest instance removed)."""
     if step > 0:
         return size + 1, witness | {min(set(range(domain_size)) - witness)}
     return size - 1, witness - {min(witness)}
@@ -79,7 +83,7 @@ def test_mutated_answers_are_rejected():
             problems = certify(cc, shifted_level(cert, step), tds, vc)
             assert problems and all(p.startswith(rtd_side) for p in problems)
             mutant = list(tds)
-            mutant[i] = shifted(*tds[i], step, d)
+            mutant[i] = tds[i][0] + step, shifted_mask(tds[i][1], step)
             problems = certify(cc, cert, mutant, vc)
             assert len(problems) == 1
             assert problems[0].startswith(td_side) and f"concept {i}" in problems[0]

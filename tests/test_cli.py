@@ -729,7 +729,7 @@ class TestChecksDirect:
         bad = {order[5], order[len(order) // 2], last_by_mask}
         last = [x for x in order if x in bad][-1]
         assert last != last_by_mask
-        real = checks.maximal_opponents
+        real = checks._maximal_opponents
 
         def spy(graph, x):
             res = real(graph, x)
@@ -739,7 +739,7 @@ class TestChecksDirect:
             # boundary escapes X's
             return OpponentSet(res.x, res.opponents + (x & -x,))
 
-        monkeypatch.setattr(checks, "maximal_opponents", spy)
+        monkeypatch.setattr(checks, "_maximal_opponents", spy)
         for include_empty in (False, True):
             res = {r.name: r for r in check_graph(g, "con", include_empty)}
             low = (last & -last).bit_length() - 1
