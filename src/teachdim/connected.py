@@ -26,7 +26,7 @@ from .graphs import (
     open_neighborhood_mask,
     set_of,
 )
-from .teaching import PBTeacher, PreferenceRelation, lex_refine, subset_preferences
+from .teaching import PBTeacher, PreferenceRelation, subset_preferences
 
 if TYPE_CHECKING:
     from .context import GraphContext
@@ -243,9 +243,10 @@ def con_vcd_matching_teacher(ctx: GraphContext) -> PBTeacher:
 
     Sets with a full-size boundary are taught by their boundary as pure
     negatives; their only rivals in the version space are their maximal
-    opponents, whose boundaries are strictly smaller, so refining the
-    larger-sets-first preference by boundary size settles every contest.
-    Smaller-boundary sets get one positive member on top.
+    opponents, whose boundaries are strictly smaller, so adding "preferred
+    over every set its sample leaves" to the larger-sets-first preference
+    settles every contest.  Smaller-boundary sets get one positive member
+    on top.
     """
     g, ell, cc = ctx.g, ctx.ell, ctx.con(True)
     value, witness = ctx.vcd(cc)
@@ -267,16 +268,14 @@ def con_vcd_matching_teacher(ctx: GraphContext) -> PBTeacher:
 
 
 def _matching_preference(ctx: GraphContext, boundary) -> PreferenceRelation:
-    """Larger-sets-first refined by boundary size on incomparable pairs.
+    """Larger-sets-first plus the pairs the verifier needs: each
+    pure-negatively taught (full-boundary) set over everything its sample
+    leaves in the version space, closed by ``from_direct``.
 
-    The global refinement can cycle (boundary size is not monotone under
-    inclusion), in which case only the pairs the verifier actually needs
-    are kept: each pure-negatively taught set over everything its sample
-    leaves in the version space.  Even those needed pairs can be
-    contradictory: two disjoint full-boundary sets may each survive the
-    other's sample, e.g. the second and fifth vertices of a six-vertex
-    path, and then no preference relation whatsoever makes the stated
-    teaching sets work; such graphs are refused.
+    Those pairs can be contradictory: two disjoint full-boundary sets may
+    each survive the other's sample, e.g. the second and fifth vertices
+    of a six-vertex path, and then no preference relation whatsoever
+    makes the stated teaching sets work; such graphs are refused.
     """
     g, ell, cc = ctx.g, ctx.ell, ctx.con(True)
     full_boundary = [
@@ -294,13 +293,7 @@ def _matching_preference(ctx: GraphContext, boundary) -> PreferenceRelation:
                     f"{g.vertex_names(ci)} and {g.vertex_names(cj)} each "
                     "survive the other's sample"
                 )
-    base = ctx.con_pref
-    keys = [boundary[c].bit_count() for c in cc.concepts]
-    try:
-        return lex_refine(base, keys)
-    except PreferenceCycleError:
-        pass
-    direct = list(base.below)
+    direct = list(ctx.con_pref.below)
     for i in full_boundary:
         vs = version_space_mask(cc, 0, boundary[cc.concepts[i]])
         direct[i] |= vs & ~(1 << i)

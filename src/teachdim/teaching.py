@@ -20,7 +20,13 @@ from .graphs import bits, set_of
 @dataclass(frozen=True)
 class PreferenceRelation:
     """Strict partial order; below[i] = concepts strictly less preferred
-    than i, transitively closed."""
+    than i.
+
+    ``below`` must already be transitively closed: the constructor checks
+    only its length, its range and irreflexivity.  The library's builders
+    close their orders by construction; masks from anywhere else go
+    through ``from_direct``, which closes them and rejects cycles.
+    """
 
     size: int
     below: tuple[int, ...]
@@ -34,29 +40,6 @@ class PreferenceRelation:
                 raise ValueError("below mask out of range")
             if mask >> i & 1:
                 raise PreferenceCycleError(f"concept {i} below itself")
-        # transitivity (and with irreflexivity, antisymmetry) must hold:
-        # below[j] lies inside below[i] for every j in below[i].  Checked
-        # once per distinct mask M; a j in M whose mask lies inside M
-        # spares below[j] and the concepts sharing its mask a step.  In
-        # any order of the masks that hides nothing: a skipped k with
-        # below[k] outside M also breaks below[j], a strictly smaller
-        # mask, so the smallest broken mask meets its k directly.  Each
-        # step takes the lowest and the highest j left: the containment
-        # orders keep a mask's top members, whose masks spare the most, at
-        # one end of it (the low end for supersets, the high end for
-        # subsets).
-        below = self.below
-        members: dict[int, int] = {}
-        for i, mask in enumerate(below):
-            members[mask] = members.get(mask, 0) | 1 << i
-        for mask in members:
-            rest = mask
-            while rest:
-                low = below[(rest & -rest).bit_length() - 1]
-                high = below[rest.bit_length() - 1]
-                if (low | high) & ~mask:
-                    raise ValueError("below masks are not transitively closed")
-                rest &= ~(low | members[low] | high | members[high])
 
     @classmethod
     def from_direct(cls, direct) -> "PreferenceRelation":
@@ -150,7 +133,9 @@ def lex_refine(pref: PreferenceRelation, keys) -> PreferenceRelation:
 
     Adds (i preferred over j) for every pref-incomparable pair with
     keys[i] > keys[j], then recloses; raises PreferenceCycleError if the
-    combination is no longer a strict partial order.
+    combination is no longer a strict partial order.  No teacher uses it:
+    the boundary-size refinement it once served cycles on nearly every
+    graph, so the matching teacher builds only the pairs it needs.
     """
     keys = list(keys)
     if len(keys) != pref.size:

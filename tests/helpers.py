@@ -8,6 +8,7 @@ pair-list preference closure that mask-built preferences are checked
 against, the recursive spanning-tree enumerator that the pruned
 max-leaf oracle is checked against on graphs too large for the sweeps,
 relabeling with label-free check results for the invariance tests,
+the shared-parts graph corpus of the teacher and closure tests,
 the plain teaching-set walk that the forced search is checked against,
 the certifier that checks RTD, TD and VCD answers from both sides
 without the kernels, false peeling certificates for the eq6 tests,
@@ -30,6 +31,7 @@ import numpy as np
 from teachdim.concepts import ConceptClass, Sample, format_concept, version_space_mask
 from teachdim.dimensions import RtdCertificate
 from teachdim.errors import PreferenceCycleError
+from teachdim.families import complete_graph, cycle_graph, fig2, path_graph, random_graph
 from teachdim.graphs import (
     Graph,
     Tree,
@@ -621,6 +623,15 @@ def prufer_trees(n: int):
 def labeled_trees(n: int):
     for edges in prufer_trees(n):
         yield graph_from_edges(n, edges)
+
+
+def shared_parts_corpus():
+    """Families, a forest, and 30 seeded random graphs with 5-8 vertices."""
+    yield from (fig2(), path_graph(1), path_graph(3), path_graph(5),
+                cycle_graph(5), complete_graph(4))
+    yield graph_from_edges(6, [(0, 1), (1, 2), (3, 4)])
+    for i in range(30):
+        yield random_graph(5 + i % 4, (0.3, 0.5, 0.7)[i % 3], 404, i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,67 @@
+"""Only the builders that close their order call the raw
+``PreferenceRelation(...)`` constructor.
+
+The constructor trusts ``below`` to be transitively closed.  The
+library's callers of it are the containment orders (``_containment``),
+the peeling plan's level order (``plan_to_teacher``) and
+``from_direct``, which closes what it is given; ``test_teaching.py``
+checks each of them against the pair-list closure.  A new builder goes
+through ``from_direct``, or joins the list here and that test.  The scan
+uses the standard library's ``ast`` only.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "teachdim"
+
+CLOSED_BUILDERS = {"teaching._containment", "teaching.plan_to_teacher",
+                   "teaching.PreferenceRelation.from_direct"}
+
+
+def raw_constructor_calls(source: str) -> set[str]:
+    """Qualified names of the functions in ``source`` that call
+    ``PreferenceRelation(...)``, by name or by attribute, or ``cls(...)``
+    inside that class."""
+    found = set()
+
+    def is_raw(func, in_class):
+        if isinstance(func, ast.Name):
+            return func.id == "PreferenceRelation" or (in_class and func.id == "cls")
+        return isinstance(func, ast.Attribute) and func.attr == "PreferenceRelation"
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, scope + [child.name], child.name == "PreferenceRelation")
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, scope + [child.name], in_class)
+            else:
+                if isinstance(child, ast.Call) and is_raw(child.func, in_class):
+                    found.add(".".join(scope) or "<module>")
+                visit(child, scope, in_class)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_raw_constructor_calls_are_caught():
+    source = (
+        "def a(): return PreferenceRelation(1, (0,))\n"
+        "def b(): return teaching.PreferenceRelation(1, (0,))\n"
+        "def c(): return PreferenceRelation.from_direct([0])\n"
+        "class PreferenceRelation:\n"
+        "    @classmethod\n"
+        "    def d(cls): return cls(1, (0,))\n"
+        "class Other:\n"
+        "    @classmethod\n"
+        "    def e(cls): return cls()\n"
+        "f = lambda: PreferenceRelation(1, (0,))\n"
+    )
+    assert raw_constructor_calls(source) == {"a", "b", "PreferenceRelation.d", "<module>"}
+
+
+def test_only_closed_builders_call_the_raw_constructor():
+    found = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in raw_constructor_calls(path.read_text())}
+    assert found == CLOSED_BUILDERS

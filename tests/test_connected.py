@@ -6,6 +6,7 @@ from helpers import (
     open_neighborhood,
     pair_closure,
     sample_from_pairs,
+    shared_parts_corpus,
     version_space,
 )
 from teachdim.concepts import Sample
@@ -20,11 +21,7 @@ from teachdim.connected import (
 )
 from teachdim.context import GraphContext
 from teachdim.dimensions import vcd
-from teachdim.errors import (
-    BudgetExceededError,
-    PreferenceCycleError,
-    TeacherPreconditionError,
-)
+from teachdim.errors import BudgetExceededError, TeacherPreconditionError
 from teachdim.families import complete_graph, cycle_graph, fig2, path_graph, random_graph
 from teachdim.graphs import (
     bits,
@@ -34,7 +31,7 @@ from teachdim.graphs import (
     open_neighborhood_mask,
     set_of,
 )
-from teachdim.teaching import lex_refine, superset_preferences, verify_pb_teacher
+from teachdim.teaching import superset_preferences, verify_pb_teacher
 
 
 def names(g, s):
@@ -270,13 +267,12 @@ class TestMatchingTeacher:
         vs4 = {cc.concepts[i] for i in version_space(cc, s4)}
         assert 1 << 4 in vs1 and 1 << 1 in vs4
 
-    def test_fallback_preference_matches_pair_rules(self):
-        """When the boundary-size refinement cycles, the preference is the
-        closure of larger-sets-first plus each full-boundary set over its
-        version space."""
-        fallbacks = 0
-        for g in [path_graph(3)] + [random_graph(n, 0.4, s)
-                                    for n in (5, 6, 7) for s in range(4)]:
+    def test_matching_preference_matches_pair_rules(self):
+        """The preference is the closure of larger-sets-first plus each
+        full-boundary set over its version space."""
+        built = 0
+        for g in [path_graph(2), path_graph(3)] + [random_graph(n, 0.4, s)
+                                                   for n in (5, 6, 7) for s in range(4)]:
             try:
                 teacher = con_vcd_matching_teacher(GraphContext(g))
             except TeacherPreconditionError:
@@ -284,11 +280,6 @@ class TestMatchingTeacher:
             cc = teacher.concept_class
             boundary = [open_neighborhood_mask(g, c) if c else 0 for c in cc.concepts]
             base = superset_preferences(cc)
-            try:
-                lex_refine(base, [b.bit_count() for b in boundary])
-                continue
-            except PreferenceCycleError:
-                pass
             ell = max_leaf_number(g)
             pairs = [(i, j) for i in range(len(cc)) for j in bits(base.below[i])]
             for i, c in enumerate(cc.concepts):
@@ -296,16 +287,19 @@ class TestMatchingTeacher:
                     vs = version_space(cc, Sample(0, boundary[i]))
                     pairs.extend((i, j) for j in vs if j != i)
             assert teacher.preference.below == pair_closure(len(cc), pairs)
-            fallbacks += 1
-        assert fallbacks >= 8
+            built += 1
+        assert built >= 12
 
-
-def shared_parts_corpus():
-    yield from (fig2(), path_graph(1), path_graph(3), path_graph(5),
-                cycle_graph(5), complete_graph(4))
-    yield graph_from_edges(6, [(0, 1), (1, 2), (3, 4)])
-    for i in range(30):
-        yield random_graph(5 + i % 4, (0.3, 0.5, 0.7)[i % 3], 404, i)
+    def test_path_on_three_vertices(self):
+        """P_2's relation is the pair rules' closure, not the boundary-size
+        refinement of larger-sets-first that it once was; the teaching sets
+        are the same and the teacher verifies."""
+        teacher = con_vcd_matching_teacher(GraphContext(path_graph(2)))
+        cc = teacher.concept_class
+        assert cc.concepts == (0, 0b001, 0b010, 0b011, 0b100, 0b110, 0b111)
+        assert teacher.teaching_masks == (0b111, 0b011, 0b101, 0b101, 0b110, 0b011, 0b001)
+        assert teacher.preference.below == (0, 0b1, 0b1, 0b111, 0b1, 0b10101, 0b111111)
+        assert verify_pb_teacher(cc, teacher) == (True, None)
 
 
 def teacher_or_refusal(build, ctx):
