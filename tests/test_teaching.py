@@ -167,6 +167,47 @@ class TestPreferenceRelation:
                 built[name] += max(pref.depths, default=0) >= 2
         assert min(built.values()) > 0 and len(built) == 5, built
 
+    @pytest.mark.parametrize("kind", ["star", "con"])
+    def test_pool_relations_with_one_pair_dropped(self, kind):
+        """The subset and superset orders, the peeling plan's preference
+        and, for connected sets, the matching teacher's preference of the
+        verify benchmark's graph pool, each with one pair dropped, go
+        through ``from_direct``: a pair that a third concept lies between
+        comes back, and every dropped relation closes as
+        ``helpers.pair_closure`` closes it."""
+        rng = random.Random(41)
+        for n in (6, 7, 8):
+            for p in (0.3, 0.5, 0.7):
+                for index in (0, 1):
+                    g = random_graph(n, p, 2025, index=index)
+                    cc = (build_star_class(g) if kind == "star"
+                          else build_con_class(g, False))
+                    prefs = [subset_preferences(cc), superset_preferences(cc),
+                             plan_to_teacher(rtd(cc), cc).preference]
+                    if kind == "con":
+                        try:
+                            prefs.append(TEACHERS["con-vcd-matching"][0](
+                                GraphContext(g)).preference)
+                        except TeacherPreconditionError:
+                            pass
+                    for pref in prefs:
+                        below = pref.below
+                        pairs = [(i, j) for i in range(len(below))
+                                 for j in bits(below[i])]
+                        between = [(i, j) for i, j in pairs
+                                   if any(below[k] >> j & 1 for k in bits(below[i]))]
+                        assert between
+                        for i, j in rng.sample(between, min(5, len(between))):
+                            dropped = list(below)
+                            dropped[i] ^= 1 << j
+                            assert PreferenceRelation.from_direct(dropped).below == below
+                        for i, j in rng.sample(pairs, min(5, len(pairs))):
+                            dropped = list(below)
+                            dropped[i] ^= 1 << j
+                            kept = [pair for pair in pairs if pair != (i, j)]
+                            assert (PreferenceRelation.from_direct(dropped).below
+                                    == pair_closure(len(below), kept))
+
 
 class TestLexRefine:
     def test_orders_incomparables_by_key(self):
