@@ -44,6 +44,7 @@ from .graphs import (
     Graph,
     Tree,
     components,
+    connected_set_boundaries,
     connected_set_masks,
     graph_from_edges,
     is_connected,

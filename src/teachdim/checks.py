@@ -10,7 +10,7 @@ from functools import lru_cache
 
 from .concepts import ConceptClass, is_shattered, version_space_mask
 from .connected import (
-    _maximal_opponents,
+    _opponent_masks,
     con_superset_teacher,
     con_tree_teacher,
     con_vcd_matching_teacher,
@@ -30,11 +30,9 @@ from .graphs import (
     DEFAULT_ENUM_BUDGET,
     Graph,
     components,
-    connected_set_masks,
     is_connected,
     mask_of,
     max_leaf_number_exhaustive,
-    open_neighborhood_mask,
     set_of,
     spanned_subgraph,
     MAX_SPANNING_TREE_VERTICES,
@@ -247,30 +245,27 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
             out.append(_result("ell-oracle", ell == oracle,
                                f"neighborhood {ell}, spanning-tree {oracle}"))
 
-    # one pass over the connected sets serves both opponent checks
+    # one pass over the connected sets, in enumeration order, serves both
+    # opponent checks; every opponent is a connected set, so its boundary
+    # is in the table too
     comp_of = {x: mask_of(c) for c in comps for x in c}
-    opp_fail = {}  # set -> detail of its last failing opponent
+    boundary = ctx.boundaries
+    detail = ""  # the last failure in enumeration order
     strict_ok = True
-    for xmask in cc_full.concepts[1:]:
+    for xmask, xopen in boundary.items():
         xcomp = comp_of[(xmask & -xmask).bit_length() - 1]
-        xopen = open_neighborhood_mask(g, xmask)
         full = v_full == ell and xopen.bit_count() == ell
-        for ymask in _maximal_opponents(g, xmask).opponents:
-            yopen = open_neighborhood_mask(g, ymask)
+        for ymask in _opponent_masks(g, xmask, xopen):
+            yopen = boundary[ymask]
             if yopen & ~xopen:
-                opp_fail[xmask] = (f"boundary of {sorted(set_of(ymask))} escapes "
-                                   f"X={sorted(set_of(xmask))}")
+                detail = (f"boundary of {sorted(set_of(ymask))} escapes "
+                          f"X={sorted(set_of(xmask))}")
             if ymask & ~xcomp and yopen:
-                opp_fail[xmask] = (f"cross-component opponent "
-                                   f"{sorted(set_of(ymask))} has a boundary")
+                detail = (f"cross-component opponent "
+                          f"{sorted(set_of(ymask))} has a boundary")
             if full and (yopen & ~xopen or yopen == xopen):
                 strict_ok = False
-    detail = ""
-    if opp_fail:
-        # name the failure that enumeration order meets last
-        detail = opp_fail[[x for x in connected_set_masks(g, budget=ctx.budget)
-                           if x in opp_fail][-1]]
-    out.append(_result("con-opponent-boundaries", not opp_fail, detail))
+    out.append(_result("con-opponent-boundaries", not detail, detail))
 
     if g.n and is_connected(g, g.full_mask):
         wit = leaf_tree_condition(ctx)

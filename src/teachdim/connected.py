@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .concepts import ConceptClass, version_space_mask
+from .context import GraphContext
 from .dimensions import check_chain, rtd_value, vcd
 from .errors import BudgetExceededError, PreferenceCycleError, TeacherPreconditionError
 from .graphs import (
@@ -19,17 +19,11 @@ from .graphs import (
     bits,
     closed_neighborhood_mask,
     component_mask,
-    connected_set_masks,
     is_connected,
     mask_of,
-    max_open_neighborhood,
-    open_neighborhood_mask,
     set_of,
 )
 from .teaching import PBTeacher, PreferenceRelation, subset_preferences
-
-if TYPE_CHECKING:
-    from .context import GraphContext
 
 #: Default cap on reachability expansion steps in the witness search.
 DEFAULT_PATH_BUDGET = 10 ** 7
@@ -43,12 +37,7 @@ def build_con_class(g: Graph, include_empty: bool, *,
     set while the teacher constructions rely on it, so the policy is an
     explicit argument everywhere.
     """
-    if g.n == 0:
-        raise ValueError("connected-set class of an empty graph is undefined")
-    masks = list(connected_set_masks(g, budget=budget))
-    if include_empty:
-        masks.append(0)
-    return ConceptClass.from_masks(g.n, masks)
+    return GraphContext(g, budget).con(include_empty)
 
 
 @dataclass(frozen=True)
@@ -70,13 +59,15 @@ def maximal_opponents(g: Graph, x) -> OpponentSet:
         raise ValueError("X must be nonempty")
     if not is_connected(g, xmask):
         raise ValueError("X must be connected")
-    return _maximal_opponents(g, xmask)
+    xopen = closed_neighborhood_mask(g, xmask) & ~xmask
+    return OpponentSet(xmask, _opponent_masks(g, xmask, xopen))
 
 
-def _maximal_opponents(g: Graph, xmask: int) -> OpponentSet:
-    """maximal_opponents for a mask the caller knows is a nonempty
-    connected set, such as a concept of the connected-set class."""
-    outside = g.full_mask & ~closed_neighborhood_mask(g, xmask)
+def _opponent_masks(g: Graph, xmask: int, xopen: int) -> tuple[int, ...]:
+    """The maximal opponents of a set the caller knows is a nonempty
+    connected set, such as a key of GraphContext.boundaries, given its
+    boundary ``xopen``: the components outside N[X] = X | N(X)."""
+    outside = g.full_mask & ~(xmask | xopen)
     opps = []
     remaining = outside
     while remaining:
@@ -84,7 +75,7 @@ def _maximal_opponents(g: Graph, xmask: int) -> OpponentSet:
         comp = component_mask(g, start, outside)
         opps.append(comp)
         remaining &= ~comp
-    return OpponentSet(xmask, tuple(opps))
+    return tuple(opps)
 
 
 def leaf_tree_condition(ctx: GraphContext, *, budget: int = DEFAULT_PATH_BUDGET
@@ -227,13 +218,8 @@ def con_superset_teacher(ctx: GraphContext) -> PBTeacher:
     a negative example, which pins it exactly.  Its oversized teaching
     set is deliberate and excluded from the order bound checks.
     """
-    g, cc = ctx.g, ctx.con(True)
-    masks = []
-    for c in cc.concepts:
-        if c == 0:
-            masks.append(g.full_mask)
-            continue
-        masks.append(open_neighborhood_mask(g, c) | (c & -c))
+    g, cc, boundary = ctx.g, ctx.con(True), ctx.boundaries
+    masks = [boundary[c] | (c & -c) if c else g.full_mask for c in cc.concepts]
     return PBTeacher(cc, tuple(masks), ctx.con_pref)
 
 
@@ -256,7 +242,7 @@ def con_vcd_matching_teacher(ctx: GraphContext) -> PBTeacher:
             f"(shattered witness {sorted(witness)}); the order-{ell} "
             "construction does not apply"
         )
-    boundary = {c: open_neighborhood_mask(g, c) if c else 0 for c in cc.concepts}
+    boundary = ctx.boundaries
     masks = []
     for c in cc.concepts:
         if c == 0:
@@ -264,10 +250,10 @@ def con_vcd_matching_teacher(ctx: GraphContext) -> PBTeacher:
             continue
         nb = boundary[c]
         masks.append(nb if nb.bit_count() == ell else nb | (c & -c))
-    return PBTeacher(cc, tuple(masks), _matching_preference(ctx, boundary))
+    return PBTeacher(cc, tuple(masks), _matching_preference(ctx))
 
 
-def _matching_preference(ctx: GraphContext, boundary) -> PreferenceRelation:
+def _matching_preference(ctx: GraphContext) -> PreferenceRelation:
     """Larger-sets-first plus the pairs the verifier needs: each
     pure-negatively taught (full-boundary) set over everything its sample
     leaves in the version space, closed by ``from_direct``.
@@ -277,7 +263,7 @@ def _matching_preference(ctx: GraphContext, boundary) -> PreferenceRelation:
     of a six-vertex path, and then no preference relation whatsoever
     makes the stated teaching sets work; such graphs are refused.
     """
-    g, ell, cc = ctx.g, ctx.ell, ctx.con(True)
+    g, ell, cc, boundary = ctx.g, ctx.ell, ctx.con(True), ctx.boundaries
     full_boundary = [
         i for i, c in enumerate(cc.concepts)
         if c and boundary[c].bit_count() == ell
@@ -312,8 +298,8 @@ def con_triple(g: Graph, include_empty: bool = False, *,
 
     Validates ell <= RTD <= VCD <= ell+1 with exactly one strict step.
     """
-    cc = build_con_class(g, include_empty, budget=budget)
-    ell = max_open_neighborhood(g, cc.concepts)
+    ctx = GraphContext(g, budget)
+    cc, ell = ctx.con(include_empty), ctx.ell
     r = rtd_value(cc, budget=budget)
     v, _ = vcd(cc)
     check_chain(ell, r, v, "connected-set")

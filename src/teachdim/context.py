@@ -1,9 +1,10 @@
 """One graph's shared parts, each built on first use and then kept: the
-star and connected-set classes, ell(G), the vmax partition and the star
-VC-dimension it predicts, the containment orders the teachers use, and
-the VC-dimension and peeling certificate of each class.  The checks,
-the teachers and the CLI read them from one context, so a graph's parts
-are built once however many of them run."""
+star class; the boundary N(X) of every connected set X, from one walk
+that also gives both connected-set classes and ell(G); the vmax
+partition and the star VC-dimension it predicts; the containment orders
+the teachers use; and the VC-dimension and peeling certificate of each
+class.  The checks, the teachers and the CLI read them from one context,
+so a graph's parts are built once however many of them run."""
 
 from __future__ import annotations
 
@@ -11,9 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .concepts import ConceptClass
-from .connected import build_con_class
 from .dimensions import RtdCertificate, rtd, vcd
-from .graphs import DEFAULT_ENUM_BUDGET, Graph, max_open_neighborhood
+from .graphs import DEFAULT_ENUM_BUDGET, Graph, connected_set_boundaries
 from .stars import VmaxPartition, _fringe_cover, build_star_class, vmax_partition
 from .teaching import PreferenceRelation, subset_preferences, superset_preferences
 
@@ -33,13 +33,22 @@ class GraphContext:
         return build_star_class(self.g, budget=self.budget)
 
     @cached_property
+    def boundaries(self) -> dict[int, int]:
+        """N(X) keyed by X, for every nonempty connected set X in
+        enumeration order: one walk gives ell, both connected-set classes,
+        the opponents and the boundary teachers' samples.  Shared by every
+        reader, so read-only."""
+        if self.g.n == 0:
+            raise ValueError("connected-set class of an empty graph is undefined")
+        return dict(connected_set_boundaries(self.g, budget=self.budget))
+
+    @cached_property
     def _nonempty_con(self) -> ConceptClass:
-        return build_con_class(self.g, False, budget=self.budget)
+        return ConceptClass.from_masks(self.g.n, self.boundaries)
 
     @cached_property
     def _con_with_empty(self) -> ConceptClass:
-        # the empty concept sorts first
-        return ConceptClass(self.g.n, (0,) + self._nonempty_con.concepts)
+        return ConceptClass.from_masks(self.g.n, [0, *self.boundaries])
 
     def con(self, include_empty: bool) -> ConceptClass:
         """The connected-set class under the given empty-set policy; both
@@ -48,8 +57,8 @@ class GraphContext:
 
     @cached_property
     def ell(self) -> int:
-        """ell(G), read from the connected-set class."""
-        return max_open_neighborhood(self.g, self._nonempty_con.concepts)
+        """ell(G), the largest boundary of a connected set."""
+        return max(map(int.bit_count, self.boundaries.values()))
 
     @cached_property
     def part(self) -> VmaxPartition:

@@ -215,14 +215,17 @@ def is_connected(g: Graph, x) -> bool:
 # Connected-set enumeration
 # ---------------------------------------------------------------------------
 
-def connected_set_masks(g: Graph, *, within: int | None = None,
-                        budget: int = DEFAULT_ENUM_BUDGET):
-    """Yield every nonempty connected vertex set of g exactly once, as a mask.
+def connected_set_boundaries(g: Graph, *, within: int | None = None,
+                             budget: int = DEFAULT_ENUM_BUDGET):
+    """Yield (X, N(X)) for every nonempty connected vertex set X of g
+    exactly once, both as masks; N(X) is X's open neighborhood in g.
 
     Classic pivot include/exclude growth: sets are partitioned by their
-    minimum vertex, so no visited-set is needed.  Raises
-    BudgetExceededError after yielding ``budget`` sets.
+    minimum vertex, so no visited-set is needed.  Each stack entry carries
+    its set's closed neighborhood, so N[X + u] = N[X] | adj[u] costs one
+    OR.  Raises BudgetExceededError after yielding ``budget`` sets.
     """
+    adj = g.adj
     allowed_all = g.full_mask if within is None else within
     count = 0
     for v in bits(allowed_all):
@@ -230,34 +233,46 @@ def connected_set_masks(g: Graph, *, within: int | None = None,
         count += 1
         if count > budget:
             raise BudgetExceededError("connected-set enumeration", budget)
-        yield 1 << v
-        # stack entries: (set so far, extension candidates, banned vertices);
-        # a set is yielded exactly once, at the include step that creates it
-        stack = [(1 << v, g.adj[v] & higher, 0)]
+        yield 1 << v, adj[v]
+        # stack entries: (set so far, its closed neighborhood, extension
+        # candidates, banned vertices); a set is yielded exactly once, at
+        # the include step that creates it
+        stack = [(1 << v, adj[v] | 1 << v, adj[v] & higher, 0)]
         while stack:
-            mask, cand, banned = stack.pop()
+            mask, closed, cand, banned = stack.pop()
             if not cand:
                 continue
             u = (cand & -cand).bit_length() - 1
             ubit = 1 << u
             # branch 1: never include u
-            stack.append((mask, cand ^ ubit, banned | ubit))
+            stack.append((mask, closed, cand ^ ubit, banned | ubit))
             # branch 2: include u, extend candidates by u's fresh neighbors
             newmask = mask | ubit
+            newclosed = closed | adj[u]
             count += 1
             if count > budget:
                 raise BudgetExceededError("connected-set enumeration", budget)
-            yield newmask
-            new_cand = ((cand ^ ubit) | (g.adj[u] & higher & ~banned)) & ~newmask
-            stack.append((newmask, new_cand, banned))
+            yield newmask, newclosed & ~newmask
+            new_cand = ((cand ^ ubit) | (adj[u] & higher & ~banned)) & ~newmask
+            stack.append((newmask, newclosed, new_cand, banned))
+
+
+def connected_set_masks(g: Graph, *, within: int | None = None,
+                        budget: int = DEFAULT_ENUM_BUDGET):
+    """Yield every nonempty connected vertex set of g exactly once, as a
+    mask: the sets of connected_set_boundaries, in its order and under
+    its budget."""
+    for x, _ in connected_set_boundaries(g, within=within, budget=budget):
+        yield x
 
 
 def max_open_neighborhood(g: Graph, masks) -> int:
     """The largest |N(X) minus X| over the vertex sets X in ``masks``; the
     empty set, like an empty iterable, gives 0.
 
-    Over the nonempty connected sets this is ell(G), so a caller holding
-    the connected-set class reads ell(G) from its concepts.
+    Over the nonempty connected sets this is ell(G).  The library reads
+    ell from the boundaries of connected_set_boundaries; this form stays
+    as an independent check of it.
     """
     return max((open_neighborhood_mask(g, x).bit_count() for x in masks),
                default=0)
@@ -271,7 +286,8 @@ def max_leaf_number(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """
     if g.n == 0:
         raise ValueError("max_leaf_number requires a nonempty graph")
-    return max_open_neighborhood(g, connected_set_masks(g, budget=budget))
+    return max(nb.bit_count()
+               for _, nb in connected_set_boundaries(g, budget=budget))
 
 
 # ---------------------------------------------------------------------------

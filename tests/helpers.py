@@ -8,7 +8,8 @@ pair-list preference closure that mask-built preferences are checked
 against, the recursive spanning-tree enumerator that the pruned
 max-leaf oracle is checked against on graphs too large for the sweeps,
 relabeling with label-free check results for the invariance tests,
-the shared-parts graph corpus of the teacher and closure tests,
+the shared-parts graph corpus of the teacher and closure tests, the
+plain connected-set walk that the boundary walk is checked against,
 the plain teaching-set walk that the forced search is checked against,
 the certifier that checks RTD, TD and VCD answers from both sides
 without the kernels, false peeling certificates for the eq6 tests,
@@ -30,9 +31,10 @@ import numpy as np
 
 from teachdim.concepts import ConceptClass, Sample, format_concept, version_space_mask
 from teachdim.dimensions import RtdCertificate
-from teachdim.errors import PreferenceCycleError
+from teachdim.errors import BudgetExceededError, PreferenceCycleError
 from teachdim.families import complete_graph, cycle_graph, fig2, path_graph, random_graph
 from teachdim.graphs import (
+    DEFAULT_ENUM_BUDGET,
     Graph,
     Tree,
     _as_mask,
@@ -623,6 +625,36 @@ def prufer_trees(n: int):
 def labeled_trees(n: int):
     for edges in prufer_trees(n):
         yield graph_from_edges(n, edges)
+
+
+def plain_connected_set_masks(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET):
+    """Every nonempty connected vertex set of g once, as a mask, by the
+    pivot include/exclude walk without boundaries: the reference that
+    ``graphs.connected_set_boundaries`` is checked against for its sets,
+    their order and its budget refusal."""
+    count = 0
+    for v in bits(g.full_mask):
+        higher = g.full_mask & ~((1 << (v + 1)) - 1)
+        count += 1
+        if count > budget:
+            raise BudgetExceededError("connected-set enumeration", budget)
+        yield 1 << v
+        # stack entries: (set so far, extension candidates, banned vertices)
+        stack = [(1 << v, g.adj[v] & higher, 0)]
+        while stack:
+            mask, cand, banned = stack.pop()
+            if not cand:
+                continue
+            u = (cand & -cand).bit_length() - 1
+            ubit = 1 << u
+            stack.append((mask, cand ^ ubit, banned | ubit))
+            newmask = mask | ubit
+            count += 1
+            if count > budget:
+                raise BudgetExceededError("connected-set enumeration", budget)
+            yield newmask
+            new_cand = ((cand ^ ubit) | (g.adj[u] & higher & ~banned)) & ~newmask
+            stack.append((newmask, new_cand, banned))
 
 
 def shared_parts_corpus():

@@ -420,25 +420,31 @@ class TestChecksDirect:
             assert len(seen) == len(set(seen))
 
     def test_con_checks_compute_ell_once(self, monkeypatch):
-        """ell is read once, from the class without the empty set that the
-        checks build under either policy."""
+        """ell is read once, from the one walk over the nonempty connected
+        sets that the checks make under either policy."""
         import teachdim.context as context
         from teachdim.connected import build_con_class
+        from teachdim.graphs import max_leaf_number
 
         calls = []
-        real = context.max_open_neighborhood
+        real = context.connected_set_boundaries
 
-        def counted(g, masks):
-            masks = tuple(masks)
-            calls.append(masks)
-            return real(g, masks)
+        def counted(g, **kwargs):
+            walk = tuple(real(g, **kwargs))
+            calls.append(walk)
+            return iter(walk)
 
-        monkeypatch.setattr(context, "max_open_neighborhood", counted)
+        monkeypatch.setattr(context, "connected_set_boundaries", counted)
         for g in (fig2(), path_graph(3)):
             for include_empty in (False, True):
                 calls.clear()
-                check_graph(g, "con", include_empty)
-                assert calls == [build_con_class(g, False).concepts]
+                res = {r.name: r for r in check_graph(g, "con", include_empty)}
+                assert len(calls) == 1
+                assert sorted(x for x, _ in calls[0]) == \
+                    list(build_con_class(g, False).concepts)
+                ell = max(nb.bit_count() for _, nb in calls[0])
+                assert ell == max_leaf_number(g)
+                assert f"neighborhood {ell}," in res["ell-oracle"].detail
 
     def test_eq6_passes_the_seeded_subclasses(self, monkeypatch):
         """The full branch asks for the TD_min of every nonempty subclass
@@ -720,7 +726,6 @@ class TestChecksDirect:
         the one that the connected-set enumeration meets last, whatever
         order the checks visit the sets in."""
         import teachdim.checks as checks
-        from teachdim.connected import OpponentSet
         from teachdim.graphs import connected_set_masks, set_of
 
         g = fig2()
@@ -729,17 +734,17 @@ class TestChecksDirect:
         bad = {order[5], order[len(order) // 2], last_by_mask}
         last = [x for x in order if x in bad][-1]
         assert last != last_by_mask
-        real = checks._maximal_opponents
+        real = checks._opponent_masks
 
-        def spy(graph, x):
-            res = real(graph, x)
+        def spy(graph, x, xopen):
+            res = real(graph, x, xopen)
             if x not in bad:
                 return res
             # the lowest vertex of X has a neighbor inside X, so its
             # boundary escapes X's
-            return OpponentSet(res.x, res.opponents + (x & -x,))
+            return res + (x & -x,)
 
-        monkeypatch.setattr(checks, "_maximal_opponents", spy)
+        monkeypatch.setattr(checks, "_opponent_masks", spy)
         for include_empty in (False, True):
             res = {r.name: r for r in check_graph(g, "con", include_empty)}
             low = (last & -last).bit_length() - 1

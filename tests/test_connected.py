@@ -39,14 +39,14 @@ def names(g, s):
 
 
 def refuse_to_measure_ell(monkeypatch):
-    """Fail any later enumeration or measurement of ell(G) by a context."""
+    """Fail any later connected-set walk by a context, the one place
+    ell(G) is measured."""
     import teachdim.context as context
 
     def refuse(*args, **kwargs):
         raise AssertionError("ell measured again despite a context that has it")
 
-    monkeypatch.setattr(context, "build_con_class", refuse)
-    monkeypatch.setattr(context, "max_open_neighborhood", refuse)
+    monkeypatch.setattr(context, "connected_set_boundaries", refuse)
 
 
 class TestBuildConClass:

@@ -3,6 +3,7 @@ graph's connected-set class and its vmax partition once."""
 
 import pytest
 
+from helpers import plain_connected_set_masks
 from teachdim.checks import check_graph
 from teachdim.connected import build_con_class
 from teachdim.context import GraphContext
@@ -32,9 +33,11 @@ def corpus():
 def test_parts_equal_fresh_builds():
     for g in corpus():
         ctx = GraphContext(g)
+        plain = list(plain_connected_set_masks(g))
         for include_empty in (False, True):
             cc = ctx.con(include_empty)
             assert cc.concepts == build_con_class(g, include_empty).concepts
+            assert cc.concepts == tuple(sorted(plain + [0] * include_empty))
             assert ctx.con(include_empty) is cc
         assert ctx.star == build_star_class(g)
         assert ctx.ell == max_leaf_number(g)
@@ -49,18 +52,16 @@ def test_parts_equal_fresh_builds():
 
 @pytest.mark.parametrize("include_empty", [False, True])
 def test_checks_build_the_connected_sets_once(monkeypatch, include_empty):
-    import teachdim.connected as connected
     import teachdim.context as context
 
     built = []
-    real = connected.build_con_class
+    real = context.connected_set_boundaries
 
     def counted(graph, *args, **kwargs):
         built.append(graph)
         return real(graph, *args, **kwargs)
 
-    monkeypatch.setattr(context, "build_con_class", counted)
-    monkeypatch.setattr(connected, "build_con_class", counted)
+    monkeypatch.setattr(context, "connected_set_boundaries", counted)
     disconnected = graph_from_edges(6, [(0, 1), (1, 2), (3, 4)])
     for g in (fig2(), path_graph(4), cycle_graph(5), disconnected):
         built.clear()

@@ -9,6 +9,8 @@ change is intended, rewrite the outputs and exit codes with
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from teachdim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parents[1] / "src"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
 
 
@@ -25,6 +28,19 @@ def test_stdout_and_exit_code(name, capsys, monkeypatch):
     monkeypatch.delenv("TEACHDIM_BUDGET", raising=False)
     assert main(COMMANDS[name]["argv"]) == COMMANDS[name]["exit"]
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_python_dash_m_from_a_checkout(tmp_path):
+    """``PYTHONPATH=src python -m teachdim`` runs the CLI without an
+    install: same stdout bytes and exit code as the golden run."""
+    name = "triples-cycle-star"
+    env = {k: v for k, v in os.environ.items() if k != "TEACHDIM_BUDGET"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-m", "teachdim", *COMMANDS[name]["argv"]],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == COMMANDS[name]["exit"], proc.stderr
+    assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
 if __name__ == "__main__":
