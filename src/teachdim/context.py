@@ -8,8 +8,10 @@ so a graph's parts are built once however many of them run."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from .concepts import ConceptClass
 from .dimensions import RtdCertificate, rtd, vcd
@@ -33,14 +35,15 @@ class GraphContext:
         return build_star_class(self.g, budget=self.budget)
 
     @cached_property
-    def boundaries(self) -> dict[int, int]:
+    def boundaries(self) -> Mapping[int, int]:
         """N(X) keyed by X, for every nonempty connected set X in
         enumeration order: one walk gives ell, both connected-set classes,
         the opponents and the boundary teachers' samples.  Shared by every
-        reader, so read-only."""
+        reader, so a read-only view."""
         if self.g.n == 0:
             raise ValueError("connected-set class of an empty graph is undefined")
-        return dict(connected_set_boundaries(self.g, budget=self.budget))
+        return MappingProxyType(
+            dict(connected_set_boundaries(self.g, budget=self.budget)))
 
     @cached_property
     def _nonempty_con(self) -> ConceptClass:

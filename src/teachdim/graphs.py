@@ -215,8 +215,7 @@ def is_connected(g: Graph, x) -> bool:
 # Connected-set enumeration
 # ---------------------------------------------------------------------------
 
-def connected_set_boundaries(g: Graph, *, within: int | None = None,
-                             budget: int = DEFAULT_ENUM_BUDGET):
+def connected_set_boundaries(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET):
     """Yield (X, N(X)) for every nonempty connected vertex set X of g
     exactly once, both as masks; N(X) is X's open neighborhood in g.
 
@@ -226,10 +225,10 @@ def connected_set_boundaries(g: Graph, *, within: int | None = None,
     OR.  Raises BudgetExceededError after yielding ``budget`` sets.
     """
     adj = g.adj
-    allowed_all = g.full_mask if within is None else within
+    full = g.full_mask
     count = 0
-    for v in bits(allowed_all):
-        higher = allowed_all & ~((1 << (v + 1)) - 1)
+    for v in bits(full):
+        higher = full & ~((1 << (v + 1)) - 1)
         count += 1
         if count > budget:
             raise BudgetExceededError("connected-set enumeration", budget)
@@ -257,12 +256,11 @@ def connected_set_boundaries(g: Graph, *, within: int | None = None,
             stack.append((newmask, newclosed, new_cand, banned))
 
 
-def connected_set_masks(g: Graph, *, within: int | None = None,
-                        budget: int = DEFAULT_ENUM_BUDGET):
+def connected_set_masks(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET):
     """Yield every nonempty connected vertex set of g exactly once, as a
     mask: the sets of connected_set_boundaries, in its order and under
     its budget."""
-    for x, _ in connected_set_boundaries(g, within=within, budget=budget):
+    for x, _ in connected_set_boundaries(g, budget=budget):
         yield x
 
 

@@ -50,6 +50,20 @@ def test_parts_equal_fresh_builds():
             assert ctx.vcd(cc) == vcd(cc) and ctx.vcd(cc) is ctx.vcd(cc)
 
 
+def test_boundary_table_refuses_writes():
+    """Every reader shares one table, so a write would change what the
+    others read; the table is a read-only view."""
+    ctx = GraphContext(fig2())
+    table = ctx.boundaries
+    x = next(iter(table))
+    with pytest.raises(TypeError):
+        table[x] = 0
+    with pytest.raises(TypeError):
+        del table[x]
+    assert ctx.boundaries is table and list(table) == list(
+        plain_connected_set_masks(ctx.g))
+
+
 @pytest.mark.parametrize("include_empty", [False, True])
 def test_checks_build_the_connected_sets_once(monkeypatch, include_empty):
     import teachdim.context as context

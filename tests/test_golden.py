@@ -43,6 +43,17 @@ def test_python_dash_m_from_a_checkout(tmp_path):
     assert proc.stdout == (GOLDEN / f"{name}.out").read_bytes()
 
 
+def test_importing_dunder_main_runs_nothing(monkeypatch, capsys):
+    """Only ``python -m teachdim`` runs the CLI; importing the module
+    (pydoc, autodoc) neither reads argv nor exits."""
+    import importlib
+
+    monkeypatch.setattr(sys, "argv", ["teachdim", "--no-such-option"])
+    monkeypatch.delitem(sys.modules, "teachdim.__main__", raising=False)
+    importlib.import_module("teachdim.__main__")
+    assert capsys.readouterr() == ("", "")
+
+
 if __name__ == "__main__":
     os.environ.pop("TEACHDIM_BUDGET", None)
     for name, command in COMMANDS.items():
