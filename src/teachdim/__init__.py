@@ -1,12 +1,6 @@
 """Graph-induced concept classes and their exact teaching/VC dimensions."""
 
-from .concepts import (
-    ConceptClass,
-    Sample,
-    is_shattered,
-    read_class,
-    sample_of,
-)
+from .concepts import ConceptClass, is_shattered, read_class
 from .connected import (
     OpponentSet,
     build_con_class,
@@ -67,6 +61,7 @@ from .stars import (
 from .teaching import (
     PBTeacher,
     PreferenceRelation,
+    format_sample,
     format_teacher,
     lex_refine,
     plan_to_teacher,

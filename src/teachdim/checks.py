@@ -29,6 +29,7 @@ from .errors import TeacherPreconditionError
 from .graphs import (
     DEFAULT_ENUM_BUDGET,
     Graph,
+    bits,
     components,
     is_connected,
     mask_of,
@@ -236,7 +237,7 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
         # two vertices and at least one edge exists: a lone edge has two
         # degree-1 vertices but no interior vertex, so its neighborhood
         # value is 1 while its spanning tree counts 2 leaves
-        if g.m >= 1 and all(len(c) <= 2 for c in comps):
+        if g.m >= 1 and all(c.bit_count() <= 2 for c in comps):
             out.append(_result(
                 "ell-oracle", (ell, oracle) == (1, 2),
                 f"documented single-edge divergence: neighborhood {ell}, "
@@ -248,7 +249,7 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
     # one pass over the connected sets, in enumeration order, serves both
     # opponent checks; every opponent is a connected set, so its boundary
     # is in the table too
-    comp_of = {x: mask_of(c) for c in comps for x in c}
+    comp_of = {x: c for c in comps for x in bits(c)}
     boundary = ctx.boundaries
     detail = ""  # the last failure in enumeration order
     strict_ok = True

@@ -8,9 +8,10 @@ enumeration and of the teaching-set searches' work; ``dims --class-file``
 rejects ``--budget``, so it takes TEACHDIM_BUDGET or the default.
 
 Exit codes: 0 success; 1 a check or a teacher's maximality failed; 2
-bad input, reported in one line on stderr: bad flags or sizes, an
-unreadable or empty graph or class file, an unknown vertex or concept,
-more than one graph for teach/dims, dims without --kind, dims with --class-file
+bad input, reported in one line on stderr: bad flags or sizes, a
+negative --budget or TEACHDIM_BUDGET (0 is a budget), an unreadable or
+empty graph or class file, an unknown vertex or concept, more than one
+graph for teach/dims, dims without --kind, dims with --class-file
 together with any graph or class flag (--family, --graph-file, --n,
 --p, --seed, --budget, --kind or --include-empty), --family (other
 than file) together with --graph-file, or an unavailable teacher; 3 a budget
@@ -40,7 +41,7 @@ from .dimensions import rtd, sauer_bound, sauer_rtd_implication, td_of, vcd
 from .errors import BudgetExceededError, TeacherPreconditionError
 from .families import FAMILY_NAMES, FamilySpec
 from .stars import star_special_teacher, star_subset_teacher, star_triple
-from .teaching import format_teacher, plan_to_teacher
+from .teaching import format_sample, format_teacher, plan_to_teacher
 
 
 #: Exit code for a closed stdout: 128 + SIGPIPE.
@@ -93,15 +94,21 @@ def _family_graphs(args):
 
 
 def _budget(args) -> int:
+    """--budget, else TEACHDIM_BUDGET, else the default; a negative
+    budget is bad input, 0 is a budget."""
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("TEACHDIM_BUDGET")
-    if env is not None:
+        source, budget = "--budget", args.budget
+    else:
+        env = os.environ.get("TEACHDIM_BUDGET")
+        if env is None:
+            return G.DEFAULT_ENUM_BUDGET
         try:
-            return int(env)
+            source, budget = "TEACHDIM_BUDGET", int(env)
         except ValueError:
             raise InputError(f"TEACHDIM_BUDGET is not an integer: {env!r}") from None
-    return G.DEFAULT_ENUM_BUDGET
+    if budget < 0:
+        raise InputError(f"{source} must not be negative: {budget}")
+    return budget
 
 
 def _params_line(args, fields) -> str:
@@ -179,19 +186,20 @@ def _load_graph_for(args):
     return graphs[0][1]
 
 
-def _parse_concept(g, text: str) -> frozenset[int]:
-    """Comma-separated vertex names or indices; a name wins over an equal index."""
+def _parse_concept(g, text: str) -> int:
+    """Comma-separated vertex names or indices, as a vertex mask; a name
+    wins over an equal index."""
     names = {g.vertex_name(v): v for v in range(g.n)}
     names.update((str(v), v) for v in range(g.n) if str(v) not in names)
-    out = set()
+    out = 0
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             continue
         if tok not in names:
             raise InputError(f"{tok!r} is not a vertex of the graph")
-        out.add(names[tok])
-    return frozenset(out)
+        out |= 1 << names[tok]
+    return out
 
 
 def cmd_teach(args) -> int:
@@ -202,18 +210,17 @@ def cmd_teach(args) -> int:
     except (TeacherPreconditionError, ValueError) as exc:
         raise InputError(f"teacher {args.teacher} unavailable: {exc}") from exc
     cc = teacher.concept_class
-    concept = _parse_concept(g, args.concept)
+    c = _parse_concept(g, args.concept)
     try:
-        idx = cc.index_of(concept)
+        idx = cc.index_of(c)
     except KeyError:
         raise InputError(
-            f"{sorted(concept)} is not a concept of the {kind} class") from None
-    sample = teacher.sample_for(idx)
-    vs = version_space_mask(cc, sample.pos, sample.neg)
+            f"{list(G.bits(c))} is not a concept of the {kind} class") from None
+    shown = teacher.teaching_masks[idx]
+    vs = version_space_mask(cc, c & shown, shown & ~c)
     print(f"graph: n={g.n} m={g.m}; teacher: {args.teacher}")
-    print(f"concept: {g.vertex_names(cc.concepts[idx])} (index {idx})")
-    toks = [f"{g.vertex_name(x)}{'+' if lab else '-'}" for x, lab in sample.pairs()]
-    print(f"teaching set: {' '.join(toks) if toks else '(empty)'}")
+    print(f"concept: {g.vertex_names(c)} (index {idx})")
+    print(f"teaching set: {format_sample(c, shown, g.vertex_name)}")
     print("version space:")
     depths = teacher.preference.depths
     for i in G.bits(vs):

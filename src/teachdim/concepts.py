@@ -18,33 +18,9 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import ClassFormatError
-from .graphs import bits, mask_of
+from .graphs import mask_of
 
 MAX_SHATTER_SET = 20
-
-
-@dataclass(frozen=True)
-class Sample:
-    """A set of labeled instances: pos/neg are disjoint bitmasks."""
-
-    pos: int = 0
-    neg: int = 0
-
-    def __post_init__(self):
-        if self.pos < 0 or self.neg < 0:
-            raise ValueError("sample masks must be nonnegative")
-        if self.pos & self.neg:
-            raise ValueError("contradictory sample: instance labeled both + and -")
-
-    def pairs(self) -> tuple[tuple[int, bool], ...]:
-        out = [(x, True) for x in bits(self.pos)] + [(x, False) for x in bits(self.neg)]
-        return tuple(sorted(out))
-
-
-def sample_of(concept: int, instances) -> Sample:
-    """The sample a teacher presents: ``instances`` labeled by ``concept``."""
-    imask = instances if isinstance(instances, int) else mask_of(instances)
-    return Sample(concept & imask, imask & ~concept)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .graphs import (
     component_mask,
     is_connected,
     mask_of,
-    set_of,
 )
 from .teaching import PBTeacher, PreferenceRelation, subset_preferences
 
@@ -131,21 +130,19 @@ def leaf_tree_condition(ctx: GraphContext, *, budget: int = DEFAULT_PATH_BUDGET
             if not ok:
                 break
         if ok:
-            return _witness_tree(g, combo), combo[0]
+            return _witness_tree(g, smask), combo[0]
     return None
 
 
-def _witness_tree(g: Graph, combo) -> Tree:
-    """Union of deterministic shortest paths from each other member to the
-    smallest member, then a BFS tree of that union."""
-    u = combo[0]
-    smask = mask_of(combo)
+def _witness_tree(g: Graph, smask: int) -> Tree:
+    """Union of deterministic shortest paths from each other member of S
+    to its smallest member u, then a BFS tree of that union."""
+    u = (smask & -smask).bit_length() - 1
+    others = smask ^ 1 << u
     full = g.full_mask
-    if len(combo) == 1:
-        return Tree(g.n, frozenset(combo), frozenset())
-    union_vertices = 0
+    union_vertices = 1 << u
     union_edges: set[tuple[int, int]] = set()
-    for v in combo[1:]:
+    for v in bits(others):
         allowed = (full & ~smask) | (1 << u) | (1 << v)
         path = _shortest_path(g, v, u, allowed)
         union_vertices |= mask_of(path)
@@ -153,12 +150,11 @@ def _witness_tree(g: Graph, combo) -> Tree:
             union_edges.add((min(a, b), max(a, b)))
     seen, edges = bfs_tree_edges(g, u, union_vertices, allowed_edges=union_edges)
     assert seen == union_vertices
-    tree = Tree(g.n, set_of(union_vertices), frozenset(edges))
+    tree = Tree(g.n, union_vertices, frozenset(edges))
     # the other members are exactly the leaves, except on a single edge
     # where the designated vertex is unavoidably degree-1 as well
     leaves = tree.leaves()
-    assert frozenset(combo[1:]) <= leaves <= frozenset(combo), \
-        "stray leaf in witness tree"
+    assert not others & ~leaves and not leaves & ~smask, "stray leaf in witness tree"
     return tree
 
 

@@ -1,8 +1,9 @@
 """Undirected graphs on index vertices, with bit-vector adjacency.
 
 Vertices are the integers 0..n-1 and every vertex set is a Python int
-bitmask internally; the public functions accept and return frozensets.
-All structures are immutable after construction and safe to share.
+bitmask: the public functions return masks, and those that take a vertex
+set also accept any iterable of vertices.  All structures are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -179,25 +180,33 @@ def spanned_subgraph(g: Graph, x) -> tuple[Graph, tuple[int, ...]]:
 
 def component_mask(g: Graph, start: int, within: int) -> int:
     """The vertices reachable from ``start`` inside ``within``, as a mask."""
-    comp = 1 << start
-    frontier = comp
+    return _reach(g.adj, 1 << start, within)
+
+
+def _reach(adj, seed: int, within: int) -> int:
+    """The vertices reachable from the vertices of mask ``seed`` inside
+    ``within``, over the adjacency masks ``adj``."""
+    comp = frontier = seed
     while frontier:
         grow = 0
-        for v in bits(frontier):
-            grow |= g.adj[v]
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = grow & within & ~comp
         comp |= frontier
     return comp
 
 
-def components(g: Graph) -> tuple[frozenset[int], ...]:
-    """Maximal connected vertex sets, ordered by smallest contained index."""
+def components(g: Graph) -> tuple[int, ...]:
+    """Maximal connected vertex sets as masks, ordered by smallest
+    contained index."""
     remaining = g.full_mask
     out = []
     while remaining:
         start = (remaining & -remaining).bit_length() - 1
         comp = component_mask(g, start, remaining)
-        out.append(set_of(comp))
+        out.append(comp)
         remaining &= ~comp
     return tuple(out)
 
@@ -294,52 +303,43 @@ def max_leaf_number(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
 
 @dataclass(frozen=True)
 class Tree:
-    """A tree spanning a designated vertex subset of an ambient graph."""
+    """A tree spanning a designated vertex subset of an ambient graph:
+    ``vertices`` is a mask, ``edges`` a set of (min, max) pairs."""
 
     n: int
-    vertices: frozenset[int]
+    vertices: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        vmask = mask_of(self.vertices)
-        if vmask >> self.n:
+        vmask = self.vertices
+        if vmask < 0 or vmask >> self.n:
             raise ValueError("tree vertices out of ambient range")
-        if not self.vertices:
+        if not vmask:
             raise ValueError("a tree must have at least one vertex")
-        if len(self.edges) != len(self.vertices) - 1:
+        if len(self.edges) != vmask.bit_count() - 1:
             raise ValueError("edge count must equal vertex count - 1")
-        deg = {v: 0 for v in self.vertices}
-        adj = {v: set() for v in self.vertices}
+        adj = [0] * self.n
         for u, v in self.edges:
             if u >= v:
                 raise ValueError("tree edges must be stored as (min, max) pairs")
-            if u not in deg or v not in deg:
+            if u < 0 or not (vmask >> u & 1 and vmask >> v & 1):
                 raise ValueError("tree edge endpoint outside vertex set")
-            deg[u] += 1
-            deg[v] += 1
-            adj[u].add(v)
-            adj[v].add(u)
-        # connectivity over the designated vertices
-        start = next(iter(self.vertices))
-        seen = {start}
-        todo = [start]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        if seen != self.vertices:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        if _reach(adj, vmask & -vmask, vmask) != vmask:
             raise ValueError("tree is not connected over its vertex set")
 
-    def leaves(self) -> frozenset[int]:
-        """Degree-1 vertices; for a single-vertex tree, that vertex itself."""
-        if len(self.vertices) == 1:
+    def leaves(self) -> int:
+        """Degree-1 vertices as a mask; for a single-vertex tree, that
+        vertex itself."""
+        if self.vertices.bit_count() == 1:
             return self.vertices
-        deg = {v: 0 for v in self.vertices}
+        once = twice = 0
         for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return frozenset(v for v, d in deg.items() if d == 1)
+            ends = 1 << u | 1 << v
+            twice |= once & ends
+            once |= ends
+        return once & ~twice
 
 
 def bfs_tree_edges(g: Graph, root: int, within: int,
@@ -384,10 +384,10 @@ def max_leaf_number_exhaustive(g: Graph) -> int:
         raise ValueError("empty graph")
     best = 0
     for comp in components(g):
-        if len(comp) > MAX_SPANNING_TREE_VERTICES:
+        if comp.bit_count() > MAX_SPANNING_TREE_VERTICES:
             raise ValueError("spanning-tree oracle capped at "
                              f"{MAX_SPANNING_TREE_VERTICES} vertices per component")
-        if len(comp) < 2:
+        if comp.bit_count() < 2:
             continue
         sub, _ = spanned_subgraph(g, comp)
         n = sub.n

@@ -10,13 +10,7 @@ from typing import TYPE_CHECKING
 from .concepts import ConceptClass
 from .dimensions import check_chain, rtd_value, vcd
 from .errors import BudgetExceededError, TeacherPreconditionError
-from .graphs import (
-    DEFAULT_ENUM_BUDGET,
-    Graph,
-    bits,
-    mask_of,
-    set_of,
-)
+from .graphs import DEFAULT_ENUM_BUDGET, Graph, bits
 from .teaching import PBTeacher, PreferenceRelation
 
 if TYPE_CHECKING:
@@ -47,11 +41,12 @@ def build_star_class(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> ConceptC
 @dataclass(frozen=True)
 class VmaxGroup:
     """One equivalence class of maximum-degree vertices sharing a closed
-    neighborhood, with that neighborhood split into members and fringe."""
+    neighborhood, with that neighborhood split into members and fringe,
+    each a vertex mask."""
 
-    members: frozenset[int]
-    closed: frozenset[int]
-    fringe: frozenset[int]
+    members: int
+    closed: int
+    fringe: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ def vmax_partition(g: Graph) -> VmaxPartition:
         for v in bits(fringe):
             if fringe & ~g.closed_mask(v) == 0:
                 raise RuntimeError("fringe containment holds inside the fringe")
-        groups.append(VmaxGroup(set_of(members), set_of(closed), set_of(fringe)))
+        groups.append(VmaxGroup(members, closed, fringe))
     return VmaxPartition(delta, tuple(groups))
 
 
@@ -105,12 +100,10 @@ def star_vcd_characterization(g: Graph) -> tuple[int, tuple[int, int] | None]:
 
 def _fringe_cover(g: Graph, part: VmaxPartition) -> tuple[int, tuple[int, int] | None]:
     for i, grp in enumerate(part.groups):
-        closed = mask_of(grp.closed)
-        fringe = mask_of(grp.fringe)
         for v in range(g.n):
-            if closed >> v & 1:
+            if grp.closed >> v & 1:
                 continue
-            if fringe & ~g.closed_mask(v) == 0:
+            if grp.fringe & ~g.closed_mask(v) == 0:
                 return part.delta + 1, (i, v)
     return part.delta, None
 
@@ -140,31 +133,26 @@ def star_special_teacher(ctx: GraphContext) -> PBTeacher:
             "an external vertex covers a fringe; the order-Delta construction "
             f"does not apply (witness {witness})"
         )
-    cc = ctx.star
-    group_masks = [
-        (mask_of(grp.members), mask_of(grp.closed), mask_of(grp.fringe))
-        for grp in part.groups
-    ]
+    cc, groups = ctx.star, part.groups
 
     special = 0
     # group -> member count -> the group's special concepts with that count
-    by_count: list[dict[int, int]] = [{} for _ in group_masks]
+    by_count: list[dict[int, int]] = [{} for _ in groups]
     special_scopes: list[tuple[int, ...]] = []
     masks: list[int] = []
     for i, c in enumerate(cc.concepts):
         scopes = tuple(
-            gi for gi, (members, closed, fringe) in enumerate(group_masks)
-            if c & fringe == fringe
+            gi for gi, grp in enumerate(groups) if c & grp.fringe == grp.fringe
         )
         special_scopes.append(scopes)
         if scopes:
-            members, closed, fringe = group_masks[scopes[0]]
-            if c & ~closed or not c & members:
+            grp = groups[scopes[0]]
+            if c & ~grp.closed or not c & grp.members:
                 raise RuntimeError("special concept is not fringe plus members")
-            masks.append(fringe | (members & ~c))
+            masks.append(grp.fringe | (grp.members & ~c))
             special |= 1 << i
             for gi in scopes:
-                k = (c & group_masks[gi][0]).bit_count()
+                k = (c & groups[gi].members).bit_count()
                 by_count[gi][k] = by_count[gi].get(k, 0) | 1 << i
         else:
             masks.append(c)
@@ -177,7 +165,7 @@ def star_special_teacher(ctx: GraphContext) -> PBTeacher:
             continue
         mask = 0
         for gi in scopes:
-            k = (cc.concepts[i] & group_masks[gi][0]).bit_count()
+            k = (cc.concepts[i] & groups[gi].members).bit_count()
             for count, concepts in by_count[gi].items():
                 if count < k:
                     mask |= concepts

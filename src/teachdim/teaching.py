@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .concepts import ConceptClass, Sample, format_concept, sample_of
+from .concepts import ConceptClass, format_concept
 from .dimensions import RtdCertificate
 from .errors import PreferenceCycleError
 from .graphs import bits, set_of
@@ -197,9 +197,6 @@ class PBTeacher:
     def order_over(self, indices) -> int:
         return max((self.teaching_masks[i].bit_count() for i in indices), default=0)
 
-    def sample_for(self, i: int) -> Sample:
-        return sample_of(self.concept_class.concepts[i], self.teaching_masks[i])
-
 
 def verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher
                       ) -> tuple[bool, tuple[int, int] | None]:
@@ -271,17 +268,21 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
     return PBTeacher(cc, tuple(masks), PreferenceRelation(len(cc), tuple(below)))
 
 
+def format_sample(concept: int, shown: int, name) -> str:
+    """The instances of mask ``shown`` labeled by ``concept``, in
+    increasing order, each as name(x) followed by + or -; "(empty)" when
+    nothing is shown."""
+    toks = [f"{name(x)}{'+' if concept >> x & 1 else '-'}" for x in bits(shown)]
+    return " ".join(toks) if toks else "(empty)"
+
+
 def format_teacher(teacher: PBTeacher) -> str:
     """One line per concept: bit pattern, labeled teaching set, preference
     level (longest chain below the concept)."""
     cc = teacher.concept_class
     depths = teacher.preference.depths
     lines = []
-    for i in range(len(cc)):
-        s = teacher.sample_for(i)
-        toks = [f"{x}{'+' if lab else '-'}" for x, lab in s.pairs()]
-        body = " ".join(toks) if toks else "(empty)"
-        lines.append(
-            f"{format_concept(cc.concepts[i], cc.domain_size)}\t{body}\tlevel={depths[i]}"
-        )
+    for c, shown, depth in zip(cc.concepts, teacher.teaching_masks, depths):
+        lines.append(f"{format_concept(c, cc.domain_size)}\t"
+                     f"{format_sample(c, shown, str)}\tlevel={depth}")
     return "\n".join(lines) + "\n"

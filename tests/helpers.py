@@ -1,19 +1,20 @@
 """Shared test machinery: the graph, tree, class, sample and teacher
 helpers that only tests use (neighborhoods as sets, neighborhood
-spanning trees, text writers, powersets, unions and restrictions,
-version spaces, the classic teacher check), exhaustive graph/tree
-enumeration, the vectorized all-graphs max-leaf sweeps used by the
-acceptance suite and the max-leaf oracle's differential test, the
-pair-list preference closure that mask-built preferences are checked
-against, the recursive spanning-tree enumerator that the pruned
-max-leaf oracle is checked against on graphs too large for the sweeps,
-relabeling with label-free check results for the invariance tests,
-the shared-parts graph corpus of the teacher and closure tests, the
-plain connected-set walk that the boundary walk is checked against,
-the plain teaching-set walk that the forced search is checked against,
-the certifier that checks RTD, TD and VCD answers from both sides
-without the kernels, false peeling certificates for the eq6 tests,
-and the benchmark's workload definitions, loaded read-only."""
+spanning trees, text writers, the (pos, neg) sample type, powersets,
+unions and restrictions, version spaces, the classic teacher check),
+exhaustive graph/tree enumeration, the vectorized all-graphs max-leaf
+sweeps used by the acceptance suite and the max-leaf oracle's
+differential test, the pair-list preference closure that mask-built
+preferences are checked against, the recursive spanning-tree
+enumerator that the pruned max-leaf oracle is checked against on
+graphs too large for the sweeps, relabeling with label-free check
+results for the invariance tests, the shared-parts graph corpus of the
+teacher and closure tests, the plain connected-set walk that the
+boundary walk is checked against, the plain teaching-set walk that the
+forced search is checked against, the certifier that checks RTD, TD
+and VCD answers from both sides without the kernels, false peeling
+certificates for the eq6 tests, and the benchmark's workload
+definitions, loaded read-only."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from teachdim.concepts import ConceptClass, Sample, format_concept, version_space_mask
+from teachdim.concepts import ConceptClass, format_concept, version_space_mask
 from teachdim.dimensions import RtdCertificate
 from teachdim.errors import BudgetExceededError, PreferenceCycleError
 from teachdim.families import complete_graph, cycle_graph, fig2, path_graph, random_graph
@@ -69,12 +70,12 @@ def tree_degree(t: Tree, v: int) -> int:
     return sum(1 for u, w in t.edges if v in (u, w))
 
 
-def interior(t: Tree) -> frozenset[int]:
-    return t.vertices - t.leaves()
+def interior(t: Tree) -> int:
+    return t.vertices & ~t.leaves()
 
 
 def leaf_count(t: Tree) -> int:
-    return len(t.leaves())
+    return t.leaves().bit_count()
 
 
 def is_subgraph_of(t: Tree, g: Graph) -> bool:
@@ -104,7 +105,7 @@ def neighborhood_spanning_tree(g: Graph, x) -> Tree:
         contact = (g.adj[y] & xmask)
         v = (contact & -contact).bit_length() - 1
         edges.append((min(v, y), max(v, y)))
-    return Tree(g.n, set_of(closed), frozenset(edges))
+    return Tree(g.n, closed, frozenset(edges))
 
 
 def extend_to_spanning_tree(g: Graph, t: Tree) -> Tree:
@@ -117,7 +118,7 @@ def extend_to_spanning_tree(g: Graph, t: Tree) -> Tree:
     """
     if not is_subgraph_of(t, g):
         raise ValueError("tree is not a subgraph of the graph")
-    tmask = mask_of(t.vertices)
+    tmask = t.vertices
     start = (tmask & -tmask).bit_length() - 1
     comp = component_mask(g, start, g.full_mask)
     if tmask & ~comp:
@@ -134,7 +135,7 @@ def extend_to_spanning_tree(g: Graph, t: Tree) -> Tree:
                 added = True
                 break
         assert added
-    return Tree(g.n, set_of(comp), frozenset(edges))
+    return Tree(g.n, comp, frozenset(edges))
 
 
 def format_graph(g: Graph) -> str:
@@ -152,6 +153,30 @@ def write_graph(g: Graph, path) -> None:
 # ---------------------------------------------------------------------------
 
 MAX_POWERSET_DOMAIN = 16
+
+
+@dataclasses.dataclass(frozen=True)
+class Sample:
+    """A set of labeled instances: pos/neg are disjoint bitmasks."""
+
+    pos: int = 0
+    neg: int = 0
+
+    def __post_init__(self):
+        if self.pos < 0 or self.neg < 0:
+            raise ValueError("sample masks must be nonnegative")
+        if self.pos & self.neg:
+            raise ValueError("contradictory sample: instance labeled both + and -")
+
+    def pairs(self) -> tuple[tuple[int, bool], ...]:
+        out = [(x, True) for x in bits(self.pos)] + [(x, False) for x in bits(self.neg)]
+        return tuple(sorted(out))
+
+
+def sample_of(concept: int, shown: int) -> Sample:
+    """The sample a teacher presents: the instances of mask ``shown``
+    labeled by ``concept``."""
+    return Sample(concept & shown, shown & ~concept)
 
 
 def sample_from_pairs(pairs) -> Sample:

@@ -191,6 +191,16 @@ class TestTeachCommand:
         assert "full teacher dump:" in out
         assert "level=" in out
 
+    def test_empty_teaching_set(self, capsys):
+        argv = ("teach", "--family", "complete", "--n", "1",
+                "--teacher", "star-special", "--concept", "0")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "teaching set: (empty)\n" in out
+        code, out, _ = run_cli(capsys, *argv, "--explain")
+        assert code == 0
+        assert out.endswith("full teacher dump:\n1\t(empty)\tlevel=0\n")
+
 
 class TestDimsCommand:
     def test_star_cycle4(self, capsys):
@@ -292,9 +302,11 @@ class TestBadInput:
         ("triples", "--family", "cycle", "--n", "x", "--kind", "con"),
         ("triples", "--family", "cycle", "--n", "3..", "--kind", "con"),
         ("verify", "--family", "random", "--n", "5", "--kind", "con"),
+        ("dims", "--family", "path", "--n", "3", "--kind", "con", "--budget", "-1"),
     ], ids=("unknown-vertex", "negative-index", "teach-two-graphs",
             "dims-two-graphs", "dims-without-kind", "cycle-too-small",
-            "size-not-a-number", "open-range", "random-without-p"))
+            "size-not-a-number", "open-range", "random-without-p",
+            "negative-budget"))
     def test_bad_flags(self, capsys, argv):
         self.assert_refused(capsys, *argv)
 
@@ -369,6 +381,16 @@ class TestBadInput:
     def test_bad_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("TEACHDIM_BUDGET", "lots")
         self.assert_refused(capsys, "dims", "--family", "fig2", "--kind", "con")
+
+    def test_negative_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("TEACHDIM_BUDGET", "-3")
+        self.assert_refused(capsys, "triples", "--family", "cycle", "--n", "4",
+                            "--kind", "star")
+        # 0 is a budget: the enumeration refuses with exit 3
+        monkeypatch.setenv("TEACHDIM_BUDGET", "0")
+        code, _, err = run_cli(capsys, "triples", "--family", "cycle", "--n", "4",
+                               "--kind", "star")
+        assert code == 3 and err.startswith("budget exceeded: ")
 
     @pytest.mark.parametrize("argv", [
         ("teach", "--family", "fig2", "--teacher", "con-plan", "--concept", "b",

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Sample,
     concept_set,
     disjoint_union,
     format_class,
@@ -12,21 +13,21 @@ from helpers import (
     powerset_class,
     restrict,
     sample_from_pairs,
+    sample_of,
     sample_size,
     sample_union,
     version_space,
 )
 from teachdim.concepts import (
     ConceptClass,
-    Sample,
     is_shattered,
     parse_class,
-    sample_of,
     version_space_mask,
 )
 from teachdim.errors import ClassFormatError
 from teachdim.families import cycle_graph
 from teachdim.stars import build_star_class
+from teachdim.teaching import format_sample
 
 
 class TestSample:
@@ -205,5 +206,6 @@ class TestTextFormat:
 
 
 def test_sample_of_labels_by_concept():
-    s = sample_of(0b101, {0, 1})
+    s = sample_of(0b101, 0b11)
     assert s.pairs() == ((0, True), (1, False))
+    assert format_sample(0b101, 0b11, str) == "0+ 1-"

@@ -1,15 +1,16 @@
 import pytest
 
 from helpers import (
+    Sample,
     connected_graphs,
     labeled_trees,
     open_neighborhood,
     pair_closure,
     sample_from_pairs,
+    sample_of,
     shared_parts_corpus,
     version_space,
 )
-from teachdim.concepts import Sample
 from teachdim.connected import (
     build_con_class,
     con_superset_teacher,
@@ -120,7 +121,7 @@ class TestLeafTreeCondition:
         g = fig2()
         tree, u = leaf_tree_condition(GraphContext(g))
         assert g.vertex_name(u) == "a"
-        assert names(g, tree.leaves()) == ["d", "e", "f", "g"]
+        assert names(g, bits(tree.leaves())) == ["d", "e", "f", "g"]
         assert tree.edges == {(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)}
 
     def test_paths_have_no_witness(self):
@@ -139,7 +140,7 @@ class TestLeafTreeCondition:
 
     def test_single_vertex(self):
         tree, u = leaf_tree_condition(GraphContext(complete_graph(1)))
-        assert u == 0 and tree.vertices == {0}
+        assert u == 0 and tree.vertices == 0b1
 
     def test_requires_connected(self):
         with pytest.raises(ValueError):
@@ -186,7 +187,7 @@ class TestSupersetTeacher:
         teacher = con_superset_teacher(GraphContext(g))
         cc = teacher.concept_class
         i = cc.index_of({1, 3})  # {b,d}
-        s = teacher.sample_for(i)
+        s = sample_of(cc.concepts[i], teacher.teaching_masks[i])
         assert set_of(s.pos) == {1}
         assert set_of(s.neg) == {0, 4, 5, 6}  # a, e, f, g
         empty = cc.index_of(frozenset())

@@ -31,6 +31,7 @@ from teachdim.families import (
 from teachdim.graphs import (
     Graph,
     Tree,
+    bits,
     components,
     connected_set_masks,
     graph_from_edges,
@@ -118,7 +119,7 @@ class TestStructure:
 
     def test_components_ordering(self):
         g = graph_from_edges(6, [(3, 4), (0, 5)])
-        assert components(g) == ({0, 5}, {1}, {2}, {3, 4})
+        assert components(g) == (0b100001, 0b10, 0b100, 0b11000)  # {0,5} {1} {2} {3,4}
 
     def test_is_connected(self):
         g = cycle_graph(5)
@@ -216,7 +217,7 @@ class TestMaxLeafNumber:
         for i in range(40):
             g = random_graph(8, 0.2, 37, index=i)
             want = max(
-                (by_trees(spanned_subgraph(g, c)[0]) if len(c) > 1 else 0)
+                (by_trees(spanned_subgraph(g, c)[0]) if c.bit_count() > 1 else 0)
                 for c in components(g))
             assert max_leaf_number_exhaustive(g) == want
 
@@ -256,14 +257,14 @@ class TestNeighborhoodSpanningTree:
     def test_cycle_star(self):
         g = cycle_graph(4)
         t = neighborhood_spanning_tree(g, {0})
-        assert t.vertices == {0, 1, 3}
-        assert t.leaves() == {1, 3}
+        assert t.vertices == 0b1011  # {0,1,3}
+        assert t.leaves() == 0b1010  # {1,3}
 
     def test_fig2_example(self):
         g = fig2()
         t = neighborhood_spanning_tree(g, {1, 3})  # {b,d}
-        assert letters(g, t.vertices) == ["a", "b", "d", "e", "f", "g"]
-        assert letters(g, t.leaves()) == ["a", "e", "f", "g"]
+        assert letters(g, bits(t.vertices)) == ["a", "b", "d", "e", "f", "g"]
+        assert letters(g, bits(t.leaves())) == ["a", "e", "f", "g"]
 
     def test_boundary_vertices_are_leaves_random(self):
         rng = random.Random(99)
@@ -273,9 +274,9 @@ class TestNeighborhoodSpanningTree:
             g = random_graph(n, rng.choice((0.3, 0.5, 0.7)), seed=17, index=done)
             sets = list(connected_set_masks(g))
             xmask = rng.choice(sets)
-            t = neighborhood_spanning_tree(g, set_of(xmask))
-            boundary = open_neighborhood(g, set_of(xmask))
-            assert t.vertices == closed_neighborhood(g, set_of(xmask))
+            t = neighborhood_spanning_tree(g, xmask)
+            boundary = open_neighborhood(g, xmask)
+            assert set_of(t.vertices) == closed_neighborhood(g, xmask)
             # oracle: every boundary vertex has degree exactly 1 in the tree
             for y in boundary:
                 assert tree_degree(t, y) == 1
@@ -290,7 +291,7 @@ class TestNeighborhoodSpanningTree:
 class TestExtendToSpanningTree:
     def test_not_subgraph_rejected(self):
         g = path_graph(4)
-        t = Tree(5, frozenset({0, 2}), frozenset({(0, 2)}))
+        t = Tree(5, 0b101, frozenset({(0, 2)}))
         with pytest.raises(ValueError, match="subgraph"):
             extend_to_spanning_tree(g, t)
 
@@ -299,12 +300,12 @@ class TestExtendToSpanningTree:
         for i in range(150):
             n = rng.randint(3, 9)
             g = random_graph(n, rng.choice((0.4, 0.6)), seed=23, index=i)
-            comp = max(components(g), key=len)
-            if len(comp) < 2:
+            comp = max(components(g), key=int.bit_count)
+            if comp.bit_count() < 2:
                 continue
-            sub_sets = [m for m in connected_set_masks(g) if set_of(m) <= comp]
+            sub_sets = [m for m in connected_set_masks(g) if not m & ~comp]
             xmask = rng.choice(sub_sets)
-            t0 = neighborhood_spanning_tree(g, set_of(xmask))
+            t0 = neighborhood_spanning_tree(g, xmask)
             t1 = extend_to_spanning_tree(g, t0)
             assert t1.vertices == comp
             assert t0.edges <= t1.edges
@@ -316,12 +317,12 @@ class TestExtendToSpanningTree:
         for g in (fig2(), cycle_graph(6), complete_graph(5)):
             ell = max_leaf_number(g)
             for xmask in connected_set_masks(g):
-                t = neighborhood_spanning_tree(g, set_of(xmask))
+                t = neighborhood_spanning_tree(g, xmask)
                 if leaf_count(t) != ell:
                     continue
                 t1 = extend_to_spanning_tree(g, t)
                 assert leaf_count(t1) >= ell
-                for v in interior(t):
+                for v in bits(interior(t)):
                     assert tree_degree(t1, v) == tree_degree(t, v)
 
 
@@ -349,10 +350,23 @@ class TestTextFormat:
             parse_graph(text)
 
     def test_tree_leaf_conventions(self):
-        single = Tree(3, frozenset({1}), frozenset())
-        assert single.leaves() == {1}
-        edge = Tree(2, frozenset({0, 1}), frozenset({(0, 1)}))
-        assert edge.leaves() == {0, 1}
+        single = Tree(3, 0b10, frozenset())
+        assert single.leaves() == 0b10
+        edge = Tree(2, 0b11, frozenset({(0, 1)}))
+        assert edge.leaves() == 0b11
+
+    @pytest.mark.parametrize("n, vertices, edges, message", [
+        (2, 0b101, {(0, 2)}, "out of ambient range"),
+        (3, 0, set(), "at least one vertex"),
+        (3, 0b111, {(0, 1)}, "edge count"),
+        (3, 0b11, {(1, 0)}, r"\(min, max\) pairs"),
+        (4, 0b11, {(0, 3)}, "endpoint outside vertex set"),
+        (4, 0b1111, {(0, 1), (0, 2), (1, 2)}, "not connected"),
+    ], ids=["range", "empty", "edge-count", "edge-order", "endpoint",
+            "disconnected"])
+    def test_tree_checks(self, n, vertices, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Tree(n, vertices, frozenset(edges))
 
     def test_labeled_tree_counts(self):
         assert sum(1 for _ in labeled_trees(5)) == 125

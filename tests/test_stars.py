@@ -15,7 +15,7 @@ from teachdim.families import (
     path_graph,
     random_graph,
 )
-from teachdim.graphs import graph_from_edges, mask_of
+from teachdim.graphs import graph_from_edges
 from teachdim.stars import (
     build_star_class,
     star_special_teacher,
@@ -63,28 +63,28 @@ class TestVmaxPartition:
     def test_fig1_right_grouping(self):
         part = vmax_partition(fig1_right())
         assert part.delta == 3
-        assert part.groups[0].members == {0, 1}  # a, b share {a,b,c,d}
-        assert part.groups[0].closed == {0, 1, 2, 3}
-        assert part.groups[0].fringe == {2, 3}
-        assert [g.members for g in part.groups[1:]] == [{2}, {3}]
+        assert part.groups[0].members == 0b11  # a, b share {a,b,c,d}
+        assert part.groups[0].closed == 0b1111
+        assert part.groups[0].fringe == 0b1100  # {c,d}
+        assert [g.members for g in part.groups[1:]] == [0b100, 0b1000]
 
     def test_complete_graph_single_group(self):
         part = vmax_partition(complete_graph(5))
         assert len(part.groups) == 1
-        assert part.groups[0].members == set(range(5))
-        assert part.groups[0].fringe == frozenset()
+        assert part.groups[0].members == 0b11111
+        assert part.groups[0].fringe == 0
 
     def test_cycle5_singleton_groups(self):
         part = vmax_partition(cycle_graph(5))
         assert len(part.groups) == 5
-        assert all(len(g.members) == 1 for g in part.groups)
+        assert all(g.members.bit_count() == 1 for g in part.groups)
 
     def test_invariants_hold_on_random_graphs(self):
         for i in range(60):
             g = random_graph(8, 0.5, seed=13, index=i)
             part = vmax_partition(g)  # construction validates
             for grp in part.groups:
-                assert len(grp.closed) == part.delta + 1
+                assert grp.closed.bit_count() == part.delta + 1
 
 
 class TestCharacterization:
@@ -170,8 +170,7 @@ class TestStarTeachers:
     def special_pairs(g, cc):
         """Non-special over special concepts; within a shared group, more
         members over fewer; among non-special ones, smaller sets first."""
-        groups = [(mask_of(grp.members), mask_of(grp.fringe))
-                  for grp in vmax_partition(g).groups]
+        groups = [(grp.members, grp.fringe) for grp in vmax_partition(g).groups]
         scopes = [{gi for gi, (_, fringe) in enumerate(groups) if c & fringe == fringe}
                   for c in cc.concepts]
         pairs = []

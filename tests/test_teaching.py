@@ -12,6 +12,7 @@ from helpers import (
     perfbench_workloads,
     plain_teaching_sets,
     powerset_class,
+    sample_of,
     shared_parts_corpus,
     verify_smgk_teacher,
     version_space,
@@ -358,7 +359,7 @@ class TestVerifier:
             teacher = PBTeacher(cc, masks, pref)
             want = (True, None)
             for i in range(m):
-                bad = [j for j in version_space(cc, teacher.sample_for(i))
+                bad = [j for j in version_space(cc, sample_of(cc.concepts[i], masks[i]))
                        if j != i and not pref.is_preferred(i, j)]
                 if bad:
                     want = (False, (i, bad[0]))
