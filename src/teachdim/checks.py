@@ -99,7 +99,9 @@ def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
     level's size, at most rtd (the certificate checks both), so such a
     pass proves TD_min <= rtd.  On a valid certificate every sample
     passes so: the witness teaches i against everything still active at
-    L*, and the sample lies inside that.  A sample its witness does not
+    L*, and the sample lies inside that.  Each first-peeled member's
+    witness version space is computed once per check and ANDed with
+    every sample it serves.  A sample its witness does not
     settle is decided exactly by one td_min_at_most walk, the only code
     that can fail a sample; the exact TD_min is computed only for a
     sample that fails, for the detail."""
@@ -119,6 +121,7 @@ def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
         return _result("eq6-subclass-bound", best == r,
                        f"max subclass TD_min {best} == rtd {r} (full)")
     level_masks = [mask_of(level) for level, _ in rt.levels]
+    spaces = {}  # first-peeled member -> its witness's version space
     for sub in _eq6_samples(m):
         # the levels partition the class, so one of them meets sub
         for level in level_masks:
@@ -127,11 +130,15 @@ def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
         low = level & sub
         low &= -low
         i = low.bit_length() - 1
-        c, w = cc.concepts[i], rt.witnesses[i]
-        # a witness with an instance outside the domain teaches nothing
-        settled = not w >> cc.domain_size and \
-            version_space_mask(cc, c & w, w & ~c) & sub == low
-        if not settled and not td_min_at_most(cc, sub, r, budget=budget):
+        space = spaces.get(i)
+        if space is None:
+            c, w = cc.concepts[i], rt.witnesses[i]
+            # a witness with an instance outside the domain teaches
+            # nothing: its empty space settles no sample
+            space = spaces[i] = 0 if w >> cc.domain_size else \
+                version_space_mask(cc, c & w, w & ~c)
+        if space & sub != low and \
+                not td_min_at_most(cc, sub, r, budget=budget):
             tdm = rtd_subclass_lower_bound(cc, sub, budget=budget)
             return CheckResult(
                 "eq6-subclass-bound", "fail",
@@ -245,6 +252,11 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
         else:
             out.append(_result("ell-oracle", ell == oracle,
                                f"neighborhood {ell}, spanning-tree {oracle}"))
+    else:
+        out.append(CheckResult(
+            "ell-oracle", "na",
+            f"spanning-tree oracle capped at {MAX_SPANNING_TREE_VERTICES} "
+            f"vertices, graph has {g.n}"))
 
     # one pass over the connected sets, in enumeration order, serves both
     # opponent checks; every opponent is a connected set, so its boundary

@@ -372,10 +372,14 @@ def max_leaf_number_exhaustive(g: Graph) -> int:
     n - inner leaves, inner being its vertices of degree >= 2.  A branch
     is cut once that is no more than the best tree found, so the cut
     loses no better tree.  The best starts at a real tree, the BFS tree
-    from a vertex of largest degree, and a component's walk stops once
-    the best reaches n - 1, the most any tree of n >= 3 vertices has
-    (the BFS tree of n = 2 already has its 2).  Refuses components with
-    more than MAX_SPANNING_TREE_VERTICES vertices.
+    from a vertex of largest degree.  A component's walk stops once the
+    best reaches cap = n - ceil((n - 2) / (D - 1)), D the component's
+    largest degree: a spanning tree's degree sum is 2(n - 1), its L
+    leaves give L of it and each of its n - L inner vertices at most D,
+    so no tree of n >= 3 vertices has more than cap leaves (the BFS tree
+    of n = 2 already has its 2).  The cap reads only degrees, so the
+    oracle stays independent of max_leaf_number.  Refuses components
+    with more than MAX_SPANNING_TREE_VERTICES vertices.
 
     On a lone edge this gives 2 where max_leaf_number gives 1: the tree's
     interior is empty. The two agree on every other connected graph with
@@ -392,6 +396,9 @@ def max_leaf_number_exhaustive(g: Graph) -> int:
         sub, _ = spanned_subgraph(g, comp)
         n = sub.n
         root = max(range(n), key=lambda v: sub.adj[v].bit_count())
+        delta = sub.adj[root].bit_count()
+        # n - ceil((n - 2) / (delta - 1)), the leaf cap above
+        cap = n + (2 - n) // (delta - 1) if n > 2 else 2
         touched = inner = 0
         for u, v in bfs_tree_edges(sub, root, sub.full_mask)[1]:
             ends = 1 << u | 1 << v
@@ -404,7 +411,7 @@ def max_leaf_number_exhaustive(g: Graph) -> int:
         # (next edge, edges taken, component label of each vertex,
         #  vertices of degree >= 1, vertices of degree >= 2)
         stack = [(0, 0, list(range(n)), 0, 0)]
-        while stack and best < n - 1:
+        while stack and best < cap:
             idx, depth, comp_of, touched, inner = stack.pop()
             bound = n - inner.bit_count()
             while bound > best and depth < need and m - idx >= need - depth:

@@ -7,7 +7,8 @@ sweeps used by the acceptance suite and the max-leaf oracle's
 differential test, the pair-list preference closure that mask-built
 preferences are checked against, the recursive spanning-tree
 enumerator that the pruned max-leaf oracle is checked against on
-graphs too large for the sweeps, relabeling with label-free check
+graphs too large for the sweeps, the oracle's search without its
+degree cap, relabeling with label-free check
 results for the invariance tests, the shared-parts graph corpus of the
 teacher and closure tests, the plain connected-set walk that the
 boundary walk is checked against, the plain teaching-set walk that the
@@ -43,11 +44,13 @@ from teachdim.graphs import (
     bits,
     closed_neighborhood_mask,
     component_mask,
+    components,
     graph_from_edges,
     is_connected,
     mask_of,
     open_neighborhood_mask,
     set_of,
+    spanned_subgraph,
 )
 from teachdim.teaching import PBTeacher, PreferenceRelation, verify_pb_teacher
 
@@ -576,6 +579,48 @@ def reference_spanning_trees(g):
         yield from rec(idx + 1, chosen, parent)
 
     yield from rec(0, [], list(range(g.n)))
+
+
+def uncapped_max_leaf_number(g: Graph) -> int:
+    """graphs.max_leaf_number_exhaustive without its degree cap: the same
+    branch and bound, whose walk stops early only once the best tree
+    reaches n - 1 leaves and otherwise exhausts every branch."""
+    best = 0
+    for comp in components(g):
+        if comp.bit_count() < 2:
+            continue
+        sub, _ = spanned_subgraph(g, comp)
+        n = sub.n
+        root = max(range(n), key=lambda v: sub.adj[v].bit_count())
+        touched = inner = 0
+        for u, v in bfs_tree_edges(sub, root, sub.full_mask)[1]:
+            ends = 1 << u | 1 << v
+            inner |= touched & ends
+            touched |= ends
+        best = max(best, n - inner.bit_count())
+        edge_list = sub.edges()
+        m = len(edge_list)
+        need = n - 1
+        stack = [(0, 0, list(range(n)), 0, 0)]
+        while stack and best < n - 1:
+            idx, depth, comp_of, touched, inner = stack.pop()
+            bound = n - inner.bit_count()
+            while bound > best and depth < need and m - idx >= need - depth:
+                u, v = edge_list[idx]
+                idx += 1
+                cu, cv = comp_of[u], comp_of[v]
+                if cu != cv:
+                    stack.append((idx, depth, comp_of, touched, inner))
+                    lo, hi = (cu, cv) if cu < cv else (cv, cu)
+                    comp_of = [lo if c == hi else c for c in comp_of]
+                    ends = 1 << u | 1 << v
+                    inner |= touched & ends
+                    touched |= ends
+                    depth += 1
+                    bound = n - inner.bit_count()
+            if depth == need and bound > best:
+                best = bound
+    return best
 
 
 def graph_of_edge_mask(n: int, mask: int):

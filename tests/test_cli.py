@@ -15,7 +15,7 @@ from helpers import (
     write_class,
     write_graph,
 )
-from teachdim.checks import check_graph
+from teachdim.checks import CheckResult, check_graph
 from teachdim.cli import EXIT_BROKEN_PIPE, main
 from teachdim.families import FamilySpec, cycle_graph, fig2, path_graph
 
@@ -101,6 +101,23 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "con-leaf-tree-vs-vcd" in out
 
+    def test_verify_reports_the_oracle_cap_as_skip(self, capsys):
+        """Above MAX_SPANNING_TREE_VERTICES the ell-oracle check is
+        reported as not applicable, with its reason, not left out."""
+        from teachdim.graphs import MAX_SPANNING_TREE_VERTICES as cap
+
+        res = {r.name: r for r in check_graph(cycle_graph(cap + 1), "con")}
+        assert res["ell-oracle"] == CheckResult(
+            "ell-oracle", "na",
+            f"spanning-tree oracle capped at {cap} vertices, "
+            f"graph has {cap + 1}")
+        for n, mark in ((cap, "PASS"), (cap + 1, "SKIP")):
+            code, out, _ = run_cli(capsys, "verify", "--family", "cycle",
+                                   "--n", str(n), "--kind", "con")
+            assert code == 0
+            lines = [ln for ln in out.splitlines() if "\tell-oracle\t" in ln]
+            assert len(lines) == 1 and lines[0].startswith(f"{mark}\tC_{n}\t")
+
     def test_verify_k2_pins_the_divergence(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "complete",
                                "--n", "2", "--kind", "con")
@@ -109,7 +126,6 @@ class TestVerifyCommand:
 
     def test_verify_exits_nonzero_on_violation(self, capsys, monkeypatch):
         import teachdim.cli as cli_mod
-        from teachdim.checks import CheckResult
 
         monkeypatch.setattr(
             cli_mod, "check_graph",
@@ -698,6 +714,52 @@ class TestChecksDirect:
                                        and "sampled" in r.detail for r in results)
         assert sampled >= 40
         assert walks == []
+
+    def test_eq6_computes_each_witness_space_once(self, monkeypatch):
+        """On every sampled class of the benchmark's verify pool, the
+        sampled branch asks for the version space of exactly the distinct
+        first-peeled members' witnesses, each once, and so for fewer than
+        one per sample."""
+        from collections import Counter
+
+        import teachdim.checks as checks
+        from teachdim.context import GraphContext
+        from teachdim.families import random_graph
+        from teachdim.graphs import mask_of
+
+        calls = []
+        real = checks.version_space_mask
+
+        def spy(cc, pos, neg):
+            calls.append((pos, neg))
+            return real(cc, pos, neg)
+
+        monkeypatch.setattr(checks, "version_space_mask", spy)
+        classes = 0
+        for n in (6, 7, 8):
+            for p in (0.3, 0.5, 0.7):
+                for i in range(2):
+                    ctx = GraphContext(random_graph(n, p, 2025, i))
+                    for cc in (ctx.star, ctx.con(False), ctx.con(True)):
+                        if len(cc) <= checks.EQ6_FULL_LIMIT:
+                            continue
+                        classes += 1
+                        rt = ctx.rtd(cc)
+                        members = set()
+                        for sub in checks._eq6_samples(len(cc)):
+                            level = next(mask_of(lv) & sub
+                                         for lv, _ in rt.levels
+                                         if mask_of(lv) & sub)
+                            members.add((level & -level).bit_length() - 1)
+                        calls.clear()
+                        assert checks._eq6_check(cc, rt).status == "pass"
+                        want = Counter()
+                        for j in members:
+                            c, w = cc.concepts[j], rt.witnesses[j]
+                            want[c & w, w & ~c] += 1
+                        assert Counter(calls) == want
+                        assert len(calls) == len(members) < checks.EQ6_SAMPLES
+        assert classes >= 30
 
     def test_eq6_certificate_agrees_with_the_walk_alone(self, family_graphs):
         """With witnesses that mostly do not teach, or that lie outside

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from helpers import (
     open_neighborhood,
     reference_spanning_trees,
     tree_degree,
+    uncapped_max_leaf_number,
 )
 from teachdim.errors import BudgetExceededError, GraphFormatError
 from teachdim.families import (
@@ -227,6 +229,68 @@ class TestMaxLeafNumber:
         # the cap is per component
         g = graph_from_edges(9, complete_graph(8).edges())
         assert max_leaf_number_exhaustive(g) == 7
+
+    def test_capped_oracle_matches_the_uncapped_search(self):
+        """The degree cap only stops a walk early: on the benchmark's
+        verify pool, dense random graphs, disconnected graphs whose
+        components have different largest degrees (one also in the
+        other order, so that an earlier component's best already meets
+        a later one's cap), K_2, the star K_{1,7}, paths and cycles, the
+        oracle gives the value of the search without the cap."""
+
+        def union(*parts):
+            edges, offset = [], 0
+            for part in parts:
+                edges += [(u + offset, v + offset) for u, v in part.edges()]
+                offset += part.n
+            return graph_from_edges(offset, edges)
+
+        star7 = graph_from_edges(8, [(0, v) for v in range(1, 8)])
+        star5 = graph_from_edges(6, [(0, v) for v in range(1, 6)])
+        named = {
+            "K_2": (complete_graph(2), 2),
+            "K_1,7": (star7, 7),
+            **{f"P_{k}": (path_graph(k), 2) for k in range(2, 8)},
+            **{f"C_{n}": (cycle_graph(n), 2) for n in range(3, 9)},
+        }
+        for label, (g, want) in named.items():
+            assert max_leaf_number_exhaustive(g) == want, label
+            assert uncapped_max_leaf_number(g) == want, label
+
+        graphs = [random_graph(n, p, 2025, i) for n in (6, 7, 8)
+                  for p in (0.3, 0.5, 0.7) for i in range(2)]
+        graphs += [random_graph(8, p, s, i) for p in (0.5, 0.7, 0.9)
+                   for s in (1, 2) for i in range(4)]
+        graphs += [
+            union(star5, cycle_graph(6)),
+            union(cycle_graph(6), star5),
+            union(path_graph(3), star5, complete_graph(1)),
+            union(complete_graph(4), path_graph(2), complete_graph(2)),
+            union(fig2(), cycle_graph(5)),
+            union(cycle_graph(5), random_graph(8, 0.5, 3)),
+        ]
+        graphs += [random_graph(8, 0.2, 37, index=i) for i in range(10)]
+        assert any(not is_connected(g, g.full_mask) for g in graphs)
+        for g in graphs:
+            assert max_leaf_number_exhaustive(g) == uncapped_max_leaf_number(g)
+
+    def test_leaf_cap_bounds_every_small_connected_graph(self):
+        """No spanning tree of a connected graph with n >= 3 vertices and
+        largest degree D has more than n - ceil((n - 2) / (D - 1))
+        leaves.  Below n - 1, where the uncapped walk could not stop
+        early, graphs of every size from 4 on reach that cap, so the
+        oracle's early stop is taken on them."""
+        for n in range(3, 7):
+            bulk = bulk_max_leaf_by_spanning_trees(n)
+            reached = below = 0
+            for gid in map(int, bulk.nonzero()[0]):
+                g = graph_of_edge_mask(n, gid)
+                cap = n - math.ceil((n - 2) / (g.max_degree() - 1))
+                assert bulk[gid] <= cap, (n, gid)
+                reached += bulk[gid] == cap
+                below += bulk[gid] == cap < n - 1
+            assert reached
+            assert below or n == 3
 
 
 class TestMaxOpenNeighborhood:

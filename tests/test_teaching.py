@@ -39,9 +39,11 @@ from teachdim.teaching import (
 )
 
 # what `PYTHONPATH=src python tests/teacher_digest.py` prints; the previous
-# pin (72f88755...) differed only in P_2's con-vcd-matching `below`, before
-# that teacher's preference became the pair rules' closure on every graph
-TEACHER_DIGEST = "6c87b5a05af3ad4da835f515461b4fbbfb4030a65e7e38a8edaaf2d9b512230f"
+# pin (6c87b5a0...) lacked only the `ell-oracle` SKIP line that C_9's and
+# P_8's con checks now report above the oracle's 8-vertex cap, and the pin
+# before it (72f88755...) differed only in P_2's con-vcd-matching `below`,
+# before that teacher's preference became the pair rules' closure
+TEACHER_DIGEST = "309856c523f255f2ea6b608b3bb052d3e9521ecc095629c1a110373ed3d4018c"
 
 
 class TestPreferenceRelation:
