@@ -2,7 +2,6 @@
 
 from .concepts import ConceptClass, is_shattered, read_class
 from .connected import (
-    OpponentSet,
     build_con_class,
     con_superset_teacher,
     con_tree_teacher,

@@ -10,7 +10,6 @@ from functools import lru_cache
 
 from .concepts import ConceptClass, is_shattered, version_space_mask
 from .connected import (
-    _opponent_masks,
     con_superset_teacher,
     con_tree_teacher,
     con_vcd_matching_teacher,
@@ -31,7 +30,6 @@ from .graphs import (
     Graph,
     bits,
     components,
-    is_connected,
     mask_of,
     max_leaf_number_exhaustive,
     set_of,
@@ -238,7 +236,9 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
         f"(rtd,vcd) this policy ({rt.rtd},{v}), other policy {other}"))
 
     comps = components(g)
-    if g.n <= MAX_SPANNING_TREE_VERTICES:
+    connected = len(comps) == 1
+    # the oracle's cap bounds each component, not the graph
+    if max(map(int.bit_count, comps)) <= MAX_SPANNING_TREE_VERTICES:
         oracle = max_leaf_number_exhaustive(g)
         # the two forms diverge exactly when every component has at most
         # two vertices and at least one edge exists: a lone edge has two
@@ -268,7 +268,7 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
     for xmask, xopen in boundary.items():
         xcomp = comp_of[(xmask & -xmask).bit_length() - 1]
         full = v_full == ell and xopen.bit_count() == ell
-        for ymask in _opponent_masks(g, xmask, xopen):
+        for ymask in components(g, g.full_mask & ~(xmask | xopen)):
             yopen = boundary[ymask]
             if yopen & ~xopen:
                 detail = (f"boundary of {sorted(set_of(ymask))} escapes "
@@ -280,7 +280,7 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
                 strict_ok = False
     out.append(_result("con-opponent-boundaries", not detail, detail))
 
-    if g.n and is_connected(g, g.full_mask):
+    if connected:
         wit = leaf_tree_condition(ctx)
         expected = v_full == ell + 1
         out.append(_result(
@@ -310,7 +310,7 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
     out.append(_teacher_result(
         "con-superset-teacher", cc_full, con_superset_teacher(ctx),
         ell + 1, exclude_empty=True))
-    if g.n and is_connected(g, g.full_mask) and g.m == g.n - 1:
+    if connected and g.m == g.n - 1:
         leaf_count = (sum(1 for x in range(g.n) if g.degree(x) == 1)
                       if g.n > 1 else 1)
         out.append(_teacher_result(

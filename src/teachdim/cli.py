@@ -4,7 +4,8 @@ explanations and per-graph verification runs.
 Identical inputs (including seeds) produce byte-identical output; every
 table header echoes the parameters that generated it.  ``--budget``
 (or the env var TEACHDIM_BUDGET) overrides the default budget of every
-enumeration and of the teaching-set searches' work; ``dims --class-file``
+enumeration, of the teaching-set searches' work and of the leaf-tree
+witness search; ``dims --class-file``
 rejects ``--budget``, so it takes TEACHDIM_BUDGET or the default.
 
 Exit codes: 0 success; 1 a check or a teacher's maximality failed; 2
@@ -316,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="PRNG seed (random family)")
         p.add_argument("--graph-file", help="graph in text format")
         p.add_argument("--budget", type=int, default=None,
-                       help="budget of every enumeration and of the "
-                            "teaching-set searches' work")
+                       help="budget of every enumeration, of the "
+                            "teaching-set searches' work and of the "
+                            "leaf-tree witness search")
 
     def add_class_flags(p, kind_required=True):
         p.add_argument("--kind", choices=("star", "con"), required=kind_required)

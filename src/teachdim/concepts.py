@@ -51,16 +51,16 @@ class ConceptClass:
 
     def index_of(self, concept) -> int:
         mask = concept if isinstance(concept, int) else mask_of(concept)
-        lo, hi = 0, len(self.concepts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.concepts[mid] < mask:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self.concepts) or self.concepts[lo] != mask:
-            raise KeyError(f"concept {mask:#x} not in class")
-        return lo
+        try:
+            return self.index[mask]
+        except KeyError:
+            raise KeyError(f"concept {mask:#x} not in class") from None
+
+    @cached_property
+    def index(self) -> dict[int, int]:
+        """index[c] = the position of concept c in ``concepts``; shared by
+        every reader, so read it and never change it."""
+        return {c: j for j, c in enumerate(self.concepts)}
 
     @cached_property
     def instance_columns(self) -> tuple[int, ...]:
@@ -88,7 +88,7 @@ class ConceptClass:
 
         Each edge is found once, from its endpoint without x: every
         concept c looks up c | x for each instance x outside c."""
-        index = {c: j for j, c in enumerate(self.concepts)}
+        index = self.index
         masks = [0] * len(self.concepts)
         full = (1 << self.domain_size) - 1
         for j, c in enumerate(self.concepts):

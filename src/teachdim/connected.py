@@ -5,7 +5,6 @@ and the three constructive teachers."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .concepts import ConceptClass, version_space_mask
 from .context import GraphContext
@@ -15,17 +14,15 @@ from .graphs import (
     DEFAULT_ENUM_BUDGET,
     Graph,
     Tree,
+    _reach,
     bfs_tree_edges,
     bits,
     closed_neighborhood_mask,
-    component_mask,
+    components,
     is_connected,
     mask_of,
 )
 from .teaching import PBTeacher, PreferenceRelation, subset_preferences
-
-#: Default cap on reachability expansion steps in the witness search.
-DEFAULT_PATH_BUDGET = 10 ** 7
 
 
 def build_con_class(g: Graph, include_empty: bool, *,
@@ -39,142 +36,87 @@ def build_con_class(g: Graph, include_empty: bool, *,
     return GraphContext(g, budget).con(include_empty)
 
 
-@dataclass(frozen=True)
-class OpponentSet:
-    """The maximal opponents of a nonempty connected set X: the components
-    left over after deleting X's closed neighborhood.  Each one's boundary
-    lies in X's: a vertex next to a component Y is in N[X], and not in X,
-    or Y would meet N[X].  X and the opponents are vertex masks."""
-
-    x: int
-    opponents: tuple[int, ...]
-
-
-def maximal_opponents(g: Graph, x) -> OpponentSet:
+def maximal_opponents(g: Graph, x) -> tuple[int, ...]:
     """The maximal opponents of X, a nonempty connected vertex set (a
-    mask or an iterable of vertices); raises ValueError for any other X."""
+    mask or an iterable of vertices), as masks: the components left over
+    after deleting X's closed neighborhood.  Each one's boundary lies in
+    X's: a vertex next to a component Y is in N[X], and not in X, or Y
+    would meet N[X].  Raises ValueError for any other X."""
     xmask = x if isinstance(x, int) else mask_of(x)
     if xmask == 0:
         raise ValueError("X must be nonempty")
     if not is_connected(g, xmask):
         raise ValueError("X must be connected")
-    xopen = closed_neighborhood_mask(g, xmask) & ~xmask
-    return OpponentSet(xmask, _opponent_masks(g, xmask, xopen))
+    return components(g, g.full_mask & ~closed_neighborhood_mask(g, xmask))
 
 
-def _opponent_masks(g: Graph, xmask: int, xopen: int) -> tuple[int, ...]:
-    """The maximal opponents of a set the caller knows is a nonempty
-    connected set, such as a key of GraphContext.boundaries, given its
-    boundary ``xopen``: the components outside N[X] = X | N(X)."""
-    outside = g.full_mask & ~(xmask | xopen)
-    opps = []
-    remaining = outside
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = component_mask(g, start, outside)
-        opps.append(comp)
-        remaining &= ~comp
-    return tuple(opps)
-
-
-def leaf_tree_condition(ctx: GraphContext, *, budget: int = DEFAULT_PATH_BUDGET
-                        ) -> tuple[Tree, int] | None:
+def leaf_tree_condition(ctx: GraphContext) -> tuple[Tree, int] | None:
     """Search for a tree with the maximum leaf count whose leaves stay
     pairwise connectable away from the tree's other leaves and one
     interior vertex.
 
     Equivalent pair form: a vertex set S of size ell(G)+1 qualifies iff
     every pair of S-vertices is joined by a path avoiding the rest of S.
-    Subsets are scanned lexicographically; the witness tree is assembled
-    from deterministic shortest paths to the smallest member, which then
-    acts as the interior vertex.  Returns None when no subset qualifies;
-    raises BudgetExceededError when the reachability work hits ``budget``.
+    Subsets are scanned lexicographically.  For each member a in turn,
+    the region R_a that a reaches through vertices outside S must touch
+    every later member; R_a is a connected set, so its boundary is read
+    from ``ctx.boundaries``.  The witness tree is built from the region
+    of the smallest member, which then acts as the interior vertex.
+    Returns None when no subset qualifies; each candidate subset costs
+    one unit of ``ctx.budget``, and BudgetExceededError is raised when
+    they pass it.
     """
     g = ctx.g
     if g.n == 0:
         raise ValueError("empty graph")
     if not is_connected(g, g.full_mask):
         raise ValueError("graph must be connected")
-    ell = ctx.ell
-    steps = 0
-    full = g.full_mask
-
-    def reachable(a: int, b: int, allowed: int) -> bool:
-        nonlocal steps
-        seen = 1 << a
-        frontier = seen
-        target = 1 << b
-        while frontier:
-            steps += 1
-            if steps > budget:
-                raise BudgetExceededError("leaf-tree witness search", budget)
-            grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & allowed & ~seen
-            if frontier & target:
-                return True
-            seen |= frontier
-        return False
-
-    for combo in itertools.combinations(range(g.n), ell + 1):
+    adj, boundary, budget = g.adj, ctx.boundaries, ctx.budget
+    for count, combo in enumerate(
+            itertools.combinations(range(g.n), ctx.ell + 1), 1):
+        if count > budget:
+            raise BudgetExceededError("leaf-tree witness search", budget)
         smask = mask_of(combo)
-        ok = True
-        for ai in range(len(combo)):
-            for bi in range(ai + 1, len(combo)):
-                a, b = combo[ai], combo[bi]
-                allowed = (full & ~smask) | (1 << a) | (1 << b)
-                if not reachable(a, b, allowed):
-                    ok = False
-                    break
-            if not ok:
+        outside = g.full_mask & ~smask
+        later = smask
+        for a in combo:
+            later ^= 1 << a
+            if later & ~boundary[_reach(adj, 1 << a, outside | 1 << a)]:
                 break
-        if ok:
+        else:
             return _witness_tree(g, smask), combo[0]
     return None
 
 
 def _witness_tree(g: Graph, smask: int) -> Tree:
-    """Union of deterministic shortest paths from each other member of S
-    to its smallest member u, then a BFS tree of that union."""
+    """The BFS tree of the smallest member u's region outside S, each
+    other member hung on its lowest neighbor there, pruned to the
+    subtree that spans S."""
     u = (smask & -smask).bit_length() - 1
     others = smask ^ 1 << u
-    full = g.full_mask
-    union_vertices = 1 << u
-    union_edges: set[tuple[int, int]] = set()
+    region, edges = bfs_tree_edges(g, u, (g.full_mask & ~smask) | 1 << u)
+    # edges come in the order their far ends were reached
+    parent = {}
+    for a, b in edges:
+        if a == u or a in parent:
+            parent[b] = a
+        else:
+            parent[a] = b
+    kept, tree_edges = 1 << u, set()
     for v in bits(others):
-        allowed = (full & ~smask) | (1 << u) | (1 << v)
-        path = _shortest_path(g, v, u, allowed)
-        union_vertices |= mask_of(path)
-        for a, b in zip(path, path[1:]):
-            union_edges.add((min(a, b), max(a, b)))
-    seen, edges = bfs_tree_edges(g, u, union_vertices, allowed_edges=union_edges)
-    assert seen == union_vertices
-    tree = Tree(g.n, union_vertices, frozenset(edges))
+        near = g.adj[v] & region
+        parent[v] = (near & -near).bit_length() - 1
+        while not kept >> v & 1:
+            kept |= 1 << v
+            w = parent[v]
+            tree_edges.add((min(v, w), max(v, w)))
+            v = w
+    tree = Tree(g.n, kept, frozenset(tree_edges))
     # the other members are exactly the leaves, except on a single edge
     # where the designated vertex is unavoidably degree-1 as well
     leaves = tree.leaves()
     assert not others & ~leaves and not leaves & ~smask, "stray leaf in witness tree"
     return tree
-
-
-def _shortest_path(g: Graph, a: int, b: int, allowed: int) -> list[int]:
-    parent = {a: -1}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in bits(g.adj[v] & allowed):
-                if u not in parent:
-                    parent[u] = v
-                    if u == b:
-                        path = [b]
-                        while parent[path[-1]] != -1:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    nxt.append(u)
-        frontier = sorted(nxt)
-    raise RuntimeError("no path despite earlier reachability check")
 
 
 # ---------------------------------------------------------------------------

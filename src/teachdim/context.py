@@ -23,8 +23,8 @@ from .teaching import PreferenceRelation, subset_preferences, superset_preferenc
 @dataclass(frozen=True)
 class GraphContext:
     """The parts of graph ``g``; ``budget`` bounds every enumeration and
-    teaching-set search they need, and raises BudgetExceededError when
-    hit."""
+    teaching-set search they need and the leaf-tree witness search that
+    reads them, each raising BudgetExceededError when it hits it."""
 
     g: Graph
     budget: int = DEFAULT_ENUM_BUDGET

@@ -396,8 +396,7 @@ def rtd(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> RtdCertificat
     witnesses = [0] * len(cc)
     forced = list(cc.neighbour_masks)
     by_size = _size_buckets(forced, active, cc.domain_size)
-    concepts = cc.concepts
-    index = {c: j for j, c in enumerate(concepts)}
+    concepts, index = cc.concepts, cc.index
     work = _Work("teaching-set search (rtd)", budget)
     while active:
         low, found = next(_teaching_sets(cc, active, active, work,

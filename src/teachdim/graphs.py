@@ -19,7 +19,8 @@ MAX_VERTICES = 24
 
 #: Default budget of the exhaustive searches before BudgetExceededError:
 #: the connected vertex sets an enumeration visits, the star sets the star
-#: class enumerates, and the walk nodes of a teaching-set search.
+#: class enumerates, the walk nodes of a teaching-set search, and the
+#: candidate sets of the leaf-tree witness search.
 DEFAULT_ENUM_BUDGET = 1 << 22
 
 #: The spanning-tree max-leaf oracle is only meant as a small-scale
@@ -198,14 +199,13 @@ def _reach(adj, seed: int, within: int) -> int:
     return comp
 
 
-def components(g: Graph) -> tuple[int, ...]:
-    """Maximal connected vertex sets as masks, ordered by smallest
-    contained index."""
-    remaining = g.full_mask
+def components(g: Graph, within=None) -> tuple[int, ...]:
+    """The components of the subgraph that ``within`` spans (all of g by
+    default) as masks, ordered by smallest contained index."""
+    remaining = g.full_mask if within is None else _as_mask(g, within)
     out = []
     while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = component_mask(g, start, remaining)
+        comp = _reach(g.adj, remaining & -remaining, remaining)
         out.append(comp)
         remaining &= ~comp
     return tuple(out)
@@ -342,9 +342,10 @@ class Tree:
         return once & ~twice
 
 
-def bfs_tree_edges(g: Graph, root: int, within: int,
-                   allowed_edges: set[tuple[int, int]] | None = None):
-    """Deterministic BFS tree inside ``within``; neighbors visited ascending."""
+def bfs_tree_edges(g: Graph, root: int, within: int):
+    """Deterministic BFS tree inside ``within``; neighbors visited
+    ascending.  Returns the vertices reached, as a mask, and the tree
+    edges as (min, max) pairs in the order their far ends were reached."""
     seen = 1 << root
     order = [root]
     edges = []
@@ -353,8 +354,6 @@ def bfs_tree_edges(g: Graph, root: int, within: int,
         v = order[qi]
         qi += 1
         for u in bits(g.adj[v] & within & ~seen):
-            if allowed_edges is not None and (min(u, v), max(u, v)) not in allowed_edges:
-                continue
             seen |= 1 << u
             order.append(u)
             edges.append((min(u, v), max(u, v)))

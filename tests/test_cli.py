@@ -118,6 +118,22 @@ class TestVerifyCommand:
             lines = [ln for ln in out.splitlines() if "\tell-oracle\t" in ln]
             assert len(lines) == 1 and lines[0].startswith(f"{mark}\tC_{n}\t")
 
+    def test_oracle_cap_reads_the_largest_component(self):
+        """The cap bounds each component, not the whole graph: two
+        disjoint 5-cycles are checked, a 9-cycle beside a vertex is not."""
+        from teachdim.graphs import graph_from_edges
+
+        c5 = [(i, (i + 1) % 5) for i in range(5)]
+        twice = graph_from_edges(10, c5 + [(u + 5, v + 5) for u, v in c5])
+        res = {r.name: r for r in check_graph(twice, "con")}
+        assert res["ell-oracle"] == CheckResult(
+            "ell-oracle", "pass", "neighborhood 2, spanning-tree 2")
+        c9 = graph_from_edges(10, [(i, (i + 1) % 9) for i in range(9)])
+        res = {r.name: r for r in check_graph(c9, "con")}
+        assert res["ell-oracle"] == CheckResult(
+            "ell-oracle", "na",
+            "spanning-tree oracle capped at 8 vertices, graph has 10")
+
     def test_verify_k2_pins_the_divergence(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "complete",
                                "--n", "2", "--kind", "con")
@@ -141,6 +157,16 @@ class TestVerifyCommand:
                                  "--kind", "con", "--budget", "5")
         assert code == 3
         assert "budget exceeded" in err and "PASS" not in out
+
+    def test_budget_bounds_the_leaf_tree_search(self, capsys):
+        """The leaf-tree witness search runs under --budget like every
+        other search: 60 covers the 45 connected sets of an 8-edge path
+        but not its 84 candidate sets."""
+        code, out, err = run_cli(capsys, "verify", "--family", "path",
+                                 "--n", "8", "--kind", "con", "--budget", "60")
+        assert (code, out) == (3, "")
+        assert err == ("budget exceeded: leaf-tree witness search: "
+                       "budget of 60 exceeded\n")
 
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("TEACHDIM_BUDGET", "5")
@@ -810,28 +836,40 @@ class TestChecksDirect:
         the one that the connected-set enumeration meets last, whatever
         order the checks visit the sets in."""
         import teachdim.checks as checks
-        from teachdim.graphs import connected_set_masks, set_of
+        from teachdim.graphs import (
+            closed_neighborhood_mask,
+            connected_set_masks,
+            set_of,
+        )
 
         g = fig2()
-        order = [x for x in connected_set_masks(g) if x.bit_count() >= 2]
-        last_by_mask = max(order)
-        bad = {order[5], order[len(order) // 2], last_by_mask}
-        last = [x for x in order if x in bad][-1]
-        assert last != last_by_mask
-        real = checks._opponent_masks
+        full = g.full_mask
+        order = list(connected_set_masks(g))
+        closed = {x: closed_neighborhood_mask(g, x) for x in order}
+        # the opponents of X are the components outside N[X], so the spy
+        # sees N[X] alone: it injects for every X whose N[X] is picked
+        big = [x for x in order if x.bit_count() >= 2]
+        picks = {closed[big[5]], closed[big[len(big) // 2]], closed[max(big)]}
+        # the injected opponent is the lowest vertex of N[X]; it has a
+        # neighbor in X that is not in N(X), so its boundary escapes X's,
+        # unless X is that vertex alone
+        bad = [x for x in order
+               if closed[x] in picks and x != closed[x] & -closed[x]]
+        last = bad[-1]
+        assert last != max(bad)
+        real = checks.components
 
-        def spy(graph, x, xopen):
-            res = real(graph, x, xopen)
-            if x not in bad:
+        def spy(graph, within=None):
+            res = real(graph, within)
+            if within is None or full & ~within not in picks:
                 return res
-            # the lowest vertex of X has a neighbor inside X, so its
-            # boundary escapes X's
-            return res + (x & -x,)
+            near = full & ~within
+            return res + (near & -near,)
 
-        monkeypatch.setattr(checks, "_opponent_masks", spy)
+        monkeypatch.setattr(checks, "components", spy)
         for include_empty in (False, True):
             res = {r.name: r for r in check_graph(g, "con", include_empty)}
-            low = (last & -last).bit_length() - 1
+            low = (closed[last] & -closed[last]).bit_length() - 1
             assert res["con-opponent-boundaries"] == checks.CheckResult(
                 "con-opponent-boundaries", "fail",
                 f"boundary of {[low]} escapes X={sorted(set_of(last))}")

@@ -51,6 +51,10 @@ class TestConceptClass:
         cc = ConceptClass.from_masks(3, [5, 1, 5, 2])
         assert cc.concepts == (1, 2, 5)
         assert cc.index_of({0, 2}) == 2
+        assert cc.index == {1: 0, 2: 1, 5: 2}
+        assert cc.index is cc.index
+        with pytest.raises(KeyError, match="concept 0x3 not in class"):
+            cc.index_of(3)
 
     def test_width_enforced(self):
         with pytest.raises(ValueError, match="wider"):

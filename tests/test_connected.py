@@ -85,16 +85,15 @@ class TestOpponents:
         for pair, (boundary, opponents) in rows.items():
             assert names(g, open_neighborhood(g, pair)) == boundary
             opp = maximal_opponents(g, frozenset(pair))
-            assert [names(g, set_of(y)) for y in opp.opponents] == opponents
+            assert [names(g, set_of(y)) for y in opp] == opponents
 
     def test_dominating_set_has_no_opponents(self):
         g = complete_graph(5)
-        assert maximal_opponents(g, {0}).opponents == ()
+        assert maximal_opponents(g, {0}) == ()
 
     def test_cross_component_opponents_have_empty_boundary(self):
         g = graph_from_edges(5, [(0, 1), (2, 3), (3, 4)])
-        opp = maximal_opponents(g, {0, 1})
-        assert opp.opponents == (0b11100,)
+        assert maximal_opponents(g, {0, 1}) == (0b11100,)
         assert open_neighborhood(g, {2, 3, 4}) == frozenset()
 
     def test_requires_nonempty_connected(self):
@@ -112,7 +111,7 @@ class TestOpponents:
                 for xmask in connected_set_masks(g):
                     x = set_of(xmask)
                     xb = open_neighborhood(g, x)
-                    for y in maximal_opponents(g, x).opponents:
+                    for y in maximal_opponents(g, x):
                         assert open_neighborhood(g, y) <= xb
 
 
@@ -123,6 +122,15 @@ class TestLeafTreeCondition:
         assert g.vertex_name(u) == "a"
         assert names(g, bits(tree.leaves())) == ["d", "e", "f", "g"]
         assert tree.edges == {(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)}
+
+    def test_members_hang_on_their_lowest_neighbor_in_the_region(self):
+        # S = {0,1,2,3}: vertex 0 reaches the region {0,4}, and member 1,
+        # next to both, hangs on 0
+        g = graph_from_edges(5, [(0, 1), (0, 3), (0, 4), (1, 3), (1, 4),
+                                 (2, 3), (2, 4)])
+        tree, u = leaf_tree_condition(GraphContext(g))
+        assert u == 0 and tree.leaves() == 0b1110
+        assert tree.edges == {(0, 1), (0, 3), (0, 4), (2, 4)}
 
     def test_paths_have_no_witness(self):
         for n in range(2, 8):
@@ -135,8 +143,16 @@ class TestLeafTreeCondition:
         assert leaf_tree_condition(GraphContext(g)) is not None
 
     def test_budget_error_is_distinct_from_no_witness(self):
-        with pytest.raises(BudgetExceededError):
-            leaf_tree_condition(GraphContext(cycle_graph(8)), budget=3)
+        # a path with 8 edges: its 45 connected sets fit a budget of 60,
+        # its C(9, 3) = 84 candidate sets of size ell + 1 = 3 do not, and
+        # none of them is a witness
+        ctx = GraphContext(path_graph(8), 60)
+        assert len(ctx.boundaries) == 45 and ctx.ell == 2
+        with pytest.raises(BudgetExceededError) as exc:
+            leaf_tree_condition(ctx)
+        assert exc.value.what == "leaf-tree witness search"
+        assert exc.value.limit == 60
+        assert leaf_tree_condition(GraphContext(path_graph(8), 84)) is None
 
     def test_single_vertex(self):
         tree, u = leaf_tree_condition(GraphContext(complete_graph(1)))
@@ -367,6 +383,6 @@ class TestOpponentStrictness:
                     if open_neighborhood_mask(g, xmask).bit_count() != ell:
                         continue
                     xb = open_neighborhood(g, set_of(xmask))
-                    for y in maximal_opponents(g, set_of(xmask)).opponents:
+                    for y in maximal_opponents(g, set_of(xmask)):
                         yb = open_neighborhood(g, y)
                         assert yb < xb  # proper subset

@@ -123,6 +123,15 @@ class TestStructure:
         g = graph_from_edges(6, [(3, 4), (0, 5)])
         assert components(g) == (0b100001, 0b10, 0b100, 0b11000)  # {0,5} {1} {2} {3,4}
 
+    def test_components_inside_a_set(self):
+        g = cycle_graph(6)
+        # deleting 0 and 3 leaves the paths 1-2 and 4-5
+        assert components(g, 0b110110) == (0b110, 0b110000)
+        assert components(g, {1, 2, 4, 5}) == (0b110, 0b110000)
+        assert components(g, 0) == ()
+        with pytest.raises(ValueError):
+            components(g, 1 << 6)
+
     def test_is_connected(self):
         g = cycle_graph(5)
         assert is_connected(g, {0, 1, 2})
