@@ -7,8 +7,13 @@ canonical order, which keeps every downstream output reproducible.
 
 A class caches, per instance x, its instance column (the concepts that
 contain x, as a mask over concept indices) and its absent column (those
-that lack x).  A version space is the AND of one of them per labeled
-instance, so no search negates a column.
+that lack x), so no search negates a column.  From them it builds its
+sample tables, one per block of four instances 4b..4b+3: a block's
+table holds, for each of the 3^4 = 81 ways to label a sample inside the
+block, the concepts that agree with it.  ``CHUNK_KEY[s << 4 | l]`` is
+the entry for the block's sample s labeled by l (both 4-bit masks
+shifted down by 4b; bits of l outside s do not count), so a version
+space is one AND per block the sample touches (``agreeing``).
 """
 
 from __future__ import annotations
@@ -21,6 +26,11 @@ from .errors import ClassFormatError
 from .graphs import mask_of
 
 MAX_SHATTER_SET = 20
+
+# digit x of CHUNK_KEY[s << 4 | l] in base 3: 0 if s lacks x, 1 if l
+# labels x -, 2 if +, the order of the entries of sample_tables
+CHUNK_KEY = tuple(sum((1 + (l >> x & 1)) * 3 ** x for x in range(4) if s >> x & 1)
+                  for s in range(16) for l in range(16))
 
 
 @dataclass(frozen=True)
@@ -82,6 +92,25 @@ class ConceptClass:
         return tuple(everything ^ col for col in self.instance_columns)
 
     @cached_property
+    def sample_tables(self) -> tuple[tuple[int, ...], ...]:
+        """tables[b][CHUNK_KEY[s << 4 | l]] = the concepts that agree with
+        labels l on the sample s of instances 4b..4b+3 (module docstring)."""
+        cols, absent, d = self.instance_columns, self.absent_columns, self.domain_size
+        # the 9 labelings of each pair of instances x, x + 1 (3 for a last
+        # lone instance), then a block's 81 as the products of two pairs'
+        pairs = []
+        for x in range(0, d, 2):
+            a, c = absent[x], cols[x]
+            t = [self.all_indices_mask, a, c]
+            if x + 1 < d:
+                a1, c1 = absent[x + 1], cols[x + 1]
+                t += [a1, a & a1, c & a1, c1, a & c1, c & c1]
+            pairs.append(t)
+        pairs.append([self.all_indices_mask])
+        return tuple(tuple(lo + [v & w for w in hi[1:] for v in lo])
+                     for lo, hi in zip(pairs[::2], pairs[1::2]))
+
+    @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """masks[j] = bitmask over instances x whose flip of concept j is
         also in the class: concept j's edges in the one-inclusion graph.
@@ -118,17 +147,25 @@ def version_space_mask(cc: ConceptClass, pos: int, neg: int = 0) -> int:
     as a bitmask over concept indices."""
     if (pos | neg) >> cc.domain_size:
         raise ValueError("sample mentions instances outside the domain")
-    vs = cc.all_indices_mask
-    cols, absent = cc.instance_columns, cc.absent_columns
-    while pos:
-        low = pos & -pos
-        vs &= cols[low.bit_length() - 1]
-        pos ^= low
-    while neg:
-        low = neg & -neg
-        vs &= absent[low.bit_length() - 1]
-        neg ^= low
-    return vs
+    if pos & neg:
+        # no concept both contains and lacks an instance
+        return 0
+    return agreeing(cc.sample_tables, pos, pos | neg, cc.all_indices_mask)
+
+
+def agreeing(tables, concept: int, shown: int, within: int) -> int:
+    """The concepts of index mask ``within`` that agree with ``concept`` on
+    the instances of ``shown``, read from a class's ``sample_tables``;
+    ``shown`` must lie inside the domain."""
+    for t in tables:
+        s = shown & 15
+        if s:
+            within &= t[CHUNK_KEY[s << 4 | concept & 15]]
+        shown >>= 4
+        if not shown:
+            break
+        concept >>= 4
+    return within
 
 
 def is_shattered(cc: ConceptClass, instances) -> bool:

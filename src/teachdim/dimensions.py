@@ -27,7 +27,9 @@ therefore starts at k = |F_i(A)| with one direct check of F_i(A).  Past
 it, i is walked alone over what F_i(A) leaves open: against V_i, the
 active concepts that agree with i on F_i(A), at size k - |F_i(A)|, a hit
 E giving the witness F_i(A) | E (_teaching_sets says why that is still
-the smallest-valued k-set).  ``cc.neighbour_masks`` holds F_i of the
+the smallest-valued k-set).  The direct check reads V_i from the class's
+sample tables (see concepts), one AND per block of four instances that
+F_i(A) touches.  ``cc.neighbour_masks`` holds F_i of the
 whole class; peeling keeps it current by clearing, as each concept
 leaves, the bit of its flip instance in each neighbour, one update per
 edge.  It also keeps the active concepts in buckets by |F_i| across
@@ -54,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .concepts import ConceptClass
+from .concepts import CHUNK_KEY, ConceptClass
 from .errors import BudgetExceededError
 from .graphs import DEFAULT_ENUM_BUDGET
 
@@ -157,17 +159,17 @@ def _smallest_teaching_mask(cc: ConceptClass, active: int, i: int, k: int,
     same reason the block is not {i} before the last level.
     """
     c, target = cc.concepts[i], 1 << i
-    agree = [col if c >> x & 1 else ab for x, (col, ab)
-             in enumerate(zip(cc.instance_columns, cc.absent_columns))]
+    cols, absent, d = cc.instance_columns, cc.absent_columns, cc.domain_size
 
     if k == 1:
         work.done += 1
         if work.done > work.budget:
             return 0
-        for x, col in enumerate(agree):
-            if active & col == target:
+        for x in range(d):
+            if active & (cols[x] if c >> x & 1 else absent[x]) == target:
                 return 1 << x
         return 0
+    agree = [cols[x] if c >> x & 1 else absent[x] for x in range(d)]
 
     allowance = work.budget - work.done
     nodes = 0
@@ -192,7 +194,7 @@ def _smallest_teaching_mask(cc: ConceptClass, active: int, i: int, k: int,
                     return dmask | 1 << x | 1 << y
         return 0
 
-    hit = walk(active, cc.domain_size, k, 0)
+    hit = walk(active, d, k, 0)
     # the nested walk refers to itself; break that cycle here
     del walk
     work.done += nodes
@@ -247,7 +249,7 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
         # a lone concept needs no examples
         yield 0, {active.bit_length() - 1: 0}
         return
-    cols, absent, concepts = cc.instance_columns, cc.absent_columns, cc.concepts
+    tables, concepts = cc.sample_tables, cc.concepts
     if by_size is None:
         by_size = _size_buckets(forced, targets, cc.domain_size)
     start, walkers = 0, 0
@@ -262,13 +264,16 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
                 low = due & -due
                 due ^= low
                 i = low.bit_length() - 1
+                # V_i: one AND per block of four instances F_i touches
                 c, f = concepts[i], forced[i]
                 vs, rest = active, f
-                while rest:
-                    flip = rest & -rest
-                    x = flip.bit_length() - 1
-                    vs &= cols[x] if c & flip else absent[x]
-                    rest ^= flip
+                for t in tables:
+                    if rest & 15:
+                        vs &= t[CHUNK_KEY[(rest & 15) << 4 | c & 15]]
+                    rest >>= 4
+                    if not rest:
+                        break
+                    c >>= 4
                 open_k = k - f.bit_count()
                 if not open_k:
                     if vs == low:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .concepts import ConceptClass, format_concept
+from .concepts import ConceptClass, agreeing, format_concept
 from .dimensions import RtdCertificate
 from .errors import PreferenceCycleError
 from .graphs import bits, set_of
@@ -209,17 +209,11 @@ def verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher
     if teacher.concept_class != cc:
         raise ValueError("teacher was built for a different class")
     below = teacher.preference.below
-    cols, absent = cc.instance_columns, cc.absent_columns
-    everything = cc.all_indices_mask
+    tables, everything = cc.sample_tables, cc.all_indices_mask
     for i, (c, shown) in enumerate(zip(cc.concepts, teacher.teaching_masks)):
         # the version space of the sample: the masks were range-checked
         # when the teacher was built
-        vs = everything
-        while shown:
-            low = shown & -shown
-            x = low.bit_length() - 1
-            vs &= cols[x] if c & low else absent[x]
-            shown ^= low
+        vs = agreeing(tables, c, shown, everything)
         assert vs >> i & 1, "a concept is always consistent with its own sample"
         bad = vs & ~below[i] & ~(1 << i)
         if bad:
@@ -238,8 +232,7 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
     """
     if cert.size != len(cc):
         raise ValueError("certificate does not match class size")
-    cols, absent = cc.instance_columns, cc.absent_columns
-    concepts, d = cc.concepts, cc.domain_size
+    tables, concepts, d = cc.sample_tables, cc.concepts, cc.domain_size
     below = [0] * len(cc)
     masks = [0] * len(cc)
     peeled, active = 0, cc.all_indices_mask
@@ -249,15 +242,9 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
             witness = cert.witnesses[i]
             if witness >> d:
                 raise ValueError("sample mentions instances outside the domain")
-            # the version space of i's sample within the residual class
-            c, vs, rest = concepts[i], active, witness
-            while rest:
-                low = rest & -rest
-                x = low.bit_length() - 1
-                vs &= cols[x] if c & low else absent[x]
-                rest ^= low
             bit = 1 << i
-            if vs != bit:
+            # the version space of i's sample within the residual class
+            if agreeing(tables, concepts[i], witness, active) != bit:
                 raise ValueError(f"certificate witness does not teach concept {i} "
                                  "against its residual class")
             masks[i] = witness

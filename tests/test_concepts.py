@@ -81,6 +81,28 @@ class TestConceptClass:
 
 
 class TestVersionSpace:
+    @pytest.mark.parametrize("d", range(21))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_tables_match_a_table_free_oracle(self, d, data):
+        """The sample tables against each concept's own bits, on every
+        domain size from 0 to 20: partial last blocks and more than four
+        blocks included."""
+        full = (1 << d) - 1
+        masks = data.draw(st.sets(st.integers(0, full), min_size=1, max_size=40))
+        cc = ConceptClass.from_masks(d, masks)
+        pos = data.draw(st.integers(0, full))
+        neg = data.draw(st.integers(0, full)) & ~pos
+        want = sum(1 << j for j, c in enumerate(cc.concepts)
+                   if c & (pos | neg) == pos)
+        assert version_space_mask(cc, pos, neg) == want
+        assert [len(t) for t in cc.sample_tables] == \
+            [3 ** min(4, d - x) for x in range(0, d, 4)]
+        if d:
+            # an instance labeled both ways leaves no concept
+            x = 1 << data.draw(st.integers(0, d - 1))
+            assert version_space_mask(cc, pos | x, neg | x) == 0
+
     def test_empty_sample_keeps_everything(self):
         cc = powerset_class(3)
         assert version_space(cc, Sample()) == tuple(range(8))

@@ -22,7 +22,7 @@ from teachdim.cli import TEACHERS
 from teachdim.concepts import ConceptClass
 from teachdim.connected import build_con_class, con_superset_teacher
 from teachdim.context import GraphContext
-from teachdim.dimensions import rtd
+from teachdim.dimensions import rtd, td_of
 from teachdim.errors import PreferenceCycleError, TeacherPreconditionError
 from teachdim.families import cycle_graph, fig2, path_graph, random_graph
 from teachdim.graphs import bits, mask_of, set_of
@@ -370,10 +370,48 @@ class TestVerifier:
             failing += not want[0]
         assert failing > 150
 
+    def test_violation_on_a_high_block(self):
+        """Every sample lies on instances 9 and 10, in the third block of
+        four, and the labels there differ from those on instance 1: a
+        table read from the wrong block, or with unshifted labels, gives
+        another answer (or an assertion)."""
+        a, b, c = 0b10, 0b10 | 1 << 9, 0b10 | 1 << 10
+        cc = ConceptClass.from_masks(12, [a, b, c])
+        assert cc.concepts == (a, b, c)
+        # a: 9-, 10- -> {a}; b: 10- -> {a, b}, b over a; c: 9- -> {a, c}
+        # with nothing below c, the only violation
+        teacher = PBTeacher(cc, (1 << 9 | 1 << 10, 1 << 10, 1 << 9),
+                            PreferenceRelation(3, (0, 0b001, 0)))
+        assert verify_pb_teacher(cc, teacher) == (False, (2, 0))
+        fixed = PBTeacher(cc, teacher.teaching_masks,
+                          PreferenceRelation(3, (0, 0b001, 0b001)))
+        assert verify_pb_teacher(cc, fixed) == (True, None)
+
     def test_smgk_variant(self):
         cc = powerset_class(2)
         assert verify_smgk_teacher(cc, [0b11] * 4)
         assert not verify_smgk_teacher(cc, [0, 0b11, 0b11, 0b11])
+
+
+def test_sample_tables_are_built_once_per_class(monkeypatch):
+    """rtd, every td_of row, plan_to_teacher and verify_pb_teacher all
+    read one build of the class's sample tables."""
+    builds = collections.Counter()
+    prop = ConceptClass.__dict__["sample_tables"]
+    build = prop.func
+
+    def counted(cc):
+        builds[cc.concepts] += 1
+        return build(cc)
+
+    monkeypatch.setattr(prop, "func", counted)
+    classes = [build_star_class(fig2()), build_con_class(cycle_graph(7), True)]
+    for cc in classes:
+        cert = rtd(cc)
+        for i in range(len(cc)):
+            td_of(cc, i)
+        assert verify_pb_teacher(cc, plan_to_teacher(cert, cc)) == (True, None)
+    assert list(builds.values()) == [1, 1]
 
 
 class TestPlanToTeacher:
