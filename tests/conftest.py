@@ -26,7 +26,6 @@ from teachdim.families import (
 from teachdim.graphs import (
     graph_from_edges,
     is_connected,
-    max_leaf_number,
     max_open_neighborhood,
 )
 from teachdim.stars import build_star_class, star_vcd_characterization
@@ -45,8 +44,8 @@ def _one_strict(lo, mid, hi):
 def sweep6():
     """Every connected labeled graph with at most 6 vertices, with the
     star characterization, brute VC-dimensions, peeling values under both
-    empty-set policies, ell read from each connected-set class against
-    max_leaf_number, and the leaf-tree witness outcome.  On a seeded
+    empty-set policies, the context's ell against ell read from each
+    connected-set class, and the leaf-tree witness outcome.  On a seeded
     share of the graphs, every RTD, TD and VCD answer of the three
     classes goes through ``certify``."""
     data = {
@@ -60,7 +59,6 @@ def sweep6():
         "con_chain": [],
         "policy_diff": [],
         "ell_from_class": [],
-        "ell_by_key": {},
     }
     rng = random.Random(RANDOM_SEED)
     for n in range(1, 7):
@@ -80,9 +78,10 @@ def sweep6():
             sr = rtd_value(scc)
             if not _one_strict(g.max_degree(), sr, sv):
                 data["star_chain"].append((key, g.max_degree(), sr, sv))
-            ell = max_leaf_number(g)
-            data["ell_by_key"][key] = ell
+            # ell from the walk that also serves the classes; the class
+            # read below is its independent oracle
             ctx = GraphContext(g)
+            ell = ctx.ell
             ccf, ccb = ctx.con(True), ctx.con(False)
             for cc in (ccf, ccb):
                 if max_open_neighborhood(g, cc.concepts) != ell:

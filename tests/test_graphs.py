@@ -21,6 +21,7 @@ from helpers import (
     tree_degree,
     uncapped_max_leaf_number,
 )
+from teachdim.context import GraphContext
 from teachdim.errors import BudgetExceededError, GraphFormatError
 from teachdim.families import (
     complete_graph,
@@ -176,6 +177,12 @@ class TestMaxLeafNumber:
         g = graph_from_edges(7, [(0, 1), (2, 3), (2, 4), (2, 5), (2, 6)])
         assert max_leaf_number(g) == 4
 
+    def test_is_the_contexts_ell(self, random200, family_graphs):
+        """The sweep reads ell from GraphContext; max_leaf_number gives
+        the same value from its own walk."""
+        for name, g in random200 + family_graphs:
+            assert max_leaf_number(g) == GraphContext(g).ell, name
+
     def test_oracle_agreement_small(self):
         """The pruned spanning-tree oracle against every spanning tree: all
         connected graphs with 2..6 vertices and seeded 7-vertex graphs
@@ -321,7 +328,7 @@ class TestMaxOpenNeighborhood:
     def test_read_from_the_class_on_every_small_graph(self, sweep6):
         """On every connected graph with at most 6 vertices, ell read from
         the connected-set class, with and without the empty set, equals
-        max_leaf_number (the sweep compares the two per graph)."""
+        the context's ell (the sweep compares the two per graph)."""
         assert sweep6["count"] == 27476
         assert sweep6["ell_from_class"] == []
 
