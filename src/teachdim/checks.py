@@ -238,7 +238,8 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
     comps = components(g)
     connected = len(comps) == 1
     # the oracle's cap bounds each component, not the graph
-    if max(map(int.bit_count, comps)) <= MAX_SPANNING_TREE_VERTICES:
+    largest = max(map(int.bit_count, comps))
+    if largest <= MAX_SPANNING_TREE_VERTICES:
         oracle = max_leaf_number_exhaustive(g)
         # the two forms diverge exactly when every component has at most
         # two vertices and at least one edge exists: a lone edge has two
@@ -256,7 +257,7 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
         out.append(CheckResult(
             "ell-oracle", "na",
             f"spanning-tree oracle capped at {MAX_SPANNING_TREE_VERTICES} "
-            f"vertices, graph has {g.n}"))
+            f"vertices, largest component has {largest}"))
 
     # one pass over the connected sets, in enumeration order, serves both
     # opponent checks; every opponent is a connected set, so its boundary

@@ -110,7 +110,7 @@ class TestVerifyCommand:
         assert res["ell-oracle"] == CheckResult(
             "ell-oracle", "na",
             f"spanning-tree oracle capped at {cap} vertices, "
-            f"graph has {cap + 1}")
+            f"largest component has {cap + 1}")
         for n, mark in ((cap, "PASS"), (cap + 1, "SKIP")):
             code, out, _ = run_cli(capsys, "verify", "--family", "cycle",
                                    "--n", str(n), "--kind", "con")
@@ -132,7 +132,7 @@ class TestVerifyCommand:
         res = {r.name: r for r in check_graph(c9, "con")}
         assert res["ell-oracle"] == CheckResult(
             "ell-oracle", "na",
-            "spanning-tree oracle capped at 8 vertices, graph has 10")
+            "spanning-tree oracle capped at 8 vertices, largest component has 9")
 
     def test_verify_k2_pins_the_divergence(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family", "complete",

@@ -39,11 +39,14 @@ from teachdim.teaching import (
 )
 
 # what `PYTHONPATH=src python tests/teacher_digest.py` prints; the previous
-# pin (6c87b5a0...) lacked only the `ell-oracle` SKIP line that C_9's and
-# P_8's con checks now report above the oracle's 8-vertex cap, and the pin
-# before it (72f88755...) differed only in P_2's con-vcd-matching `below`,
-# before that teacher's preference became the pair rules' closure
-TEACHER_DIGEST = "309856c523f255f2ea6b608b3bb052d3e9521ecc095629c1a110373ed3d4018c"
+# pin (309856c5...) differed only in the reason of that `ell-oracle` SKIP
+# line, which named the graph's vertex count ("graph has 9") where it now
+# names the largest component's; the pin before it (6c87b5a0...) lacked
+# only the SKIP line that C_9's and P_8's con checks report above the
+# oracle's 8-vertex cap, and the pin before that (72f88755...) differed
+# only in P_2's con-vcd-matching `below`, before that teacher's preference
+# became the pair rules' closure
+TEACHER_DIGEST = "251d4eff6d1c96fda8d3678fd3df7a46431fee983ba36702d46b3b3fd11612a5"
 
 
 class TestPreferenceRelation:
