@@ -27,6 +27,9 @@ from .graphs import mask_of
 
 MAX_SHATTER_SET = 20
 
+# _BIT_DIGITS[x][v] is the digit "1" when byte v has bit x, else "0"
+_BIT_DIGITS = tuple(bytes(48 + (v >> x & 1) for v in range(256)) for x in range(8))
+
 # digit x of CHUNK_KEY[s << 4 | l] in base 3: 0 if s lacks x, 1 if l
 # labels x -, 2 if +, the order of the entries of sample_tables
 CHUNK_KEY = tuple(sum((1 + (l >> x & 1)) * 3 ** x for x in range(4) if s >> x & 1)
@@ -75,14 +78,15 @@ class ConceptClass:
     @cached_property
     def instance_columns(self) -> tuple[int, ...]:
         """columns[i] = bitmask over concept indices whose concept contains i."""
-        cols = [0] * self.domain_size
-        bit = 1
-        for c in self.concepts:
-            while c:
-                low = c & -c
-                cols[low.bit_length() - 1] |= bit
-                c ^= low
-            bit <<= 1
+        if not self.concepts:
+            return (0,) * self.domain_size
+        cols = []
+        for b in range(0, self.domain_size, 8):
+            # one byte per concept, the last one first, so that each
+            # translation spells the column of one instance in binary
+            row = bytes([c >> b & 255 for c in reversed(self.concepts)])
+            cols += [int(row.translate(_BIT_DIGITS[x]), 2)
+                     for x in range(min(8, self.domain_size - b))]
         return tuple(cols)
 
     @cached_property
