@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .concepts import CHUNK_KEY, ConceptClass
+from .concepts import ConceptClass, agreeing
 from .errors import BudgetExceededError
 from .graphs import DEFAULT_ENUM_BUDGET
 
@@ -264,16 +264,8 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
                 low = due & -due
                 due ^= low
                 i = low.bit_length() - 1
-                # V_i: one AND per block of four instances F_i touches
-                c, f = concepts[i], forced[i]
-                vs, rest = active, f
-                for t in tables:
-                    if rest & 15:
-                        vs &= t[CHUNK_KEY[(rest & 15) << 4 | c & 15]]
-                    rest >>= 4
-                    if not rest:
-                        break
-                    c >>= 4
+                f = forced[i]
+                vs = agreeing(tables, concepts[i], f, active)
                 open_k = k - f.bit_count()
                 if not open_k:
                     if vs == low:
