@@ -39,10 +39,10 @@ from teachdim.teaching import (
 )
 
 # what `PYTHONPATH=src python tests/teacher_digest.py` prints; the previous
-# pin (309856c5...) differed only in the reason of that `ell-oracle` SKIP
+# pin (309856c5...) differed only in the reason of the `ell-oracle` SKIP
 # line, which named the graph's vertex count ("graph has 9") where it now
 # names the largest component's; the pin before it (6c87b5a0...) lacked
-# only the SKIP line that C_9's and P_8's con checks report above the
+# only that SKIP line, which C_9's and P_8's con checks report above the
 # oracle's 8-vertex cap, and the pin before that (72f88755...) differed
 # only in P_2's con-vcd-matching `below`, before that teacher's preference
 # became the pair rules' closure
