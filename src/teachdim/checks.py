@@ -1,6 +1,8 @@
 """Named per-graph property checks, shared by the verify command and the
-test suite.  Each check returns CheckResult(name, status, detail) with
-status "pass", "fail" or "na"."""
+test suite.  Each kind's checks are one generator that yields each
+CheckResult(name, status, detail), status "pass", "fail" or "na", in
+output order and runs each check as it is yielded, so a budget refusal
+comes from the same stage however the results are read."""
 
 from __future__ import annotations
 
@@ -145,18 +147,19 @@ def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
                        f"{EQ6_SAMPLES} sampled subclasses (seed {EQ6_SEED})")
 
 
-def _sauer_checks(cc: ConceptClass, vcd_value: int, rtd_value_: int):
-    m, d = len(cc), cc.domain_size
-    yield _result("sauer-vcd", m <= sauer_bound(d, vcd_value),
-                  f"|C|={m} <= {sauer_bound(d, vcd_value)}")
-    yield _result("sauer-rtd", m <= sauer_bound(d, rtd_value_),
-                  f"|C|={m} <= {sauer_bound(d, rtd_value_)}")
+def _class_checks(ctx, cc, rt, v):
+    """Sauer's bounds and eq6, the checks every class gets."""
+    m, d, r = len(cc), cc.domain_size, rt.rtd
+    for name, dim in (("sauer-vcd", v), ("sauer-rtd", r)):
+        bound = sauer_bound(d, dim)
+        yield _result(name, m <= bound, f"|C|={m} <= {bound}")
     imp = sauer_rtd_implication(cc)
     if imp is None:
         yield CheckResult("sauer-rtd-implication", "na", "no d qualifies")
     else:
-        yield _result("sauer-rtd-implication", rtd_value_ >= imp,
-                      f"rtd {rtd_value_} >= forced {imp}")
+        yield _result("sauer-rtd-implication", r >= imp,
+                      f"rtd {r} >= forced {imp}")
+    yield _eq6_check(cc, rt, budget=ctx.budget)
 
 
 def _teacher_result(name, cc, teacher, order_bound=None, exclude_empty=False):
@@ -164,76 +167,77 @@ def _teacher_result(name, cc, teacher, order_bound=None, exclude_empty=False):
     if not ok:
         i, j = cx
         return CheckResult(name, "fail", f"concept {i} not preferred over {j}")
-    if order_bound is not None:
-        if exclude_empty:
-            idxs = [i for i, c in enumerate(cc.concepts) if c]
-            order = teacher.order_over(idxs)
-        else:
-            order = teacher.order
-        if order > order_bound:
-            return CheckResult(name, "fail",
-                               f"order {order} exceeds bound {order_bound}")
-        return CheckResult(name, "pass", f"order {order} <= {order_bound}")
-    return CheckResult(name, "pass")
+    if order_bound is None:
+        return CheckResult(name, "pass")
+    order = (teacher.order_over(i for i, c in enumerate(cc.concepts) if c)
+             if exclude_empty else teacher.order)
+    if order > order_bound:
+        return CheckResult(name, "fail", f"order {order} exceeds bound {order_bound}")
+    return CheckResult(name, "pass", f"order {order} <= {order_bound}")
 
 
-def check_star_graph(ctx: GraphContext) -> list[CheckResult]:
-    out = []
+def _optional_teacher(name, cc, build, ctx, *bound):
+    """The teacher check of ``build(ctx)``, or SKIP with the reason when
+    the graph is outside the teacher's precondition."""
+    try:
+        teacher = build(ctx)
+    except TeacherPreconditionError as exc:
+        return CheckResult(name, "na", str(exc))
+    return _teacher_result(name, cc, teacher, *bound)
+
+
+def _plan_result(kind, cc, rt):
+    """The peeling plan's teacher verifies, and its order is rtd."""
+    plan = plan_to_teacher(rt, cc)
+    res = _teacher_result(f"{kind}-plan-teacher", cc, plan)
+    if res.status == "pass" and plan.order != rt.rtd:
+        return CheckResult(res.name, "fail", f"order {plan.order} != rtd {rt.rtd}")
+    return res
+
+
+def _star_checks(ctx: GraphContext):
     g, cc = ctx.g, ctx.star
     delta = g.max_degree()
     rt = ctx.rtd(cc)
     v, witness = ctx.vcd(cc)
-    out.append(_chain_result("star-chain", delta, rt.rtd, v))
+    yield _chain_result("star-chain", delta, rt.rtd, v)
 
     predicted, _ = ctx.fringe_cover
-    out.append(_result("star-char-vs-brute", predicted == v,
-                       f"predicted {predicted}, brute {v}"))
-
-    shattered_ok = all(
-        is_shattered(cc, g.adj[x]) for x in range(g.n)
-    )
-    out.append(_result("star-open-neighborhoods-shattered", shattered_ok))
+    yield _result("star-char-vs-brute", predicted == v,
+                  f"predicted {predicted}, brute {v}")
+    yield _result("star-open-neighborhoods-shattered",
+                  all(is_shattered(cc, g.adj[x]) for x in range(g.n)))
     wmask = mask_of(witness)
-    covered = any(not wmask & ~g.closed_mask(x) for x in range(g.n))
-    out.append(_result("star-witness-in-closed-neighborhood", covered,
-                       f"witness {sorted(witness)}"))
+    yield _result("star-witness-in-closed-neighborhood",
+                  any(not wmask & ~g.closed_mask(x) for x in range(g.n)),
+                  f"witness {sorted(witness)}")
 
-    out.extend(_sauer_checks(cc, v, rt.rtd))
-    out.append(_eq6_check(cc, rt, budget=ctx.budget))
-
-    out.append(_teacher_result(
-        "star-subset-teacher", cc, star_subset_teacher(ctx), delta + 1))
-    try:
-        out.append(_teacher_result(
-            "star-special-teacher", cc, star_special_teacher(ctx), delta))
-    except TeacherPreconditionError as exc:
-        out.append(CheckResult("star-special-teacher", "na", str(exc)))
-
-    plan = plan_to_teacher(rt, cc)
-    res = _teacher_result("star-plan-teacher", cc, plan)
-    if res.status == "pass" and plan.order != rt.rtd:
-        res = CheckResult("star-plan-teacher", "fail",
-                          f"order {plan.order} != rtd {rt.rtd}")
-    out.append(res)
-    return out
+    yield from _class_checks(ctx, cc, rt, v)
+    yield _teacher_result(
+        "star-subset-teacher", cc, star_subset_teacher(ctx), delta + 1)
+    yield _optional_teacher(
+        "star-special-teacher", cc, star_special_teacher, ctx, delta)
+    yield _plan_result("star", cc, rt)
 
 
-def check_con_graph(ctx: GraphContext, include_empty: bool = False
-                    ) -> list[CheckResult]:
-    out = []
+def check_star_graph(ctx: GraphContext) -> list[CheckResult]:
+    return list(_star_checks(ctx))
+
+
+def _con_checks(ctx: GraphContext, include_empty: bool):
     g, cc, ell = ctx.g, ctx.con(include_empty), ctx.ell
     rt = ctx.rtd(cc)
     v = ctx.vcd(cc)[0]
-    out.append(_chain_result(
-        f"con-chain(empty={'yes' if include_empty else 'no'})", ell, rt.rtd, v))
+    yield _chain_result(
+        f"con-chain(empty={'yes' if include_empty else 'no'})", ell, rt.rtd, v)
 
     cc_other = ctx.con(not include_empty)
     other = (ctx.rtd(cc_other).rtd, ctx.vcd(cc_other)[0])
     cc_full = ctx.con(True)
     rt_full, v_full = ctx.rtd(cc_full), ctx.vcd(cc_full)[0]
-    out.append(CheckResult(
+    yield CheckResult(
         "con-empty-policy", "pass",
-        f"(rtd,vcd) this policy ({rt.rtd},{v}), other policy {other}"))
+        f"(rtd,vcd) this policy ({rt.rtd},{v}), other policy {other}")
 
     comps = components(g)
     connected = len(comps) == 1
@@ -245,19 +249,15 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
         # two vertices and at least one edge exists: a lone edge has two
         # degree-1 vertices but no interior vertex, so its neighborhood
         # value is 1 while its spanning tree counts 2 leaves
-        if g.m >= 1 and all(c.bit_count() <= 2 for c in comps):
-            out.append(_result(
-                "ell-oracle", (ell, oracle) == (1, 2),
-                f"documented single-edge divergence: neighborhood {ell}, "
-                f"spanning-tree {oracle}"))
-        else:
-            out.append(_result("ell-oracle", ell == oracle,
-                               f"neighborhood {ell}, spanning-tree {oracle}"))
+        lone = g.m >= 1 and largest <= 2
+        yield _result("ell-oracle", (ell, oracle) == (1, 2) if lone else ell == oracle,
+                      ("documented single-edge divergence: " if lone else "")
+                      + f"neighborhood {ell}, spanning-tree {oracle}")
     else:
-        out.append(CheckResult(
+        yield CheckResult(
             "ell-oracle", "na",
             f"spanning-tree oracle capped at {MAX_SPANNING_TREE_VERTICES} "
-            f"vertices, largest component has {largest}"))
+            f"vertices, largest component has {largest}")
 
     # one pass over the connected sets, in enumeration order, serves both
     # opponent checks; every opponent is a connected set, so its boundary
@@ -279,57 +279,43 @@ def check_con_graph(ctx: GraphContext, include_empty: bool = False
                           f"{sorted(set_of(ymask))} has a boundary")
             if full and (yopen & ~xopen or yopen == xopen):
                 strict_ok = False
-    out.append(_result("con-opponent-boundaries", not detail, detail))
+    yield _result("con-opponent-boundaries", not detail, detail)
 
     if connected:
         wit = leaf_tree_condition(ctx)
-        expected = v_full == ell + 1
-        out.append(_result(
-            "con-leaf-tree-vs-vcd", (wit is not None) == expected,
-            f"witness {'found' if wit else 'none'}, vcd(with empty) {v_full}, ell {ell}"))
+        yield _result(
+            "con-leaf-tree-vs-vcd", (wit is not None) == (v_full == ell + 1),
+            f"witness {'found' if wit else 'none'}, vcd(with empty) {v_full}, ell {ell}")
     else:
-        comp_vals = []
+        max_r = max_v = 0
         for comp in comps:
             sub = GraphContext(spanned_subgraph(g, comp)[0], ctx.budget)
             sub_cc = sub.con(True)
-            comp_vals.append((sub.rtd(sub_cc).rtd, sub.vcd(sub_cc)[0]))
-        max_r = max(r for r, _ in comp_vals)
-        max_v = max(w for _, w in comp_vals)
-        out.append(_result(
-            "con-components-vcd", v_full == max_v,
-            f"union {v_full}, components max {max_v}"))
-        out.append(_result(
-            "con-components-rtd", max_r <= rt_full.rtd <= max_r + 1,
-            f"{max_r} <= {rt_full.rtd} <= {max_r + 1}"))
+            max_r = max(max_r, sub.rtd(sub_cc).rtd)
+            max_v = max(max_v, sub.vcd(sub_cc)[0])
+        yield _result("con-components-vcd", v_full == max_v,
+                      f"union {v_full}, components max {max_v}")
+        yield _result("con-components-rtd", max_r <= rt_full.rtd <= max_r + 1,
+                      f"{max_r} <= {rt_full.rtd} <= {max_r + 1}")
 
     if v_full == ell:
-        out.append(_result("con-opponent-strictness", strict_ok))
+        yield _result("con-opponent-strictness", strict_ok)
 
-    out.extend(_sauer_checks(cc, v, rt.rtd))
-    out.append(_eq6_check(cc, rt, budget=ctx.budget))
-
-    out.append(_teacher_result(
-        "con-superset-teacher", cc_full, con_superset_teacher(ctx),
-        ell + 1, exclude_empty=True))
+    yield from _class_checks(ctx, cc, rt, v)
+    yield _teacher_result("con-superset-teacher", cc_full,
+                          con_superset_teacher(ctx), ell + 1, exclude_empty=True)
     if connected and g.m == g.n - 1:
-        leaf_count = (sum(1 for x in range(g.n) if g.degree(x) == 1)
-                      if g.n > 1 else 1)
-        out.append(_teacher_result(
-            "con-tree-teacher", cc_full, con_tree_teacher(ctx), leaf_count))
-    try:
-        out.append(_teacher_result(
-            "con-vcd-matching-teacher", cc_full, con_vcd_matching_teacher(ctx),
-            ell, exclude_empty=True))
-    except TeacherPreconditionError as exc:
-        out.append(CheckResult("con-vcd-matching-teacher", "na", str(exc)))
+        leaf_count = sum(g.degree(x) == 1 for x in range(g.n)) if g.n > 1 else 1
+        yield _teacher_result(
+            "con-tree-teacher", cc_full, con_tree_teacher(ctx), leaf_count)
+    yield _optional_teacher("con-vcd-matching-teacher", cc_full,
+                            con_vcd_matching_teacher, ctx, ell, True)
+    yield _plan_result("con", cc, rt)
 
-    plan = plan_to_teacher(rt, cc)
-    res = _teacher_result("con-plan-teacher", cc, plan)
-    if res.status == "pass" and plan.order != rt.rtd:
-        res = CheckResult("con-plan-teacher", "fail",
-                          f"order {plan.order} != rtd {rt.rtd}")
-    out.append(res)
-    return out
+
+def check_con_graph(ctx: GraphContext, include_empty: bool = False
+                    ) -> list[CheckResult]:
+    return list(_con_checks(ctx, include_empty))
 
 
 def check_graph(g: Graph, kind: str, include_empty: bool = False, *,
