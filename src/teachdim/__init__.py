@@ -43,7 +43,6 @@ from .graphs import (
     is_connected,
     max_leaf_number,
     max_leaf_number_exhaustive,
-    max_open_neighborhood,
     read_graph,
     spanned_subgraph,
 )

@@ -273,18 +273,6 @@ def connected_set_masks(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET):
         yield x
 
 
-def max_open_neighborhood(g: Graph, masks) -> int:
-    """The largest |N(X) minus X| over the vertex sets X in ``masks``; the
-    empty set, like an empty iterable, gives 0.
-
-    Over the nonempty connected sets this is ell(G).  The library reads
-    ell from the boundaries of connected_set_boundaries; this form stays
-    as an independent check of it.
-    """
-    return max((open_neighborhood_mask(g, x).bit_count() for x in masks),
-               default=0)
-
-
 def max_leaf_number(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """The graph parameter ell(G): per component, the largest open
     neighborhood of a nonempty connected set; maximized over components.

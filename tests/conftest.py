@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from helpers import certify
+from helpers import certify, max_open_neighborhood
 from teachdim.connected import leaf_tree_condition
 from teachdim.context import GraphContext
 from teachdim.dimensions import rtd, rtd_value, td_of, vcd
@@ -23,11 +23,7 @@ from teachdim.families import (
     path_graph,
     random_graph,
 )
-from teachdim.graphs import (
-    graph_from_edges,
-    is_connected,
-    max_open_neighborhood,
-)
+from teachdim.graphs import graph_from_edges, is_connected
 from teachdim.stars import build_star_class, star_vcd_characterization
 
 RANDOM_SEED = 20240

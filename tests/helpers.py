@@ -1,8 +1,9 @@
 """Shared test machinery: the graph, tree, class, sample and teacher
-helpers that only tests use (neighborhoods as sets, neighborhood
-spanning trees, text writers, the (pos, neg) sample type, powersets,
-unions and restrictions, version spaces, the classic teacher check),
-exhaustive graph/tree enumeration, the vectorized all-graphs max-leaf
+helpers that only tests use (neighborhoods as sets, ell as the largest
+open neighborhood over given sets, neighborhood spanning trees, text
+writers, the (pos, neg) sample type, powersets, unions and restrictions,
+version spaces, the classic teacher check), exhaustive graph/tree
+enumeration, the vectorized all-graphs max-leaf
 sweeps used by the acceptance suite and the max-leaf oracle's
 differential test, the pair-list preference closure that mask-built
 preferences are checked against, the recursive spanning-tree
@@ -67,6 +68,18 @@ def closed_neighborhood(g: Graph, x) -> frozenset[int]:
 def open_neighborhood(g: Graph, x) -> frozenset[int]:
     """N(X) minus X: the vertices outside X adjacent to some member."""
     return set_of(open_neighborhood_mask(g, _as_mask(g, x)))
+
+
+def max_open_neighborhood(g: Graph, masks) -> int:
+    """The largest |N(X) minus X| over the vertex sets X in ``masks``; the
+    empty set, like an empty iterable, gives 0.
+
+    Over the nonempty connected sets this is ell(G).  The library reads
+    ell from the boundaries of connected_set_boundaries; this form is the
+    independent check of it.
+    """
+    return max((open_neighborhood_mask(g, x).bit_count() for x in masks),
+               default=0)
 
 
 def tree_degree(t: Tree, v: int) -> int:

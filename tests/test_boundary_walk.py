@@ -5,7 +5,12 @@ computes every boundary in that one walk."""
 
 import pytest
 
-from helpers import connected_graphs, plain_connected_set_masks, shared_parts_corpus
+from helpers import (
+    connected_graphs,
+    max_open_neighborhood,
+    plain_connected_set_masks,
+    shared_parts_corpus,
+)
 from teachdim.checks import check_graph
 from teachdim.context import GraphContext
 from teachdim.errors import BudgetExceededError
@@ -15,7 +20,6 @@ from teachdim.graphs import (
     connected_set_boundaries,
     connected_set_masks,
     max_leaf_number,
-    max_open_neighborhood,
     open_neighborhood_mask,
 )
 

@@ -15,6 +15,7 @@ from helpers import (
     is_subgraph_of,
     labeled_trees,
     leaf_count,
+    max_open_neighborhood,
     neighborhood_spanning_tree,
     open_neighborhood,
     reference_spanning_trees,
@@ -41,7 +42,6 @@ from teachdim.graphs import (
     is_connected,
     max_leaf_number,
     max_leaf_number_exhaustive,
-    max_open_neighborhood,
     parse_graph,
     set_of,
     spanned_subgraph,
