@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     budget = _budget(args)
     reports = [(name, check_graph(g, args.kind, args.include_empty, budget=budget))
                for name, g in _family_graphs(args)]
-    failed = 0
+    failed = any(r.failed for _, checks in reports for r in checks)
     header = _params_line(args, ("family", "n", "p", "seed", "kind",
                                  "include_empty"))
     if args.format == "json":
@@ -164,7 +164,6 @@ def cmd_verify(args) -> int:
                 for name, checks in reports
             ],
         }
-        failed = sum(1 for _, checks in reports for r in checks if r.failed)
         print(json.dumps(payload, indent=2))
     else:
         print(f"# verify {header}")
@@ -175,8 +174,6 @@ def cmd_verify(args) -> int:
                 if r.detail:
                     line += f"\t{r.detail}"
                 print(line)
-                if r.failed:
-                    failed += 1
     return 1 if failed else 0
 
 

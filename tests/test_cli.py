@@ -140,17 +140,23 @@ class TestVerifyCommand:
         assert code == 0
         assert "documented single-edge divergence" in out
 
-    def test_verify_exits_nonzero_on_violation(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_verify_exits_nonzero_on_violation(self, capsys, monkeypatch, fmt):
         import teachdim.cli as cli_mod
 
         monkeypatch.setattr(
             cli_mod, "check_graph",
             lambda g, kind, include_empty=False, budget=None: [
+                CheckResult("passed", "pass"),
                 CheckResult("forced", "fail", "injected")])
         code, out, _ = run_cli(capsys, "verify", "--family", "fig2",
-                               "--kind", "con")
+                               "--kind", "con", "--format", fmt)
         assert code == 1
-        assert "FAIL\tfig2\tforced" in out
+        if fmt == "tsv":
+            assert "FAIL\tfig2\tforced\tinjected" in out
+        else:
+            assert json.loads(out)["graphs"][0]["checks"][1] == {
+                "check": "forced", "status": "fail", "detail": "injected"}
 
     def test_budget_flag(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--family", "fig2",
