@@ -176,14 +176,14 @@ def _teacher_result(name, cc, teacher, order_bound=None, exclude_empty=False):
     return CheckResult(name, "pass", f"order {order} <= {order_bound}")
 
 
-def _optional_teacher(name, cc, build, ctx, *bound):
+def _optional_teacher(name, cc, build, ctx, **bound):
     """The teacher check of ``build(ctx)``, or SKIP with the reason when
     the graph is outside the teacher's precondition."""
     try:
         teacher = build(ctx)
     except TeacherPreconditionError as exc:
         return CheckResult(name, "na", str(exc))
-    return _teacher_result(name, cc, teacher, *bound)
+    return _teacher_result(name, cc, teacher, **bound)
 
 
 def _plan_result(kind, cc, rt):
@@ -215,8 +215,8 @@ def _star_checks(ctx: GraphContext):
     yield from _class_checks(ctx, cc, rt, v)
     yield _teacher_result(
         "star-subset-teacher", cc, star_subset_teacher(ctx), delta + 1)
-    yield _optional_teacher(
-        "star-special-teacher", cc, star_special_teacher, ctx, delta)
+    yield _optional_teacher("star-special-teacher", cc, star_special_teacher,
+                            ctx, order_bound=delta)
     yield _plan_result("star", cc, rt)
 
 
@@ -309,7 +309,8 @@ def _con_checks(ctx: GraphContext, include_empty: bool):
         yield _teacher_result(
             "con-tree-teacher", cc_full, con_tree_teacher(ctx), leaf_count)
     yield _optional_teacher("con-vcd-matching-teacher", cc_full,
-                            con_vcd_matching_teacher, ctx, ell, True)
+                            con_vcd_matching_teacher, ctx, order_bound=ell,
+                            exclude_empty=True)
     yield _plan_result("con", cc, rt)
 
 
