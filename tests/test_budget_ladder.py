@@ -24,8 +24,8 @@ from teachdim.errors import BudgetExceededError
 from teachdim.families import complete_graph, cycle_graph, fig2, path_graph
 from teachdim.graphs import graph_from_edges
 
-# 0 and round(1.15 ** k) up to 2 ** 15: 68 budgets
-LADDER = sorted({0, *(b for k in range(75) if (b := round(1.15 ** k)) <= 1 << 15)})
+# 0 and round(1.15 ** k) for k < 75: 68 budgets from 0 to 31,020
+LADDER = sorted({0, *(round(1.15 ** k) for k in range(75))})
 
 STAGES = {
     "connected-set enumeration",
