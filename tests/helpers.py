@@ -2,7 +2,8 @@
 helpers that only tests use (neighborhoods as sets, ell as the largest
 open neighborhood over given sets, neighborhood spanning trees, text
 writers, the (pos, neg) sample type, powersets, unions and restrictions,
-version spaces, the classic teacher check), exhaustive graph/tree
+version spaces, the classic teacher check), the class corpora of the
+teaching-set kernel's tests, exhaustive graph/tree
 enumeration, the vectorized all-graphs max-leaf
 sweeps used by the acceptance suite and the max-leaf oracle's
 differential test, the pair-list preference closure that mask-built
@@ -26,6 +27,7 @@ import functools
 import importlib.util
 import itertools
 import operator
+import random
 import re
 import sys
 from pathlib import Path
@@ -33,6 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from teachdim.concepts import ConceptClass, format_concept, version_space_mask
+from teachdim.connected import build_con_class
 from teachdim.dimensions import RtdCertificate
 from teachdim.errors import BudgetExceededError, PreferenceCycleError
 from teachdim.families import complete_graph, cycle_graph, fig2, path_graph, random_graph
@@ -53,6 +56,7 @@ from teachdim.graphs import (
     set_of,
     spanned_subgraph,
 )
+from teachdim.stars import build_star_class
 from teachdim.teaching import PBTeacher, PreferenceRelation, verify_pb_teacher
 
 
@@ -285,6 +289,50 @@ def restrict(cc: ConceptClass, instances) -> ConceptClass:
                 m |= 1 << new_i
         masks.add(m)
     return ConceptClass.from_masks(len(kept), masks)
+
+
+def edgeless_class() -> ConceptClass:
+    """The even-weight subsets of 5 instances: no two concepts differ in
+    exactly one instance, so every forced set is empty."""
+    return ConceptClass.from_masks(
+        5, [c for c in range(32) if c.bit_count() % 2 == 0])
+
+
+def engine_corpus() -> list[ConceptClass]:
+    """Powersets, cycle stars, path connected sets, random classes,
+    random star classes and a class without one-inclusion edges."""
+    rng = random.Random(31)
+    classes = [powerset_class(d) for d in range(5)]
+    classes += [build_star_class(cycle_graph(n)) for n in range(3, 8)]
+    classes += [build_con_class(path_graph(n), True) for n in range(2, 7)]
+    for trial in range(30):
+        d = rng.randint(1, 6)
+        size = rng.randint(1, min(25, 1 << d))
+        classes.append(ConceptClass.from_masks(
+            d, rng.sample(range(1 << d), size)))
+    for i in range(10):
+        g = random_graph(8, 0.5, seed=3, index=i)
+        classes.append(build_star_class(g))
+    classes.append(edgeless_class())
+    return classes
+
+
+def wide_sparse_classes(seed: int, count: int) -> list[ConceptClass]:
+    """``count`` seeded random classes of 40-120 concepts over 12-16
+    instances, built as clusters of one-flip neighbours: few
+    one-inclusion edges, so most teaching-set searches walk."""
+    rng = random.Random(seed)
+    classes = []
+    for _ in range(count):
+        d, size = rng.randint(12, 16), rng.randint(40, 120)
+        masks = set()
+        while len(masks) < size:
+            c = rng.getrandbits(d)
+            for x in [None] + rng.sample(range(d), rng.randint(0, 4)):
+                if len(masks) < size:
+                    masks.add(c if x is None else c ^ 1 << x)
+        classes.append(ConceptClass.from_masks(d, masks))
+    return classes
 
 
 def format_class(cc: ConceptClass) -> str:

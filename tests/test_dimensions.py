@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import disjoint_union, plain_teaching_sets, powerset_class
+from helpers import (
+    disjoint_union,
+    edgeless_class,
+    engine_corpus,
+    plain_teaching_sets,
+    powerset_class,
+    wide_sparse_classes,
+)
 from teachdim.checks import check_graph
 from teachdim.concepts import ConceptClass, is_shattered
 from teachdim.connected import build_con_class
@@ -92,32 +99,6 @@ def brute_vcd(cc):
             break
         best = (k, frozenset(hit))
     return best
-
-
-def edgeless_class():
-    """The even-weight subsets of 5 instances: no two concepts differ in
-    exactly one instance, so every forced set is empty."""
-    return ConceptClass.from_masks(
-        5, [c for c in range(32) if c.bit_count() % 2 == 0])
-
-
-def engine_corpus():
-    """Powersets, cycle stars, path connected sets, random classes,
-    random star classes and a class without one-inclusion edges."""
-    rng = random.Random(31)
-    classes = [powerset_class(d) for d in range(5)]
-    classes += [build_star_class(cycle_graph(n)) for n in range(3, 8)]
-    classes += [build_con_class(path_graph(n), True) for n in range(2, 7)]
-    for trial in range(30):
-        d = rng.randint(1, 6)
-        size = rng.randint(1, min(25, 1 << d))
-        classes.append(ConceptClass.from_masks(
-            d, rng.sample(range(1 << d), size)))
-    for i in range(10):
-        g = random_graph(8, 0.5, seed=3, index=i)
-        classes.append(build_star_class(g))
-    classes.append(edgeless_class())
-    return classes
 
 
 class TestVcd:
@@ -653,18 +634,9 @@ class TestForcedInstances:
         most targets are walked: the two sparse star classes of the
         benchmark's peel corpus and 30 seeded random classes of
         clusters of one-flip neighbours."""
-        rng = random.Random(57)
         classes = [build_star_class(random_graph(14, 0.25, 1)),
                    build_star_class(random_graph(16, 0.15, 1))]
-        for _ in range(30):
-            d, size = rng.randint(12, 16), rng.randint(40, 120)
-            masks = set()
-            while len(masks) < size:
-                c = rng.getrandbits(d)
-                for x in [None] + rng.sample(range(d), rng.randint(0, 4)):
-                    if len(masks) < size:
-                        masks.add(c if x is None else c ^ 1 << x)
-            classes.append(ConceptClass.from_masks(d, masks))
+        classes += wide_sparse_classes(57, 30)
 
         def forced_of(cc, active):
             members = {cc.concepts[j] for j in bits(active)}
