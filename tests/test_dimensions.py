@@ -695,6 +695,18 @@ class TestForcedInstances:
         # a lone concept is answered without a walk
         assert td_min_at_most(cc, 1, 0, budget=0)
 
+    def test_a_one_inclusion_degree_above_a_byte(self):
+        """The empty set and the 300 singletons of 300 instances: the
+        empty set has 300 one-inclusion neighbours, more than a byte
+        holds, and is forced to the whole domain."""
+        d = 300
+        cc = ConceptClass.from_masks(d, [0] + [1 << x for x in range(d)])
+        cert = rtd(cc, budget=0)
+        assert cert.levels == ((frozenset(range(1, d + 1)), 1), (frozenset({0}), 0))
+        assert cert.witnesses == (0, *(1 << x for x in range(d)))
+        assert td_of(cc, 0, budget=0) == (d, (1 << d) - 1)
+        assert td_of(cc, d, budget=0) == (1, 1 << d - 1)
+
 
 class TestSauer:
     def test_examples(self):
