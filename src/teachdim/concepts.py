@@ -119,20 +119,18 @@ class ConceptClass:
         """masks[j] = bitmask over instances x whose flip of concept j is
         also in the class: concept j's edges in the one-inclusion graph.
 
-        Each edge is found once, from its endpoint without x: every
-        concept c looks up c | x for each instance x outside c."""
+        Each concept c looks up its flip c ^ x for every instance x and
+        sets x in its own mask only, so each edge is found from both
+        endpoints."""
         index = self.index
-        masks = [0] * len(self.concepts)
-        full = (1 << self.domain_size) - 1
-        for j, c in enumerate(self.concepts):
-            out = full ^ c
-            while out:
-                low = out & -out
-                k = index.get(c | low)
-                if k is not None:
-                    masks[j] |= low
-                    masks[k] |= low
-                out ^= low
+        flips = [1 << x for x in range(self.domain_size)]
+        masks = []
+        for c in self.concepts:
+            f = 0
+            for b in flips:
+                if c ^ b in index:
+                    f |= b
+            masks.append(f)
         return tuple(masks)
 
     @cached_property

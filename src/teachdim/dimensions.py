@@ -32,11 +32,11 @@ sample tables (see concepts), one AND per block of four instances that
 F_i(A) touches.  ``cc.neighbour_masks`` holds F_i of the
 whole class; peeling keeps it current by clearing, as each concept
 leaves, the bit of its flip instance in each neighbour, one update per
-edge.  It also keeps the active concepts in buckets by |F_i| across
-levels: a departing concept leaves its bucket, and each neighbour that
-loses its flip bit moves from bucket s to s - 1 in that same loop, so a
-level reads the concepts to check directly (bucket k) and to walk
-(buckets below k) without a pass over the class.  rtd and td_of ask
+edge.  It keeps |F_i| beside it as a list of counts: a departing
+concept's count becomes domain_size + 1, which no forced set reaches,
+and each neighbour that loses its flip bit counts one less in that same
+loop, so a level reads the concepts to check directly (count k) and to
+walk (counts below k) from that list.  rtd and td_of ask
 this search, and both give each witness as an instance mask.  TD_min
 asks whether any concept of a (sub)class has a teaching set of at most
 k, and has its own walk over the whole partition (_isolates, behind
@@ -201,23 +201,21 @@ def _smallest_teaching_mask(cc: ConceptClass, active: int, i: int, k: int,
     return max(hit, 0)
 
 
-def _size_buckets(forced, members: int, domain_size: int) -> list[int]:
-    """by_size[s] = the members i with |forced[i]| = s, as an index mask."""
-    by_size = [0] * (domain_size + 1)
-    while members:
-        low = members & -members
-        by_size[forced[low.bit_length() - 1].bit_count()] |= low
-        members ^= low
-    return by_size
+def _indices(size: list[int], s: int) -> list[int]:
+    """The indices i with size[i] == s, in increasing order."""
+    found, i = [], -1
+    for _ in range(size.count(s)):
+        i = size.index(s, i + 1)
+        found.append(i)
+    return found
 
 
-def _teaching_sets(cc: ConceptClass, active: int, targets: int,
-                   work: _Work, forced, by_size=None):
+def _teaching_sets(cc: ConceptClass, active: int, work: _Work, forced,
+                   size: list[int]):
     """Yield (k, {i: D}) for increasing k: the targets whose smallest
     teaching sets against the active concepts have k instances, each
-    with its smallest-valued such mask D.  ``targets`` must be a nonempty
-    subset of ``active``.  Raises BudgetExceededError once the walk
-    nodes pass ``work.budget``.
+    with its smallest-valued such mask D.  Raises BudgetExceededError
+    once the walk nodes pass ``work.budget``.
 
     ``forced`` holds one mask per concept index: forced[i] is
     F_i(active), the instances whose flip of concept i is active.  Every
@@ -241,47 +239,44 @@ def _teaching_sets(cc: ConceptClass, active: int, targets: int,
       as E does, and the walk's smallest-valued E gives the
       smallest-valued k-set.
 
-    ``by_size``, when given, holds the size buckets: by_size[s] is an
-    index mask containing every target i with |F_i| = s (other bits are
-    masked off by ``targets``).  rtd keeps them current across its
-    levels; without them they are built here from ``forced``."""
+    ``size`` holds one count per concept index: size[i] is |F_i| for
+    each target and domain_size + 1, a value no forced set reaches, for
+    every other concept; the targets must be nonempty and active.  Each
+    k reads its direct checks and its walkers from it, both in
+    increasing index order, and a target found at k is given
+    domain_size + 1 once its level is yielded."""
     if active & (active - 1) == 0:
         # a lone concept needs no examples
         yield 0, {active.bit_length() - 1: 0}
         return
     tables, concepts = cc.sample_tables, cc.concepts
-    if by_size is None:
-        by_size = _size_buckets(forced, targets, cc.domain_size)
-    start, walkers = 0, 0
-    while not by_size[start] & targets:
-        start += 1
-    for k in range(start or 1, cc.domain_size + 1):
+    gone = cc.domain_size + 1
+    start = min(size)
+    walkers = [] if start else _indices(size, 0)
+    for k in range(start or 1, gone):
         found = {}
-        walkers |= by_size[k - 1]
+        due = _indices(size, k)
         # the direct checks first, then the walkers
-        for due in (by_size[k] & targets, walkers & targets):
-            while due:
-                low = due & -due
-                due ^= low
-                i = low.bit_length() - 1
-                f = forced[i]
-                vs = agreeing(tables, concepts[i], f, active)
-                open_k = k - f.bit_count()
-                if not open_k:
-                    if vs == low:
-                        found[i] = f
-                    continue
-                hit = _smallest_teaching_mask(cc, vs, i, open_k, work)
-                if hit:
-                    found[i] = f | hit
-                if work.done > work.budget:
-                    raise work.refusal(k, targets.bit_count() - len(found))
+        for i in due + walkers:
+            f = forced[i]
+            vs = agreeing(tables, concepts[i], f, active)
+            open_k = k - size[i]
+            if not open_k:
+                if vs == 1 << i:
+                    found[i] = f
+                continue
+            hit = _smallest_teaching_mask(cc, vs, i, open_k, work)
+            if hit:
+                found[i] = f | hit
+            if work.done > work.budget:
+                raise work.refusal(k, len(size) - size.count(gone) - len(found))
         if found:
             yield k, found
             for i in found:
-                targets ^= 1 << i
-            if not targets:
+                size[i] = gone
+            if min(size) == gone:
                 return
+        walkers = sorted(i for i in walkers + due if size[i] < gone)
     # at k = d the whole domain teaches every concept of a deduplicated class
     raise AssertionError("teaching-set search passed the domain size")
 
@@ -304,8 +299,9 @@ def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
         everyone = cc.all_indices_mask
         work = _Work("teaching-set search (td_of)", budget)
         try:
-            for k, found in _teaching_sets(cc, everyone, everyone, work,
-                                           forced=cc.neighbour_masks):
+            forced = cc.neighbour_masks
+            for k, found in _teaching_sets(cc, everyone, work, forced,
+                                           [f.bit_count() for f in forced]):
                 for j, witness in found.items():
                     rows[j] = k, witness
         except BudgetExceededError as exc:
@@ -392,29 +388,25 @@ def rtd(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> RtdCertificat
     levels = []
     witnesses = [0] * len(cc)
     forced = list(cc.neighbour_masks)
-    by_size = _size_buckets(forced, active, cc.domain_size)
+    size = [f.bit_count() for f in forced]
+    gone = cc.domain_size + 1
     concepts, index = cc.concepts, cc.index
     work = _Work("teaching-set search (rtd)", budget)
     while active:
-        low, found = next(_teaching_sets(cc, active, active, work,
-                                         forced=forced, by_size=by_size))
+        low, found = next(_teaching_sets(cc, active, work, forced, size))
         levels.append((frozenset(found), low))
         for i, witness in found.items():
             witnesses[i] = witness
             active ^= 1 << i
+            size[i] = gone
             c, f = concepts[i], forced[i]
-            by_size[f.bit_count()] ^= 1 << i
             # i leaves: each neighbour c ^ flip loses flip from its forced
-            # set and moves down one bucket
+            # set, and one from its count
             while f:
                 flip = f & -f
                 j = index[c ^ flip]
-                fj = forced[j]
-                forced[j] = fj ^ flip
-                s = fj.bit_count()
-                bit = 1 << j
-                by_size[s] ^= bit
-                by_size[s - 1] |= bit
+                forced[j] ^= flip
+                size[j] -= 1
                 f ^= flip
     value = max(v for _, v in levels)
     return RtdCertificate(len(cc), tuple(levels), value, tuple(witnesses))

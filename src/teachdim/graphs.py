@@ -146,10 +146,6 @@ def closed_neighborhood_mask(g: Graph, xmask: int) -> int:
     return m
 
 
-def open_neighborhood_mask(g: Graph, xmask: int) -> int:
-    return closed_neighborhood_mask(g, xmask) & ~xmask
-
-
 def _as_mask(g: Graph, x) -> int:
     if isinstance(x, int):
         mask = x

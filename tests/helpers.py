@@ -1,5 +1,6 @@
 """Shared test machinery: the graph, tree, class, sample and teacher
-helpers that only tests use (neighborhoods as sets, ell as the largest
+helpers that only tests use (neighborhoods as sets, open neighborhoods
+as masks, ell as the largest
 open neighborhood over given sets, neighborhood spanning trees, text
 writers, the (pos, neg) sample type, powersets, unions and restrictions,
 version spaces, the classic teacher check), the class corpora of the
@@ -52,7 +53,6 @@ from teachdim.graphs import (
     graph_from_edges,
     is_connected,
     mask_of,
-    open_neighborhood_mask,
     set_of,
     spanned_subgraph,
 )
@@ -67,6 +67,11 @@ from teachdim.teaching import PBTeacher, PreferenceRelation, verify_pb_teacher
 def closed_neighborhood(g: Graph, x) -> frozenset[int]:
     """N(X) = union over x in X of (neighbors of x plus x itself)."""
     return set_of(closed_neighborhood_mask(g, _as_mask(g, x)))
+
+
+def open_neighborhood_mask(g: Graph, xmask: int) -> int:
+    """N(X) minus X for the vertex set X given as a mask."""
+    return closed_neighborhood_mask(g, xmask) & ~xmask
 
 
 def open_neighborhood(g: Graph, x) -> frozenset[int]:

@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     connected_graphs,
     max_open_neighborhood,
+    open_neighborhood_mask,
     plain_connected_set_masks,
     shared_parts_corpus,
 )
@@ -20,7 +21,6 @@ from teachdim.graphs import (
     connected_set_boundaries,
     connected_set_masks,
     max_leaf_number,
-    open_neighborhood_mask,
 )
 
 

@@ -5,6 +5,7 @@ from helpers import (
     connected_graphs,
     labeled_trees,
     open_neighborhood,
+    open_neighborhood_mask,
     pair_closure,
     sample_from_pairs,
     sample_of,
@@ -29,7 +30,6 @@ from teachdim.graphs import (
     graph_from_edges,
     is_connected,
     max_leaf_number,
-    open_neighborhood_mask,
     set_of,
 )
 from teachdim.teaching import superset_preferences, verify_pb_teacher
@@ -372,7 +372,7 @@ class TestOpponentStrictness:
     def test_strict_containment_when_dimension_matches(self):
         # wherever the with-empty dimension equals the max-leaf number,
         # full-boundary sets dominate their opponents strictly
-        from teachdim.graphs import connected_set_masks, open_neighborhood_mask
+        from teachdim.graphs import connected_set_masks
 
         for n in range(2, 6):
             for g in connected_graphs(n):

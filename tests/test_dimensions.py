@@ -490,6 +490,13 @@ def forced_set(cc, i, active):
                if any(cc.concepts[j] == ci ^ 1 << x for j in bits(active)))
 
 
+def forced_counts(cc, forced, active):
+    """The counts _teaching_sets reads: |forced[i]| for each active i, and
+    domain_size + 1 for every other concept."""
+    return [forced[i].bit_count() if active >> i & 1 else cc.domain_size + 1
+            for i in range(len(cc))]
+
+
 class TestForcedInstances:
     """A concept whose flip across x is active cannot be told from it
     without x, so every teaching set contains the forced set F_i(A); the
@@ -515,7 +522,8 @@ class TestForcedInstances:
         # the bounded search gives the same levels as the plain one
         forced_all = [forced_set(cc, j, active) if active >> j & 1 else None
                     for j in range(len(cc))]
-        assert list(_teaching_sets(cc, active, active, _Work(), forced_all)) \
+        assert list(_teaching_sets(cc, active, _Work(), forced_all,
+                                   forced_counts(cc, forced_all, active))) \
             == list(plain_teaching_sets(cc, active, active))
 
     def test_neighbour_masks_match_pairwise_definition(self):
@@ -538,22 +546,23 @@ class TestForcedInstances:
             assert cc.neighbour_masks == tuple(want)
         assert not any(edgeless_class().neighbour_masks)
 
-    def test_rtd_buckets_match_a_recomputation_at_every_level(self, monkeypatch):
-        """rtd keeps F_i and the |F_i| buckets across levels by one update
+    def test_rtd_counts_match_a_recomputation_at_every_level(self, monkeypatch):
+        """rtd keeps F_i and the counts |F_i| across levels by one update
         per one-inclusion edge; at every level both equal their
-        definitions over the concepts still active."""
+        definitions over the concepts still active, and every concept
+        that has left counts domain_size + 1."""
         real = dimensions._teaching_sets
         calls = []
 
-        def spy(cc, active, targets, work, forced, by_size=None):
-            want = [0] * (cc.domain_size + 1)
+        def spy(cc, active, work, forced, size):
+            want = [cc.domain_size + 1] * len(cc)
             for i in bits(active):
                 f = forced_set(cc, i, active)
                 assert forced[i] == f
-                want[f.bit_count()] |= 1 << i
-            assert by_size == want
+                want[i] = f.bit_count()
+            assert size == want
             calls.append(active)
-            return real(cc, active, targets, work, forced, by_size)
+            return real(cc, active, work, forced, size)
 
         monkeypatch.setattr(dimensions, "_teaching_sets", spy)
         rng = random.Random(43)
@@ -582,11 +591,10 @@ class TestForcedInstances:
         # target, the level that settled each target, and the last level
         searches = []
 
-        def sets_spy(cc, active, targets, work, forced, by_size=None):
+        def sets_spy(cc, active, work, forced, size):
             search = {"active": active, "walks": {}, "level": {}, "last": 0}
             searches.append(search)
-            for k, found in real_sets(cc, active, targets, work, forced,
-                                      by_size):
+            for k, found in real_sets(cc, active, work, forced, size):
                 search["level"].update(dict.fromkeys(found, k))
                 search["last"] = k
                 yield k, found
@@ -647,16 +655,16 @@ class TestForcedInstances:
         for cc in classes:
             everyone = cc.all_indices_mask
             forced = forced_of(cc, everyone)
-            levels = list(_teaching_sets(cc, everyone, everyone, _Work(),
-                                         forced))
+            levels = list(_teaching_sets(cc, everyone, _Work(), forced,
+                                         forced_counts(cc, forced, everyone)))
             assert levels == list(plain_teaching_sets(cc, everyone, everyone))
             walked += sum(forced[i].bit_count() < k
                           for k, found in levels for i in found)
             active = everyone
             for level, _ in rtd(cc).levels:
                 forced = forced_of(cc, active)
-                assert next(_teaching_sets(cc, active, active, _Work(),
-                                           forced)) \
+                assert next(_teaching_sets(cc, active, _Work(), forced,
+                                           forced_counts(cc, forced, active))) \
                     == next(plain_teaching_sets(cc, active, active))
                 active ^= mask_of(level)
         # most td_of rows come from a walk, not from the forced set alone
