@@ -32,7 +32,8 @@ from teachdim.errors import BudgetExceededError
 # the 2,624 walk nodes of the corpus's largest search
 LADDER = sorted({0, *(round(1.3 ** k) for k in range(32))})
 
-# recorded on the kernel that kept the active concepts in |F_i| buckets
+# recorded before rtd kept |F_i| as a list of counts instead of buckets;
+# the rewrite kept it
 KERNEL_DIGEST = "ef414a2ca2d374ca1d7041a8801d913094494aff7c3d1dd01cba710d10f8b1e0"
 
 
@@ -93,15 +94,17 @@ def runs():
     return list(kernel_runs())
 
 
-def test_ladder_refuses_in_both_searches_and_the_top_lets_all_finish(runs):
-    refused = [(rtd_out[0][0] == "refused", any(
-        isinstance(row[0], str) for row in td_out[0]))
-        for _, budget, rtd_out, td_out in runs if budget == LADDER[0]]
-    assert any(r for r, _ in refused) and any(t for _, t in refused)
+def refused(outcome) -> bool:
+    return outcome[0] == "refused"
+
+
+def test_both_searches_refuse_at_the_bottom_and_finish_at_the_top(runs):
+    bottom = [run for run in runs if run[1] == LADDER[0]]
+    assert any(refused(peeled) for _, _, (peeled, _), _ in bottom)
+    assert any(refused(row) for *_, (rows, _) in bottom for row in rows)
     for _, budget, (peeled, _), (rows, _) in runs:
         if budget == LADDER[-1]:
-            assert peeled[0] != "refused"
-            assert not any(isinstance(row[0], str) for row in rows)
+            assert not refused(peeled) and not any(map(refused, rows))
 
 
 def test_kernel_digest_is_pinned(runs):
