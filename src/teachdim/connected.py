@@ -194,12 +194,18 @@ def con_vcd_matching_teacher(ctx: GraphContext) -> PBTeacher:
 def _matching_preference(ctx: GraphContext) -> PreferenceRelation:
     """Larger-sets-first plus the pairs the verifier needs: each
     pure-negatively taught (full-boundary) set over everything its sample
-    leaves in the version space, closed by ``from_direct``.
+    leaves in the version space, transitively closed.
 
     Those pairs can be contradictory: two disjoint full-boundary sets may
     each survive the other's sample, e.g. the second and fifth vertices
     of a six-vertex path, and then no preference relation whatsoever
     makes the stated teaching sets work; such graphs are refused.
+
+    A pure-negative version space holds every subset of its members, so
+    a full-boundary set's row is its version space, and each row below
+    it that is not full-boundary is already inside it.  The full-boundary
+    rows are closed among themselves; then every proper superset of a
+    full-boundary set takes in that set's closed row.
     """
     g, ell, cc, boundary = ctx.g, ctx.ell, ctx.con(True), ctx.boundaries
     full_boundary = [
@@ -217,16 +223,39 @@ def _matching_preference(ctx: GraphContext) -> PreferenceRelation:
                     f"{g.vertex_names(ci)} and {g.vertex_names(cj)} each "
                     "survive the other's sample"
                 )
-    direct = list(ctx.con_pref.below)
+    below = list(ctx.con_pref.below)
     for i in full_boundary:
         vs = version_space_mask(cc, 0, boundary[cc.concepts[i]])
-        direct[i] |= vs & ~(1 << i)
+        below[i] = vs & ~(1 << i)
     try:
-        return PreferenceRelation.from_direct(direct)
+        _close_rows(below, full_boundary)
     except PreferenceCycleError as exc:
         raise TeacherPreconditionError(
             f"required preference pairs are cyclic: {exc}"
         ) from exc
+    columns = cc.instance_columns
+    for i in full_boundary:
+        above = cc.all_indices_mask ^ 1 << i
+        for x in bits(cc.concepts[i]):
+            above &= columns[x]
+        for j in bits(above):
+            below[j] |= below[i]
+    return PreferenceRelation(len(cc), tuple(below))
+
+
+def _close_rows(below: list[int], rows: list[int]) -> None:
+    """Close the listed rows of ``below`` in place through one another:
+    row i takes in row k for every listed k it reaches.  That is their
+    transitive closure when each of them already holds the row of every
+    unlisted index it holds.  Raises PreferenceCycleError when a listed
+    row reaches its own index."""
+    for k in rows:
+        bit, row = 1 << k, below[k]
+        for i in rows:
+            if below[i] & bit:
+                below[i] |= row
+    if any(below[i] >> i & 1 for i in rows):
+        raise PreferenceCycleError("preference pairs contain a cycle")
 
 
 def con_triple(g: Graph, include_empty: bool = False, *,

@@ -125,6 +125,20 @@ def star_special_teacher(ctx: GraphContext) -> PBTeacher:
     are preferred over special ones; within a group's special concepts,
     more members means more preferred; non-special concepts carry
     smaller-sets-first preferences.
+
+    One-fringe lemma: a special concept contains exactly one group's
+    fringe.  Let it be a star with center x that contains the fringe of
+    group G.  Were x outside G's closed neighborhood, N[x] would cover
+    G's fringe, which the precondition rules out.  So x lies in G's
+    closed neighborhood and is adjacent to every member; N[x] then holds
+    the members and the fringe, the Delta+1 vertices of G's closed
+    neighborhood, so x has degree Delta with that closed neighborhood
+    and is a member of G.  Members of distinct groups differ, so no
+    other group's fringe fits in N[x].  The order is therefore closed
+    as built: a special concept's row holds its own group's special
+    concepts with fewer members, whose rows hold fewer still, and a
+    non-special concept's row holds the special concepts and its proper
+    supersets, whose rows lie inside it.
     """
     part = ctx.part
     value, witness = ctx.fringe_cover
@@ -133,44 +147,33 @@ def star_special_teacher(ctx: GraphContext) -> PBTeacher:
             "an external vertex covers a fringe; the order-Delta construction "
             f"does not apply (witness {witness})"
         )
-    cc, groups = ctx.star, part.groups
-
+    cc = ctx.star
+    masks, below = list(cc.concepts), list(ctx.star_pref.below)
     special = 0
-    # group -> member count -> the group's special concepts with that count
-    by_count: list[dict[int, int]] = [{} for _ in groups]
-    special_scopes: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    for i, c in enumerate(cc.concepts):
-        scopes = tuple(
-            gi for gi, grp in enumerate(groups) if c & grp.fringe == grp.fringe
-        )
-        special_scopes.append(scopes)
-        if scopes:
-            grp = groups[scopes[0]]
+    for grp in part.groups:
+        found = cc.all_indices_mask
+        for x in bits(grp.fringe):
+            found &= cc.instance_columns[x]
+        if found & special:
+            raise RuntimeError("special concept contains two groups' fringes")
+        special |= found
+        # the group's special concepts by member count
+        by_count: dict[int, int] = {}
+        for i in bits(found):
+            c = cc.concepts[i]
             if c & ~grp.closed or not c & grp.members:
                 raise RuntimeError("special concept is not fringe plus members")
-            masks.append(grp.fringe | (grp.members & ~c))
-            special |= 1 << i
-            for gi in scopes:
-                k = (c & groups[gi].members).bit_count()
-                by_count[gi][k] = by_count[gi].get(k, 0) | 1 << i
-        else:
-            masks.append(c)
-
-    supersets = ctx.star_pref.below
-    direct = []
-    for i, scopes in enumerate(special_scopes):
-        if not scopes:
-            direct.append(special | supersets[i])
-            continue
-        mask = 0
-        for gi in scopes:
-            k = (cc.concepts[i] & groups[gi].members).bit_count()
-            for count, concepts in by_count[gi].items():
-                if count < k:
-                    mask |= concepts
-        direct.append(mask)
-    return PBTeacher(cc, tuple(masks), PreferenceRelation.from_direct(direct))
+            masks[i] = grp.fringe | (grp.members & ~c)
+            k = (c & grp.members).bit_count()
+            by_count[k] = by_count.get(k, 0) | 1 << i
+        fewer = 0
+        for k in sorted(by_count):
+            for i in bits(by_count[k]):
+                below[i] = fewer
+            fewer |= by_count[k]
+    for i in bits(cc.all_indices_mask & ~special):
+        below[i] |= special
+    return PBTeacher(cc, tuple(masks), PreferenceRelation(len(cc), tuple(below)))
 
 
 def star_triple(g: Graph, *, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, int, int]:
