@@ -8,7 +8,9 @@ teaching-set kernel's tests, exhaustive graph/tree
 enumeration, the vectorized all-graphs max-leaf
 sweeps used by the acceptance suite and the max-leaf oracle's
 differential test, the pair-list preference closure that mask-built
-preferences are checked against, the recursive spanning-tree
+preferences are checked against, the direct masks that the star
+special and matching teachers' closed orders are checked against, the
+recursive spanning-tree
 enumerator that the pruned max-leaf oracle is checked against on
 graphs too large for the sweeps, the oracle's search without its
 degree cap, relabeling with label-free check
@@ -38,7 +40,11 @@ import numpy as np
 from teachdim.concepts import ConceptClass, format_concept, version_space_mask
 from teachdim.connected import build_con_class
 from teachdim.dimensions import RtdCertificate
-from teachdim.errors import BudgetExceededError, PreferenceCycleError
+from teachdim.errors import (
+    BudgetExceededError,
+    PreferenceCycleError,
+    TeacherPreconditionError,
+)
 from teachdim.families import complete_graph, cycle_graph, fig2, path_graph, random_graph
 from teachdim.graphs import (
     DEFAULT_ENUM_BUDGET,
@@ -610,6 +616,96 @@ def pair_closure(size: int, pairs) -> tuple[int, ...]:
     if any(below[i] >> i & 1 for i in range(size)):
         raise PreferenceCycleError("pairs contain a cycle")
     return tuple(below)
+
+
+def direct_special_teacher(ctx):
+    """The star special teacher's teaching masks and direct "below"
+    masks as built before its order was closed by construction: each
+    concept is matched against every group's fringe, and a special row
+    holds the lower member counts of every group whose fringe it
+    contains.  Raises the teacher's precondition refusal."""
+    part = ctx.part
+    value, witness = ctx.fringe_cover
+    if value != part.delta:
+        raise TeacherPreconditionError(
+            "an external vertex covers a fringe; the order-Delta construction "
+            f"does not apply (witness {witness})"
+        )
+    cc, groups = ctx.star, part.groups
+    special = 0
+    by_count: list[dict[int, int]] = [{} for _ in groups]
+    scopes_of, masks = [], []
+    for i, c in enumerate(cc.concepts):
+        scopes = tuple(gi for gi, grp in enumerate(groups)
+                       if c & grp.fringe == grp.fringe)
+        scopes_of.append(scopes)
+        if scopes:
+            grp = groups[scopes[0]]
+            masks.append(grp.fringe | (grp.members & ~c))
+            special |= 1 << i
+            for gi in scopes:
+                k = (c & groups[gi].members).bit_count()
+                by_count[gi][k] = by_count[gi].get(k, 0) | 1 << i
+        else:
+            masks.append(c)
+    supersets = ctx.star_pref.below
+    direct = []
+    for i, scopes in enumerate(scopes_of):
+        if not scopes:
+            direct.append(special | supersets[i])
+            continue
+        mask = 0
+        for gi in scopes:
+            k = (cc.concepts[i] & groups[gi].members).bit_count()
+            for count, concepts in by_count[gi].items():
+                if count < k:
+                    mask |= concepts
+        direct.append(mask)
+    return masks, direct
+
+
+def direct_matching_preference(ctx):
+    """The matching teacher's direct "below" masks as built before its
+    order was closed by construction: larger-sets-first, and each
+    full-boundary set over its whole version space.  Raises the
+    teacher's refusals for its precondition and for jointly infeasible
+    pure-negative samples."""
+    g, ell, cc, boundary = ctx.g, ctx.ell, ctx.con(True), ctx.boundaries
+    value, witness = ctx.vcd(cc)
+    if value != ell:
+        raise TeacherPreconditionError(
+            f"VC-dimension {value} exceeds max-leaf number {ell} "
+            f"(shattered witness {sorted(witness)}); the order-{ell} "
+            "construction does not apply"
+        )
+    full_boundary = [i for i, c in enumerate(cc.concepts)
+                     if c and boundary[c].bit_count() == ell]
+    for ai, i in enumerate(full_boundary):
+        ci = cc.concepts[i]
+        for j in full_boundary[ai + 1:]:
+            cj = cc.concepts[j]
+            if ci & boundary[cj] == 0 and cj & boundary[ci] == 0 and ci & cj == 0:
+                raise TeacherPreconditionError(
+                    "pure-negative teaching sets are jointly infeasible: "
+                    f"{g.vertex_names(ci)} and {g.vertex_names(cj)} each "
+                    "survive the other's sample"
+                )
+    direct = list(ctx.con_pref.below)
+    for i in full_boundary:
+        vs = version_space_mask(cc, 0, boundary[cc.concepts[i]])
+        direct[i] |= vs & ~(1 << i)
+    return direct
+
+
+def closed_direct_matching_preference(ctx) -> tuple[int, ...]:
+    """``direct_matching_preference`` closed by ``from_direct``, with a
+    cycle refused in the matching teacher's words."""
+    direct = direct_matching_preference(ctx)
+    try:
+        return PreferenceRelation.from_direct(direct).below
+    except PreferenceCycleError as exc:
+        raise TeacherPreconditionError(
+            f"required preference pairs are cyclic: {exc}") from exc
 
 
 def reference_spanning_trees(g):

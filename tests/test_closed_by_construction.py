@@ -3,11 +3,14 @@
 
 The constructor trusts ``below`` to be transitively closed.  The
 library's callers of it are the containment orders (``_containment``),
-the peeling plan's level order (``plan_to_teacher``) and
-``from_direct``, which closes what it is given; ``test_teaching.py``
-checks each of them against the pair-list closure.  A new builder goes
-through ``from_direct``, or joins the list here and that test.  The scan
-uses the standard library's ``ast`` only.
+the peeling plan's level order (``plan_to_teacher``), the star special
+teacher (``star_special_teacher``), the matching teacher's order
+(``_matching_preference``) and ``from_direct``, which closes what it is
+given; ``test_teaching.py`` checks each of them against the pair-list
+closure, and ``test_closed_teachers.py`` checks the two teachers against
+their ``from_direct`` construction.  A new builder goes through
+``from_direct``, or joins the list here and those tests.  The scan uses
+the standard library's ``ast`` only.
 """
 
 import ast
@@ -16,7 +19,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "teachdim"
 
 CLOSED_BUILDERS = {"teaching._containment", "teaching.plan_to_teacher",
-                   "teaching.PreferenceRelation.from_direct"}
+                   "teaching.PreferenceRelation.from_direct",
+                   "stars.star_special_teacher", "connected._matching_preference"}
 
 
 def raw_constructor_calls(source: str) -> set[str]:
