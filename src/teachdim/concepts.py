@@ -18,7 +18,7 @@ space is one AND per block the sample touches (``agreeing``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -42,6 +42,10 @@ class ConceptClass:
 
     domain_size: int
     concepts: tuple[int, ...]
+    # ``dimensions.td_of``'s passes over this class, keyed by budget: each
+    # is (rows found, the refusal that ended the pass or None)
+    td_passes: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.domain_size < 0:
@@ -132,12 +136,6 @@ class ConceptClass:
                     f |= b
             masks.append(f)
         return tuple(masks)
-
-    @cached_property
-    def td_passes(self) -> dict:
-        """``dimensions.td_of``'s passes over this class, keyed by budget:
-        each is (rows found, the refusal that ended the pass or None)."""
-        return {}
 
     @property
     def all_indices_mask(self) -> int:

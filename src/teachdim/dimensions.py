@@ -26,18 +26,24 @@ only k-set that can teach i is F_i(A) itself.  The search for i
 therefore starts at k = |F_i(A)| with one direct check of F_i(A).  Past
 it, i is walked alone over what F_i(A) leaves open: against V_i, the
 active concepts that agree with i on F_i(A), at size k - |F_i(A)|, a hit
-E giving the witness F_i(A) | E (_teaching_sets says why that is still
-the smallest-valued k-set).  The direct check reads V_i from the class's
-sample tables (see concepts), one AND per block of four instances that
-F_i(A) touches.  ``cc.neighbour_masks`` holds F_i of the
+E giving the witness F_i(A) | E (_teaching_sets_at says why that is
+still the smallest-valued k-set).  The direct check reads V_i from the
+class's sample tables (see concepts), one AND per block of four
+instances that F_i(A) touches.  ``cc.neighbour_masks`` holds F_i of the
 whole class; peeling keeps it current by clearing, as each concept
 leaves, the bit of its flip instance in each neighbour, one update per
 edge.  It keeps |F_i| beside it as a list of counts: a departing
 concept's count becomes domain_size + 1, which no forced set reaches,
 and each neighbour that loses its flip bit counts one less in that same
-loop, so a level reads the concepts to check directly (count k) and to
-walk (counts below k) from that list.  rtd and td_of ask
-this search, and both give each witness as an instance mask.  TD_min
+loop and joins the candidate list of its new count.  A level counts k up
+from the smallest count; at each k it checks directly the entries of
+list k that still count k, sorted into index order, and walks the
+concepts below k, those it kept from the lists it has passed.  A count
+only falls, so a concept joins each list at most once: the lists cost
+one entry per concept and per edge over a whole peeling, not a scan of
+every count at every level.  rtd's level loop and td_of's pass over the
+whole class settle each k with one routine (_teaching_sets_at), and
+both give each witness as an instance mask.  TD_min
 asks whether any concept of a (sub)class has a teaching set of at most
 k, and has its own walk over the whole partition (_isolates, behind
 td_min_at_most); td_min and rtd_subclass_lower_bound count k up until
@@ -201,84 +207,65 @@ def _smallest_teaching_mask(cc: ConceptClass, active: int, i: int, k: int,
     return max(hit, 0)
 
 
-def _indices(size: list[int], s: int) -> list[int]:
-    """The indices i with size[i] == s, in increasing order."""
-    found, i = [], -1
-    for _ in range(size.count(s)):
-        i = size.index(s, i + 1)
-        found.append(i)
-    return found
-
-
-def _teaching_sets(cc: ConceptClass, active: int, work: _Work, forced,
-                   size: list[int]):
-    """Yield (k, {i: D}) for increasing k: the targets whose smallest
-    teaching sets against the active concepts have k instances, each
-    with its smallest-valued such mask D.  Raises BudgetExceededError
-    once the walk nodes pass ``work.budget``.
+def _teaching_sets_at(cc: ConceptClass, active: int, k: int, targets,
+                      forced, size: list[int], work: _Work, left: int
+                      ) -> dict[int, int]:
+    """{i: D} for each of ``targets`` whose smallest teaching set against
+    the active concepts has k instances, D its smallest-valued such
+    mask.  Raises BudgetExceededError at k, with ``left`` (the concepts
+    without a teaching set when k began) less those found at k, once the
+    walk nodes pass ``work.budget``.
 
     ``forced`` holds one mask per concept index: forced[i] is
-    F_i(active), the instances whose flip of concept i is active.  Every
-    teaching set of i contains F_i, so the search starts at the smallest
-    |F_i| (at least 1), and at each k it skips the targets with
-    |F_i| > k, checks those with |F_i| = k by F_i alone (the only k-set
-    that can teach them), and then walks each target with |F_i| < k on
-    its own: against V_i, the active concepts that agree with i on F_i
-    (the AND the direct check computes), at size k - |F_i|.  A hit E
-    gives the witness F_i | E:
+    F_i(active), the instances whose flip of concept i is active, and
+    size[i] is |F_i|.  Every teaching set of i contains F_i, so a target
+    with |F_i| = k is checked by F_i alone (the only k-set that can
+    teach it), and a target with |F_i| < k is walked on its own: against
+    V_i, the active concepts that agree with i on F_i (the AND the
+    direct check computes), at size k - |F_i|.  A hit E gives the
+    witness F_i | E:
 
     * the k-sets that teach i are exactly F_i | E for the
       (k - |F_i|)-sets E that teach i against V_i, since F_i tells i
       from every active concept outside V_i;
     * the instances of F_i leave V_i as it is, so the walk never picks
       them;
-    * i was checked at every k' from |F_i| up to k and has no teaching
-      set below |F_i|, so no E smaller than k - |F_i| teaches it, which
-      is the walk's precondition;
+    * the caller has checked i at every k' from |F_i| up to k - 1
+      (rtd and td_of count k up and keep every target they have not
+      settled), and i has no teaching set below |F_i|, so no E smaller
+      than k - |F_i| teaches it, which is the walk's precondition;
     * E and F_i are disjoint, so F_i | E sorts in integer order exactly
       as E does, and the walk's smallest-valued E gives the
       smallest-valued k-set.
 
-    ``size`` holds one count per concept index: size[i] is |F_i| for
-    each target and domain_size + 1, a value no forced set reaches, for
-    every other concept; the targets must be nonempty and active.  Each
-    k reads its direct checks and its walkers from it, both in
-    increasing index order, and a target found at k is given
-    domain_size + 1 once its level is yielded."""
-    if active & (active - 1) == 0:
-        # a lone concept needs no examples
-        yield 0, {active.bit_length() - 1: 0}
-        return
+    The targets must be active, with |F_i| <= k, and not alone in
+    ``active``; both callers list the direct checks first, then the
+    walkers, each in increasing index order."""
     tables, concepts = cc.sample_tables, cc.concepts
-    gone = cc.domain_size + 1
-    start = min(size)
-    walkers = [] if start else _indices(size, 0)
-    for k in range(start or 1, gone):
-        found = {}
-        due = _indices(size, k)
-        # the direct checks first, then the walkers
-        for i in due + walkers:
-            f = forced[i]
-            vs = agreeing(tables, concepts[i], f, active)
-            open_k = k - size[i]
-            if not open_k:
-                if vs == 1 << i:
-                    found[i] = f
-                continue
-            hit = _smallest_teaching_mask(cc, vs, i, open_k, work)
-            if hit:
-                found[i] = f | hit
-            if work.done > work.budget:
-                raise work.refusal(k, len(size) - size.count(gone) - len(found))
-        if found:
-            yield k, found
-            for i in found:
-                size[i] = gone
-            if min(size) == gone:
-                return
-        walkers = sorted(i for i in walkers + due if size[i] < gone)
-    # at k = d the whole domain teaches every concept of a deduplicated class
-    raise AssertionError("teaching-set search passed the domain size")
+    found = {}
+    for i in targets:
+        f = forced[i]
+        vs = agreeing(tables, concepts[i], f, active)
+        open_k = k - size[i]
+        if not open_k:
+            if vs == 1 << i:
+                found[i] = f
+            continue
+        hit = _smallest_teaching_mask(cc, vs, i, open_k, work)
+        if hit:
+            found[i] = f | hit
+        if work.done > work.budget:
+            raise work.refusal(k, left - len(found))
+    return found
+
+
+def _by_count(size: list[int], d: int) -> list[list[int]]:
+    """by_count[s] = the indices i with size[i] == s, for s from 0 to d,
+    each list in increasing order."""
+    by_count = [[] for _ in range(d + 1)]
+    for i, s in enumerate(size):
+        by_count[s].append(i)
+    return by_count
 
 
 def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
@@ -296,14 +283,9 @@ def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
         raise ValueError(f"concept index {i} out of range")
     if budget not in cc.td_passes:
         rows, refusal = {}, None
-        everyone = cc.all_indices_mask
         work = _Work("teaching-set search (td_of)", budget)
         try:
-            forced = cc.neighbour_masks
-            for k, found in _teaching_sets(cc, everyone, work, forced,
-                                           [f.bit_count() for f in forced]):
-                for j, witness in found.items():
-                    rows[j] = k, witness
+            _td_pass(cc, rows, work)
         except BudgetExceededError as exc:
             # its traceback holds this frame, and so cc: kept without it
             refusal = exc.with_traceback(None)
@@ -314,6 +296,35 @@ def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
         raise BudgetExceededError(refusal.what, refusal.limit, refusal.k,
                                   refusal.left, refusal.work)
     return rows[i]
+
+
+def _td_pass(cc: ConceptClass, rows: dict, work: _Work) -> None:
+    """Fill rows[i] = (k, witness) for every concept i, counting k up
+    against the whole class: at each k the concepts with |F_i| = k are
+    checked directly and every unsettled one with |F_i| < k is walked.
+    A refusal leaves the rows found before it."""
+    m = len(cc)
+    if m == 1:
+        # a lone concept needs no examples
+        rows[0] = 0, 0
+        return
+    forced = cc.neighbour_masks
+    size = [f.bit_count() for f in forced]
+    by_count = _by_count(size, cc.domain_size)
+    everyone = cc.all_indices_mask
+    # count 0 is walked from k = 1
+    walkers = by_count[0]
+    for k in range(1, cc.domain_size + 1):
+        due = by_count[k]
+        found = _teaching_sets_at(cc, everyone, k, due + walkers, forced,
+                                  size, work, m - len(rows))
+        for j, witness in found.items():
+            rows[j] = k, witness
+        if len(rows) == m:
+            return
+        walkers = sorted(j for j in walkers + due if j not in found)
+    # at k = d the whole domain teaches every concept of a deduplicated class
+    raise AssertionError("teaching-set search passed the domain size")
 
 
 def td_min(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
@@ -381,35 +392,67 @@ def rtd(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> RtdCertificat
     """The peeling recursion: remove every active concept with the
     smallest teaching set against the active class as one level, recurse;
     the dimension is the largest level value.  Refuses when the walk
-    nodes of all levels together pass ``budget``."""
-    if len(cc) == 0:
+    nodes of all levels together pass ``budget``.  Each level reads its
+    candidates from by_count, the per-count lists of the module
+    docstring."""
+    m = len(cc)
+    if m == 0:
         raise ValueError("empty class")
     active = cc.all_indices_mask
     levels = []
-    witnesses = [0] * len(cc)
+    witnesses = [0] * m
     forced = list(cc.neighbour_masks)
     size = [f.bit_count() for f in forced]
     gone = cc.domain_size + 1
+    by_count = _by_count(size, cc.domain_size)
     concepts, index = cc.concepts, cc.index
     work = _Work("teaching-set search (rtd)", budget)
-    while active:
-        low, found = next(_teaching_sets(cc, active, work, forced, size))
-        levels.append((frozenset(found), low))
+    left = m
+    while left > 1:
+        walkers = []
+        for k in range(gone):
+            due = by_count[k]
+            if due:
+                due = [i for i in due if size[i] == k]
+                due.sort()
+                by_count[k] = due
+            if not k:
+                # count 0 is walked from k = 1
+                walkers = due
+                continue
+            if not (due or walkers):
+                continue
+            found = _teaching_sets_at(cc, active, k, due + walkers, forced,
+                                      size, work, left)
+            if found:
+                break
+            walkers = sorted(walkers + due)
+        else:
+            # at k = d the whole domain teaches every concept of a
+            # deduplicated class
+            raise AssertionError("teaching-set search passed the domain size")
+        levels.append((frozenset(found), k))
+        left -= len(found)
         for i, witness in found.items():
             witnesses[i] = witness
             active ^= 1 << i
             size[i] = gone
             c, f = concepts[i], forced[i]
             # i leaves: each neighbour c ^ flip loses flip from its forced
-            # set, and one from its count
+            # set and one from its count, and joins its new count's list
             while f:
                 flip = f & -f
                 j = index[c ^ flip]
                 forced[j] ^= flip
-                size[j] -= 1
+                s = size[j] - 1
+                size[j] = s
+                by_count[s].append(j)
                 f ^= flip
+    if left:
+        # a lone concept needs no examples
+        levels.append((frozenset({active.bit_length() - 1}), 0))
     value = max(v for _, v in levels)
-    return RtdCertificate(len(cc), tuple(levels), value, tuple(witnesses))
+    return RtdCertificate(m, tuple(levels), value, tuple(witnesses))
 
 
 def rtd_value(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:

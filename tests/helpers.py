@@ -17,7 +17,9 @@ degree cap, relabeling with label-free check
 results for the invariance tests, the shared-parts graph corpus of the
 teacher and closure tests, the plain connected-set walk that the
 boundary walk is checked against, the plain teaching-set walk that the
-forced search is checked against, the certifier that checks RTD, TD
+forced search is checked against, the peeling loop that rescans every
+count at every level, which rtd's per-count candidate lists are checked
+against, the certifier that checks RTD, TD
 and VCD answers from both sides without the kernels, false peeling
 certificates for the eq6 tests, and the benchmark's workload
 definitions, loaded read-only."""
@@ -39,6 +41,7 @@ import numpy as np
 
 from teachdim.concepts import ConceptClass, format_concept, version_space_mask
 from teachdim.connected import build_con_class
+import teachdim.dimensions as dimensions
 from teachdim.dimensions import RtdCertificate
 from teachdim.errors import (
     BudgetExceededError,
@@ -502,7 +505,7 @@ def plain_teaching_sets(cc: ConceptClass, active: int, targets: int):
     teaching sets against the active concepts have k instances, each
     with its smallest-valued such mask D, from a plain walk over every
     k-set of the domain that ignores the one-inclusion graph.  The
-    reference that the forced search of ``dimensions._teaching_sets``
+    reference that the forced search of ``dimensions._teaching_sets_at``
     is checked against."""
     if active & (active - 1) == 0:
         yield 0, {active.bit_length() - 1: 0}
@@ -516,6 +519,83 @@ def plain_teaching_sets(cc: ConceptClass, active: int, targets: int):
             if not targets:
                 return
     raise AssertionError("teaching-set search passed the domain size")
+
+
+def _indices(size: list[int], s: int) -> list[int]:
+    """The indices i with size[i] == s, in increasing order."""
+    found, i = [], -1
+    for _ in range(size.count(s)):
+        i = size.index(s, i + 1)
+        found.append(i)
+    return found
+
+
+def rescanning_teaching_sets(cc: ConceptClass, active: int, work, forced,
+                             size: list[int]):
+    """Yield (k, {i: D}) for increasing k, as
+    ``dimensions._teaching_sets_at`` settles the targets against the
+    active concepts, each k's candidates found by rescanning every
+    count: the direct checks are the indices with size[i] == k and the
+    walkers the unsettled ones below k, both in increasing order.
+
+    ``forced`` and ``size`` are as ``_teaching_sets_at`` reads them, with
+    domain_size + 1 in ``size`` for every concept that is not a target;
+    a target found at k is given that count once its level is yielded.
+    The reference that rtd's per-count candidate lists are checked
+    against."""
+    if active & (active - 1) == 0:
+        # a lone concept needs no examples
+        yield 0, {active.bit_length() - 1: 0}
+        return
+    gone = cc.domain_size + 1
+    start = min(size)
+    walkers = [] if start else _indices(size, 0)
+    for k in range(start or 1, gone):
+        due = _indices(size, k)
+        found = dimensions._teaching_sets_at(
+            cc, active, k, due + walkers, forced, size, work,
+            len(size) - size.count(gone))
+        if found:
+            yield k, found
+            for i in found:
+                size[i] = gone
+            if min(size) == gone:
+                return
+        walkers = sorted(i for i in walkers + due if size[i] < gone)
+    raise AssertionError("teaching-set search passed the domain size")
+
+
+def rescanning_rtd(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET):
+    """(certificate, walk nodes) of the peeling recursion, each level the
+    first of ``rescanning_teaching_sets`` against the concepts still
+    active; F_i and |F_i| are kept across levels by one update per
+    one-inclusion edge, as rtd keeps them.  Raises rtd's refusal, whose
+    ``work`` holds the walk nodes."""
+    active = cc.all_indices_mask
+    levels = []
+    witnesses = [0] * len(cc)
+    forced = list(cc.neighbour_masks)
+    size = [f.bit_count() for f in forced]
+    gone = cc.domain_size + 1
+    work = dimensions._Work("teaching-set search (rtd)", budget)
+    while active:
+        low, found = next(rescanning_teaching_sets(cc, active, work, forced,
+                                                   size))
+        levels.append((frozenset(found), low))
+        for i, witness in found.items():
+            witnesses[i] = witness
+            active ^= 1 << i
+            size[i] = gone
+            c, f = cc.concepts[i], forced[i]
+            while f:
+                flip = f & -f
+                j = cc.index[c ^ flip]
+                forced[j] ^= flip
+                size[j] -= 1
+                f ^= flip
+    value = max(v for _, v in levels)
+    return (RtdCertificate(len(cc), tuple(levels), value, tuple(witnesses)),
+            work.done)
 
 
 def _plain_unique_traces(cc: ConceptClass, active: int, targets: int,

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from teachdim.concepts import (
     parse_class,
     version_space_mask,
 )
+from teachdim.dimensions import td_of
 from teachdim.errors import ClassFormatError
 from teachdim.families import cycle_graph
 from teachdim.stars import build_star_class
@@ -55,6 +57,29 @@ class TestConceptClass:
         assert cc.index is cc.index
         with pytest.raises(KeyError, match="concept 0x3 not in class"):
             cc.index_of(3)
+
+    def test_td_passes_leave_equality_hashing_and_pickling_alone(self):
+        """td_of keeps its passes on the class in ``td_passes``, a field
+        outside the constructor, the repr and the comparisons: a class
+        holding passes equals, hashes and prints as a fresh one, and a
+        pickled copy keeps its passes and answers alike."""
+        cc = build_star_class(cycle_graph(6))
+        fresh = ConceptClass(cc.domain_size, cc.concepts)
+        rows = [td_of(cc, i) for i in range(len(cc))]
+        assert cc.td_passes and not fresh.td_passes
+        assert cc.td_passes is not fresh.td_passes
+        assert cc == fresh and hash(cc) == hash(fresh) and {cc, fresh} == {cc}
+        assert repr(cc) == repr(fresh) == (
+            f"ConceptClass(domain_size={cc.domain_size}, "
+            f"concepts={cc.concepts!r})")
+        for original in (cc, fresh):
+            copy = pickle.loads(pickle.dumps(original))
+            assert copy == original and hash(copy) == hash(original)
+            assert copy.td_passes == original.td_passes
+        copy = pickle.loads(pickle.dumps(cc))
+        assert [td_of(copy, i) for i in range(len(copy))] == rows
+        with pytest.raises(TypeError):
+            ConceptClass(cc.domain_size, cc.concepts, td_passes={})
 
     def test_width_enforced(self):
         with pytest.raises(ValueError, match="wider"):

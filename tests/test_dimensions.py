@@ -3,15 +3,18 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     disjoint_union,
     edgeless_class,
     engine_corpus,
+    perfbench_workloads,
     plain_teaching_sets,
     powerset_class,
+    rescanning_rtd,
+    rescanning_teaching_sets,
     wide_sparse_classes,
 )
 from teachdim.checks import check_graph
@@ -20,7 +23,6 @@ from teachdim.connected import build_con_class
 import teachdim.dimensions as dimensions
 from teachdim.dimensions import (
     RtdCertificate,
-    _teaching_sets,
     _Work,
     rtd,
     rtd_subclass_lower_bound,
@@ -41,7 +43,7 @@ from teachdim.families import (
     path_graph,
     random_graph,
 )
-from teachdim.graphs import bits, mask_of
+from teachdim.graphs import DEFAULT_ENUM_BUDGET, bits, mask_of
 from teachdim.stars import build_star_class
 
 
@@ -491,8 +493,8 @@ def forced_set(cc, i, active):
 
 
 def forced_counts(cc, forced, active):
-    """The counts _teaching_sets reads: |forced[i]| for each active i, and
-    domain_size + 1 for every other concept."""
+    """The counts rescanning_teaching_sets reads: |forced[i]| for each
+    active i, and domain_size + 1 for every other concept."""
     return [forced[i].bit_count() if active >> i & 1 else cc.domain_size + 1
             for i in range(len(cc))]
 
@@ -522,8 +524,9 @@ class TestForcedInstances:
         # the bounded search gives the same levels as the plain one
         forced_all = [forced_set(cc, j, active) if active >> j & 1 else None
                     for j in range(len(cc))]
-        assert list(_teaching_sets(cc, active, _Work(), forced_all,
-                                   forced_counts(cc, forced_all, active))) \
+        assert list(rescanning_teaching_sets(
+            cc, active, _Work(), forced_all,
+            forced_counts(cc, forced_all, active))) \
             == list(plain_teaching_sets(cc, active, active))
 
     def test_neighbour_masks_match_pairwise_definition(self):
@@ -548,23 +551,35 @@ class TestForcedInstances:
 
     def test_rtd_counts_match_a_recomputation_at_every_level(self, monkeypatch):
         """rtd keeps F_i and the counts |F_i| across levels by one update
-        per one-inclusion edge; at every level both equal their
-        definitions over the concepts still active, and every concept
-        that has left counts domain_size + 1."""
-        real = dimensions._teaching_sets
+        per one-inclusion edge, and finds each k's candidates in its
+        per-count lists.  At every k of every level, F_i and the counts
+        equal their definitions over the concepts still active, every
+        concept that has left counts domain_size + 1, the candidates are
+        the active concepts that count k and then those below k, each in
+        increasing index order, and k runs from the smallest count (1
+        after 0) up to the level's value."""
+        real = dimensions._teaching_sets_at
         calls = []
+        # F_i and the counts of each active set, recomputed once
+        recomputed = {}
 
-        def spy(cc, active, work, forced, size):
-            want = [cc.domain_size + 1] * len(cc)
-            for i in bits(active):
-                f = forced_set(cc, i, active)
-                assert forced[i] == f
-                want[i] = f.bit_count()
+        def spy(cc, active, k, targets, forced, size, work, left):
+            if active not in recomputed:
+                want = [cc.domain_size + 1] * len(cc)
+                forced_all = {i: forced_set(cc, i, active) for i in bits(active)}
+                for i, f in forced_all.items():
+                    want[i] = f.bit_count()
+                recomputed[active] = forced_all, want
+            forced_all, want = recomputed[active]
+            assert all(forced[i] == f for i, f in forced_all.items())
             assert size == want
-            calls.append(active)
-            return real(cc, active, work, forced, size)
+            assert targets == [i for i in bits(active) if want[i] == k] \
+                + [i for i in bits(active) if want[i] < k]
+            assert left == active.bit_count()
+            calls.append((active, k))
+            return real(cc, active, k, targets, forced, size, work, left)
 
-        monkeypatch.setattr(dimensions, "_teaching_sets", spy)
+        monkeypatch.setattr(dimensions, "_teaching_sets_at", spy)
         rng = random.Random(43)
         classes = engine_corpus() + [build_con_class(g, e) for g in
                                      (fig2(), cycle_graph(7)) for e in (False, True)]
@@ -575,8 +590,17 @@ class TestForcedInstances:
                 d, rng.sample(range(1 << d), (1 << d) * 3 // 4)))
         for cc in classes:
             calls.clear()
+            recomputed.clear()
             cert = rtd(cc)
-            assert len(calls) == len(cert.levels)
+            want, active = [], cc.all_indices_mask
+            for level, value in cert.levels:
+                if active & (active - 1):
+                    assert active in recomputed
+                    counts = recomputed[active][1]
+                    low = min(counts[i] for i in bits(active))
+                    want += [(active, k) for k in range(max(low, 1), value + 1)]
+                active ^= mask_of(level)
+            assert calls == want
 
     def test_walks_only_targets_below_their_bound(self, monkeypatch):
         """Each walk has one target i, with fewer than k forced instances
@@ -585,19 +609,25 @@ class TestForcedInstances:
         k - |F_i(A)|, once for every k from |F_i(A)| + 1 up to the level
         that settles i (or the last level reached).  A class where every
         bound is the level value needs no walk at all."""
-        real_sets = dimensions._teaching_sets
+        real_sets = dimensions._teaching_sets_at
         real_walk = dimensions._smallest_teaching_mask
-        # one entry per search: its active set, the walk sizes of each
-        # target, the level that settled each target, and the last level
+        # one entry per search (a level of rtd or the td_of pass): its
+        # active set, the walk sizes of each target, the level that
+        # settled each target, and the last level; a search counts k up
+        # against one active set, so a new active set or a k that does
+        # not rise starts the next one
         searches = []
 
-        def sets_spy(cc, active, work, forced, size):
-            search = {"active": active, "walks": {}, "level": {}, "last": 0}
-            searches.append(search)
-            for k, found in real_sets(cc, active, work, forced, size):
-                search["level"].update(dict.fromkeys(found, k))
-                search["last"] = k
-                yield k, found
+        def sets_spy(cc, active, k, targets, forced, size, work, left):
+            if not searches or searches[-1]["active"] != active \
+                    or k <= searches[-1]["last"]:
+                searches.append({"active": active, "walks": {}, "level": {},
+                                 "last": 0})
+            search = searches[-1]
+            found = real_sets(cc, active, k, targets, forced, size, work, left)
+            search["level"].update(dict.fromkeys(found, k))
+            search["last"] = k
+            return found
 
         def walk_spy(cc, active, i, k, work):
             assert active >> i & 1
@@ -616,7 +646,7 @@ class TestForcedInstances:
                     level = search["level"].get(i, search["last"])
                     assert sizes == list(range(1, level - bound + 1))
 
-        monkeypatch.setattr(dimensions, "_teaching_sets", sets_spy)
+        monkeypatch.setattr(dimensions, "_teaching_sets_at", sets_spy)
         monkeypatch.setattr(dimensions, "_smallest_teaching_mask", walk_spy)
         walked = 0
         for cc in engine_corpus():
@@ -646,25 +676,21 @@ class TestForcedInstances:
                    build_star_class(random_graph(16, 0.15, 1))]
         classes += wide_sparse_classes(57, 30)
 
-        def forced_of(cc, active):
-            members = {cc.concepts[j] for j in bits(active)}
-            return [sum(1 << x for x in range(cc.domain_size)
-                        if c ^ 1 << x in members) for c in cc.concepts]
-
         walked = 0
         for cc in classes:
             everyone = cc.all_indices_mask
-            forced = forced_of(cc, everyone)
-            levels = list(_teaching_sets(cc, everyone, _Work(), forced,
-                                         forced_counts(cc, forced, everyone)))
-            assert levels == list(plain_teaching_sets(cc, everyone, everyone))
-            walked += sum(forced[i].bit_count() < k
-                          for k, found in levels for i in found)
+            levels = {}
+            for i in range(len(cc)):
+                k, witness = td_of(cc, i)
+                levels.setdefault(k, {})[i] = witness
+            assert sorted(levels.items()) \
+                == list(plain_teaching_sets(cc, everyone, everyone))
+            walked += sum(cc.neighbour_masks[i].bit_count() < k
+                          for k, found in levels.items() for i in found)
+            cert = rtd(cc)
             active = everyone
-            for level, _ in rtd(cc).levels:
-                forced = forced_of(cc, active)
-                assert next(_teaching_sets(cc, active, _Work(), forced,
-                                           forced_counts(cc, forced, active))) \
+            for level, value in cert.levels:
+                assert (value, {i: cert.witnesses[i] for i in level}) \
                     == next(plain_teaching_sets(cc, active, active))
                 active ^= mask_of(level)
         # most td_of rows come from a walk, not from the forced set alone
@@ -714,6 +740,147 @@ class TestForcedInstances:
         assert cert.witnesses == (0, *(1 << x for x in range(d)))
         assert td_of(cc, 0, budget=0) == (d, (1 << d) - 1)
         assert td_of(cc, d, budget=0) == (1, 1 << d - 1)
+
+
+def rtd_and_work(cc, budget=DEFAULT_ENUM_BUDGET):
+    """rtd's certificate, or its refusal text, and the walk nodes its
+    search counted."""
+    works = []
+    real = dimensions._Work
+
+    def recorded(*args, **kwargs):
+        works.append(real(*args, **kwargs))
+        return works[-1]
+
+    dimensions._Work = recorded
+    try:
+        try:
+            outcome = rtd(cc, budget=budget)
+        except BudgetExceededError as exc:
+            outcome = str(exc)
+    finally:
+        dimensions._Work = real
+    (work,) = works
+    return outcome, work.done
+
+
+def rescanned(cc, budget=DEFAULT_ENUM_BUDGET):
+    """rtd_and_work of the reference that rescans every count at every
+    level."""
+    try:
+        return rescanning_rtd(cc, budget=budget)
+    except BudgetExceededError as exc:
+        return str(exc), exc.work
+
+
+def assert_same_peeling(cc):
+    """rtd's levels, witnesses and walk nodes equal the rescanning
+    reference's, and so do its refusals at budget 0 and at half the walk
+    nodes (the k, the concepts left and the nodes of each)."""
+    cert, nodes = rescanned(cc)
+    assert rtd_and_work(cc) == (cert, nodes)
+    for budget in {0, nodes // 2} if nodes else ():
+        assert rtd_and_work(cc, budget) == rescanned(cc, budget)
+    return cert
+
+
+def count_falls(cc, cert) -> int:
+    """The most that one concept's count |F_i| falls within one level of
+    ``cert``: the most one-inclusion neighbours it has in one level that
+    it outlasts."""
+    most, left = 0, set(range(len(cc)))
+    for level, _ in cert.levels:
+        left -= level
+        leaving = {cc.concepts[j] for j in level}
+        for i in left:
+            c = cc.concepts[i]
+            most = max(most, sum(c ^ 1 << x in leaving
+                                 for x in range(cc.domain_size)))
+    return most
+
+
+class TestCandidateLists:
+    """rtd finds each level's direct checks and walkers in per-count
+    lists that a concept joins when its count falls; the reference
+    finds them by rescanning every count at every level.  Both give the
+    same levels, witnesses and walk nodes."""
+
+    @given(st.integers(3, 8), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_classes(self, d, data):
+        """At least three quarters of the cube: most concepts have many
+        neighbours, and a level takes several of one concept's
+        neighbours at once."""
+        missing = data.draw(st.sets(st.integers(0, (1 << d) - 1),
+                                    max_size=(1 << d) // 4))
+        assert_same_peeling(ConceptClass.from_masks(
+            d, set(range(1 << d)) - missing))
+
+    def test_a_count_falls_several_times_within_one_level(self):
+        # the 4-cube without its empty set peels by size: each pair loses
+        # two singletons in the first level, each triple three pairs in
+        # the second, and the whole set four triples in the third
+        cc = ConceptClass.from_masks(4, range(1, 16))
+        cert = assert_same_peeling(cc)
+        assert [sorted(cc.concepts[i].bit_count() for i in level)
+                for level, _ in cert.levels] == [[1] * 4, [2] * 6, [3] * 4, [4]]
+        assert count_falls(cc, cert) == 4
+        rng = random.Random(5)
+        dense = [ConceptClass.from_masks(d, rng.sample(range(1 << d),
+                                                       (1 << d) * 3 // 4))
+                 for d in range(4, 9)]
+        for cc in dense:
+            assert_same_peeling(cc)
+        assert max(count_falls(cc, rtd(cc)) for cc in dense) >= 3
+
+    @given(st.integers(3, 10), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_classes_with_count_zero_concepts(self, d, data):
+        """Sparse classes, where some concepts have no neighbour and are
+        walked from k = 1."""
+        masks = data.draw(st.sets(st.integers(0, (1 << d) - 1), min_size=2,
+                                  max_size=14))
+        cc = ConceptClass.from_masks(d, masks)
+        assume(0 in map(int.bit_count, cc.neighbour_masks))
+        assert_same_peeling(cc)
+
+    def test_every_count_zero(self):
+        cc = edgeless_class()
+        assert not any(cc.neighbour_masks)
+        assert_same_peeling(cc)
+        # every concept is walked
+        assert rescanned(cc)[1] >= len(cc)
+
+    def test_the_lone_last_concept(self):
+        # 00 and 11 are taught by one instance each, then 10 is alone
+        cc = ConceptClass.from_masks(2, [0b00, 0b01, 0b11])
+        assert assert_same_peeling(cc).levels \
+            == ((frozenset({0, 2}), 1), (frozenset({1}), 0))
+        assert assert_same_peeling(ConceptClass(3, (5,))).levels \
+            == ((frozenset({0}), 0),)
+        lone = 0
+        for cc in engine_corpus():
+            level, value = assert_same_peeling(cc).levels[-1]
+            lone += len(cc) > 1 and len(level) == 1 and value == 0
+        assert lone
+
+    def test_corpora(self):
+        """The engine corpus, wide sparse classes and the benchmark's
+        peel classes, one of them with 1,061 concepts and 34 levels."""
+        W = perfbench_workloads()
+        classes = engine_corpus() + wide_sparse_classes(59, 10)
+        classes += [W.build_class(make(), kind, include_empty)
+                    for _, make, kind, include_empty in W.PEEL_INPUTS]
+        for cc in classes:
+            assert_same_peeling(cc)
+
+    def test_a_count_above_a_byte(self):
+        """The empty set and the 300 singletons of 300 instances: the
+        empty set counts 300 neighbours and is left alone at the end."""
+        d = 300
+        cc = ConceptClass.from_masks(d, [0] + [1 << x for x in range(d)])
+        assert max(map(int.bit_count, cc.neighbour_masks)) == d
+        assert assert_same_peeling(cc).levels[-1] == (frozenset({0}), 0)
 
 
 class TestSauer:
