@@ -9,7 +9,7 @@ import itertools
 from .concepts import ConceptClass, version_space_mask
 from .context import GraphContext
 from .dimensions import check_chain, rtd_value, vcd
-from .errors import BudgetExceededError, PreferenceCycleError, TeacherPreconditionError
+from .errors import BudgetExceededError, TeacherPreconditionError
 from .graphs import (
     DEFAULT_ENUM_BUDGET,
     Graph,
@@ -203,9 +203,15 @@ def _matching_preference(ctx: GraphContext) -> PreferenceRelation:
 
     A pure-negative version space holds every subset of its members, so
     a full-boundary set's row is its version space, and each row below
-    it that is not full-boundary is already inside it.  The full-boundary
-    rows are closed among themselves; then every proper superset of a
-    full-boundary set takes in that set's closed row.
+    it that is not full-boundary is already inside it.  Once the
+    refusal above has passed, every full-boundary set Y in the row of a
+    full-boundary set X is a proper subset of X: were Y not inside X,
+    then Y, connected and missing N(X), could not meet X either, so X
+    would miss N(Y) and the pair would have been refused.  Concepts
+    are sorted by mask, so Y comes before X, and the pass below, in
+    index order, has carried into Y's row all it takes in before it
+    carries that row into every proper superset of Y, X among them.
+    That pass alone closes the relation.
     """
     g, ell, cc, boundary = ctx.g, ctx.ell, ctx.con(True), ctx.boundaries
     full_boundary = [
@@ -227,12 +233,6 @@ def _matching_preference(ctx: GraphContext) -> PreferenceRelation:
     for i in full_boundary:
         vs = version_space_mask(cc, 0, boundary[cc.concepts[i]])
         below[i] = vs & ~(1 << i)
-    try:
-        _close_rows(below, full_boundary)
-    except PreferenceCycleError as exc:
-        raise TeacherPreconditionError(
-            f"required preference pairs are cyclic: {exc}"
-        ) from exc
     columns = cc.instance_columns
     for i in full_boundary:
         above = cc.all_indices_mask ^ 1 << i
@@ -241,21 +241,6 @@ def _matching_preference(ctx: GraphContext) -> PreferenceRelation:
         for j in bits(above):
             below[j] |= below[i]
     return PreferenceRelation(len(cc), tuple(below))
-
-
-def _close_rows(below: list[int], rows: list[int]) -> None:
-    """Close the listed rows of ``below`` in place through one another:
-    row i takes in row k for every listed k it reaches.  That is their
-    transitive closure when each of them already holds the row of every
-    unlisted index it holds.  Raises PreferenceCycleError when a listed
-    row reaches its own index."""
-    for k in rows:
-        bit, row = 1 << k, below[k]
-        for i in rows:
-            if below[i] & bit:
-                below[i] |= row
-    if any(below[i] >> i & 1 for i in rows):
-        raise PreferenceCycleError("preference pairs contain a cycle")
 
 
 def con_triple(g: Graph, include_empty: bool = False, *,

@@ -14,7 +14,7 @@ from functools import cached_property
 from .concepts import ConceptClass, agreeing, format_concept
 from .dimensions import RtdCertificate
 from .errors import PreferenceCycleError
-from .graphs import bits, set_of
+from .graphs import bits, mask_of, set_of
 
 
 @dataclass(frozen=True)
@@ -228,31 +228,25 @@ def plan_to_teacher(cert: RtdCertificate, cc: ConceptClass) -> PBTeacher:
     concept's teaching set only separates it from its own and later
     levels, so everything it leaves alive in the version space must rank
     strictly below it.  Teaching sets are the certificate's witnesses,
-    each checked to teach its concept against its residual class.
+    taken unchecked.  With below[i] the earlier levels, the verifier's
+    "nothing outside below[i] but i survives i's sample" says exactly
+    that the witness leaves only i among the concepts still active at
+    i's level, so ``verify_pb_teacher`` is the one check of the
+    witnesses, and a witness that does not teach is a failed
+    verification, not an exception here; the library's readers of the
+    teacher (the plan-teacher check, ``teach``'s maximality line) verify
+    it.  ``PBTeacher`` rejects a witness with instances outside the
+    domain.
     """
     if cert.size != len(cc):
         raise ValueError("certificate does not match class size")
-    tables, concepts, d = cc.sample_tables, cc.concepts, cc.domain_size
     below = [0] * len(cc)
-    masks = [0] * len(cc)
-    peeled, active = 0, cc.all_indices_mask
+    peeled = 0
     for level, _ in cert.levels:
-        level_mask = 0
         for i in level:
-            witness = cert.witnesses[i]
-            if witness >> d:
-                raise ValueError("sample mentions instances outside the domain")
-            bit = 1 << i
-            # the version space of i's sample within the residual class
-            if agreeing(tables, concepts[i], witness, active) != bit:
-                raise ValueError(f"certificate witness does not teach concept {i} "
-                                 "against its residual class")
-            masks[i] = witness
             below[i] = peeled
-            level_mask |= bit
-        peeled |= level_mask
-        active ^= level_mask
-    return PBTeacher(cc, tuple(masks), PreferenceRelation(len(cc), tuple(below)))
+        peeled |= mask_of(level)
+    return PBTeacher(cc, cert.witnesses, PreferenceRelation(len(cc), tuple(below)))
 
 
 def format_sample(concept: int, shown: int, name) -> str:

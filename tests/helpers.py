@@ -778,14 +778,11 @@ def direct_matching_preference(ctx):
 
 
 def closed_direct_matching_preference(ctx) -> tuple[int, ...]:
-    """``direct_matching_preference`` closed by ``from_direct``, with a
-    cycle refused in the matching teacher's words."""
-    direct = direct_matching_preference(ctx)
-    try:
-        return PreferenceRelation.from_direct(direct).below
-    except PreferenceCycleError as exc:
-        raise TeacherPreconditionError(
-            f"required preference pairs are cyclic: {exc}") from exc
+    """``direct_matching_preference`` closed by ``from_direct``.  A cycle
+    raises PreferenceCycleError: the matching teacher has no refusal for
+    one, since its pairs cannot cycle once they are feasible (see
+    ``_matching_preference``)."""
+    return PreferenceRelation.from_direct(direct_matching_preference(ctx)).below
 
 
 def reference_spanning_trees(g):

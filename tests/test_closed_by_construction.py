@@ -1,5 +1,6 @@
 """Only the builders that close their order call the raw
-``PreferenceRelation(...)`` constructor.
+``PreferenceRelation(...)`` constructor, and only ``PreferenceRelation``
+itself raises ``PreferenceCycleError``.
 
 The constructor trusts ``below`` to be transitively closed.  The
 library's callers of it are the containment orders (``_containment``),
@@ -9,8 +10,13 @@ teacher (``star_special_teacher``), the matching teacher's order
 given; ``test_teaching.py`` checks each of them against the pair-list
 closure, and ``test_closed_teachers.py`` checks the two teachers against
 their ``from_direct`` construction.  A new builder goes through
-``from_direct``, or joins the list here and those tests.  The scan uses
-the standard library's ``ast`` only.
+``from_direct``, or joins the list here and those tests.
+
+Each builder closes its order as it builds it, so none has a cycle to
+refuse: the constructor's self-loop check and ``from_direct`` are the
+only places that raise ``PreferenceCycleError``.  A builder that runs
+a closure pass with a cycle refusal of its own shows here as a new
+raiser.  The scans use the standard library's ``ast`` only.
 """
 
 import ast
@@ -69,3 +75,62 @@ def test_only_closed_builders_call_the_raw_constructor():
     found = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
              for name in raw_constructor_calls(path.read_text())}
     assert found == CLOSED_BUILDERS
+
+
+CYCLE_RAISERS = {"teaching.PreferenceRelation.__post_init__",
+                 "teaching.PreferenceRelation.from_direct"}
+
+
+def cycle_error_raises(source: str) -> set[str]:
+    """Qualified names of the functions in ``source`` that raise
+    ``PreferenceCycleError``, by name or by attribute, called or not."""
+    found = set()
+
+    def is_cycle_error(exc):
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        if isinstance(exc, ast.Name):
+            return exc.id == "PreferenceCycleError"
+        return isinstance(exc, ast.Attribute) and exc.attr == "PreferenceCycleError"
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+            else:
+                if isinstance(child, ast.Raise) and child.exc is not None \
+                        and is_cycle_error(child.exc):
+                    found.add(".".join(scope) or "<module>")
+                visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_cycle_error_raises_are_caught():
+    source = (
+        "def a(): raise PreferenceCycleError('cycle')\n"
+        "def b(): raise errors.PreferenceCycleError('cycle') from None\n"
+        "def c():\n"
+        "    def inner():\n"
+        "        if True:\n"
+        "            raise PreferenceCycleError\n"
+        "def d():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except PreferenceCycleError as exc:\n"
+        "        raise ValueError('closed') from exc\n"
+        "def e(): raise\n"
+        "class PreferenceRelation:\n"
+        "    def f(self): raise PreferenceCycleError('x')\n"
+        "if True:\n"
+        "    raise PreferenceCycleError('at import')\n"
+    )
+    assert cycle_error_raises(source) == {"a", "b", "c.inner", "PreferenceRelation.f",
+                                          "<module>"}
+
+
+def test_only_the_relation_raises_a_cycle_error():
+    found = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
+             for name in cycle_error_raises(path.read_text())}
+    assert found == CYCLE_RAISERS

@@ -8,34 +8,31 @@ family graphs, the seeded random graphs with at most 7 vertices, the
 verify benchmark's pool and the teacher digest's graphs.  The star
 order rests on the one-fringe lemma in ``star_special_teacher``'s
 docstring, checked here on the same graphs; the matching order rests
-on ``connected._close_rows``, checked against the pair-list closure.
+on the lemma in ``_matching_preference``'s docstring (each
+full-boundary set in the version space of another is a proper subset
+of it), checked here on the same graphs and on drawn connected graphs.
 """
 
-import re
+import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import helpers
 from helpers import (
     closed_direct_matching_preference,
     direct_special_teacher,
-    pair_closure,
     perfbench_workloads,
 )
 from teacher_digest import digest_graphs
-from teachdim import connected
 from teachdim.checks import check_graph
-from teachdim.connected import _close_rows, con_vcd_matching_teacher
+from teachdim.connected import con_vcd_matching_teacher
 from teachdim.context import GraphContext
-from teachdim.errors import PreferenceCycleError, TeacherPreconditionError
+from teachdim.errors import TeacherPreconditionError
 from teachdim.families import complete_graph, random_graph
-from teachdim.graphs import bits
+from teachdim.graphs import graph_from_edges
 from teachdim.stars import VmaxGroup, VmaxPartition, star_special_teacher
 from teachdim.teaching import PreferenceRelation, lex_refine, subset_preferences
-
-CYCLE_TEXT = "required preference pairs are cyclic: preference pairs contain a cycle"
 
 
 def verify_pool():
@@ -133,89 +130,47 @@ def test_special_teacher_refuses_a_concept_outside_its_group():
 
 
 @st.composite
-def rows_closed_outside(draw):
-    """Below rows over at most 12 indices, with a listed set of rows:
-    each unlisted row is closed and holds unlisted indices only; each
-    listed row holds any indices and the rows of its unlisted ones."""
-    size = draw(st.integers(1, 12))
-    listed = draw(st.lists(st.integers(0, size - 1), unique=True, min_size=1))
-    rank = draw(st.permutations(range(size)))
-    unlisted = [i for i in range(size) if i not in listed]
-    pairs = [(i, j) for i in unlisted for j in unlisted
-             if rank[i] > rank[j] and draw(st.booleans())]
-    below = list(pair_closure(size, pairs))
-    for i in listed:
-        row = draw(st.integers(0, (1 << size) - 1))
-        for j in unlisted:
-            if row >> j & 1:
-                row |= below[j]
-        below[i] = row
-    return below, sorted(listed)
+def connected_graphs(draw, max_n=9):
+    """A random spanning tree on at most ``max_n`` vertices (each vertex
+    hung on an earlier one) plus any further edges."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            edges.add((u, v))
+    return graph_from_edges(n, sorted(edges))
 
 
-class TestCloseRows:
-    @settings(max_examples=300, deadline=None)
-    @given(rows_closed_outside())
-    def test_matches_the_pair_list_closure(self, case):
-        below, listed = case
-        pairs = [(i, j) for i, row in enumerate(below) for j in bits(row)]
-        try:
-            want = pair_closure(len(below), pairs)
-        except PreferenceCycleError:
-            with pytest.raises(PreferenceCycleError,
-                               match="preference pairs contain a cycle"):
-                _close_rows(below, listed)
-            return
-        _close_rows(below, listed)
-        assert tuple(below) == want
-
-    @pytest.mark.parametrize("length", [1, 2, 3, 4, 7])
-    def test_cycles_through_listed_rows_are_refused(self, length):
-        """A cycle of the listed rows 0..length-1, each below the next,
-        with unlisted rows hanging below it."""
-        size = length + 3
-        below = [1 << (i + 1) % length for i in range(length)]
-        below += [0, 0b1 << length, 0b11 << length]
-        below[0] |= 0b111 << length
-        with pytest.raises(PreferenceCycleError, match="preference pairs contain a cycle"):
-            _close_rows(below, list(range(length)))
-        pairs = [(i, j) for i in range(size) for j in bits(below[i])]
-        with pytest.raises(PreferenceCycleError):
-            pair_closure(size, pairs)
+def full_boundary_subsets(g):
+    """The (Y, X) pairs of full-boundary sets with Y in the pure-negative
+    version space of X, if the matching teacher builds on ``g``; each Y
+    must be a proper subset of X, which is all ``_matching_preference``
+    needs to close its order in one pass.  None when the teacher refuses."""
+    ctx = GraphContext(g)
+    if isinstance(outcome(con_vcd_matching_teacher, ctx), tuple):
+        return None
+    boundary, ell = ctx.boundaries, ctx.ell
+    full = [x for x in ctx.con(True).concepts if x and boundary[x].bit_count() == ell]
+    pairs = [(y, x) for x in full for y in full if y != x and not y & boundary[x]]
+    for y, x in pairs:
+        assert not y & ~x, (g.edges(), g.vertex_names(y), g.vertex_names(x))
+    return pairs
 
 
-class TestCyclicMatchingPairs:
-    """No random graph with at most 8 vertices reaches the matching
-    teacher's cycle refusal, so these patch in version spaces that make
-    the full-boundary sets prefer one another round a cycle."""
+def test_full_boundary_rows_hold_only_subsets(corpus):
+    built = pairs = 0
+    for g in corpus:
+        found = full_boundary_subsets(g)
+        if found is not None:
+            built += 1
+            pairs += len(found)
+    assert built > 150 and pairs > built
 
-    @staticmethod
-    def full_boundary(ctx):
-        cc = ctx.con(True)
-        return [i for i, c in enumerate(cc.concepts)
-                if c and ctx.boundaries[c].bit_count() == ctx.ell]
 
-    @pytest.mark.parametrize("length", [2, 3, 4])
-    def test_cycle_refusal_is_unchanged(self, monkeypatch, length):
-        g = next(g for g in verify_pool()
-                 if not isinstance(outcome(con_vcd_matching_teacher, GraphContext(g)),
-                                   tuple)
-                 and len(self.full_boundary(GraphContext(g))) >= length)
-        ctx = GraphContext(g)
-        cc, ring = ctx.con(True), self.full_boundary(ctx)[:length]
-        extra = {ctx.boundaries[cc.concepts[i]]: 1 << ring[(k + 1) % length]
-                 for k, i in enumerate(ring)}
-        real = connected.version_space_mask
-
-        def patched(cc, pos, neg=0):
-            return real(cc, pos, neg) | extra.get(neg, 0)
-
-        monkeypatch.setattr(connected, "version_space_mask", patched)
-        monkeypatch.setattr(helpers, "version_space_mask", patched)
-        with pytest.raises(TeacherPreconditionError, match=f"^{re.escape(CYCLE_TEXT)}$"):
-            con_vcd_matching_teacher(GraphContext(g))
-        with pytest.raises(TeacherPreconditionError, match=f"^{re.escape(CYCLE_TEXT)}$"):
-            closed_direct_matching_preference(GraphContext(g))
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_full_boundary_rows_hold_only_subsets_on_drawn_graphs(g):
+    full_boundary_subsets(g)
 
 
 def test_check_graph_closes_no_class(monkeypatch):

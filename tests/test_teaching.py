@@ -498,6 +498,9 @@ class TestPlanToTeacher:
             assert teacher.preference.below == below
 
     def test_tampered_witness_rejected(self):
+        """A witness that does not teach still builds a teacher, and the
+        verifier rejects it at the tampered concept, naming the first
+        concept still active at its level that survives its sample."""
         cc = build_con_class(fig2(), True)
         cert = rtd(cc)
         # the first concept with a same-size mask that leaves another
@@ -507,20 +510,22 @@ class TestPlanToTeacher:
         for level, value in cert.levels:
             for i in sorted(level):
                 tamper = tamper or next(
-                    ((i, w) for w in range(1 << cc.domain_size)
-                     if w.bit_count() == value and not all(
-                         (cc.concepts[i] ^ cc.concepts[j]) & w
-                         for j in bits(active) if j != i)), None)
+                    ((i, w, survivors) for w in range(1 << cc.domain_size)
+                     if w.bit_count() == value
+                     for survivors in [[j for j in bits(active) if j != i
+                                        and not (cc.concepts[i] ^ cc.concepts[j]) & w]]
+                     if survivors), None)
             active &= ~mask_of(level)
-        i, bad = tamper
+        i, bad, survivors = tamper
         witnesses = list(cert.witnesses)
         witnesses[i] = bad
-        with pytest.raises(ValueError, match=f"concept {i} "):
-            plan_to_teacher(dataclasses.replace(cert, witnesses=tuple(witnesses)), cc)
+        teacher = plan_to_teacher(dataclasses.replace(cert, witnesses=tuple(witnesses)), cc)
+        assert teacher.teaching_masks[i] == bad
+        assert verify_pb_teacher(cc, teacher) == (False, (i, survivors[0]))
         # same size, but one instance outside the domain
         w = cert.witnesses[i]
         witnesses[i] = w & (w - 1) | 1 << cc.domain_size
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the domain"):
             plan_to_teacher(dataclasses.replace(cert, witnesses=tuple(witnesses)), cc)
 
 
