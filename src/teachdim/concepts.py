@@ -18,6 +18,7 @@ space is one AND per block the sample touches (``agreeing``).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -50,14 +51,18 @@ class ConceptClass:
     def __post_init__(self):
         if self.domain_size < 0:
             raise ValueError("domain size must be nonnegative")
-        full = (1 << self.domain_size) - 1
-        prev = -1
-        for c in self.concepts:
-            if c & ~full or c < 0:
-                raise ValueError("concept wider than the domain")
-            if c <= prev:
-                raise ValueError("concepts must be strictly increasing (deduplicated)")
-            prev = c
+        cs = self.concepts
+        if cs and (cs[0] < 0 or cs[-1] >> self.domain_size
+                   or not all(map(operator.lt, cs, cs[1:]))):
+            # the loop names the first fault in concept order
+            full = (1 << self.domain_size) - 1
+            prev = -1
+            for c in cs:
+                if c & ~full or c < 0:
+                    raise ValueError("concept wider than the domain")
+                if c <= prev:
+                    raise ValueError("concepts must be strictly increasing (deduplicated)")
+                prev = c
 
     @classmethod
     def from_masks(cls, domain_size: int, masks) -> "ConceptClass":

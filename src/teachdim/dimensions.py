@@ -79,7 +79,9 @@ def vcd(cc: ConceptClass) -> tuple[int, frozenset[int]]:
     shattered set only by an instance that splits every block of its
     partition.  Shattering is closed under subsets, so a failed
     extension prunes every set containing it, and the walk visits each
-    shattered set once (at most |C| of them, by Pajor's lemma).
+    shattered set at most once.  The class shatters at least |C| sets,
+    the empty set included (Pajor's lemma), and at most the sum of
+    C(d, i) over i <= VCD (Sauer-Shelah).
     """
     m = len(cc)
     if m == 0:
@@ -278,10 +280,17 @@ def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
     row of one class; the pass is cached on the class per budget.  A
     pass that refuses keeps the rows it found before the refusal, which
     still answer; every other row raises a fresh copy of that refusal.
+    A row of a cached pass is one lookup: only a miss reaches the range
+    check (the rows hold only indices in range) and the refusal.
     """
+    cached = cc.td_passes.get(budget)
+    if cached:
+        row = cached[0].get(i)
+        if row:
+            return row
     if not 0 <= i < len(cc):
         raise ValueError(f"concept index {i} out of range")
-    if budget not in cc.td_passes:
+    if not cached:
         rows, refusal = {}, None
         work = _Work("teaching-set search (td_of)", budget)
         try:
@@ -289,8 +298,8 @@ def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
         except BudgetExceededError as exc:
             # its traceback holds this frame, and so cc: kept without it
             refusal = exc.with_traceback(None)
-        cc.td_passes[budget] = rows, refusal
-    rows, refusal = cc.td_passes[budget]
+        cached = cc.td_passes[budget] = rows, refusal
+    rows, refusal = cached
     if i not in rows:
         # raising the kept refusal would give it a traceback again
         raise BudgetExceededError(refusal.what, refusal.limit, refusal.k,
@@ -376,6 +385,8 @@ class RtdCertificate:
                 raise ValueError("negative level value")
         if seen != set(range(self.size)):
             raise ValueError("certificate levels do not partition the class")
+        if not self.levels:
+            raise ValueError("certificate has no levels")
         if self.rtd != max(value for _, value in self.levels):
             raise ValueError("rtd does not match level values")
         if len(self.witnesses) != self.size:

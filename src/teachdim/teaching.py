@@ -176,13 +176,15 @@ class PBTeacher:
             raise ValueError("one teaching set per concept required")
         if self.preference.size != len(self.concept_class):
             raise ValueError("preference size does not match class size")
-        d = self.concept_class.domain_size
-        for ts in self.teaching_masks:
-            # a negative mask holds every instance from some point on
-            outside = ts >> d << d
-            if outside:
-                raise ValueError(f"instance {(outside & -outside).bit_length() - 1} "
-                                 "outside the domain")
+        d, masks = self.concept_class.domain_size, self.teaching_masks
+        if masks and (min(masks) < 0 or max(masks) >> d):
+            # the loop names the first offending mask's lowest outsider
+            for ts in masks:
+                # a negative mask holds every instance from some point on
+                outside = ts >> d << d
+                if outside:
+                    raise ValueError(f"instance {(outside & -outside).bit_length() - 1} "
+                                     "outside the domain")
 
     @cached_property
     def teaching_sets(self) -> tuple[frozenset[int], ...]:
@@ -211,12 +213,12 @@ def verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher
     below = teacher.preference.below
     tables, everything = cc.sample_tables, cc.all_indices_mask
     for i, (c, shown) in enumerate(zip(cc.concepts, teacher.teaching_masks)):
-        # the version space of the sample: the masks were range-checked
-        # when the teacher was built
-        vs = agreeing(tables, c, shown, everything)
-        assert vs >> i & 1, "a concept is always consistent with its own sample"
-        bad = vs & ~below[i] & ~(1 << i)
-        if bad:
+        # the version space of the sample outside below[i], which never
+        # holds i: the masks were range-checked when the teacher was built
+        vs = agreeing(tables, c, shown, everything ^ below[i])
+        if vs != 1 << i:
+            assert vs >> i & 1, "a concept is always consistent with its own sample"
+            bad = vs & ~(1 << i)
             return False, (i, (bad & -bad).bit_length() - 1)
     return True, None
 

@@ -21,8 +21,10 @@ forced search is checked against, the peeling loop that rescans every
 count at every level, which rtd's per-count candidate lists are checked
 against, the certifier that checks RTD, TD
 and VCD answers from both sides without the kernels, false peeling
-certificates for the eq6 tests, and the benchmark's workload
-definitions, loaded read-only."""
+certificates for the eq6 tests, the teacher verifier and the class and
+teacher validators one element at a time, which the library's
+whole-sequence versions are checked against, and the benchmark's
+workload definitions, loaded read-only."""
 
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from teachdim.concepts import ConceptClass, format_concept, version_space_mask
+from teachdim.concepts import ConceptClass, agreeing, format_concept, version_space_mask
 from teachdim.connected import build_con_class
 import teachdim.dimensions as dimensions
 from teachdim.dimensions import RtdCertificate
@@ -369,6 +371,47 @@ def verify_smgk_teacher(cc: ConceptClass, teaching_masks) -> bool:
     teacher = PBTeacher(cc, tuple(teaching_masks), empty_preference(len(cc)))
     ok, _ = verify_pb_teacher(cc, teacher)
     return ok
+
+
+def reference_verify_pb_teacher(cc: ConceptClass, teacher: PBTeacher):
+    """``verify_pb_teacher`` by its definition: the version space of each
+    concept's sample over the whole class, then its first member that
+    is neither the concept nor below it."""
+    if teacher.concept_class != cc:
+        raise ValueError("teacher was built for a different class")
+    below = teacher.preference.below
+    tables, everything = cc.sample_tables, cc.all_indices_mask
+    for i, (c, shown) in enumerate(zip(cc.concepts, teacher.teaching_masks)):
+        vs = agreeing(tables, c, shown, everything)
+        assert vs >> i & 1, "a concept is always consistent with its own sample"
+        bad = vs & ~below[i] & ~(1 << i)
+        if bad:
+            return False, (i, (bad & -bad).bit_length() - 1)
+    return True, None
+
+
+def reference_class_check(domain_size: int, concepts) -> None:
+    """``ConceptClass``'s validation of its concepts, one concept at a
+    time: raises its ValueError for the first fault in concept order."""
+    full = (1 << domain_size) - 1
+    prev = -1
+    for c in concepts:
+        if c & ~full or c < 0:
+            raise ValueError("concept wider than the domain")
+        if c <= prev:
+            raise ValueError("concepts must be strictly increasing (deduplicated)")
+        prev = c
+
+
+def reference_mask_check(domain_size: int, masks) -> None:
+    """``PBTeacher``'s validation of its teaching masks, one mask at a
+    time: raises its ValueError naming the lowest instance outside the
+    domain of the first mask that has one."""
+    for ts in masks:
+        outside = ts >> domain_size << domain_size
+        if outside:
+            raise ValueError(f"instance {(outside & -outside).bit_length() - 1} "
+                             "outside the domain")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from helpers import (
     format_class,
     is_consistent,
     powerset_class,
+    reference_class_check,
     restrict,
     sample_from_pairs,
     sample_of,
@@ -30,6 +31,9 @@ from teachdim.errors import ClassFormatError
 from teachdim.families import cycle_graph
 from teachdim.stars import build_star_class
 from teachdim.teaching import format_sample
+
+WIDER = "concept wider than the domain"
+ORDER = "concepts must be strictly increasing (deduplicated)"
 
 
 class TestSample:
@@ -84,6 +88,44 @@ class TestConceptClass:
     def test_width_enforced(self):
         with pytest.raises(ValueError, match="wider"):
             ConceptClass.from_masks(2, [4])
+
+    @pytest.mark.parametrize("concepts, message", [
+        ((-1, 2, 5), WIDER), ((1, -2, 5), WIDER), ((1, 2, -5), WIDER),
+        ((8,), WIDER), ((1, 9, 5), WIDER), ((1, 2, 12), WIDER),
+        ((2, 1, 5), ORDER), ((1, 5, 2), ORDER), ((5, 1, 2), ORDER),
+        ((1, 1, 5), ORDER), ((1, 5, 5), ORDER), ((0, 0), ORDER),
+    ])
+    def test_single_faults_keep_their_errors(self, concepts, message):
+        """One negative, too wide, misordered or repeated concept, first,
+        in the middle or last, raises the ValueError of
+        ``helpers.reference_class_check``'s loop."""
+        with pytest.raises(ValueError) as fault:
+            ConceptClass(3, concepts)
+        with pytest.raises(ValueError) as reference:
+            reference_class_check(3, concepts)
+        assert (type(fault.value), str(fault.value)) \
+            == (type(reference.value), str(reference.value)) == (ValueError, message)
+
+    @given(st.integers(0, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_whole_sequence_check_accepts_what_the_loop_accepts(self, d, data):
+        """Whatever the concepts, the class raises what the one-at-a-time
+        loop raises, and accepts exactly what it accepts."""
+        value = st.integers(-3, (1 << d) + 2)
+        concepts = data.draw(st.one_of(
+            st.lists(value, max_size=8),
+            st.lists(value, max_size=8, unique=True).map(sorted)))
+        try:
+            reference_class_check(d, concepts)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            ConceptClass(d, tuple(concepts))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
 
     def test_instance_columns_match_definition(self):
         rng = random.Random(41)

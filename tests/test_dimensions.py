@@ -208,6 +208,25 @@ class TestTeachingDimension:
         assert td_of(cc, single)[0] == brute_td(cc, single) == 3
         assert td_max(cc) == 13
 
+    def test_index_range_before_and_after_the_pass(self):
+        """An index outside the class is refused before a fresh class's
+        pass runs, and still refused, for every budget, once a pass is
+        cached; an index equal to a row's, as True or 2.0 is, answers as
+        that row."""
+        cc = build_star_class(cycle_graph(5))
+        for bad in (-1, len(cc)):
+            with pytest.raises(ValueError, match=f"concept index {bad} out of range"):
+                td_of(cc, bad)
+        assert cc.td_passes == {}
+        rows = [td_of(cc, i) for i in range(len(cc))]
+        assert list(cc.td_passes) == [DEFAULT_ENUM_BUDGET]
+        for budget in (DEFAULT_ENUM_BUDGET, 10 ** 9):
+            for bad in (-1, len(cc), -len(cc)):
+                with pytest.raises(ValueError, match=f"concept index {bad} out of range"):
+                    td_of(cc, bad, budget=budget)
+        assert list(cc.td_passes) == [DEFAULT_ENUM_BUDGET]
+        assert td_of(cc, True) == rows[1] and td_of(cc, 2.0) == rows[2]
+
     def test_refusal_under_a_small_budget(self):
         # C_13's pass walks 13 nodes, all at its first level (k = 3): one
         # for each target walked there, at size 1.  Under a budget of 5
@@ -215,13 +234,25 @@ class TestTeachingDimension:
         # and the walks 5, so 157 - 18 concepts are left
         cc = build_con_class(cycle_graph(13), False)
         full = cc.index_of(range(13))
+        raised = []
         for _ in range(2):
             with pytest.raises(BudgetExceededError) as refusal:
                 td_of(cc, full, budget=5)
             assert (refusal.value.k, refusal.value.left, refusal.value.work) \
                 == (3, 139, 6)
             assert "budget of 5 exceeded at k=3" in str(refusal.value)
+            raised.append(refusal.value)
+        # each miss raises a fresh copy, never the refusal the pass keeps
+        kept = cc.td_passes[5][1]
+        assert raised[0] is not raised[1] and kept not in raised
+        assert kept.__traceback__ is None
+        for bad in (-1, len(cc)):
+            with pytest.raises(ValueError, match=f"concept index {bad} out of range"):
+                td_of(cc, bad, budget=5)
+        # a second budget runs its own pass
+        assert list(cc.td_passes) == [5]
         assert td_of(cc, full) == (13, (1 << 13) - 1)
+        assert list(cc.td_passes) == [5, DEFAULT_ENUM_BUDGET]
         # the rows of the levels finished before a refusal still answer:
         # random_graph(11, .35, 3) has used 5 walk nodes after k = 4
         big = build_con_class(random_graph(11, 0.35, 3), False)
@@ -235,6 +266,13 @@ class TestTeachingDimension:
                 assert (value, witness) == td_of(big, i)
                 answered += 1
         assert answered == 5
+        assert list(big.td_passes) == [5, DEFAULT_ENUM_BUDGET]
+        # the refused pass keeps its rows, and an index outside the class
+        # is still a range error, not the refusal
+        assert len(big.td_passes[5][0]) == 5
+        for bad in (-1, len(big)):
+            with pytest.raises(ValueError, match=f"concept index {bad} out of range"):
+                td_of(big, bad, budget=5)
 
 
 class TestRtd:
@@ -273,6 +311,10 @@ class TestRtd:
             RtdCertificate(3, ((frozenset({0, 1}), 1),), 1, (0b1, 0b1, 0b1))
         with pytest.raises(ValueError, match="rtd"):
             RtdCertificate(2, ((frozenset({0, 1}), 1),), 2, (0b1, 0b1))
+        with pytest.raises(ValueError, match="^certificate has no levels$"):
+            RtdCertificate(0, (), 0, ())
+        with pytest.raises(ValueError, match="partition"):
+            RtdCertificate(2, (), 0, (0, 0))
 
     def test_certificate_witness_validation(self):
         levels = ((frozenset({0}), 1), (frozenset({1}), 0))

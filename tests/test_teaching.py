@@ -13,11 +13,16 @@ from helpers import (
     plain_teaching_sets,
     powerset_class,
     sample_of,
+    reference_mask_check,
+    reference_verify_pb_teacher,
     shared_parts_corpus,
+    understated_certificate,
     verify_smgk_teacher,
     version_space,
 )
 from teacher_digest import digest
+from teachdim import checks
+from teachdim.checks import check_graph
 from teachdim.cli import TEACHERS
 from teachdim.concepts import ConceptClass
 from teachdim.connected import build_con_class, con_superset_teacher
@@ -395,6 +400,74 @@ class TestVerifier:
         assert verify_smgk_teacher(cc, [0b11] * 4)
         assert not verify_smgk_teacher(cc, [0, 0b11, 0b11, 0b11])
 
+    def test_matches_the_reference_on_check_graph_teachers(
+            self, monkeypatch, family_graphs):
+        """The verifier reads each version space only outside below[i];
+        ``helpers.reference_verify_pb_teacher`` reads it over the whole
+        class.  They give the same (ok, counterexample) on every teacher
+        ``check_graph`` builds for the star class and the connected-set
+        class with and without the empty set, on the verify benchmark's
+        graph pool and the family graphs, and on three mutants: each
+        teacher with one pair of its preference dropped (one that no
+        third concept lies between, closed again by ``from_direct``),
+        each with one teaching set losing its lowest instance, and the
+        plan teacher of a certificate whose top-level witnesses lose
+        their highest instance (the RTD - 1 mutant of test_mutants)."""
+        W = perfbench_workloads()
+        graphs = [random_graph(n, p, W.Verify.POOL_SEED, i) for n, p, i in W.Verify.POOL]
+        graphs += [g for _, g in family_graphs]
+        rng = random.Random(32)
+        outcomes = collections.Counter()
+        mode = "built"
+
+        def compare(label, cc, teacher):
+            got = verify_pb_teacher(cc, teacher)
+            assert got == reference_verify_pb_teacher(cc, teacher), label
+            outcomes[label, got[0]] += 1
+            return got
+
+        def checked(cc, teacher):
+            got = compare(mode, cc, teacher)
+            below = teacher.preference.below
+            ranked = [i for i, mask in enumerate(below) if mask]
+            if ranked:
+                i = rng.choice(ranked)
+                covered = 0
+                for k in bits(below[i]):
+                    covered |= below[k]
+                j = rng.choice(list(bits(below[i] & ~covered)))
+                dropped = list(below)
+                dropped[i] ^= 1 << j
+                pref = PreferenceRelation.from_direct(dropped)
+                assert not pref.is_preferred(i, j)
+                compare("pair dropped", cc, dataclasses.replace(teacher, preference=pref))
+            shown = [i for i, ts in enumerate(teacher.teaching_masks) if ts]
+            if shown:
+                i = rng.choice(shown)
+                masks = list(teacher.teaching_masks)
+                masks[i] &= masks[i] - 1
+                compare("set trimmed", cc,
+                        dataclasses.replace(teacher, teaching_masks=tuple(masks)))
+            return got
+
+        monkeypatch.setattr(checks, "verify_pb_teacher", checked)
+        real_rtd = GraphContext.rtd
+        for g in graphs:
+            for kind, include_empty in (("star", False), ("con", False), ("con", True)):
+                mode = "built"
+                list(check_graph(g, kind, include_empty))
+                mode = "witnesses trimmed"
+                with monkeypatch.context() as patched:
+                    patched.setattr(GraphContext, "rtd", lambda self, cc:
+                                    understated_certificate(real_rtd(self, cc)))
+                    list(check_graph(g, kind, include_empty))
+        # every built teacher verifies, every trimmed plan teacher fails,
+        # and the other mutants go both ways
+        assert outcomes["built", True] > 300 and outcomes["built", False] == 0
+        assert outcomes["witnesses trimmed", False] == 3 * len(graphs)
+        for label in ("pair dropped", "set trimmed"):
+            assert min(outcomes[label, True], outcomes[label, False]) > 50, outcomes
+
 
 def test_sample_tables_are_built_once_per_class(monkeypatch):
     """rtd, every td_of row, plan_to_teacher and verify_pb_teacher all
@@ -573,10 +646,45 @@ class TestTeachingMasks:
     @pytest.mark.parametrize("mask, lowest", [(-1, 3), (-16, 4), (0b1000, 3),
                                               (0b110101, 4)])
     def test_masks_outside_the_domain_rejected(self, mask, lowest):
+        """One negative mask, or one with an instance past the domain,
+        first, in the middle or last, raises the ValueError of
+        ``helpers.reference_mask_check``'s loop."""
         cc = powerset_class(3)
-        masks = (0,) * (len(cc) - 1) + (mask,)
-        with pytest.raises(ValueError, match=f"instance {lowest} outside the domain"):
-            PBTeacher(cc, masks, empty_preference(len(cc)))
+        for at in (0, 3, len(cc) - 1):
+            masks = [0b101] * len(cc)
+            masks[at] = mask
+            with pytest.raises(ValueError) as fault:
+                PBTeacher(cc, tuple(masks), empty_preference(len(cc)))
+            with pytest.raises(ValueError) as reference:
+                reference_mask_check(cc.domain_size, masks)
+            assert (type(fault.value), str(fault.value)) \
+                == (type(reference.value), str(reference.value)) \
+                == (ValueError, f"instance {lowest} outside the domain")
+
+    @given(st.integers(0, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_whole_sequence_check_accepts_what_the_loop_accepts(self, d, data):
+        """Whatever the teaching masks, the teacher raises what the
+        one-at-a-time loop raises, and accepts exactly what it accepts."""
+        cc = powerset_class(d)
+        m = len(cc)
+        masks = data.draw(st.lists(st.integers(0, (1 << d) - 1),
+                                   min_size=m, max_size=m))
+        for at, mask in data.draw(st.lists(st.tuples(
+                st.integers(0, m - 1), st.integers(-(1 << d + 2), 1 << d + 2)),
+                max_size=2)):
+            masks[at] = mask
+        try:
+            reference_mask_check(d, masks)
+            want = None
+        except ValueError as exc:
+            want = str(exc)
+        try:
+            PBTeacher(cc, tuple(masks), empty_preference(m))
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
 
     def test_plan_and_verify_build_no_frozensets(self):
         """The peel workload's path, plan teacher then verifier, reads
