@@ -284,13 +284,13 @@ def td_of(cc: ConceptClass, i: int, *, budget: int = DEFAULT_ENUM_BUDGET
     check (the rows hold only indices in range) and the refusal.
     """
     cached = cc.td_passes.get(budget)
-    if cached:
+    if cached is not None:
         row = cached[0].get(i)
-        if row:
+        if row is not None:
             return row
     if not 0 <= i < len(cc):
         raise ValueError(f"concept index {i} out of range")
-    if not cached:
+    if cached is None:
         rows, refusal = {}, None
         work = _Work("teaching-set search (td_of)", budget)
         try:
