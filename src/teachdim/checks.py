@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .concepts import ConceptClass, is_shattered, version_space_mask
 from .connected import (
@@ -69,6 +69,11 @@ def _chain_result(name, lo, mid, hi):
     return CheckResult(name, "pass", f"({lo},{mid},{hi}) strict at {strict}")
 
 
+EQ6_SAMPLED_PASS = CheckResult(
+    "eq6-subclass-bound", "pass",
+    f"{EQ6_SAMPLES} sampled subclasses (seed {EQ6_SEED})")
+
+
 @lru_cache(maxsize=256)
 def _eq6_samples(m: int) -> tuple[int, ...]:
     """The sampled subclasses of an m-concept class as index masks, in
@@ -85,26 +90,29 @@ def _eq6_samples(m: int) -> tuple[int, ...]:
 
 
 def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
-               budget: int = DEFAULT_ENUM_BUDGET) -> CheckResult:
+               budget: int = DEFAULT_ENUM_BUDGET, plan=None) -> CheckResult:
     """Subclass TD_min never exceeds the class's peeling dimension
     rt.rtd; for small classes the maximum over all subclasses must reach
     it exactly.
 
     A class of at most EQ6_FULL_LIMIT concepts has the exact TD_min of
-    every subclass computed.  A larger class has only "TD_min <= rtd"
-    asked of each sampled subclass, and the certificate is tried first:
-    with L* the first level that meets the sample and i the sample's
-    lowest member in L*, the sample passes if the witness of i, labelled
-    as i labels it, leaves only i of the sample.  The witness has its
-    level's size, at most rtd (the certificate checks both), so such a
-    pass proves TD_min <= rtd.  On a valid certificate every sample
-    passes so: the witness teaches i against everything still active at
-    L*, and the sample lies inside that.  Each first-peeled member's
-    witness version space is computed once per check and ANDed with
-    every sample it serves.  A sample its witness does not
-    settle is decided exactly by one td_min_at_most walk, the only code
-    that can fail a sample; the exact TD_min is computed only for a
-    sample that fails, for the detail."""
+    every subclass computed.  A larger class reads the plan teacher's
+    verification first: ``plan()`` gives the teacher and its
+    ``verify_pb_teacher`` result (check_graph passes GraphContext.plan,
+    which the plan-teacher check reads too; by default both are built
+    here from rt).  When it passes, the check returns the sampled
+    branch's pass without drawing a sample, so a valid certificate draws
+    nothing: take any sample S, L* the first level that meets it and i
+    its lowest member in L*.  S lies in A_{L*}, the concepts still active
+    at L*, and the verification says that i's witness, labelled as i
+    labels it, leaves only i of A_{L*}, so only i of S: that is the
+    sample loop's own test for a settled sample, which it would pass on
+    every sample.  The witness has its level's size, at most rtd, so
+    TD_min(S) <= rtd for every subclass S, and RTD = max over S of
+    TD_min(S) (Doliwa, Fan, Simon & Zilles, JMLR 2014) is at most rtd.
+    When the verification fails, or a witness has an instance outside
+    the domain (``PBTeacher`` rejects such a plan), the sample loop
+    ``_eq6_sampled`` decides."""
     m, r = len(cc), rt.rtd
     if rt.size != m:
         raise ValueError("certificate does not match class size")
@@ -120,6 +128,28 @@ def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
                     f"subclass {sub:#x} has TD_min {tdm} > rtd {r}")
         return _result("eq6-subclass-bound", best == r,
                        f"max subclass TD_min {best} == rtd {r} (full)")
+    if not max(rt.witnesses) >> cc.domain_size:
+        ok, _ = plan()[1] if plan else verify_pb_teacher(cc, plan_to_teacher(rt, cc))
+        if ok:
+            return EQ6_SAMPLED_PASS
+    return _eq6_sampled(cc, rt, budget=budget)
+
+
+def _eq6_sampled(cc: ConceptClass, rt: RtdCertificate, *,
+                 budget: int = DEFAULT_ENUM_BUDGET) -> CheckResult:
+    """"TD_min <= rtd" asked of each sampled subclass of a class of more
+    than EQ6_FULL_LIMIT concepts, with the certificate tried first: with
+    L* the first level that meets the sample and i the sample's lowest
+    member in L*, the sample passes if the witness of i, labelled as i
+    labels it, leaves only i of the sample.  The witness has its level's
+    size, at most rtd (the certificate checks both), so such a pass
+    proves TD_min <= rtd.  Each first-peeled member's witness version
+    space is computed once per check and ANDed with every sample it
+    serves.  A sample its witness does not settle is decided exactly by
+    one td_min_at_most walk, the only code that can fail a sample; the
+    exact TD_min is computed only for a sample that fails, for the
+    detail."""
+    m, r = len(cc), rt.rtd
     level_masks = [mask_of(level) for level, _ in rt.levels]
     spaces = {}  # first-peeled member -> its witness's version space
     for sub in _eq6_samples(m):
@@ -143,8 +173,7 @@ def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
             return CheckResult(
                 "eq6-subclass-bound", "fail",
                 f"sampled subclass has TD_min {tdm} > rtd {r}")
-    return CheckResult("eq6-subclass-bound", "pass",
-                       f"{EQ6_SAMPLES} sampled subclasses (seed {EQ6_SEED})")
+    return EQ6_SAMPLED_PASS
 
 
 def _class_checks(ctx, cc, rt, v):
@@ -159,14 +188,18 @@ def _class_checks(ctx, cc, rt, v):
     else:
         yield _result("sauer-rtd-implication", r >= imp,
                       f"rtd {r} >= forced {imp}")
-    yield _eq6_check(cc, rt, budget=ctx.budget)
+    yield _eq6_check(cc, rt, budget=ctx.budget, plan=partial(ctx.plan, cc))
+
+
+def _not_preferred(name, cx):
+    i, j = cx
+    return CheckResult(name, "fail", f"concept {i} not preferred over {j}")
 
 
 def _teacher_result(name, cc, teacher, order_bound=None, exclude_empty=False):
     ok, cx = verify_pb_teacher(cc, teacher)
     if not ok:
-        i, j = cx
-        return CheckResult(name, "fail", f"concept {i} not preferred over {j}")
+        return _not_preferred(name, cx)
     if order_bound is None:
         return CheckResult(name, "pass")
     order = (teacher.order_over(i for i, c in enumerate(cc.concepts) if c)
@@ -186,13 +219,15 @@ def _optional_teacher(name, cc, build, ctx, **bound):
     return _teacher_result(name, cc, teacher, **bound)
 
 
-def _plan_result(kind, cc, rt):
+def _plan_result(kind, ctx, cc, rt):
     """The peeling plan's teacher verifies, and its order is rtd."""
-    plan = plan_to_teacher(rt, cc)
-    res = _teacher_result(f"{kind}-plan-teacher", cc, plan)
-    if res.status == "pass" and plan.order != rt.rtd:
-        return CheckResult(res.name, "fail", f"order {plan.order} != rtd {rt.rtd}")
-    return res
+    name = f"{kind}-plan-teacher"
+    plan, (ok, cx) = ctx.plan(cc)
+    if not ok:
+        return _not_preferred(name, cx)
+    if plan.order != rt.rtd:
+        return CheckResult(name, "fail", f"order {plan.order} != rtd {rt.rtd}")
+    return CheckResult(name, "pass")
 
 
 def _star_checks(ctx: GraphContext):
@@ -217,7 +252,7 @@ def _star_checks(ctx: GraphContext):
         "star-subset-teacher", cc, star_subset_teacher(ctx), delta + 1)
     yield _optional_teacher("star-special-teacher", cc, star_special_teacher,
                             ctx, order_bound=delta)
-    yield _plan_result("star", cc, rt)
+    yield _plan_result("star", ctx, cc, rt)
 
 
 def check_star_graph(ctx: GraphContext) -> list[CheckResult]:
@@ -261,15 +296,21 @@ def _con_checks(ctx: GraphContext, include_empty: bool):
 
     # one pass over the connected sets, in enumeration order, serves both
     # opponent checks; every opponent is a connected set, so its boundary
-    # is in the table too
+    # is in the table too; the opponents of X are the components of
+    # V - N[X], read once per distinct remainder
     comp_of = {x: c for c in comps for x in bits(c)}
     boundary = ctx.boundaries
+    opponents = {}
     detail = ""  # the last failure in enumeration order
     strict_ok = True
     for xmask, xopen in boundary.items():
         xcomp = comp_of[(xmask & -xmask).bit_length() - 1]
         full = v_full == ell and xopen.bit_count() == ell
-        for ymask in components(g, g.full_mask & ~(xmask | xopen)):
+        rest = g.full_mask & ~(xmask | xopen)
+        ys = opponents.get(rest)
+        if ys is None:
+            ys = opponents[rest] = components(g, rest)
+        for ymask in ys:
             yopen = boundary[ymask]
             if yopen & ~xopen:
                 detail = (f"boundary of {sorted(set_of(ymask))} escapes "
@@ -311,7 +352,7 @@ def _con_checks(ctx: GraphContext, include_empty: bool):
     yield _optional_teacher("con-vcd-matching-teacher", cc_full,
                             con_vcd_matching_teacher, ctx, order_bound=ell,
                             exclude_empty=True)
-    yield _plan_result("con", cc, rt)
+    yield _plan_result("con", ctx, cc, rt)
 
 
 def check_con_graph(ctx: GraphContext, include_empty: bool = False

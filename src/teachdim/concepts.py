@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 from .errors import ClassFormatError
@@ -52,8 +52,15 @@ class ConceptClass:
         if self.domain_size < 0:
             raise ValueError("domain size must be nonnegative")
         cs = self.concepts
-        if cs and (cs[0] < 0 or cs[-1] >> self.domain_size
-                   or not all(map(operator.lt, cs, cs[1:]))):
+        if not cs:
+            return
+        try:
+            # negative if any concept is, past the domain if any is
+            union = reduce(operator.or_, cs, 0)
+        except TypeError:
+            union = -1  # a concept that is not an int
+        if union < 0 or union >> self.domain_size \
+                or not all(map(operator.lt, cs, cs[1:])):
             # the loop names the first fault in concept order
             full = (1 << self.domain_size) - 1
             prev = -1

@@ -2,9 +2,10 @@
 star class; the boundary N(X) of every connected set X, from one walk
 that also gives both connected-set classes and ell(G); the vmax
 partition and the star VC-dimension it predicts; the containment orders
-the teachers use; and the VC-dimension and peeling certificate of each
-class.  The checks, the teachers and the CLI read them from one context,
-so a graph's parts are built once however many of them run."""
+the teachers use; and the VC-dimension, peeling certificate and verified
+plan teacher of each class.  The checks, the teachers and the CLI read
+them from one context, so a graph's parts are built once however many
+of them run."""
 
 from __future__ import annotations
 
@@ -17,7 +18,14 @@ from .concepts import ConceptClass
 from .dimensions import RtdCertificate, rtd, vcd
 from .graphs import DEFAULT_ENUM_BUDGET, Graph, connected_set_boundaries
 from .stars import VmaxPartition, _fringe_cover, build_star_class, vmax_partition
-from .teaching import PreferenceRelation, subset_preferences, superset_preferences
+from .teaching import (
+    PBTeacher,
+    PreferenceRelation,
+    plan_to_teacher,
+    subset_preferences,
+    superset_preferences,
+    verify_pb_teacher,
+)
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,16 @@ class GraphContext:
 
     def rtd(self, cc: ConceptClass) -> RtdCertificate:
         return self._once("rtd", cc, lambda c: rtd(c, budget=self.budget))
+
+    def plan(self, cc: ConceptClass
+             ) -> tuple[PBTeacher, tuple[bool, tuple[int, int] | None]]:
+        """The teacher of cc's peeling plan and its ``verify_pb_teacher``
+        result: eq6 and the plan-teacher check both read them.  Raises
+        where ``plan_to_teacher`` raises, and keeps nothing then."""
+        def build(c):
+            teacher = plan_to_teacher(self.rtd(c), c)
+            return teacher, verify_pb_teacher(c, teacher)
+        return self._once("plan", cc, build)
 
     def _once(self, name: str, cc: ConceptClass, compute):
         """compute(cc), kept by the class's identity; the entry holds

@@ -21,7 +21,7 @@ forced search is checked against, the peeling loop that rescans every
 count at every level, which rtd's per-count candidate lists are checked
 against, the certifier that checks RTD, TD
 and VCD answers from both sides without the kernels, false peeling
-certificates for the eq6 tests, the teacher verifier and the class and
+certificates for the eq6 and mutant tests, the teacher verifier and the class and
 teacher validators one element at a time, which the library's
 whole-sequence versions are checked against, and the benchmark's
 workload definitions, loaded read-only."""
@@ -536,6 +536,27 @@ def understated_certificate(cert: RtdCertificate) -> RtdCertificate:
             value = r - 1
         levels.append((level, value))
     return RtdCertificate(cert.size, tuple(levels), r - 1, tuple(witnesses))
+
+
+def overstated_certificate(cert: RtdCertificate, domain_size: int
+                           ) -> RtdCertificate:
+    """``cert`` claiming one too many: each level of value rtd rises to
+    rtd + 1 and its witnesses gain their lowest unused instance, so they
+    still teach.  When a top-level witness already holds every instance,
+    ``cert`` comes back as it is."""
+    r, full = cert.rtd, (1 << domain_size) - 1
+    witnesses = list(cert.witnesses)
+    levels = []
+    for level, value in cert.levels:
+        if value == r:
+            for i in level:
+                unused = full & ~witnesses[i]
+                if not unused:
+                    return cert
+                witnesses[i] |= unused & -unused
+            value = r + 1
+        levels.append((level, value))
+    return RtdCertificate(cert.size, tuple(levels), r + 1, tuple(witnesses))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import pytest
 import teachdim
 from helpers import (
     lowest_instance_certificate,
+    overstated_certificate,
+    perfbench_workloads,
     powerset_class,
     understated_certificate,
     write_class,
@@ -17,7 +19,7 @@ from helpers import (
 )
 from teachdim.checks import CheckResult, check_graph
 from teachdim.cli import EXIT_BROKEN_PIPE, main
-from teachdim.families import FamilySpec, cycle_graph, fig2, path_graph
+from teachdim.families import FamilySpec, cycle_graph, fig2, path_graph, random_graph
 
 
 def run_cli(capsys, *argv):
@@ -598,7 +600,10 @@ class TestChecksDirect:
 
     def test_eq6_draws_once_per_class_size(self, monkeypatch):
         """A second class of the same size reuses the first one's draws:
-        no random.Random is made and nothing is drawn."""
+        no random.Random is made and nothing is drawn.  The witnesses are
+        the lowest instances of their level's size, which mostly do not
+        teach, so the plan teacher fails its verification and the sample
+        loop draws."""
         import random
 
         import teachdim.checks as checks
@@ -623,10 +628,12 @@ class TestChecksDirect:
             g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()]))
         assert len(first) == len(second) > checks.EQ6_FULL_LIMIT
         assert first != second
-        assert checks._eq6_check(first, rtd(first)).status == "pass"
+        assert checks._eq6_check(
+            first, lowest_instance_certificate(rtd(first))).status == "pass"
         assert made == [(checks.EQ6_SEED,)]
         made.clear()
-        assert checks._eq6_check(second, rtd(second)).status == "pass"
+        assert checks._eq6_check(
+            second, lowest_instance_certificate(rtd(second))).status == "pass"
         assert made == []
         assert checks._eq6_samples.cache_info().hits == 1
 
@@ -719,39 +726,75 @@ class TestChecksDirect:
         # 99 classes, 47 of which have a sample with TD_min = rtd
         assert classes >= 90 and failures >= 40
 
-    def test_eq6_calls_no_walk_on_the_verify_pool(self, monkeypatch):
-        """On the benchmark's verify pool, the certificate's witnesses
-        settle every sampled subclass: check_graph runs no walk."""
+    def test_check_graph_draws_nothing_and_reads_each_remainder_once(
+            self, monkeypatch, family_graphs):
+        """On the benchmark's verify pool and the family graphs, every
+        certificate is valid, so the plan teacher's verification settles
+        eq6: check_graph makes no random.Random, never asks for the
+        sampled subclasses and runs no walk.  The opponent pass asks for
+        the components of each distinct remainder V - N[X] once."""
+        import random
+        from collections import Counter
+
         import teachdim.checks as checks
-        from teachdim.families import random_graph
+        from teachdim.context import GraphContext
 
-        walks = []
-        real = checks.td_min_at_most
+        W = perfbench_workloads()
+        graphs = [random_graph(n, p, W.Verify.POOL_SEED, i)
+                  for n, p, i in W.Verify.POOL]
+        graphs += [g for _, g in family_graphs]
+        asked = []
 
-        def spy(cc, sub, k, **kw):
-            walks.append(sub)
-            return real(cc, sub, k, **kw)
+        class Counted(random.Random):
+            def __init__(self, *args):
+                asked.append(("Random", args))
+                super().__init__(*args)
 
-        monkeypatch.setattr(checks, "td_min_at_most", spy)
+        def samples(m):
+            asked.append(("samples", m))
+            return real_samples(m)
+
+        def walk(cc, sub, k, **kw):
+            asked.append(("walk", sub))
+            return real_walk(cc, sub, k, **kw)
+
+        within = []
+
+        def components(g, rest=None):
+            within.append(rest)
+            return real_components(g, rest)
+
+        real_samples = checks._eq6_samples
+        real_walk = checks.td_min_at_most
+        real_components = checks.components
+        monkeypatch.setattr(random, "Random", Counted)
+        monkeypatch.setattr(checks, "_eq6_samples", samples)
+        monkeypatch.setattr(checks, "td_min_at_most", walk)
+        monkeypatch.setattr(checks, "components", components)
         sampled = 0
-        for n in (6, 7, 8):
-            for p in (0.3, 0.5, 0.7):
-                for i in range(2):
-                    g = random_graph(n, p, 2025, i)
-                    for kind, include_empty in (("star", False), ("con", False),
-                                                ("con", True)):
-                        results = check_graph(g, kind, include_empty)
-                        assert not any(r.failed for r in results)
-                        sampled += any(r.name == "eq6-subclass-bound"
-                                       and "sampled" in r.detail for r in results)
+        for g in graphs:
+            boundaries = GraphContext(g).boundaries
+            remainders = {g.full_mask & ~(x | nx) for x, nx in boundaries.items()}
+            for kind, include_empty in (("star", False), ("con", False),
+                                        ("con", True)):
+                within.clear()
+                results = check_graph(g, kind, include_empty)
+                assert not any(r.failed for r in results)
+                sampled += any(r.name == "eq6-subclass-bound"
+                               and "sampled" in r.detail for r in results)
+                read = Counter(rest for rest in within if rest is not None)
+                if kind == "con":
+                    assert set(read) == remainders
+                assert set(read.values()) <= {1}
         assert sampled >= 40
-        assert walks == []
+        assert asked == []
 
     def test_eq6_computes_each_witness_space_once(self, monkeypatch):
         """On every sampled class of the benchmark's verify pool, the
-        sampled branch asks for the version space of exactly the distinct
+        sample loop asks for the version space of exactly the distinct
         first-peeled members' witnesses, each once, and so for fewer than
-        one per sample."""
+        one per sample.  It is called directly: ``_eq6_check`` settles
+        these valid certificates by the plan teacher's verification."""
         from collections import Counter
 
         import teachdim.checks as checks
@@ -784,7 +827,7 @@ class TestChecksDirect:
                                          if mask_of(lv) & sub)
                             members.add((level & -level).bit_length() - 1)
                         calls.clear()
-                        assert checks._eq6_check(cc, rt).status == "pass"
+                        assert checks._eq6_sampled(cc, rt).status == "pass"
                         want = Counter()
                         for j in members:
                             c, w = cc.concepts[j], rt.witnesses[j]
@@ -835,6 +878,55 @@ class TestChecksDirect:
                     assert checks._eq6_check(cc, outside) == want
                     verdicts.append(want.status)
         assert "pass" in verdicts and "fail" in verdicts
+
+    def test_eq6_shortcut_gives_the_sample_loops_result(self, family_graphs):
+        """On every class past EQ6_FULL_LIMIT of the benchmark's verify
+        pool and the family graphs, under four certificates, the real
+        one, one whose witnesses are the lowest instances of their
+        level's size, one claiming one too few with trimmed witnesses and
+        one claiming one too many with padded ones, ``_eq6_check`` gives
+        exactly the CheckResult of the sample loop ``_eq6_sampled``.  It
+        does so both with the plan teacher it builds itself and with
+        GraphContext's; the loop runs only where that verification
+        fails."""
+        from collections import Counter
+        from functools import partial
+
+        import teachdim.checks as checks
+        from teachdim.context import GraphContext
+        from teachdim.teaching import plan_to_teacher, verify_pb_teacher
+
+        W = perfbench_workloads()
+        graphs = [random_graph(n, p, W.Verify.POOL_SEED, i)
+                  for n, p, i in W.Verify.POOL]
+        graphs += [g for _, g in family_graphs]
+        seen = Counter()
+        for g in graphs:
+            ctx = GraphContext(g)
+            for cc in (ctx.star, ctx.con(False), ctx.con(True)):
+                if len(cc) <= checks.EQ6_FULL_LIMIT:
+                    continue
+                rt = ctx.rtd(cc)
+                certs = {"real": rt,
+                         "lowest": lowest_instance_certificate(rt),
+                         "rtd-1": understated_certificate(rt),
+                         "rtd+1": overstated_certificate(rt, cc.domain_size)}
+                for name, cert in certs.items():
+                    want = checks._eq6_sampled(cc, cert)
+                    assert checks._eq6_check(cc, cert) == want, name
+                    teaches = verify_pb_teacher(
+                        cc, plan_to_teacher(cert, cc))[0]
+                    seen[name, teaches, want.status] += 1
+                assert checks._eq6_check(
+                    cc, rt, plan=partial(ctx.plan, cc)) == checks._eq6_sampled(cc, rt)
+        # valid and padded certificates take the shortcut; the loop
+        # decides the others, and fails some of them
+        assert seen["real", True, "pass"] == seen["rtd+1", True, "pass"] >= 90
+        assert seen["lowest", False, "pass"] > 0
+        assert seen["rtd-1", False, "fail"] > 0
+        assert {key for key in seen if key[1]} <= {
+            ("real", True, "pass"), ("rtd+1", True, "pass"),
+            ("lowest", True, "pass"), ("rtd-1", True, "pass")}
 
     def test_opponent_failure_names_the_last_set_in_enumeration_order(
             self, monkeypatch):

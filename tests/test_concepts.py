@@ -106,6 +106,18 @@ class TestConceptClass:
         assert (type(fault.value), str(fault.value)) \
             == (type(reference.value), str(reference.value)) == (ValueError, message)
 
+    @pytest.mark.parametrize("concepts", [
+        (1, 2.5, 4), (0.5, 2, 4), (1, 2, 4.5), (2.5,), (1, "2", 4)])
+    def test_non_int_concepts_are_rejected(self, concepts):
+        """A concept that is not an int, even one that sorts between two
+        ints, raises the TypeError of ``helpers.reference_class_check``'s
+        loop."""
+        with pytest.raises(TypeError) as fault:
+            ConceptClass(3, concepts)
+        with pytest.raises(TypeError) as reference:
+            reference_class_check(3, concepts)
+        assert str(fault.value) == str(reference.value)
+
     @given(st.integers(0, 6), st.data())
     @settings(max_examples=300, deadline=None)
     def test_whole_sequence_check_accepts_what_the_loop_accepts(self, d, data):

@@ -11,33 +11,46 @@ one failed check and raise nothing.
   lose their highest instance (``helpers.understated_certificate``).
   Those witnesses no longer teach, so the plan teacher's verification
   must be among the failed checks.
+- RTD + 1: each level of value rtd claims rtd + 1, and its witnesses
+  gain their lowest unused instance (``helpers.overstated_certificate``).
+  Those witnesses still teach, so the plan teacher verifies and eq6
+  passes a class of more than 12 concepts without drawing.  On these
+  graphs the chain catches it, on some small classes together with
+  eq6's full branch.  On K_5's connected-set class with the empty set
+  the top-level witnesses already hold every instance, so the mutant
+  leaves the certificate as it is and that run is the one expected
+  escape.  Elsewhere this mutant passes every check on the 15 classes
+  of ROADMAP item 2 with RTD = VCD - 1 and more than 12 concepts; those
+  graphs are not among these.
 - VCD - 1: the VC-dimension one lower, its witness without its highest
   instance.
 
-Two mutants wait for the checks that would catch them (ROADMAP items 2
-and 5), with their known escapes.  VCD + 1, one instance added to the
-witness, passes every check on 8 runs of ROADMAP item 5's measurement:
-con classes of disconnected graphs, where no check is independent of
-``vcd``.  RTD + 1, one instance added to each top-level witness, is
-caught on these graphs but passes every check on the 15 classes of
-ROADMAP item 2 with RTD = VCD - 1 and more than 12 concepts.
+VCD + 1, one instance added to the witness, waits for the checks that
+would catch it (ROADMAP item 5): it passes every check on 8 runs of
+that item's measurement, con classes of disconnected graphs, where no
+check is independent of ``vcd``.
 """
 
 import pytest
 
-from helpers import perfbench_workloads, understated_certificate
+from helpers import (
+    overstated_certificate,
+    perfbench_workloads,
+    understated_certificate,
+)
 from teachdim.checks import check_graph
 from teachdim.context import GraphContext
 from teachdim.families import complete_graph, cycle_graph, path_graph, random_graph
 
 
-def understated_vcd(answer):
+def understated_vcd(answer, cc):
     value, witness = answer
     return value - 1, witness - {max(witness)}
 
 
 MUTANTS = {
-    "rtd-1": ("rtd", understated_certificate),
+    "rtd-1": ("rtd", lambda cert, cc: understated_certificate(cert)),
+    "rtd+1": ("rtd", lambda cert, cc: overstated_certificate(cert, cc.domain_size)),
     "vcd-1": ("vcd", understated_vcd),
 }
 
@@ -56,10 +69,18 @@ def mutant_graphs():
 def test_every_mutated_run_fails_a_check(monkeypatch, mutant, kind):
     stage, mutate = MUTANTS[mutant]
     real = getattr(GraphContext, stage)
-    monkeypatch.setattr(GraphContext, stage, lambda self, cc: mutate(real(self, cc)))
+    monkeypatch.setattr(GraphContext, stage,
+                        lambda self, cc: mutate(real(self, cc), cc))
     escapes = []
     for g in mutant_graphs():
         failed = {r.name for r in check_graph(g, *KINDS[kind]) if r.status == "fail"}
         if not failed or mutant == "rtd-1" and f"{KINDS[kind][0]}-plan-teacher" not in failed:
             escapes.append((g.edges(), sorted(failed)))
-    assert escapes == []
+    if (mutant, kind) == ("rtd+1", "con-empty"):
+        # the one no-op mutant: K_5's top-level witnesses hold every instance
+        k5 = GraphContext(complete_graph(5))
+        cert = real(k5, k5.con(True))
+        assert overstated_certificate(cert, k5.g.n) is cert
+        assert escapes == [(k5.g.edges(), [])]
+    else:
+        assert escapes == []

@@ -21,7 +21,7 @@ from helpers import (
     version_space,
 )
 from teacher_digest import digest
-from teachdim import checks
+from teachdim import checks, context
 from teachdim.checks import check_graph
 from teachdim.cli import TEACHERS
 from teachdim.concepts import ConceptClass
@@ -450,7 +450,9 @@ class TestVerifier:
                         dataclasses.replace(teacher, teaching_masks=tuple(masks)))
             return got
 
+        # the plan teacher is verified where GraphContext.plan builds it
         monkeypatch.setattr(checks, "verify_pb_teacher", checked)
+        monkeypatch.setattr(context, "verify_pb_teacher", checked)
         real_rtd = GraphContext.rtd
         for g in graphs:
             for kind, include_empty in (("star", False), ("con", False), ("con", True)):
