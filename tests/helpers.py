@@ -20,7 +20,8 @@ boundary walk is checked against, the plain teaching-set walk that the
 forced search is checked against, the peeling loop that rescans every
 count at every level, which rtd's per-count candidate lists are checked
 against, the certifier that checks RTD, TD
-and VCD answers from both sides without the kernels, false peeling
+and VCD answers from both sides without the kernels, the brute-force eq6
+over every subclass, the set eq6's lower side walks and false peeling
 certificates for the eq6 and mutant tests, the teacher verifier and the class and
 teacher validators one element at a time, which the library's
 whole-sequence versions are checked against, and the benchmark's
@@ -41,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from teachdim.checks import CheckResult
 from teachdim.concepts import ConceptClass, agreeing, format_concept, version_space_mask
 from teachdim.connected import build_con_class
 import teachdim.dimensions as dimensions
@@ -510,6 +512,29 @@ def certify(cc: ConceptClass, cert, tds, vc) -> list[str]:
             problems.append(f"{sorted(combo)} is shattered, past vcd {v}")
             break
     return problems
+
+
+def eq6_brute_force(cc: ConceptClass, r: int) -> CheckResult:
+    """eq6 for a class claimed to have RTD r, decided from the exact
+    TD_min of every nonempty subclass mask in increasing order: it fails
+    at the first subclass past r, and passes when the largest is r.
+    Meant for classes of at most ``checks.EQ6_FULL_LIMIT`` concepts."""
+    best = 0
+    for sub in range(1, 1 << len(cc)):
+        tdm = dimensions.rtd_subclass_lower_bound(cc, sub)
+        if tdm > r:
+            return CheckResult("eq6-subclass-bound", "fail",
+                               f"subclass {sub:#x} has TD_min {tdm} > rtd {r}")
+        best = max(best, tdm)
+    return CheckResult("eq6-subclass-bound", "pass" if best == r else "fail",
+                       f"max subclass TD_min {best} == rtd {r} (full)")
+
+
+def last_top_active(cert: RtdCertificate) -> int:
+    """Index mask of the concepts still active at the last level whose
+    value is ``cert.rtd``: that level and every later one."""
+    top = max(j for j, (_, value) in enumerate(cert.levels) if value == cert.rtd)
+    return mask_of(set().union(*(level for level, _ in cert.levels[top:])))
 
 
 def lowest_instance_certificate(cert: RtdCertificate) -> RtdCertificate:

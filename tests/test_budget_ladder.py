@@ -6,8 +6,9 @@ empty set) and each budget of ``LADDER``, it hashes the run's
 enumeration and search of a run, so the stage that refuses first names
 the order in which the checks do their work: a change that moves work
 between checks, or a search ahead of another, moves the digest.  The
-graphs are chosen so that the ladder reaches every stage ``check_graph``
-can refuse in (``STAGES``).
+graphs are chosen so that the ladder reaches every stage of ``STAGES``:
+every stage ``check_graph`` can refuse in but eq6's walk, which no
+ladder run was seen to reach.
 
 Run it with ``PYTHONPATH=src python tests/test_budget_ladder.py``; it
 prints the digest.
@@ -32,17 +33,22 @@ STAGES = {
     "star-class enumeration",
     "teaching-set search (rtd)",
     "leaf-tree witness search",
-    "teaching-set search (subclass TD_min)",  # eq6's full branch, on K_3
 }
+# eq6's one walk, "teaching-set search (subclass TD_min)", refused on no
+# run of star, con and con with the empty set under all of LADDER on
+# C_3-C_9, P_2-P_9, K_2-K_6, fig1-left, fig2 and random_graph(n, p, 7, i)
+# for n = 4..8, p in {.3, .5, .7}, i < 3: another stage always refused
+# first.  test_dimensions.py's direct td_min_at_most(..., budget=0) test
+# pins that refusal.
 
-# recorded before the checks of each kind became one generator; the
-# refactor kept it
-LADDER_DIGEST = "39d7787b275ebd9495fafe572c75499ab3ca75bfa863f424ed806c062e47f82a"
+# recorded when eq6 became one walk at every class size: K_3's con class
+# with the empty set, at budget 7, answers where the 2^m subclass loop
+# refused
+LADDER_DIGEST = "e5bfb3b5ab16b7ad93bccb2ce193992d0c97cbb94399e44c609d5152fa071c74"
 
 
 def ladder_graphs():
-    """fig2; K_3, whose 8-concept class with the empty set has eq6's full
-    branch outgrow a budget that rtd fits in; C_6, which refuses in rtd;
+    """fig2; K_3; C_6, which refuses in rtd;
     P_6, a tree whose leaf-tree search outgrows its connected sets;
     a triangle beside a path, for the per-component checks; and C_9,
     above the spanning-tree oracle's cap."""

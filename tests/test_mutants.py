@@ -13,15 +13,18 @@ one failed check and raise nothing.
   must be among the failed checks.
 - RTD + 1: each level of value rtd claims rtd + 1, and its witnesses
   gain their lowest unused instance (``helpers.overstated_certificate``).
-  Those witnesses still teach, so the plan teacher verifies and eq6
-  passes a class of more than 12 concepts without drawing.  On these
-  graphs the chain catches it, on some small classes together with
-  eq6's full branch.  On K_5's connected-set class with the empty set
-  the top-level witnesses already hold every instance, so the mutant
-  leaves the certificate as it is and that run is the one expected
-  escape.  Elsewhere this mutant passes every check on the 15 classes
-  of ROADMAP item 2 with RTD = VCD - 1 and more than 12 concepts; those
-  graphs are not among these.
+  Those witnesses still teach, so the plan teacher verifies, and the
+  chain or eq6 must catch it.  eq6 does at every class size: its one
+  walk finds a teaching set of rtd instances for the concepts active at
+  the last level that claims rtd + 1.  The row adds the 15 classes with
+  RTD = VCD - 1 and more than 12 concepts among the star class and both
+  connected-set classes of ``random_graph(n, p, 11, i)``, n = 5..8,
+  p in {.3, .6, .75}, i < 40 (``DICHOTOMY``).  There the overstated
+  value makes RTD = VCD, so the chain still has one strict step, and
+  eq6 must be among the failed checks.  On K_5's connected-set class
+  with the empty set the top-level witnesses already hold every
+  instance, so the mutant leaves the certificate as it is and that run
+  is the one expected escape.
 - VCD - 1: the VC-dimension one lower, its witness without its highest
   instance.
 
@@ -56,6 +59,17 @@ MUTANTS = {
 
 KINDS = {"star": ("star", False), "con": ("con", False), "con-empty": ("con", True)}
 
+# (n, p, i) of random_graph(n, p, 11, i) whose class of each kind has
+# RTD = VCD - 1 and more than 12 concepts: all 15 such classes for
+# n = 5..8, p in {.3, .6, .75}, i < 40
+DICHOTOMY = {
+    "star": [(6, .75, 3), (6, .75, 22), (7, .6, 7), (7, .75, 15),
+             (7, .75, 25), (7, .75, 36)],
+    "con": [(6, .75, 3), (6, .75, 22), (7, .75, 15), (7, .75, 25),
+            (7, .75, 36)],
+    "con-empty": [(6, .75, 22), (7, .75, 15), (7, .75, 25), (7, .75, 36)],
+}
+
 
 def mutant_graphs():
     W = perfbench_workloads()
@@ -84,3 +98,15 @@ def test_every_mutated_run_fails_a_check(monkeypatch, mutant, kind):
         assert escapes == [(k5.g.edges(), [])]
     else:
         assert escapes == []
+    if mutant == "rtd+1":
+        missed = []
+        for n, p, i in DICHOTOMY[kind]:
+            g = random_graph(n, p, 11, i)
+            ctx = GraphContext(g)
+            cc = ctx.star if kind == "star" else ctx.con(kind == "con-empty")
+            assert len(cc) > 12 and real(ctx, cc).rtd == ctx.vcd(cc)[0] - 1
+            failed = {r.name for r in check_graph(g, *KINDS[kind])
+                      if r.status == "fail"}
+            if "eq6-subclass-bound" not in failed:
+                missed.append(((n, p, i), sorted(failed)))
+        assert missed == []
