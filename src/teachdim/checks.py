@@ -102,9 +102,8 @@ def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
     m, r = len(cc), rt.rtd
     if rt.size != m:
         raise ValueError("certificate does not match class size")
-    if max(rt.witnesses) >> cc.domain_size:
-        return CheckResult("eq6-subclass-bound", "fail",
-                           "a witness has an instance outside the domain")
+    if outside := _outside_domain("eq6-subclass-bound", cc, rt):
+        return outside
     ok, cx = plan()[1] if plan else verify_pb_teacher(cc, plan_to_teacher(rt, cc))
     if not ok:
         return _not_preferred("eq6-subclass-bound", cx)
@@ -123,6 +122,16 @@ def _eq6_check(cc: ConceptClass, rt: RtdCertificate, *,
         return EQ6_SAMPLED_PASS
     return CheckResult("eq6-subclass-bound", "pass",
                        f"max subclass TD_min {r} == rtd {r} (full)")
+
+
+def _outside_domain(name, cc, rt):
+    """A failed check ``name`` when a witness of rt has an instance
+    outside cc's domain, which ``PBTeacher`` rejects, else None: eq6 and
+    the plan-teacher check ask it before they ask for the plan."""
+    if max(rt.witnesses) >> cc.domain_size:
+        return CheckResult(name, "fail",
+                           "a witness has an instance outside the domain")
+    return None
 
 
 def _class_checks(ctx, cc, rt, v):
@@ -169,8 +178,11 @@ def _optional_teacher(name, cc, build, ctx, **bound):
 
 
 def _plan_result(kind, ctx, cc, rt):
-    """The peeling plan's teacher verifies, and its order is rtd."""
+    """The peeling plan's teacher verifies, and its order is rtd; a
+    witness outside the domain fails it before the plan is built."""
     name = f"{kind}-plan-teacher"
+    if outside := _outside_domain(name, cc, rt):
+        return outside
     plan, (ok, cx) = ctx.plan(cc)
     if not ok:
         return _not_preferred(name, cx)

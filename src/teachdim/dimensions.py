@@ -45,9 +45,14 @@ every count at every level.  rtd's level loop and td_of's pass over the
 whole class settle each k with one routine (_teaching_sets_at), and
 both give each witness as an instance mask.  TD_min
 asks whether any concept of a (sub)class has a teaching set of at most
-k, and has its own walk over the whole partition (_isolates, behind
-td_min_at_most); td_min and rtd_subclass_lower_bound count k up until
-it says yes.
+k (_isolates, behind td_min_at_most); td_min and
+rtd_subclass_lower_bound count k up until it says yes.  The same
+one-inclusion bound answers no, without a search, when every concept
+of the subclass has more than k neighbours inside it: TD_min >= the
+smallest such degree.  Otherwise a walk over the whole partition of
+the subclass decides, and neither shares code with the teaching-set
+kernel.  The bound takes the place of the walk's root node, so a call
+it settles counts one node.
 
 Teaching-set sizes run up to the domain size: at k = d the whole domain
 tells every concept apart, and a concept forced to all d instances is
@@ -64,7 +69,7 @@ from math import comb
 
 from .concepts import ConceptClass, agreeing
 from .errors import BudgetExceededError
-from .graphs import DEFAULT_ENUM_BUDGET
+from .graphs import DEFAULT_ENUM_BUDGET, bits
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +134,8 @@ class _Work:
     ``done`` counts walk nodes: one per ``walk`` call of
     _smallest_teaching_mask and one per k = 1 scan (the walk's last
     level, run inside the loop of the level above it, is part of that
-    level's node), and one per ``walk`` call of _isolates.  One _Work
+    level's node), and one per node of _isolates's walk, its root
+    counted even when the degree bound answers in its place.  One _Work
     serves a whole search: every level of rtd, the whole td_of pass, or
     every k that td_min and rtd_subclass_lower_bound try.  The search
     refuses once ``done`` passes ``budget``.  ``stage`` names the search
@@ -339,9 +345,10 @@ def _td_pass(cc: ConceptClass, rows: dict, work: _Work) -> None:
 def td_min(cc: ConceptClass, *, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """TD_min: the smallest teaching-set size of any concept of the class.
 
-    The smallest k that td_min_at_most's walk accepts, counted up from
+    The smallest k that td_min_at_most accepts, counted up from
     min_i |F_i| (every teaching set of i contains F_i, so nothing smaller
-    can teach).  One budget covers every k tried."""
+    can teach; so the degree bound never answers here, and each k is
+    walked).  One budget covers every k tried."""
     if len(cc) == 0:
         raise ValueError("empty class")
     work = _Work("teaching-set search (td_min)", budget)
@@ -476,8 +483,9 @@ def rtd_subclass_lower_bound(cc: ConceptClass, subclass, *,
     """TD_min of the subclass viewed as a class over the same domain;
     every such value lower-bounds the full class's peeling dimension.
     ``subclass`` is an iterable of concept indices or their mask.  The
-    smallest k from 0 up that td_min_at_most's walk accepts; one budget
-    covers every k tried."""
+    smallest k from 0 up that td_min_at_most accepts; the degree bound
+    answers each k below the smallest degree inside the subclass without
+    a walk.  One budget covers every k tried."""
     m = len(cc)
     if isinstance(subclass, int):
         sub = subclass
@@ -515,12 +523,16 @@ def _isolates(cc: ConceptClass, sub: int, k: int, work: _Work) -> bool:
     """Whether some set of at most k instances tells some concept of the
     nonempty subclass ``sub`` apart from the rest of ``sub``.
 
-    One depth-first walk over instance sets in increasing order, at most
-    k deep, that shares no code with the teaching-set kernel.  A node
-    holds the partition of ``sub`` by trace on its instances and extends
-    by each later instance that splits some block; an instance that
-    splits no block is skipped.  The walk returns true at the first
-    singleton block.
+    Most "no" answers come from the one-inclusion graph of ``sub``
+    (_degrees_above): a sample without instance x cannot tell concept c
+    from c with x flipped, so when every concept of ``sub`` has more
+    than k neighbours inside ``sub``, no set of k or fewer instances
+    teaches any of them.  Otherwise one depth-first walk over instance
+    sets in increasing order, at most k deep, decides.  Neither shares
+    code with the teaching-set kernel.  A node holds the partition of
+    ``sub`` by trace on its instances and extends by each later instance
+    that splits some block; an instance that splits no block is skipped.
+    The walk returns true at the first singleton block.
 
     It is exact.  Let D be a teaching set of at most k instances that is
     minimal under inclusion, with instances x_1 < ... < x_j.  If some x_i
@@ -532,19 +544,26 @@ def _isolates(cc: ConceptClass, sub: int, k: int, work: _Work) -> bool:
     than k instances, so every split is tested for a singleton, not only
     those of the last level.
 
-    Each node counts one in ``work``; a walk that passes its budget
+    Each node counts one in ``work``.  The root is counted before the
+    degree bound, which stands in its place: a call the bound settles
+    counts one node, and one it leaves to the walk counts the walk's
+    nodes, as without the bound.  A search that passes its budget
     refuses with BudgetExceededError at k, with every concept of ``sub``
     counted as left.
     """
     if sub & (sub - 1) == 0:
         # a lone concept needs no examples
         return k >= 0
+    if k <= 0:
+        return False
+    work.done += 1
+    if work.done > work.budget:
+        raise work.refusal(k, sub.bit_count())
+    if _degrees_above(cc, sub, k):
+        return False
     cols, d = cc.instance_columns, cc.domain_size
 
     def walk(blocks: list[int], start: int, depth: int) -> bool:
-        work.done += 1
-        if work.done > work.budget:
-            raise work.refusal(k, sub.bit_count())
         for x in range(start, d):
             col = cols[x]
             parts = []
@@ -557,16 +576,55 @@ def _isolates(cc: ConceptClass, sub: int, k: int, work: _Work) -> bool:
                     parts += (inner, outer)
                 else:
                     parts.append(b)
-            if depth > 1 and len(parts) > len(blocks) \
-                    and walk(parts, x + 1, depth - 1):
-                return True
+            if depth > 1 and len(parts) > len(blocks):
+                work.done += 1
+                if work.done > work.budget:
+                    raise work.refusal(k, sub.bit_count())
+                if walk(parts, x + 1, depth - 1):
+                    return True
         return False
 
     try:
-        return k > 0 and walk([sub], 0, k)
+        return walk([sub], 0, k)
     finally:
         # the nested walk refers to itself; break that cycle here
         del walk
+
+
+def _degrees_above(cc: ConceptClass, sub: int, k: int) -> bool:
+    """Whether every concept of the subclass ``sub`` has more than k
+    one-inclusion neighbours inside ``sub`` (Doliwa, Fan, Simon &
+    Zilles): then TD_min(sub) > k, since a teaching set of a concept
+    holds each instance whose flip of it is in ``sub``.
+
+    Only the free instances X, where ``sub`` is not constant, can join
+    two concepts of ``sub``, so no degree exceeds |X|, and at |X| <= k
+    the answer is no.  ``sub`` agrees off X and its concepts are
+    distinct, so |sub| = 2^|X| makes it the whole cube on X, where every
+    degree is |X| > k.  Otherwise each concept counts its flips on X
+    that are concepts of ``sub``, up to k + 1; the first one that stays
+    at k or fewer answers no."""
+    free = []
+    for x, col in enumerate(cc.instance_columns):
+        inner = sub & col
+        if inner and inner != sub:
+            free.append(1 << x)
+    if len(free) <= k:
+        return False
+    if sub.bit_count() == 1 << len(free):
+        return True
+    concepts, index = cc.concepts, cc.index
+    for i in bits(sub):
+        c, degree = concepts[i], 0
+        for flip in free:
+            j = index.get(c ^ flip)
+            if j is not None and sub >> j & 1:
+                degree += 1
+                if degree > k:
+                    break
+        else:
+            return False
+    return True
 
 
 def check_chain(lo: int, mid: int, hi: int, kind: str) -> int:

@@ -707,6 +707,39 @@ class TestChecksDirect:
         assert sizes[True] >= 90 and sizes[False] >= 15
         assert made == exact == []
 
+    def test_the_degree_bound_settles_most_eq6_walks(self, monkeypatch):
+        """On the verify benchmark's pool, for star and con, eq6's lower
+        side makes 36 td_min_at_most calls, and the one-inclusion degree
+        bound answers 26 of them with no walk node below the root: 16 on
+        a subclass that is the whole cube on its free instances, 10 by
+        counting neighbours.  A change that turns the bound off, or
+        weakens it, fails here."""
+        import teachdim.checks as checks
+        import teachdim.dimensions as dimensions
+
+        calls = []
+
+        def walk(cc, sub, k, **kw):
+            calls.append([cc, sub, None])
+            return real_walk(cc, sub, k, **kw)
+
+        def bound(cc, sub, k):
+            calls[-1][2] = real_bound(cc, sub, k)
+            return calls[-1][2]
+
+        real_walk, real_bound = checks.td_min_at_most, dimensions._degrees_above
+        monkeypatch.setattr(checks, "td_min_at_most", walk)
+        monkeypatch.setattr(dimensions, "_degrees_above", bound)
+        W = perfbench_workloads()
+        for n, p, i in W.Verify.POOL:
+            g = random_graph(n, p, W.Verify.POOL_SEED, i)
+            for kind in ("star", "con"):
+                assert not any(r.failed for r in check_graph(g, kind))
+        settled = [(cc, sub) for cc, sub, said_no in calls if said_no]
+        cubes = [sub for cc, sub in settled if sub.bit_count() == 2 ** sum(
+            sub & col not in (0, sub) for col in cc.instance_columns)]
+        assert (len(calls), len(settled), len(cubes)) == (36, 26, 16)
+
     def test_opponent_failure_names_the_last_set_in_enumeration_order(
             self, monkeypatch):
         """With bogus opponents injected for several sets, the detail names

@@ -526,6 +526,116 @@ class TestTdMinByWalk:
         assert len(works) == 3
 
 
+def embedded_cube(free, base):
+    """Every concept that agrees with ``base`` off the instance mask
+    ``free``: the whole cube on ``free``, constant elsewhere."""
+    cube, part = [], free
+    while True:
+        cube.append(base & ~free | part)
+        if not part:
+            return cube
+        part = part - 1 & free
+
+
+class TestOneInclusionBound:
+    """td_min_at_most answers no without a walk when every concept of the
+    subclass has more than k neighbours inside it (_degrees_above).  Each
+    case below aims at one of the bound's branches and checks, at every
+    k from 0 to d, td_min_at_most and rtd_subclass_lower_bound against
+    the smallest brute_td over the subclass, and that the bound never
+    says no where a teaching set of k instances exists."""
+
+    @staticmethod
+    def exact(cc, sub):
+        want = min(brute_td(cc, i, sub) for i in bits(sub))
+        for k in range(cc.domain_size + 1):
+            assert td_min_at_most(cc, sub, k) == (want <= k)
+            assert not (dimensions._degrees_above(cc, sub, k) and want <= k)
+        assert rtd_subclass_lower_bound(cc, sub) == want
+        return want
+
+    def test_a_subcube_in_a_wider_domain(self):
+        """The cube on the free instances X, constant off X, with and
+        without other concepts around it: TD_min |X|, and the bound says
+        no at every k below |X| by the cube's size alone, counted as one
+        walk node."""
+        rng = random.Random(41)
+        for trial in range(40):
+            d = rng.randint(2, 8)
+            free = mask_of(rng.sample(range(d), rng.randint(1, min(d, 5))))
+            cube = embedded_cube(free, rng.randrange(1 << d))
+            extra = [rng.randrange(1 << d) for _ in range(trial % 3 * 6)]
+            cc = ConceptClass.from_masks(d, cube + extra)
+            sub = mask_of(cc.index_of(c) for c in cube)
+            n = free.bit_count()
+            assert self.exact(cc, sub) == n
+            assert [dimensions._degrees_above(cc, sub, k)
+                    for k in range(d + 1)] == [k < n for k in range(d + 1)]
+            if not extra:
+                assert td_min(cc) == n
+            if n > 1:
+                # the bound stands in for the walk's root: one node
+                assert td_min_at_most(cc, sub, n - 1, budget=1) is False
+                with pytest.raises(BudgetExceededError) as refusal:
+                    td_min_at_most(cc, sub, n - 1, budget=0)
+                assert (refusal.value.k, refusal.value.work) == (n - 1, 1)
+
+    def test_a_cube_less_one_concept(self):
+        """The class is a cube on X less one concept: that concept's
+        neighbours have |X| - 1 neighbours left and teach with X less
+        their flip, so TD_min is |X| - 1 and the bound says no below
+        it."""
+        rng = random.Random(43)
+        for _ in range(30):
+            d = rng.randint(3, 8)
+            free = mask_of(rng.sample(range(d), rng.randint(2, min(d, 5))))
+            cube = embedded_cube(free, rng.randrange(1 << d))
+            cube.remove(rng.choice(cube))
+            cc = ConceptClass.from_masks(d, cube)
+            n = free.bit_count()
+            assert self.exact(cc, cc.all_indices_mask) == n - 1
+            assert [dimensions._degrees_above(cc, cc.all_indices_mask, k)
+                    for k in range(d + 1)] == [k < n - 1 for k in range(d + 1)]
+
+    def test_a_flip_partner_outside_the_subclass_is_not_counted(self):
+        """The class holds the whole cube on X and the subclass lacks one
+        of its concepts c: c's neighbours flip onto a class member that
+        is not in the subclass, so they have |X| - 1 neighbours there,
+        and at k = |X| - 1 the bound must leave the answer, yes, to the
+        walk."""
+        rng = random.Random(47)
+        for trial in range(30):
+            d = rng.randint(3, 8)
+            free = mask_of(rng.sample(range(d), rng.randint(2, min(d, 5))))
+            cube = embedded_cube(free, rng.randrange(1 << d))
+            extra = [rng.randrange(1 << d) for _ in range(trial % 2 * 8)]
+            cc = ConceptClass.from_masks(d, cube + extra)
+            left_out = cc.index_of(rng.choice(cube))
+            sub = mask_of(cc.index_of(c) for c in cube) & ~(1 << left_out)
+            n = free.bit_count()
+            assert self.exact(cc, sub) == n - 1
+            assert not dimensions._degrees_above(cc, sub, n - 1)
+            assert dimensions._degrees_above(cc, sub, n - 2) == (n > 1)
+
+    def test_no_more_free_instances_than_k(self):
+        """Subclasses with at most k free instances: no degree can pass
+        k, so the bound leaves every such k to the walk."""
+        rng = random.Random(53)
+        for _ in range(40):
+            d = rng.randint(2, 8)
+            free = mask_of(rng.sample(range(d), rng.randint(1, min(d, 3))))
+            cube = embedded_cube(free, rng.randrange(1 << d))
+            part = rng.sample(cube, rng.randint(2, len(cube))) \
+                if len(cube) > 2 else cube
+            extra = [rng.randrange(1 << d) for _ in range(rng.randint(0, 10))]
+            cc = ConceptClass.from_masks(d, part + extra)
+            sub = mask_of(cc.index_of(c) for c in part)
+            self.exact(cc, sub)
+            # the free instances of the subclass lie inside ``free``
+            for k in range(free.bit_count(), d + 1):
+                assert not dimensions._degrees_above(cc, sub, k)
+
+
 def forced_set(cc, i, active):
     """F_i(active) from its definition: the instances x such that concept
     i with x flipped is an active concept."""

@@ -27,12 +27,19 @@ one failed check and raise nothing.
   is the one expected escape.
 - VCD - 1: the VC-dimension one lower, its witness without its highest
   instance.
+- Witnesses outside the domain: every witness shifted past the domain
+  (``outside_certificate``), which ``PBTeacher`` rejects.  eq6 and the
+  plan-teacher check must both fail with "a witness has an instance
+  outside the domain", without asking ``GraphContext.plan`` for a
+  teacher that cannot be built.
 
 VCD + 1, one instance added to the witness, waits for the checks that
 would catch it (ROADMAP item 5): it passes every check on 8 runs of
 that item's measurement, con classes of disconnected graphs, where no
 check is independent of ``vcd``.
 """
+
+import dataclasses
 
 import pytest
 
@@ -51,11 +58,19 @@ def understated_vcd(answer, cc):
     return value - 1, witness - {max(witness)}
 
 
+def outside_certificate(cert, cc):
+    return dataclasses.replace(cert, witnesses=tuple(
+        w << cc.domain_size for w in cert.witnesses))
+
+
 MUTANTS = {
     "rtd-1": ("rtd", lambda cert, cc: understated_certificate(cert)),
     "rtd+1": ("rtd", lambda cert, cc: overstated_certificate(cert, cc.domain_size)),
     "vcd-1": ("vcd", understated_vcd),
+    "outside": ("rtd", outside_certificate),
 }
+
+OUTSIDE = "a witness has an instance outside the domain"
 
 KINDS = {"star": ("star", False), "con": ("con", False), "con-empty": ("con", True)}
 
@@ -85,10 +100,19 @@ def test_every_mutated_run_fails_a_check(monkeypatch, mutant, kind):
     real = getattr(GraphContext, stage)
     monkeypatch.setattr(GraphContext, stage,
                         lambda self, cc: mutate(real(self, cc), cc))
+    plan_check = f"{KINDS[kind][0]}-plan-teacher"
+    if mutant == "outside":
+        def no_plan(self, cc):
+            raise AssertionError("plan asked for")
+        monkeypatch.setattr(GraphContext, "plan", no_plan)
     escapes = []
     for g in mutant_graphs():
-        failed = {r.name for r in check_graph(g, *KINDS[kind]) if r.status == "fail"}
-        if not failed or mutant == "rtd-1" and f"{KINDS[kind][0]}-plan-teacher" not in failed:
+        failed = {r.name: r.detail for r in check_graph(g, *KINDS[kind])
+                  if r.status == "fail"}
+        if not failed or mutant == "rtd-1" and plan_check not in failed \
+                or mutant == "outside" and \
+                (failed.get(plan_check), failed.get("eq6-subclass-bound")) \
+                != (OUTSIDE, OUTSIDE):
             escapes.append((g.edges(), sorted(failed)))
     if (mutant, kind) == ("rtd+1", "con-empty"):
         # the one no-op mutant: K_5's top-level witnesses hold every instance
