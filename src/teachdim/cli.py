@@ -42,7 +42,7 @@ from .dimensions import rtd, sauer_bound, sauer_rtd_implication, td_of, vcd
 from .errors import BudgetExceededError, TeacherPreconditionError
 from .families import FAMILY_NAMES, FamilySpec
 from .stars import star_special_teacher, star_subset_teacher, star_triple
-from .teaching import format_sample, format_teacher, plan_to_teacher
+from .teaching import format_sample, format_teacher
 
 
 #: Exit code for a closed stdout: 128 + SIGPIPE.
@@ -54,23 +54,14 @@ class InputError(Exception):
     as one line on stderr and exits 2."""
 
 
-def _star_plan_teacher(ctx):
-    return plan_to_teacher(ctx.rtd(ctx.star), ctx.star)
-
-
-def _con_plan_teacher(ctx):
-    cc = ctx.con(True)
-    return plan_to_teacher(ctx.rtd(cc), cc)
-
-
 TEACHERS = {
     "star-subset": (star_subset_teacher, "star"),
     "star-special": (star_special_teacher, "star"),
-    "star-plan": (_star_plan_teacher, "star"),
+    "star-plan": (lambda ctx: ctx.plan(ctx.star)[0], "star"),
     "con-tree": (con_tree_teacher, "con"),
     "con-superset": (con_superset_teacher, "con"),
     "con-vcd-matching": (con_vcd_matching_teacher, "con"),
-    "con-plan": (_con_plan_teacher, "con"),
+    "con-plan": (lambda ctx: ctx.plan(ctx.con(True))[0], "con"),
 }
 
 

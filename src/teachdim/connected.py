@@ -233,12 +233,9 @@ def _matching_preference(ctx: GraphContext) -> PreferenceRelation:
     for i in full_boundary:
         vs = version_space_mask(cc, 0, boundary[cc.concepts[i]])
         below[i] = vs & ~(1 << i)
-    columns = cc.instance_columns
     for i in full_boundary:
-        above = cc.all_indices_mask ^ 1 << i
-        for x in bits(cc.concepts[i]):
-            above &= columns[x]
-        for j in bits(above):
+        # the proper supersets of the set
+        for j in bits(version_space_mask(cc, cc.concepts[i]) ^ 1 << i):
             below[j] |= below[i]
     return PreferenceRelation(len(cc), tuple(below))
 

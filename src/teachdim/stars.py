@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .concepts import ConceptClass
+from .concepts import ConceptClass, version_space_mask
 from .dimensions import check_chain, rtd_value, vcd
 from .errors import BudgetExceededError, TeacherPreconditionError
 from .graphs import DEFAULT_ENUM_BUDGET, Graph, bits
@@ -151,9 +151,7 @@ def star_special_teacher(ctx: GraphContext) -> PBTeacher:
     masks, below = list(cc.concepts), list(ctx.star_pref.below)
     special = 0
     for grp in part.groups:
-        found = cc.all_indices_mask
-        for x in bits(grp.fringe):
-            found &= cc.instance_columns[x]
+        found = version_space_mask(cc, grp.fringe)
         if found & special:
             raise RuntimeError("special concept contains two groups' fringes")
         special |= found

@@ -25,7 +25,8 @@ class PreferenceRelation:
     ``below`` must already be transitively closed: the constructor checks
     only its length, its range and irreflexivity.  The library's builders
     close their orders by construction; masks from anywhere else go
-    through ``from_direct``, which closes them and rejects cycles.
+    through ``from_direct``, which closes them by Warshall's algorithm
+    and rejects cycles.
     """
 
     size: int
@@ -43,42 +44,21 @@ class PreferenceRelation:
 
     @classmethod
     def from_direct(cls, direct) -> "PreferenceRelation":
-        """Close one direct "below" mask per concept transitively; raises
-        PreferenceCycleError on any cycle, a self-loop included."""
-        direct = list(direct)
-        size = len(direct)
-        for mask in direct:
+        """Close one direct "below" mask per concept transitively, by
+        Warshall's algorithm: for each concept k in turn, every row that
+        holds k takes in row k.  Exactly the concepts on a cycle, a
+        self-loop included, end up below themselves, and then it raises
+        PreferenceCycleError."""
+        below = list(direct)
+        size = len(below)
+        for mask in below:
             if mask < 0 or mask >> size:
                 raise ValueError("below mask out of range")
-        # depth first, into the lowest child not yet done; once all its
-        # children are done a concept adds their closed masks, highest
-        # child first, and skips the children a closed mask already holds
-        below = [0] * size
-        done = on_stack = 0
-        for root in range(size):
-            if done >> root & 1:
-                continue
-            stack = [root]
-            on_stack |= 1 << root
-            while stack:
-                v = stack[-1]
-                pending = direct[v] & ~done
-                if pending:
-                    low = pending & -pending
-                    if low & on_stack:
-                        raise PreferenceCycleError("preference pairs contain a cycle")
-                    on_stack |= low
-                    stack.append(low.bit_length() - 1)
-                    continue
-                mask = rest = direct[v]
-                while rest:
-                    j = rest.bit_length() - 1
-                    mask |= below[j]
-                    rest &= ~(below[j] | 1 << j)
-                below[v] = mask
-                done |= 1 << v
-                on_stack ^= 1 << v
-                stack.pop()
+        for k in range(size):
+            bit, row = 1 << k, below[k]
+            below = [m | row if m & bit else m for m in below]
+        if any(m >> i & 1 for i, m in enumerate(below)):
+            raise PreferenceCycleError("preference pairs contain a cycle")
         return cls(size, tuple(below))
 
     def is_preferred(self, i: int, j: int) -> bool:
@@ -104,28 +84,24 @@ class PreferenceRelation:
 
 def subset_preferences(cc: ConceptClass) -> PreferenceRelation:
     """Strictly smaller concepts are preferred over their proper supersets."""
-    return _containment(cc, cc.instance_columns, 0)
+    return _containment(cc, 0)
 
 
 def superset_preferences(cc: ConceptClass) -> PreferenceRelation:
     """Strictly larger concepts are preferred over their proper subsets."""
-    return _containment(cc, cc.absent_columns, (1 << cc.domain_size) - 1)
+    return _containment(cc, (1 << cc.domain_size) - 1)
 
 
-def _containment(cc: ConceptClass, columns, flip: int) -> PreferenceRelation:
-    """below[i] = every other concept in columns[x] for each instance x
-    of concept i XOR flip."""
-    everything = cc.all_indices_mask
-    below = []
-    for i, c in enumerate(cc.concepts):
-        mask = everything ^ 1 << i
-        rest = c ^ flip
-        while rest:
-            low = rest & -rest
-            mask &= columns[low.bit_length() - 1]
-            rest ^= low
-        below.append(mask)
-    return PreferenceRelation(len(cc), tuple(below))
+def _containment(cc: ConceptClass, flip: int) -> PreferenceRelation:
+    """below[i] = the other concepts that agree with concept i on the
+    instances of c_i XOR flip: with flip 0 those that hold every instance
+    of c_i, its proper supersets; with flip the full domain those that
+    lack every instance outside c_i, its proper subsets.  Containment is
+    transitive, so the rows are closed as read."""
+    tables, everything = cc.sample_tables, cc.all_indices_mask
+    return PreferenceRelation(len(cc), tuple(
+        agreeing(tables, c, c ^ flip, everything ^ 1 << i)
+        for i, c in enumerate(cc.concepts)))
 
 
 def lex_refine(pref: PreferenceRelation, keys) -> PreferenceRelation:

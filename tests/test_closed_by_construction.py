@@ -16,7 +16,13 @@ Each builder closes its order as it builds it, so none has a cycle to
 refuse: the constructor's self-loop check and ``from_direct`` are the
 only places that raise ``PreferenceCycleError``.  A builder that runs
 a closure pass with a cycle refusal of its own shows here as a new
-raiser.  The scans use the standard library's ``ast`` only.
+raiser.
+
+The containment orders and the two teachers' orders read what a
+labelled sample leaves in the version space through ``concepts``
+(``agreeing`` and ``version_space_mask``), as the peeling kernel and the
+verifier do, so none of them reads a class's instance or absent columns
+itself.  The scans use the standard library's ``ast`` only.
 """
 
 import ast
@@ -134,3 +140,54 @@ def test_only_the_relation_raises_a_cycle_error():
     found = {f"{path.stem}.{name}" for path in sorted(SRC.glob("*.py"))
              for name in cycle_error_raises(path.read_text())}
     assert found == CYCLE_RAISERS
+
+
+# the containment orders' public builders too, which once handed
+# ``_containment`` the columns to read
+VERSION_SPACE_READERS = {"teaching.subset_preferences", "teaching.superset_preferences",
+                         "teaching._containment", "stars.star_special_teacher",
+                         "connected._matching_preference"}
+COLUMNS = {"instance_columns", "absent_columns"}
+
+
+def column_reads(source: str) -> dict[str, bool]:
+    """For each function and class in ``source``, by qualified name,
+    whether it reads ``instance_columns`` or ``absent_columns``, by
+    attribute or by name, in its own body or in a nested one."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                name = prefix + child.name
+                found[name] = any(
+                    isinstance(n, ast.Attribute) and n.attr in COLUMNS
+                    or isinstance(n, ast.Name) and n.id in COLUMNS
+                    for n in ast.walk(child))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_column_reads_are_caught():
+    source = (
+        "def a(cc): return cc.instance_columns[0]\n"
+        "def b(cc):\n"
+        "    def inner(): return cc.absent_columns\n"
+        "    return inner\n"
+        "def c(cc): return agreeing(cc.sample_tables, 0, 0, 1)\n"
+        "class K:\n"
+        "    def d(self): return instance_columns\n"
+    )
+    assert column_reads(source) == {"a": True, "b": True, "b.inner": True, "c": False,
+                                    "K": True, "K.d": True}
+
+
+def test_version_space_readers_read_no_columns():
+    found = {f"{path.stem}.{name}": reads for path in sorted(SRC.glob("*.py"))
+             for name, reads in column_reads(path.read_text()).items()}
+    assert {name: found.get(name) for name in VERSION_SPACE_READERS} \
+        == dict.fromkeys(VERSION_SPACE_READERS, False)

@@ -97,7 +97,11 @@ class TestPreferenceRelation:
     def test_depths_of_a_long_chain(self):
         # deeper than the interpreter's recursion limit
         cc = ConceptClass(1100, tuple((1 << k) - 1 for k in range(1101)))
-        assert subset_preferences(cc).depths == tuple(range(1100, -1, -1))
+        pref = subset_preferences(cc)
+        assert pref.depths == tuple(range(1100, -1, -1))
+        # concept k directly over concept k + 1 only
+        direct = [1 << k + 1 for k in range(1100)] + [0]
+        assert PreferenceRelation.from_direct(direct).below == pref.below
 
     @staticmethod
     def acyclic_direct(size, data):
@@ -280,7 +284,7 @@ class TestMasksMatchPairDefinitions:
         except PreferenceCycleError:
             return "cycle"
 
-    @given(st.integers(0, 6), st.data())
+    @given(st.integers(0, 9), st.data())
     @settings(max_examples=300, deadline=None)
     def test_random_classes(self, d, data):
         masks = data.draw(st.sets(st.integers(0, (1 << d) - 1), min_size=1,
