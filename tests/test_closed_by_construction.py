@@ -142,8 +142,8 @@ def test_only_the_relation_raises_a_cycle_error():
     assert found == CYCLE_RAISERS
 
 
-# the containment orders' public builders too, which once handed
-# ``_containment`` the columns to read
+# the public containment builders too: they choose what ``_containment``
+# is given to read
 VERSION_SPACE_READERS = {"teaching.subset_preferences", "teaching.superset_preferences",
                          "teaching._containment", "stars.star_special_teacher",
                          "connected._matching_preference"}
